@@ -30,20 +30,18 @@
 //! * `--grid` — also measure the full-grid passes (slow; used to
 //!   produce the committed `BENCH_pr8.json`);
 //! * `--json PATH` — write the measurements as JSON;
-//! * `--check BASELINE` — compare per-case exact:sampled speedups
-//!   against a recorded JSON and exit 1 on regression (ratios, not wall
-//!   times, so the check is machine-independent; min-based when the
-//!   baseline records `speedup_min`);
-//! * `--check-ratio R` — floor for `--check` as a fraction of the
-//!   recorded speedup (default `0.9`).
+//! * `--check BASELINE` — gate the per-case exact:sampled speedups
+//!   against a recorded JSON (DESIGN.md, "Baseline gates");
+//! * `--check-ratio R` — the gate's floor (default `0.9`);
+//! * `--sample SPEC` — the sampling configuration to measure (default
+//!   `SampleConfig::default()`).
 
-use bsched_bench::microbench::bench;
+use bsched_bench::{baseline, cli, microbench::bench};
 use bsched_pipeline::{standard_grid, CompileOptions, Experiment, SchedulerKind};
 use bsched_sim::{MachineSpec, SampleConfig, SimConfig, SimEngine, SimMode, SimResult, Simulator};
 use bsched_verify::{
     sampling_rel_err, SAMPLING_CPI_MEAN_TOL, SAMPLING_CPI_TOL, SAMPLING_FLOOR_FRAC,
 };
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Per-cell relative errors of the sampled estimate vs the exact run.
@@ -295,87 +293,46 @@ fn measure_grid(mode: SimMode) -> Case {
     case
 }
 
-fn to_json(cases: &[Case]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"sampling\",\n  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        let comma = if i + 1 == cases.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"cells\": {}, \"insts\": {}, \"sampled_insts\": {}, \
-             \"exact_ns\": {}, \"sampled_ns\": {}, \"speedup\": {:.2}, \
-             \"exact_min_ns\": {}, \"sampled_min_ns\": {}, \"speedup_min\": {:.2}, \
-             \"plan_ns\": {}, \"cpi_mean_err\": {:.5}, \"cpi_max_err\": {:.5}, \
-             \"interlock_max_err\": {:.5}, \"miss_max_err\": {:.5}}}{comma}",
-            c.name,
-            c.cells,
-            c.insts,
-            c.sampled_insts,
-            c.exact_ns,
-            c.sampled_ns,
-            c.speedup(),
-            c.exact_min_ns,
-            c.sampled_min_ns,
-            c.speedup_min(),
-            c.plan_ns,
-            c.cpi_mean_err,
-            c.cpi_max_err,
-            c.interlock_max_err,
-            c.miss_max_err,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// `(name, median speedup, min-based speedup if recorded)` per case.
-fn parse_baseline(json: &str) -> Vec<(String, f64, Option<f64>)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"').to_string())
-    };
-    json.lines()
-        .filter(|l| l.contains("\"name\""))
-        .filter_map(|l| {
-            let name = field(l, "name")?;
-            let speedup = field(l, "speedup")?.parse().ok()?;
-            let speedup_min = field(l, "speedup_min").and_then(|v| v.parse().ok());
-            Some((name, speedup, speedup_min))
-        })
-        .collect()
+fn to_json(c: &Case) -> String {
+    format!(
+        "{{\"name\": \"{}\", \"cells\": {}, \"insts\": {}, \"sampled_insts\": {}, \
+         \"exact_ns\": {}, \"sampled_ns\": {}, \"speedup\": {:.2}, \
+         \"exact_min_ns\": {}, \"sampled_min_ns\": {}, \"speedup_min\": {:.2}, \
+         \"plan_ns\": {}, \"cpi_mean_err\": {:.5}, \"cpi_max_err\": {:.5}, \
+         \"interlock_max_err\": {:.5}, \"miss_max_err\": {:.5}}}",
+        c.name,
+        c.cells,
+        c.insts,
+        c.sampled_insts,
+        c.exact_ns,
+        c.sampled_ns,
+        c.speedup(),
+        c.exact_min_ns,
+        c.sampled_min_ns,
+        c.speedup_min(),
+        c.plan_ns,
+        c.cpi_mean_err,
+        c.cpi_max_err,
+        c.interlock_max_err,
+        c.miss_max_err,
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} requires an argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        })
-    };
-    let json_path = flag_value("--json");
-    let check_path = flag_value("--check");
-    let check_ratio: f64 = flag_value("--check-ratio").map_or(0.9, |v| {
-        let r = v.parse().unwrap_or(f64::NAN);
-        if !(r > 0.0 && r <= 1.0) {
-            eprintln!("--check-ratio requires a number in (0, 1], got {v}");
-            std::process::exit(2);
+    let mut grid = false;
+    let mut sample = SampleConfig::default();
+    let flags = cli::BenchArgs::parse(|flag, args| match flag {
+        "--grid" => {
+            grid = true;
+            true
         }
-        r
+        "--sample" => {
+            sample = cli::parse_sample(&args.value());
+            true
+        }
+        _ => false,
     });
-    let mode = SimMode::Sampled(
-        flag_value("--sample").map_or_else(SampleConfig::default, |v| {
-            v.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        }),
-    );
+    let mode = SimMode::Sampled(sample);
 
     println!("sampling (exact block engine vs sampled mode, {mode:?}):");
     let mut cases = Vec::new();
@@ -398,47 +355,18 @@ fn main() {
         cases.push(measure_cell(&name, &compiled.program, options.sim, mode));
     }
 
-    if args.iter().any(|a| a == "--grid") {
+    if grid {
         println!("full grid (simulation only, compile excluded):");
         cases.push(measure_grid(mode));
     }
 
-    if let Some(path) = json_path {
-        match std::fs::write(&path, to_json(&cases)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = &flags.json {
+        baseline::write(path, "sampling", &cases.iter().map(to_json).collect::<Vec<_>>());
     }
-
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
+    if let Some(path) = &flags.check {
+        baseline::check(path, "sampling", &["speedup"], |name, base| {
+            let c = cases.iter().find(|c| c.name == name)?;
+            Some(baseline::speedup_floor(base, c.speedup(), c.speedup_min(), flags.check_ratio))
         });
-        let mut failed = false;
-        for (name, base_median, base_min) in parse_baseline(&baseline) {
-            let Some(case) = cases.iter().find(|c| c.name == name) else {
-                continue;
-            };
-            let (now, base) = match base_min {
-                Some(b) => (case.speedup_min(), b),
-                None => (case.speedup(), base_median),
-            };
-            if now < base * check_ratio {
-                eprintln!(
-                    "REGRESSION: sampling/{name} speedup {now:.1}x is more than {:.0}% \
-                     below the recorded {base:.1}x",
-                    (1.0 - check_ratio) * 100.0
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("check vs {path}: ok");
     }
 }

@@ -32,16 +32,14 @@
 //! * `--grid` — also measure the full-grid passes (slow; used to
 //!   produce the committed `BENCH_pr7.json`);
 //! * `--json PATH` — write the measurements as JSON;
-//! * `--check BASELINE` — compare per-case interp:block speedups
-//!   against a recorded JSON and exit 1 on regression (ratios, not wall
-//!   times, so the check is machine-independent; min-based when the
-//!   baseline records `speedup_min`);
-//! * `--check-ratio R` — floor for `--check` as a fraction of the
-//!   recorded speedup (default `0.9`; `scripts/ci.sh` passes a generous
-//!   machine-independent floor — the gate catches the block engine
-//!   silently degenerating toward 1×, not scheduler jitter).
+//! * `--check BASELINE` — gate the per-case interp:block speedups
+//!   against a recorded JSON (DESIGN.md, "Baseline gates");
+//! * `--check-ratio R` — the gate's floor (default `0.9`;
+//!   `scripts/ci.sh` passes a generous machine-independent floor — the
+//!   gate catches the block engine silently degenerating toward 1×, not
+//!   scheduler jitter).
 
-use bsched_bench::microbench::bench;
+use bsched_bench::{baseline, cli::BenchArgs, microbench::bench};
 use bsched_pipeline::{standard_grid, CompileOptions, Experiment, SchedulerKind};
 use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimResult, Simulator};
 use std::fmt::Write as _;
@@ -230,79 +228,39 @@ fn measure_grid() -> Case {
     case
 }
 
-fn to_json(cases: &[Case]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"simulator\",\n  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        let comma = if i + 1 == cases.len() { "" } else { "," };
-        let mut floor = String::new();
-        if let (Some(f), Some(fm), Some(s)) = (c.func_ns, c.func_min_ns, c.overhead_speedup_min())
-        {
-            let _ = write!(
-                floor,
-                ", \"functional_ns\": {f}, \"functional_min_ns\": {fm}, \
-                 \"overhead_speedup_min\": {s:.2}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"insts\": {}, \"loads\": {}, \
-             \"interp_ns\": {}, \"block_ns\": {}, \"speedup\": {:.2}, \
-             \"interp_min_ns\": {}, \"block_min_ns\": {}, \"speedup_min\": {:.2}{floor}}}{comma}",
-            c.name,
-            c.insts,
-            c.loads,
-            c.interp_ns,
-            c.block_ns,
-            c.speedup(),
-            c.interp_min_ns,
-            c.block_min_ns,
-            c.speedup_min()
+fn to_json(c: &Case) -> String {
+    let mut floor = String::new();
+    if let (Some(f), Some(fm), Some(s)) = (c.func_ns, c.func_min_ns, c.overhead_speedup_min()) {
+        let _ = write!(
+            floor,
+            ", \"functional_ns\": {f}, \"functional_min_ns\": {fm}, \
+             \"overhead_speedup_min\": {s:.2}"
         );
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// `(name, median speedup, min-based speedup if recorded)` per case.
-fn parse_baseline(json: &str) -> Vec<(String, f64, Option<f64>)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"').to_string())
-    };
-    json.lines()
-        .filter(|l| l.contains("\"name\""))
-        .filter_map(|l| {
-            let name = field(l, "name")?;
-            let speedup = field(l, "speedup")?.parse().ok()?;
-            let speedup_min = field(l, "speedup_min").and_then(|v| v.parse().ok());
-            Some((name, speedup, speedup_min))
-        })
-        .collect()
+    format!(
+        "{{\"name\": \"{}\", \"insts\": {}, \"loads\": {}, \
+         \"interp_ns\": {}, \"block_ns\": {}, \"speedup\": {:.2}, \
+         \"interp_min_ns\": {}, \"block_min_ns\": {}, \"speedup_min\": {:.2}{floor}}}",
+        c.name,
+        c.insts,
+        c.loads,
+        c.interp_ns,
+        c.block_ns,
+        c.speedup(),
+        c.interp_min_ns,
+        c.block_min_ns,
+        c.speedup_min()
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} requires an argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        })
-    };
-    let json_path = flag_value("--json");
-    let check_path = flag_value("--check");
-    let check_ratio: f64 = flag_value("--check-ratio").map_or(0.9, |v| {
-        let r = v.parse().unwrap_or(f64::NAN);
-        if !(r > 0.0 && r <= 1.0) {
-            eprintln!("--check-ratio requires a number in (0, 1], got {v}");
-            std::process::exit(2);
+    let mut grid = false;
+    let flags = BenchArgs::parse(|flag, _| match flag {
+        "--grid" => {
+            grid = true;
+            true
         }
-        r
+        _ => false,
     });
 
     println!("simulator (interpreting engine vs block-compiled engine):");
@@ -320,47 +278,18 @@ fn main() {
         cases.push(measure_cell(&name, &program, sim));
     }
 
-    if args.iter().any(|a| a == "--grid") {
+    if grid {
         println!("full grid (simulation only, compile excluded):");
         cases.push(measure_grid());
     }
 
-    if let Some(path) = json_path {
-        match std::fs::write(&path, to_json(&cases)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = &flags.json {
+        baseline::write(path, "simulator", &cases.iter().map(to_json).collect::<Vec<_>>());
     }
-
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
+    if let Some(path) = &flags.check {
+        baseline::check(path, "sim", &["speedup"], |name, base| {
+            let c = cases.iter().find(|c| c.name == name)?;
+            Some(baseline::speedup_floor(base, c.speedup(), c.speedup_min(), flags.check_ratio))
         });
-        let mut failed = false;
-        for (name, base_median, base_min) in parse_baseline(&baseline) {
-            let Some(case) = cases.iter().find(|c| c.name == name) else {
-                continue;
-            };
-            let (now, base) = match base_min {
-                Some(b) => (case.speedup_min(), b),
-                None => (case.speedup(), base_median),
-            };
-            if now < base * check_ratio {
-                eprintln!(
-                    "REGRESSION: sim/{name} speedup {now:.1}x is more than {:.0}% \
-                     below the recorded {base:.1}x",
-                    (1.0 - check_ratio) * 100.0
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("check vs {path}: ok");
     }
 }

@@ -15,25 +15,19 @@
 //!   through the naive reference (`reference_weights`);
 //! * `--json PATH` — also write the measurements as JSON (the committed
 //!   `BENCH_pr2.json` is produced this way by `scripts/ci.sh`);
-//! * `--check BASELINE` — after measuring, compare per-case
-//!   naive:kernel speedups against a previously recorded JSON and fail
-//!   (exit 1) if any case regressed past the threshold (10 % by
-//!   default). Speedup ratios, not wall times, are compared so the
-//!   check is machine-independent; when the baseline records
-//!   `speedup_min` (fastest-observed ratio, stable to ~1% under
-//!   scheduling noise) that is compared, otherwise the median ratio;
-//!   whole-pipeline `e2e/` cases are recorded but exempt (the weight
-//!   share of a full run varies with simulator load);
-//! * `--check-ratio R` — floor for `--check` as a fraction of the
-//!   recorded speedup (default `0.9`). The CI tracing-overhead smoke
-//!   uses `0.97`: with the recorder compiled in but disabled, the
-//!   kernel must keep ≥ 97 % of its recorded speedup.
+//! * `--check BASELINE` — after measuring, gate the per-case
+//!   naive:kernel speedups against a recorded JSON (DESIGN.md,
+//!   "Baseline gates"); whole-pipeline `e2e/` cases are recorded but
+//!   exempt (the weight share of a full run varies with simulator
+//!   load);
+//! * `--check-ratio R` — the gate's floor (default `0.9`). The CI
+//!   tracing-overhead smoke uses `0.97`: with the recorder compiled in
+//!   but disabled, the kernel must keep ≥ 97 % of its recorded speedup.
 
-use bsched_bench::microbench::bench;
+use bsched_bench::{baseline, cli::BenchArgs, microbench::bench};
 use bsched_core::{compute_weights, compute_weights_reference, SchedulerKind, WeightConfig};
 use bsched_ir::{Dag, Inst, Op, Reg, RegClass, RegionId};
 use bsched_pipeline::{CompileOptions, Experiment};
-use std::fmt::Write as _;
 
 /// One region measured under both arms.
 struct Case {
@@ -119,71 +113,31 @@ fn measure(name: &str, insts: &[Inst]) -> Case {
     case
 }
 
-fn to_json(cases: &[Case]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"weights\",\n  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        let comma = if i + 1 == cases.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"insts\": {}, \"loads\": {}, \
-             \"naive_ns\": {}, \"kernel_ns\": {}, \"speedup\": {:.2}, \
-             \"naive_min_ns\": {}, \"kernel_min_ns\": {}, \"speedup_min\": {:.2}}}{comma}",
-            c.name,
-            c.insts,
-            c.loads,
-            c.naive_ns,
-            c.kernel_ns,
-            c.speedup(),
-            c.naive_min_ns,
-            c.kernel_min_ns,
-            c.speedup_min()
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pulls `(name, speedup)` pairs back out of [`to_json`]'s output.
-/// `(name, median speedup, min-based speedup if recorded)` per case.
-fn parse_baseline(json: &str) -> Vec<(String, f64, Option<f64>)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"').to_string())
-    };
-    json.lines()
-        .filter(|l| l.contains("\"name\""))
-        .filter_map(|l| {
-            let name = field(l, "name")?;
-            let speedup = field(l, "speedup")?.parse().ok()?;
-            let speedup_min = field(l, "speedup_min").and_then(|v| v.parse().ok());
-            Some((name, speedup, speedup_min))
-        })
-        .collect()
+fn to_json(c: &Case) -> String {
+    format!(
+        "{{\"name\": \"{}\", \"insts\": {}, \"loads\": {}, \
+         \"naive_ns\": {}, \"kernel_ns\": {}, \"speedup\": {:.2}, \
+         \"naive_min_ns\": {}, \"kernel_min_ns\": {}, \"speedup_min\": {:.2}}}",
+        c.name,
+        c.insts,
+        c.loads,
+        c.naive_ns,
+        c.kernel_ns,
+        c.speedup(),
+        c.naive_min_ns,
+        c.kernel_min_ns,
+        c.speedup_min()
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} requires a path argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        })
-    };
-    let json_path = flag_value("--json");
-    let check_path = flag_value("--check");
-    let check_ratio: f64 = flag_value("--check-ratio").map_or(0.9, |v| {
-        let r = v.parse().unwrap_or(f64::NAN);
-        if !(r > 0.0 && r <= 1.0) {
-            eprintln!("--check-ratio requires a number in (0, 1], got {v}");
-            std::process::exit(2);
+    let mut e2e = false;
+    let flags = BenchArgs::parse(|flag, _| match flag {
+        "--e2e" => {
+            e2e = true;
+            true
         }
-        r
+        _ => false,
     });
 
     println!("weights (naive reference vs bitset kernel, balanced):");
@@ -197,7 +151,7 @@ fn main() {
         cases.push(measure(&format!("unroll8/{kernel}/{}", insts.len()), &insts));
     }
 
-    if args.iter().any(|a| a == "--e2e") {
+    if e2e {
         // The whole scheduling pass (liveness + per-block weights +
         // list scheduling over every block of the compiled function),
         // with the weights forced through either arm.
@@ -246,48 +200,16 @@ fn main() {
         }
     }
 
-    if let Some(path) = json_path {
-        match std::fs::write(&path, to_json(&cases)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = &flags.json {
+        baseline::write(path, "weights", &cases.iter().map(to_json).collect::<Vec<_>>());
     }
-
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let mut failed = false;
-        for (name, base_median, base_min) in parse_baseline(&baseline) {
+    if let Some(path) = &flags.check {
+        baseline::check(path, "weights", &["speedup"], |name, base| {
             if name.starts_with("e2e/") {
-                continue;
+                return None; // recorded, not gated
             }
-            let Some(case) = cases.iter().find(|c| c.name == name) else {
-                continue;
-            };
-            // Min-based ratios when the baseline has them (stable to
-            // ~1% on a noisy machine); median ratios otherwise (the
-            // PR 2 baseline predates the min fields).
-            let (now, base) = match base_min {
-                Some(b) => (case.speedup_min(), b),
-                None => (case.speedup(), base_median),
-            };
-            if now < base * check_ratio {
-                eprintln!(
-                    "REGRESSION: weights/{name} speedup {now:.1}x is more than {:.0}% \
-                     below the recorded {base:.1}x",
-                    (1.0 - check_ratio) * 100.0
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("check vs {path}: ok");
+            let c = cases.iter().find(|c| c.name == name)?;
+            Some(baseline::speedup_floor(base, c.speedup(), c.speedup_min(), flags.check_ratio))
+        });
     }
 }

@@ -43,72 +43,30 @@
 //! campaign after the grid (`--fuzz-seed HEX` and `--fuzz-seconds S`
 //! control the seed and a wall-clock budget). Verification output goes
 //! to stderr; any violation or fuzz failure exits nonzero.
+//!
+//! Every flag also takes the `--flag=value` spelling; a missing value or
+//! an unknown flag exits 2 (`bsched_bench::cli`).
 
+use bsched_bench::cli::{self, Args};
 use bsched_bench::Grid;
 use bsched_harness::{Engine, EngineConfig, ExperimentCell};
-use bsched_pipeline::{resolve_kernel, standard_grid};
+use bsched_pipeline::standard_grid;
 use std::fmt::Write as _;
 
-fn valid_kernels() -> String {
-    bsched_workloads::all_kernels()
-        .iter()
-        .map(|k| k.name)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn parse_engine(raw: &str) -> bsched_pipeline::SimEngine {
-    raw.trim().parse().unwrap_or_else(|e| {
-        eprintln!("--engine: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_sample(raw: &str) -> bsched_pipeline::SampleConfig {
-    raw.trim().parse().unwrap_or_else(|e| {
-        eprintln!("--sample: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_machine(raw: &str) -> bsched_pipeline::MachineSpec {
-    raw.trim().parse().unwrap_or_else(|e: String| {
-        eprintln!("--machine: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_kernel_list(raw: &str) -> Vec<String> {
-    if raw.trim().is_empty() {
-        eprintln!(
-            "--kernels requires at least one kernel name; valid kernels: {}",
-            valid_kernels()
-        );
-        std::process::exit(2);
-    }
-    raw.split(',').map(str::to_string).collect()
-}
-
+#[derive(Default)]
 struct Cli {
     csv: bool,
     verify: bool,
     engine: Option<bsched_pipeline::SimEngine>,
     sample: Option<bsched_pipeline::SampleConfig>,
     machine: Option<bsched_pipeline::MachineSpec>,
-    filter: Option<Vec<String>>,
+    kernels: Vec<String>,
     fuzz: Option<u64>,
     fuzz_seed: u64,
     fuzz_seconds: Option<u64>,
     trace_json: Option<String>,
     trace_chrome: Option<String>,
     trace_summary: bool,
-}
-
-impl Cli {
-    /// Whether any tracing sink was requested (turns the recorder on).
-    fn tracing(&self) -> bool {
-        self.trace_json.is_some() || self.trace_chrome.is_some() || self.trace_summary
-    }
 }
 
 /// Fails fast (exit 2) when a trace export path cannot be opened for
@@ -126,102 +84,49 @@ fn ensure_writable(flag: &str, path: &str) {
     }
 }
 
-fn parse_args(args: &[String]) -> Cli {
-    let mut cli = Cli {
-        csv: false,
-        verify: false,
-        engine: None,
-        sample: None,
-        machine: None,
-        filter: None,
-        fuzz: None,
-        fuzz_seed: 0xB5ED,
-        fuzz_seconds: None,
-        trace_json: None,
-        trace_chrome: None,
-        trace_summary: false,
-    };
-    let value = |i: usize, flag: &str| -> String {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    let number = |v: &str, flag: &str| -> u64 {
-        let v = v.trim();
-        let parsed = if let Some(hex) = v.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16)
-        } else {
-            v.parse()
+impl Cli {
+    /// Walks the command line (`bsched_bench::cli`); exits 2 on bad flags.
+    fn parse() -> Cli {
+        let mut cli = Cli {
+            kernels: cli::all_kernel_names(),
+            fuzz_seed: 0xB5ED,
+            ..Cli::default()
         };
-        parsed.unwrap_or_else(|_| {
-            eprintln!("{flag} requires a number, got {v:?}");
-            std::process::exit(2);
-        })
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--csv" {
-            cli.csv = true;
-        } else if a == "--verify" {
-            cli.verify = true;
-        } else if a == "--engine" {
-            cli.engine = Some(parse_engine(&value(i, "--engine")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--engine=") {
-            cli.engine = Some(parse_engine(v));
-        } else if a == "--sample" {
-            cli.sample = Some(bsched_pipeline::SampleConfig::default());
-        } else if let Some(v) = a.strip_prefix("--sample=") {
-            cli.sample = Some(parse_sample(v));
-        } else if a == "--machine" {
-            cli.machine = Some(parse_machine(&value(i, "--machine")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--machine=") {
-            cli.machine = Some(parse_machine(v));
-        } else if a == "--kernels" {
-            cli.filter = Some(parse_kernel_list(&value(i, "--kernels")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--kernels=") {
-            cli.filter = Some(parse_kernel_list(v));
-        } else if a == "--fuzz" {
-            cli.fuzz = Some(number(&value(i, "--fuzz"), "--fuzz"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--fuzz=") {
-            cli.fuzz = Some(number(v, "--fuzz"));
-        } else if a == "--fuzz-seed" {
-            cli.fuzz_seed = number(&value(i, "--fuzz-seed"), "--fuzz-seed");
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--fuzz-seed=") {
-            cli.fuzz_seed = number(v, "--fuzz-seed");
-        } else if a == "--fuzz-seconds" {
-            cli.fuzz_seconds = Some(number(&value(i, "--fuzz-seconds"), "--fuzz-seconds"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--fuzz-seconds=") {
-            cli.fuzz_seconds = Some(number(v, "--fuzz-seconds"));
-        } else if a == "--trace-json" {
-            cli.trace_json = Some(value(i, "--trace-json"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--trace-json=") {
-            cli.trace_json = Some(v.to_string());
-        } else if a == "--trace-chrome" {
-            cli.trace_chrome = Some(value(i, "--trace-chrome"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--trace-chrome=") {
-            cli.trace_chrome = Some(v.to_string());
-        } else if a == "--trace-summary" {
-            cli.trace_summary = true;
+        let number = |flag: &str, v: &str| cli::parse_u64(flag, v, "a number");
+        let mut args = Args::from_env();
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--csv" => cli.csv = true,
+                "--verify" => cli.verify = true,
+                "--engine" => cli.engine = Some(cli::parse_engine(&args.value())),
+                "--sample" => {
+                    let spec = args.optional_value();
+                    cli.sample = Some(spec.map_or_else(Default::default, |v| cli::parse_sample(&v)));
+                }
+                "--machine" => cli.machine = Some(cli::parse_machine(&args.value())),
+                "--kernels" => cli.kernels = cli::parse_kernel_list(&args.value()),
+                "--fuzz" => cli.fuzz = Some(number(&flag, &args.value())),
+                "--fuzz-seed" => cli.fuzz_seed = number(&flag, &args.value()),
+                "--fuzz-seconds" => cli.fuzz_seconds = Some(number(&flag, &args.value())),
+                "--trace-json" => cli.trace_json = Some(args.value()),
+                "--trace-chrome" => cli.trace_chrome = Some(args.value()),
+                "--trace-summary" => cli.trace_summary = true,
+                _ => args.unknown(),
+            }
         }
-        i += 1;
+        if let Some(path) = &cli.trace_json {
+            ensure_writable("--trace-json", path);
+        }
+        if let Some(path) = &cli.trace_chrome {
+            ensure_writable("--trace-chrome", path);
+        }
+        cli
     }
-    if let Some(path) = &cli.trace_json {
-        ensure_writable("--trace-json", path);
+
+    /// Whether any tracing sink was requested (turns the recorder on).
+    fn tracing(&self) -> bool {
+        self.trace_json.is_some() || self.trace_chrome.is_some() || self.trace_summary
     }
-    if let Some(path) = &cli.trace_chrome {
-        ensure_writable("--trace-chrome", path);
-    }
-    cli
 }
 
 /// Renders the harness run report — plus trace exports and the trace
@@ -285,13 +190,10 @@ fn run_fuzz(grid: &Grid, cli: &Cli) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_args(&args);
+    let cli = Cli::parse();
     if cli.tracing() {
         bsched_trace::set_enabled(true);
     }
-    let csv = cli.csv;
-    let filter = cli.filter.clone();
 
     let mut engine_cfg = EngineConfig::from_env();
     engine_cfg.verify = engine_cfg.verify || cli.verify;
@@ -304,10 +206,8 @@ fn main() {
     }
     // The flag beats BSCHED_MACHINE.
     let machine = cli.machine.clone().or_else(|| {
-        bsched_pipeline::MachineSpec::from_env().unwrap_or_else(|e| {
-            eprintln!("BSCHED_MACHINE: {e}");
-            std::process::exit(2);
-        })
+        bsched_pipeline::MachineSpec::from_env()
+            .unwrap_or_else(|e| bsched_util::spec::exit2("BSCHED_MACHINE", &e))
     });
     let mut grid = Grid::with_engine(Engine::with_standard_kernels(engine_cfg));
     if let Some(m) = machine {
@@ -315,21 +215,7 @@ fn main() {
         grid = grid.with_machine(m);
     }
     let configs = standard_grid();
-    let kernels: Vec<String> = match &filter {
-        None => grid.kernel_names(),
-        Some(want) => {
-            for w in want {
-                if let Err(e) = resolve_kernel(w) {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-            grid.kernel_names()
-                .into_iter()
-                .filter(|k| want.contains(k))
-                .collect()
-        }
-    };
+    let kernels = &cli.kernels;
     let cells: Vec<ExperimentCell> = kernels
         .iter()
         .flat_map(|k| {
@@ -340,14 +226,14 @@ fn main() {
         .collect();
     grid.prefetch_cells(&cells);
 
-    if csv {
+    if cli.csv {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "kernel,config,scheduler,cycles,load_interlock,fixed_interlock,branch_penalty,\
              fetch_stall,tlb_stall,dyn_insts,loads,stores,branches,spills,l1d_hit_rate"
         );
-        for kernel in &kernels {
+        for kernel in kernels {
             for cfg in &configs {
                 let m = grid.metrics(kernel, *cfg);
                 let _ = writeln!(
@@ -372,17 +258,7 @@ fn main() {
             }
         }
         print!("{out}");
-        let path = std::path::Path::new("results/all_experiments.csv");
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, out.as_bytes())
-        };
-        match write() {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        bsched_bench::write_results("all_experiments.csv", &out);
         run_fuzz(&grid, &cli);
         finish(&grid, &cli);
         return;
@@ -391,7 +267,7 @@ fn main() {
         "{:10} {:12} {:>4} {:>10} {:>9} {:>9} {:>8} {:>10} {:>8}",
         "kernel", "config", "sch", "cycles", "loadIL", "fixedIL", "branch", "dyninsts", "spills"
     );
-    for kernel in &kernels {
+    for kernel in kernels {
         for cfg in &configs {
             let m = grid.metrics(kernel, *cfg);
             println!(

@@ -31,16 +31,19 @@
 //! * `--csv` — also write `results/machines.csv`;
 //! * `--json PATH` — write per-machine cycle totals as JSON
 //!   (`BENCH_pr10.json` is the committed baseline);
-//! * `--check BASELINE` — compare against a recorded JSON: cycle totals
-//!   are deterministic, so the gate is exact equality; exit 1 on any
-//!   mismatch.
+//! * `--check BASELINE` — gate against a recorded JSON (DESIGN.md,
+//!   "Baseline gates"); exit 1 on failure.
+//!
+//! Every flag also takes the `--flag=value` spelling; a missing value or
+//! an unknown flag exits 2 (`bsched_bench::cli`).
 //!
 //! Unlike the paper-table binaries this one ignores `BSCHED_MACHINE`:
 //! the machine axis *is* the sweep.
 
-use bsched_bench::Grid;
+use bsched_bench::cli::{self, Args};
+use bsched_bench::{baseline, Grid};
 use bsched_harness::{Engine, EngineConfig, ExperimentCell};
-use bsched_pipeline::{resolve_kernel, CompileOptions, MachineSpec, SchedulerKind};
+use bsched_pipeline::{CompileOptions, MachineSpec, SchedulerKind};
 use std::fmt::Write as _;
 
 /// One (machine, kernel) row: cycles under the three scheduler arms.
@@ -73,116 +76,59 @@ struct Totals {
     ex: u64,
 }
 
+#[derive(Default)]
 struct Cli {
     csv: bool,
     verify: bool,
     engine: Option<bsched_pipeline::SimEngine>,
     machines: Option<Vec<MachineSpec>>,
-    filter: Option<Vec<String>>,
+    kernels: Vec<String>,
     json: Option<String>,
     check: Option<String>,
 }
 
-fn parse_args(args: &[String]) -> Cli {
-    let mut cli = Cli {
-        csv: false,
-        verify: false,
-        engine: None,
-        machines: None,
-        filter: None,
-        json: None,
-        check: None,
-    };
-    let value = |i: usize, flag: &str| -> String {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    let machine_list = |raw: &str| -> Vec<MachineSpec> {
-        let specs: Vec<&str> = raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        if specs.is_empty() {
-            eprintln!(
-                "--machines requires at least one machine spec; valid machines: {}",
-                MachineSpec::valid_names()
-            );
-            std::process::exit(2);
-        }
-        specs
-            .into_iter()
-            .map(|s| {
-                s.parse().unwrap_or_else(|e: String| {
-                    eprintln!("--machines: {e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect()
-    };
-    let kernel_list = |raw: &str| -> Vec<String> {
-        if raw.trim().is_empty() {
-            eprintln!(
-                "--kernels requires at least one kernel name; valid kernels: {}",
-                bsched_workloads::all_kernels()
-                    .iter()
-                    .map(|k| k.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            std::process::exit(2);
-        }
-        raw.split(',').map(str::to_string).collect()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--csv" {
-            cli.csv = true;
-        } else if a == "--verify" {
-            cli.verify = true;
-        } else if a == "--engine" {
-            cli.engine = Some(parse_engine(&value(i, "--engine")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--engine=") {
-            cli.engine = Some(parse_engine(v));
-        } else if a == "--machines" {
-            cli.machines = Some(machine_list(&value(i, "--machines")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--machines=") {
-            cli.machines = Some(machine_list(v));
-        } else if a == "--kernels" {
-            cli.filter = Some(kernel_list(&value(i, "--kernels")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--kernels=") {
-            cli.filter = Some(kernel_list(v));
-        } else if a == "--json" {
-            cli.json = Some(value(i, "--json"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--json=") {
-            cli.json = Some(v.to_string());
-        } else if a == "--check" {
-            cli.check = Some(value(i, "--check"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--check=") {
-            cli.check = Some(v.to_string());
-        } else {
-            eprintln!("unknown flag {a:?}");
-            std::process::exit(2);
-        }
-        i += 1;
+/// `--machines SPEC,...` (exit 2 naming the valid machines).
+fn parse_machine_list(raw: &str) -> Vec<MachineSpec> {
+    let specs: Vec<&str> = raw.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+    if specs.is_empty() {
+        eprintln!(
+            "--machines requires at least one machine spec; valid machines: {}",
+            MachineSpec::valid_names()
+        );
+        std::process::exit(2);
     }
-    cli
+    specs
+        .into_iter()
+        .map(|s| s.parse().unwrap_or_else(|e: String| bsched_util::spec::exit2("--machines", &e)))
+        .collect()
 }
 
-fn parse_engine(raw: &str) -> bsched_pipeline::SimEngine {
-    raw.trim().parse().unwrap_or_else(|e| {
-        eprintln!("--engine: {e}");
-        std::process::exit(2);
-    })
+impl Cli {
+    /// Walks the command line (`bsched_bench::cli`); exits 2 on bad flags.
+    fn parse() -> Cli {
+        let mut cli = Cli {
+            kernels: cli::all_kernel_names(),
+            ..Cli::default()
+        };
+        let mut args = Args::from_env();
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--csv" => cli.csv = true,
+                "--verify" => cli.verify = true,
+                "--engine" => cli.engine = Some(cli::parse_engine(&args.value())),
+                "--machines" => cli.machines = Some(parse_machine_list(&args.value())),
+                "--kernels" => cli.kernels = cli::parse_kernel_list(&args.value()),
+                "--json" => cli.json = Some(args.value()),
+                "--check" => cli.check = Some(args.value()),
+                _ => args.unknown(),
+            }
+        }
+        cli
+    }
 }
+
+/// The baseline fields of the three arms' cycle totals.
+const CYCLE_KEYS: [&str; 3] = ["ts_cycles", "bs_cycles", "ex_cycles"];
 
 /// The three judged arms, at the paper's headline LU 4 level.
 const ARMS: [SchedulerKind; 3] = [
@@ -197,29 +143,8 @@ fn arm_options(arm: SchedulerKind, machine: &MachineSpec) -> CompileOptions {
         .with_sim(machine.config())
 }
 
-/// `(name, ts, bs, ex)` per baseline case.
-fn parse_baseline(json: &str) -> Vec<(String, u64, u64, u64)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"').to_string())
-    };
-    json.lines()
-        .filter(|l| l.contains("\"name\""))
-        .filter_map(|l| {
-            let name = field(l, "name")?;
-            let ts = field(l, "ts_cycles")?.parse().ok()?;
-            let bs = field(l, "bs_cycles")?.parse().ok()?;
-            let ex = field(l, "ex_cycles")?.parse().ok()?;
-            Some((name, ts, bs, ex))
-        })
-        .collect()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_args(&args);
+    let cli = Cli::parse();
 
     let mut engine_cfg = EngineConfig::from_env();
     engine_cfg.verify = engine_cfg.verify || cli.verify;
@@ -234,26 +159,12 @@ fn main() {
             .map(|m| MachineSpec::named(m.name).expect("registry names parse"))
             .collect()
     });
-    let kernels: Vec<String> = match &cli.filter {
-        None => grid.kernel_names(),
-        Some(want) => {
-            for w in want {
-                if let Err(e) = resolve_kernel(w) {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-            grid.kernel_names()
-                .into_iter()
-                .filter(|k| want.contains(k))
-                .collect()
-        }
-    };
+    let kernels = &cli.kernels;
 
     // The whole machine × kernel × arm product in one parallel batch.
     let mut cells = Vec::with_capacity(machines.len() * kernels.len() * ARMS.len());
     for m in &machines {
-        for kernel in &kernels {
+        for kernel in kernels {
             for arm in ARMS {
                 cells.push(ExperimentCell::new(kernel, arm_options(arm, m)));
             }
@@ -263,7 +174,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for m in &machines {
-        for kernel in &kernels {
+        for kernel in kernels {
             let cycles = |arm| grid.metrics_for(kernel, &arm_options(arm, m)).cycles;
             rows.push(Row {
                 machine: m.spec().to_string(),
@@ -306,17 +217,7 @@ fn main() {
             );
         }
         print!("{out}");
-        let path = std::path::Path::new("results/machines.csv");
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, out.as_bytes())
-        };
-        match write() {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        bsched_bench::write_results("machines.csv", &out);
     } else {
         let _ = writeln!(
             out,
@@ -353,63 +254,40 @@ fn main() {
     }
 
     if let Some(path) = &cli.json {
-        let mut json = String::from("{\n  \"bench\": \"machines\",\n  \"cases\": [\n");
-        let n = totals.len();
-        for (i, (name, t)) in totals.iter().enumerate() {
-            let comma = if i + 1 == n { "" } else { "," };
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{name}\", \"kernels\": {}, \"ts_cycles\": {}, \
-                 \"bs_cycles\": {}, \"ex_cycles\": {}, \"bs_gain_pct\": {:.2}, \
-                 \"ex_gain_pct\": {:.2}}}{comma}",
-                t.kernels,
-                t.ts,
-                t.bs,
-                t.ex,
-                100.0 * bsched_bench::pct_decrease(t.ts, t.bs),
-                100.0 * bsched_bench::pct_decrease(t.ts, t.ex),
-            );
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let cases: Vec<String> = totals
+            .iter()
+            .map(|(name, t)| {
+                format!(
+                    "{{\"name\": \"{name}\", \"kernels\": {}, \"ts_cycles\": {}, \
+                     \"bs_cycles\": {}, \"ex_cycles\": {}, \"bs_gain_pct\": {:.2}, \
+                     \"ex_gain_pct\": {:.2}}}",
+                    t.kernels,
+                    t.ts,
+                    t.bs,
+                    t.ex,
+                    100.0 * bsched_bench::pct_decrease(t.ts, t.bs),
+                    100.0 * bsched_bench::pct_decrease(t.ts, t.ex),
+                )
+            })
+            .collect();
+        baseline::write(path, "machines", &cases);
     }
 
     if let Some(path) = &cli.check {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let mut failed = false;
-        let mut checked = 0usize;
-        for (name, ts, bs, ex) in parse_baseline(&baseline) {
-            let Some((_, t)) = totals.iter().find(|(m, _)| m == &name) else {
-                continue;
-            };
-            checked += 1;
-            for (what, got, want) in [("ts", t.ts, ts), ("bs", t.bs, bs), ("ex", t.ex, ex)] {
-                if got != want {
-                    eprintln!(
-                        "REGRESSION: machines/{name} {what}_cycles {got} != recorded {want} \
+        // Cycle totals are deterministic: the gate is exact equality.
+        baseline::check(path, "machines", &CYCLE_KEYS, |name, base| {
+            let (_, t) = totals.iter().find(|(m, _)| m == name)?;
+            let fails = CYCLE_KEYS.iter().zip([t.ts, t.bs, t.ex]).filter_map(|(key, got)| {
+                let want = baseline::num(base, key);
+                (got as f64 != want).then(|| {
+                    format!(
+                        "{key} {got} != recorded {want} \
                          (cycles are deterministic; the gate is exact equality)"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if checked == 0 {
-            eprintln!("check vs {path}: no overlapping machines — nothing was verified");
-            std::process::exit(1);
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("check vs {path}: ok ({checked} machines)");
+                    )
+                })
+            });
+            Some(fails.collect())
+        });
     }
 
     grid.report().emit();

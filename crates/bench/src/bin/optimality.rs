@@ -28,16 +28,18 @@
 //! * `--csv` — also write `results/optimality.csv`;
 //! * `--json PATH` — write per-kernel search-cost numbers (regions,
 //!   proven, nodes, costs) as JSON;
-//! * `--check BASELINE` — compare search cost against a recorded JSON:
-//!   the proven fraction must not fall below, nor the node count rise
-//!   above, `--check-ratio R` (default 0.9) of the baseline; exit 1 on
-//!   regression.
+//! * `--check BASELINE` — gate search cost against a recorded JSON at
+//!   `--check-ratio R` (default 0.9; DESIGN.md, "Baseline gates"); exit
+//!   1 on failure.
+//!
+//! Every flag also takes the `--flag=value` spelling; a missing value or
+//! an unknown flag exits 2 (`bsched_bench::cli`).
 
-use bsched_core::{
-    compute_weights, schedule_cost, SchedulerKind, WeightConfig,
-};
+use bsched_bench::baseline;
+use bsched_bench::cli::{self, Args};
+use bsched_core::{compute_weights, schedule_cost, ExactStats, SchedulerKind, WeightConfig};
 use bsched_ir::Dag;
-use bsched_pipeline::{resolve_kernel, standard_grid, Experiment, ExperimentConfig};
+use bsched_pipeline::{standard_grid, Experiment, ExperimentConfig};
 use bsched_verify::validate_region_schedule;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -49,7 +51,7 @@ struct Row {
     config: String,
     arm: &'static str,
     arm_cost: u64,
-    exact: bsched_core::ExactStats,
+    exact: ExactStats,
 }
 
 impl Row {
@@ -74,129 +76,73 @@ fn arm_label(cfg: &ExperimentConfig) -> &'static str {
 
 const VALID_ARMS: [&str; 3] = ["TS", "BS", "BS+LA"];
 
+#[derive(Default)]
 struct Cli {
     csv: bool,
     budget: u64,
-    filter: Option<Vec<String>>,
+    kernels: Vec<String>,
     arms: Option<Vec<String>>,
     json: Option<String>,
     check: Option<String>,
     check_ratio: f64,
 }
 
-fn parse_args(args: &[String]) -> Cli {
-    let mut cli = Cli {
-        csv: false,
-        budget: bsched_core::DEFAULT_EXACT_BUDGET,
-        filter: None,
-        arms: None,
-        json: None,
-        check: None,
-        check_ratio: 0.9,
-    };
-    let value = |i: usize, flag: &str| -> String {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    let number = |v: &str, flag: &str| -> u64 {
-        v.trim().parse().unwrap_or_else(|_| {
-            eprintln!("{flag} requires a non-negative number of search nodes, got {v:?}");
-            std::process::exit(2);
-        })
-    };
-    let kernel_list = |raw: &str| -> Vec<String> {
-        if raw.trim().is_empty() {
-            eprintln!(
-                "--kernels requires at least one kernel name; valid kernels: {}",
-                bsched_workloads::all_kernels()
-                    .iter()
-                    .map(|k| k.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            std::process::exit(2);
-        }
-        raw.split(',').map(str::to_string).collect()
-    };
-    let arm_list = |raw: &str| -> Vec<String> {
-        let arms: Vec<String> = raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect();
-        for a in &arms {
-            if !VALID_ARMS.contains(&a.as_str()) {
-                eprintln!(
-                    "--schedulers: unknown scheduler {a:?}; valid schedulers: {}",
-                    VALID_ARMS.join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
-        if arms.is_empty() {
-            eprintln!(
-                "--schedulers requires at least one scheduler; valid schedulers: {}",
-                VALID_ARMS.join(", ")
-            );
-            std::process::exit(2);
-        }
-        arms
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--csv" {
-            cli.csv = true;
-        } else if a == "--budget" {
-            cli.budget = number(&value(i, "--budget"), "--budget");
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--budget=") {
-            cli.budget = number(v, "--budget");
-        } else if a == "--kernels" {
-            cli.filter = Some(kernel_list(&value(i, "--kernels")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--kernels=") {
-            cli.filter = Some(kernel_list(v));
-        } else if a == "--schedulers" {
-            cli.arms = Some(arm_list(&value(i, "--schedulers")));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--schedulers=") {
-            cli.arms = Some(arm_list(v));
-        } else if a == "--json" {
-            cli.json = Some(value(i, "--json"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--json=") {
-            cli.json = Some(v.to_string());
-        } else if a == "--check" {
-            cli.check = Some(value(i, "--check"));
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--check=") {
-            cli.check = Some(v.to_string());
-        } else if a == "--check-ratio" || a.starts_with("--check-ratio=") {
-            let v = a
-                .strip_prefix("--check-ratio=")
-                .map(str::to_string)
-                .unwrap_or_else(|| {
-                    let v = value(i, "--check-ratio");
-                    i += 1;
-                    v
-                });
-            let r: f64 = v.parse().unwrap_or(f64::NAN);
-            if !(r > 0.0 && r <= 1.0) {
-                eprintln!("--check-ratio requires a number in (0, 1], got {v:?}");
-                std::process::exit(2);
-            }
-            cli.check_ratio = r;
-        } else {
-            eprintln!("unknown flag {a:?}");
-            std::process::exit(2);
-        }
-        i += 1;
+/// `--schedulers LIST` (exit 2 naming the valid arms).
+fn parse_arm_list(raw: &str) -> Vec<String> {
+    let arms: Vec<String> = raw
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_string)
+        .collect();
+    let valid = VALID_ARMS.join(", ");
+    if let Some(a) = arms.iter().find(|a| !VALID_ARMS.contains(&a.as_str())) {
+        eprintln!("--schedulers: unknown scheduler {a:?}; valid schedulers: {valid}");
+        std::process::exit(2);
     }
-    cli
+    if arms.is_empty() {
+        eprintln!("--schedulers requires at least one scheduler; valid schedulers: {valid}");
+        std::process::exit(2);
+    }
+    arms
+}
+
+impl Cli {
+    /// Walks the command line (`bsched_bench::cli`); exits 2 on bad flags.
+    fn parse() -> Cli {
+        let mut cli = Cli {
+            budget: bsched_core::DEFAULT_EXACT_BUDGET,
+            kernels: cli::all_kernel_names(),
+            check_ratio: 0.9,
+            ..Cli::default()
+        };
+        let mut args = Args::from_env();
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--csv" => cli.csv = true,
+                "--budget" => {
+                    let what = "a non-negative number of search nodes";
+                    cli.budget = cli::parse_u64(&flag, &args.value(), what);
+                }
+                "--kernels" => cli.kernels = cli::parse_kernel_list(&args.value()),
+                "--schedulers" => cli.arms = Some(parse_arm_list(&args.value())),
+                "--json" => cli.json = Some(args.value()),
+                "--check" => cli.check = Some(args.value()),
+                "--check-ratio" => cli.check_ratio = cli::parse_check_ratio(&args.value()),
+                _ => args.unknown(),
+            }
+        }
+        cli
+    }
+}
+
+/// The share of regions whose exact search proved its bound.
+fn proven_frac(s: &ExactStats) -> f64 {
+    if s.regions == 0 {
+        1.0
+    } else {
+        s.proven as f64 / s.regions as f64
+    }
 }
 
 /// Compiles a kernel under `opts` and returns the audit, with every
@@ -244,45 +190,9 @@ fn arm_cost(audit: &bsched_core::ScheduleAudit) -> u64 {
         .sum()
 }
 
-/// `(name, proven_frac, nodes)` per baseline case.
-fn parse_baseline(json: &str) -> Vec<(String, f64, u64)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"').to_string())
-    };
-    json.lines()
-        .filter(|l| l.contains("\"name\""))
-        .filter_map(|l| {
-            let name = field(l, "name")?;
-            let proven_frac = field(l, "proven_frac")?.parse().ok()?;
-            let nodes = field(l, "nodes")?.parse().ok()?;
-            Some((name, proven_frac, nodes))
-        })
-        .collect()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_args(&args);
-
-    let kernels: Vec<String> = match &cli.filter {
-        None => bsched_workloads::all_kernels().iter().map(|k| k.name.to_string()).collect(),
-        Some(want) => {
-            for w in want {
-                if let Err(e) = resolve_kernel(w) {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-            bsched_workloads::all_kernels()
-                .iter()
-                .map(|k| k.name.to_string())
-                .filter(|k| want.contains(k))
-                .collect()
-        }
-    };
+    let cli = Cli::parse();
+    let kernels = &cli.kernels;
     let grid: Vec<ExperimentConfig> = standard_grid()
         .into_iter()
         .filter(|cfg| {
@@ -295,9 +205,9 @@ fn main() {
     // Exact bounds are per (kernel, optimization combo) — rows judging
     // different arms on the same combo share one search.
     let mut rows: Vec<Row> = Vec::new();
-    let mut per_kernel: BTreeMap<String, bsched_core::ExactStats> = BTreeMap::new();
-    for kernel in &kernels {
-        let mut bounds: BTreeMap<String, bsched_core::ExactStats> = BTreeMap::new();
+    let mut per_kernel: BTreeMap<String, ExactStats> = BTreeMap::new();
+    for kernel in kernels {
+        let mut bounds: BTreeMap<String, ExactStats> = BTreeMap::new();
         for cfg in &grid {
             let combo = cfg.kind.label();
             let exact = *bounds.entry(combo.clone()).or_insert_with(|| {
@@ -354,17 +264,7 @@ fn main() {
             );
         }
         print!("{out}");
-        let path = std::path::Path::new("results/optimality.csv");
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, out.as_bytes())
-        };
-        match write() {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        bsched_bench::write_results("optimality.csv", &out);
     } else {
         let _ = writeln!(
             out,
@@ -390,66 +290,50 @@ fn main() {
     }
 
     if let Some(path) = &cli.json {
-        let mut json = String::from("{\n  \"bench\": \"optimality\",\n  \"cases\": [\n");
-        let n = per_kernel.len();
-        for (i, (kernel, s)) in per_kernel.iter().enumerate() {
-            let comma = if i + 1 == n { "" } else { "," };
-            let frac = if s.regions == 0 { 1.0 } else { s.proven as f64 / s.regions as f64 };
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{kernel}\", \"budget\": {}, \"regions\": {}, \
-                 \"proven\": {}, \"proven_frac\": {frac:.4}, \"fallbacks\": {}, \
-                 \"nodes\": {}, \"heuristic_cost\": {}, \"exact_cost\": {}, \
-                 \"pct_of_optimal\": {:.2}}}{comma}",
-                cli.budget,
-                s.regions,
-                s.proven,
-                s.fallbacks,
-                s.nodes,
-                s.heuristic_cost,
-                s.exact_cost,
-                s.pct_of_optimal(),
-            );
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let cases: Vec<String> = per_kernel
+            .iter()
+            .map(|(kernel, s)| {
+                format!(
+                    "{{\"name\": \"{kernel}\", \"budget\": {}, \"regions\": {}, \
+                     \"proven\": {}, \"proven_frac\": {:.4}, \"fallbacks\": {}, \
+                     \"nodes\": {}, \"heuristic_cost\": {}, \"exact_cost\": {}, \
+                     \"pct_of_optimal\": {:.2}}}",
+                    cli.budget,
+                    s.regions,
+                    s.proven,
+                    proven_frac(s),
+                    s.fallbacks,
+                    s.nodes,
+                    s.heuristic_cost,
+                    s.exact_cost,
+                    s.pct_of_optimal(),
+                )
+            })
+            .collect();
+        baseline::write(path, "optimality", &cases);
     }
 
     if let Some(path) = &cli.check {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
+        let ratio = cli.check_ratio;
+        baseline::check(path, "optimality", &["proven_frac", "nodes"], |name, base| {
+            let s = per_kernel.get(name)?;
+            let (frac, base_frac) = (proven_frac(s), baseline::num(base, "proven_frac"));
+            let (nodes, base_nodes) = (s.nodes as f64, baseline::num(base, "nodes"));
+            let mut fails = Vec::new();
+            if frac < base_frac * ratio {
+                fails.push(format!(
+                    "proven fraction {frac:.2} is more than {:.0}% below the recorded \
+                     {base_frac:.2}",
+                    (1.0 - ratio) * 100.0
+                ));
+            }
+            if nodes > base_nodes / ratio {
+                fails.push(format!(
+                    "explored {nodes} nodes, more than 1/{ratio:.1} above the recorded \
+                     {base_nodes}"
+                ));
+            }
+            Some(fails)
         });
-        let mut failed = false;
-        for (name, base_frac, base_nodes) in parse_baseline(&baseline) {
-            let Some(s) = per_kernel.get(&name) else { continue };
-            let frac = if s.regions == 0 { 1.0 } else { s.proven as f64 / s.regions as f64 };
-            if frac < base_frac * cli.check_ratio {
-                eprintln!(
-                    "REGRESSION: optimality/{name} proven fraction {frac:.2} is more than \
-                     {:.0}% below the recorded {base_frac:.2}",
-                    (1.0 - cli.check_ratio) * 100.0
-                );
-                failed = true;
-            }
-            if s.nodes as f64 > base_nodes as f64 / cli.check_ratio {
-                eprintln!(
-                    "REGRESSION: optimality/{name} explored {} nodes, more than \
-                     1/{:.1} above the recorded {base_nodes}",
-                    s.nodes, cli.check_ratio
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("check vs {path}: ok");
     }
 }

@@ -10,6 +10,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baseline;
+pub mod cli;
 pub mod microbench;
 
 use bsched_harness::{Engine, EngineConfig, ExperimentCell, RunReport};
@@ -188,6 +190,17 @@ impl Grid {
     #[must_use]
     pub fn report(&self) -> RunReport {
         self.engine.report()
+    }
+}
+
+/// Writes a `--csv` table to `results/{name}` as well as stdout. A
+/// failed write is reported on stderr, not fatal: the table is already
+/// on stdout.
+pub fn write_results(name: &str, csv: &str) {
+    let path = std::path::Path::new("results").join(name);
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, csv)) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 

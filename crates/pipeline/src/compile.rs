@@ -85,7 +85,8 @@ pub struct Compiled {
     pub stats: CompileStats,
 }
 
-/// Runs the full phase order on (a clone of) `source`.
+/// Runs the full phase order on (a clone of) `source` — the
+/// implementation behind [`crate::Session::compile`].
 ///
 /// # Errors
 ///
@@ -93,16 +94,6 @@ pub struct Compiled {
 /// profiler cannot execute the program, or — the strongest guarantee —
 /// the compiled program's observable memory image differs from the
 /// original program's.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `Experiment::builder()…build()?.compile()` instead"
-)]
-pub fn compile(source: &Program, opts: &CompileOptions) -> Result<Compiled, PipelineError> {
-    compile_impl(source, opts)
-}
-
-/// The phase-order implementation behind [`compile`] and
-/// [`crate::Session::compile`].
 pub(crate) fn compile_impl(
     source: &Program,
     opts: &CompileOptions,

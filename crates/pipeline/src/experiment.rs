@@ -25,10 +25,6 @@
 //! [`Session`] is the frozen, validated configuration; [`Session::run`]
 //! compiles, simulates, and cross-checks against the reference
 //! interpreter, and [`Session::compile`] stops after code generation.
-//!
-//! The pre-0.3 free functions (`compile`, `compile_and_run`) and the
-//! `Runner` memoizer remain as `#[deprecated]` shims over the same
-//! implementation.
 
 use crate::compile::{compile_impl, Compiled, PipelineError};
 use crate::experiments::ConfigKind;

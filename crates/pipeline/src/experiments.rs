@@ -1,11 +1,7 @@
-//! The experiment grid of the paper's evaluation and a memoizing runner.
+//! The experiment grid of the paper's evaluation.
 
 use crate::options::CompileOptions;
-use crate::run::{run_impl, RunResult};
-use crate::PipelineError;
 use bsched_core::SchedulerKind;
-use bsched_ir::Program;
-use std::collections::HashMap;
 
 /// The optimization combinations evaluated in the paper (Tables 4–9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,71 +100,6 @@ pub fn standard_grid() -> Vec<ExperimentConfig> {
     grid
 }
 
-/// A memoizing experiment runner: each (kernel, configuration) pair is
-/// compiled and simulated once per process.
-///
-/// This is the minimal single-threaded memoizer. The experiment
-/// binaries run on `bsched-harness`'s `Engine` instead, which adds
-/// parallel execution, an on-disk cache, and full-options cache keys;
-/// one-off runs should go through [`crate::Experiment::builder`].
-#[deprecated(
-    since = "0.3.0",
-    note = "use `Experiment::builder()` (one-off runs) or the `bsched-harness` `Engine` (grids)"
-)]
-#[derive(Default)]
-pub struct Runner {
-    cache: HashMap<(String, String), RunResult>,
-}
-
-#[allow(deprecated)]
-impl Runner {
-    /// Creates an empty runner.
-    #[must_use]
-    pub fn new() -> Self {
-        Runner::default()
-    }
-
-    /// Runs (or recalls) one kernel under one configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator's memory image diverges from the reference
-    /// interpreter — that is a bug, not a measurement.
-    pub fn run(
-        &mut self,
-        kernel_name: &str,
-        program: &Program,
-        config: ExperimentConfig,
-    ) -> Result<&RunResult, PipelineError> {
-        // Key on the full options debug form, not the display label —
-        // distinct configurations (e.g. differing only in weight cap or
-        // simulator parameters) can share a label.
-        let key = (kernel_name.to_string(), format!("{:?}", config.options()));
-        if !self.cache.contains_key(&key) {
-            let result = run_impl(
-                program,
-                &config.options(),
-                bsched_sim::SimEngine::default(),
-                bsched_sim::SimMode::Exact,
-            )?;
-            assert!(result.checksum_ok, "simulator diverged on {kernel_name}");
-            self.cache.insert(key.clone(), result);
-        }
-        Ok(&self.cache[&key])
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for Runner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Runner({} cached runs)", self.cache.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,32 +128,5 @@ mod tests {
         let labels: std::collections::HashSet<String> =
             g.iter().map(|c| c.options().label()).collect();
         assert_eq!(labels.len(), g.len());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn runner_memoizes() {
-        use bsched_workloads::lang::ast::{Expr, Index};
-        use bsched_workloads::lang::{ArrayInit, Kernel};
-        let mut k = Kernel::new("tiny");
-        let a = k.array("a", 32, ArrayInit::Ramp(0.0, 1.0));
-        let i = k.int_var("i");
-        let body = vec![k.store(
-            a,
-            Index::of(i),
-            Expr::load(a, Index::of(i)) + Expr::Float(1.0),
-        )];
-        k.push(k.for_loop(i, Expr::Int(0), Expr::Int(32), body));
-        let p = k.lower();
-
-        let mut r = Runner::new();
-        let cfg = ExperimentConfig {
-            scheduler: SchedulerKind::Balanced,
-            kind: ConfigKind::Base,
-        };
-        let c1 = r.run("tiny", &p, cfg).unwrap().metrics.cycles;
-        let c2 = r.run("tiny", &p, cfg).unwrap().metrics.cycles;
-        assert_eq!(c1, c2);
-        assert_eq!(format!("{r:?}"), "Runner(1 cached runs)");
     }
 }

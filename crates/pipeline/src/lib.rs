@@ -41,8 +41,6 @@
 //! ```
 //!
 //! Suite kernels resolve by name: `Experiment::builder().kernel("TRFD")`.
-//! The pre-0.3 free functions ([`compile`], [`compile_and_run`]) and the
-//! [`Runner`] memoizer remain as deprecated shims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,18 +53,12 @@ pub mod run;
 pub mod table;
 
 pub use bsched_core::{SchedulerKind, TieBreak};
-#[allow(deprecated)]
-pub use compile::compile;
 pub use compile::{CompileStats, Compiled, PipelineError};
 pub use experiment::{
     resolve_kernel, Experiment, ExperimentBuilder, ExperimentError, OptLevel, Session,
 };
-#[allow(deprecated)]
-pub use experiments::Runner;
 pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};
 pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode};
 pub use options::CompileOptions;
-#[allow(deprecated)]
-pub use run::compile_and_run;
 pub use run::RunResult;
 pub use table::Table;

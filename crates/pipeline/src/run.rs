@@ -22,24 +22,8 @@ pub struct RunResult {
     pub sample: Option<SampleStats>,
 }
 
-/// Compiles `source` under `opts` and runs it on the timing simulator.
-///
-/// # Errors
-///
-/// Propagates [`PipelineError`]s from compilation and simulation.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `Experiment::builder()…build()?.run()` instead"
-)]
-pub fn compile_and_run(
-    source: &Program,
-    opts: &CompileOptions,
-) -> Result<RunResult, PipelineError> {
-    run_impl(source, opts, SimEngine::default(), SimMode::Exact)
-}
-
-/// The implementation behind [`compile_and_run`] and
-/// [`crate::Session::run`].
+/// Compiles `source` under `opts` and runs it on the timing simulator
+/// — the implementation behind [`crate::Session::run`].
 pub(crate) fn run_impl(
     source: &Program,
     opts: &CompileOptions,

@@ -188,23 +188,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Creates a simulator pinned to the pre-0.4 interpreting engine.
-    ///
-    /// Bypassed twice over: use [`Simulator::for_machine`] (which
-    /// follows the default engine) and [`Simulator::with_engine`] to
-    /// pick one explicitly. Both engines produce bit-identical results,
-    /// so migrating never changes metrics or checksums.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use Simulator::for_machine(..) [+ .with_engine(..)]; \
-                this shim pins SimEngine::Interpret"
-    )]
-    #[must_use]
-    pub fn new(program: &'p Program, config: SimConfig) -> Self {
-        #[allow(deprecated)]
-        Simulator::with_config(program, config).with_engine(SimEngine::Interpret)
-    }
-
     /// Selects the execution engine. Metrics-invariant: both engines
     /// produce bit-identical [`SimResult`]s.
     #[must_use]

@@ -13,10 +13,17 @@ fn sim<'p>(p: &'p bsched_ir::Program, config: SimConfig) -> Simulator<'p> {
 use bsched_util::Prng;
 use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The trace recorder is process-global; traced tests serialize here.
+/// The trace recorder is process-global: a capture would also record
+/// the `sim.run` events of any test running beside it, so every test in
+/// this file serializes here.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`TRACE_LOCK`], recovering it if a failed test poisoned it.
+fn serial() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn run_engine(p: &Program, cfg: SimConfig, engine: SimEngine) -> Result<SimResult, ExecError> {
     sim(p, cfg).with_engine(engine).run()
@@ -57,6 +64,7 @@ fn config_space() -> Vec<(&'static str, SimConfig)> {
 /// Every registered machine must also be engine-bit-identical.
 #[test]
 fn registered_machines_are_engine_identical() {
+    let _serial = serial();
     let p = loop_program();
     for info in bsched_sim::MachineSpec::registry() {
         let m = bsched_sim::MachineSpec::named(info.name).unwrap();
@@ -199,6 +207,7 @@ fn stream(n: i64, seed: u64) -> Program {
 
 #[test]
 fn engines_agree_on_every_program_and_config() {
+    let _serial = serial();
     let programs: Vec<(&str, Program)> = vec![
         ("load-use-0", load_use_program(0)),
         ("load-use-12", load_use_program(12)),
@@ -217,6 +226,7 @@ fn engines_agree_on_every_program_and_config() {
 
 #[test]
 fn engines_agree_on_seeded_workload_kernels() {
+    let _serial = serial();
     let mut rng = Prng::new(0xE9_0001);
     for case in 0..16 {
         let n = rng.range_i64(1, 96);
@@ -233,23 +243,9 @@ fn engines_agree_on_seeded_workload_kernels() {
     }
 }
 
-/// The deprecated `Simulator::new` shim pins the interpreting engine
-/// and must keep producing exactly what the engine-agnostic API does.
-#[test]
-#[allow(deprecated)]
-fn deprecated_new_shim_matches_the_engine_agnostic_api() {
-    let p = loop_program();
-    let cfg = SimConfig::default();
-    let shim = Simulator::new(&p, cfg);
-    assert_eq!(shim.engine(), SimEngine::Interpret);
-    let old = shim.run().unwrap();
-    let new = run_engine(&p, cfg, SimEngine::Interpret).unwrap();
-    assert_eq!(old.metrics, new.metrics);
-    assert_eq!(old.checksum, new.checksum);
-}
-
 #[test]
 fn engines_agree_on_fuel_exhaustion() {
+    let _serial = serial();
     let mut p = Program::new("spin");
     let mut b = FuncBuilder::new("main");
     let e = b.current_block();
@@ -276,7 +272,7 @@ fn engines_agree_on_fuel_exhaustion() {
 /// and payloads; timestamps excluded) must match across engines.
 #[test]
 fn trace_attribution_is_identical_across_engines() {
-    let _serial = TRACE_LOCK.lock().unwrap();
+    let _serial = serial();
     let programs = [
         ("many-miss", many_miss_program()),
         ("loop", loop_program()),

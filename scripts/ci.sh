@@ -14,6 +14,11 @@ cargo clippy -q --all-targets -- -D warnings
 echo "== tests (workspace) =="
 cargo test --workspace -q
 
+echo "== tests (benchmark self-tests) =="
+# perfbench/ is a Cargo workspace of its own, so the workspace run
+# above does not reach its self-tests.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== smoke: all_experiments on 2 kernels, cold vs warm cache =="
 SMOKE_CACHE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_CACHE"' EXIT
