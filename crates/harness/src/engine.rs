@@ -7,12 +7,12 @@ use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
 use bsched_ir::Program;
-use bsched_pipeline::Experiment;
+use bsched_pipeline::{Experiment, Source};
 use bsched_sim::{SampleConfig, SimEngine, SimMetrics, SimMode};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The cached outcome of one cell: the simulator metrics plus the
@@ -244,7 +244,10 @@ impl EngineConfig {
 
 /// The engine: kernels, cache layers, pool, and report state.
 pub struct Engine {
-    kernels: Vec<(String, Program)>,
+    /// One shared [`Source`] per kernel, so each kernel's reference
+    /// checksum is computed once per engine, by the first cell that
+    /// needs it.
+    kernels: Vec<(String, Arc<Source>)>,
     index: HashMap<String, usize>,
     config: EngineConfig,
     store: ResultStore,
@@ -270,9 +273,14 @@ impl fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// An engine over an explicit kernel set.
+    /// An engine over an explicit kernel set. Nothing is verified or
+    /// run here: each kernel's reference result is computed lazily.
     #[must_use]
     pub fn new(kernels: Vec<(String, Program)>, config: EngineConfig) -> Self {
+        let kernels: Vec<(String, Arc<Source>)> = kernels
+            .into_iter()
+            .map(|(name, program)| (name, Arc::new(Source::new(program))))
+            .collect();
         let index = kernels
             .iter()
             .enumerate()
@@ -337,6 +345,13 @@ impl Engine {
         } else {
             &self.store
         }
+    }
+
+    /// The shared source of a kernel, as every cell of that kernel
+    /// sees it.
+    #[must_use]
+    pub fn source(&self, kernel: &str) -> Option<&Arc<Source>> {
+        self.index.get(kernel).map(|&i| &self.kernels[i].1)
     }
 
     /// Kernel names, in workload order.
@@ -523,10 +538,10 @@ impl Engine {
     }
 
     fn execute(&self, cell: &ExperimentCell, verify: bool) -> Result<CellResult, HarnessError> {
-        let idx = self.index[cell.kernel()];
-        let program = &self.kernels[idx].1;
+        let source = &self.kernels[self.index[cell.kernel()]].1;
+        let program = source.program();
         let session = Experiment::builder()
-            .program(cell.kernel(), program.clone())
+            .source(cell.kernel(), Arc::clone(source))
             .compile_options(*cell.options())
             .engine(self.config.sim_engine)
             .sim_mode(self.config.sim_mode)

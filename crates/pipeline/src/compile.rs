@@ -1,6 +1,7 @@
 //! The compilation pipeline.
 
 use crate::options::CompileOptions;
+use crate::source::Source;
 use bsched_core::{schedule_function_audited, schedule_function_stats, ExactStats, ScheduleAudit};
 use bsched_ir::{ExecError, Interp, Program, VerifyError};
 use bsched_opt::{
@@ -13,7 +14,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 /// Pipeline failures.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PipelineError {
     /// The IR verifier rejected the program (before or after a pass).
     Verify(VerifyError),
@@ -85,7 +86,7 @@ pub struct Compiled {
     pub stats: CompileStats,
 }
 
-/// Runs the full phase order on (a clone of) `source` — the
+/// Runs the full phase order on (a clone of) the source program — the
 /// implementation behind [`crate::Session::compile`].
 ///
 /// # Errors
@@ -93,9 +94,9 @@ pub struct Compiled {
 /// Returns a [`PipelineError`] if verification fails at any point, the
 /// profiler cannot execute the program, or — the strongest guarantee —
 /// the compiled program's observable memory image differs from the
-/// original program's.
+/// source's reference checksum.
 pub(crate) fn compile_impl(
-    source: &Program,
+    source: &Source,
     opts: &CompileOptions,
 ) -> Result<Compiled, PipelineError> {
     let mut sink = None;
@@ -105,7 +106,7 @@ pub(crate) fn compile_impl(
 /// [`compile_impl`] that also returns the basic-block scheduling audit
 /// (pre-schedule regions, weights, emitted orders) for the verifier.
 pub(crate) fn compile_audited_impl(
-    source: &Program,
+    source: &Source,
     opts: &CompileOptions,
 ) -> Result<(Compiled, ScheduleAudit), PipelineError> {
     let mut sink = None;
@@ -134,20 +135,20 @@ fn traced_pass<R>(
 }
 
 fn compile_inner(
-    source: &Program,
+    source: &Source,
     opts: &CompileOptions,
     audited: bool,
     sink: &mut Option<ScheduleAudit>,
 ) -> Result<Compiled, PipelineError> {
+    let program = source.program();
     let mut compile_span = bsched_trace::span(bsched_trace::points::PIPELINE_COMPILE)
-        .label_with(|| source.name().to_string());
+        .label_with(|| program.name().to_string());
     if compile_span.is_live() {
-        compile_span = compile_span.arg("before", source.main().inst_count() as u64);
+        compile_span = compile_span.arg("before", program.main().inst_count() as u64);
     }
-    bsched_ir::verify_program(source)?;
-    let reference = Interp::new(source).run()?;
+    let reference = source.reference_checksum()?;
 
-    let mut p = source.clone();
+    let mut p = program.clone();
     let mut stats = CompileStats::default();
 
     // 1. Predication.
@@ -246,9 +247,9 @@ fn compile_inner(
     bsched_ir::verify_program(&p)?;
     stats.static_insts = p.main().inst_count();
 
-    // 8. Semantic cross-check against the reference interpreter.
+    // 8. Semantic cross-check against the source's reference run.
     let compiled = Interp::new(&p).run()?;
-    if compiled.checksum != reference.checksum {
+    if compiled.checksum != reference {
         return Err(PipelineError::ChecksumMismatch {
             stage: "full pipeline",
         });
@@ -292,7 +293,7 @@ mod tests {
 
     #[test]
     fn every_configuration_compiles_and_matches_reference() {
-        let p = sample();
+        let src = Source::new(sample());
         for scheduler in [SchedulerKind::Traditional, SchedulerKind::Balanced] {
             for unroll in [None, Some(4), Some(8)] {
                 for trace in [false, true] {
@@ -301,7 +302,7 @@ mod tests {
                         o.unroll = unroll;
                         o.trace = trace;
                         o.locality = locality;
-                        let r = compile_impl(&p, &o);
+                        let r = compile_impl(&src, &o);
                         assert!(
                             r.is_ok(),
                             "config {} failed: {:?}",
@@ -316,9 +317,9 @@ mod tests {
 
     #[test]
     fn predication_reported_and_size_limit_respected() {
-        let p = sample();
+        let src = Source::new(sample());
         let o = CompileOptions::new(SchedulerKind::Balanced).with_unroll(4);
-        let c = compile_impl(&p, &o).unwrap();
+        let c = compile_impl(&src, &o).unwrap();
         assert!(c.stats.predicated >= 1, "the if is predicated");
         // The predicated body exceeds 64/4 instructions, so the full
         // factor is refused and the unroller falls back to factor 2 —
@@ -339,20 +340,20 @@ mod tests {
             Expr::load(a, Index::of(i)) * Expr::Float(2.0),
         )];
         k.push(k.for_loop(i, Expr::Int(0), Expr::Int(64), body));
-        let p = k.lower();
+        let src = Source::new(k.lower());
         let o = CompileOptions::new(SchedulerKind::Balanced).with_unroll(4);
-        let c = compile_impl(&p, &o).unwrap();
+        let c = compile_impl(&src, &o).unwrap();
         assert!(c.stats.unrolled_loops >= 1);
         assert!(c.stats.dce_removed > 0);
     }
 
     #[test]
     fn locality_consumes_loops_from_generic_unrolling() {
-        let p = sample();
+        let src = Source::new(sample());
         let o = CompileOptions::new(SchedulerKind::Balanced)
             .with_unroll(4)
             .with_locality();
-        let c = compile_impl(&p, &o).unwrap();
+        let c = compile_impl(&src, &o).unwrap();
         assert!(!c.stats.locality.loops_processed.is_empty());
         assert_eq!(
             c.stats.unrolled_loops, 0,

@@ -25,14 +25,22 @@
 //! [`Session`] is the frozen, validated configuration; [`Session::run`]
 //! compiles, simulates, and cross-checks against the reference
 //! interpreter, and [`Session::compile`] stops after code generation.
+//!
+//! A session reads its program from an `Arc<`[`Source`]`>`, which
+//! computes the source's reference checksum once for every session
+//! sharing it ([`ExperimentBuilder::source`]); a session built with
+//! [`ExperimentBuilder::program`] or [`ExperimentBuilder::kernel`] has
+//! a source of its own.
 
 use crate::compile::{compile_impl, Compiled, PipelineError};
 use crate::experiments::ConfigKind;
 use crate::options::CompileOptions;
 use crate::run::{run_impl, RunResult};
+use crate::source::Source;
 use bsched_core::{SchedulerKind, TieBreak};
 use bsched_ir::Program;
 use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimMode};
+use std::sync::Arc;
 
 /// A named optimization level: the ILP-increasing transformation sets
 /// evaluated in the paper, with the paper's unroll factors baked in.
@@ -108,8 +116,9 @@ pub enum ExperimentError {
         /// Every valid kernel name, in the paper's Table 1 order.
         valid: Vec<&'static str>,
     },
-    /// Neither [`ExperimentBuilder::kernel`] nor
-    /// [`ExperimentBuilder::program`] was called.
+    /// None of [`ExperimentBuilder::kernel`],
+    /// [`ExperimentBuilder::program`] and [`ExperimentBuilder::source`]
+    /// was called.
     MissingProgram,
 }
 
@@ -167,7 +176,7 @@ impl Experiment {
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentBuilder {
     kernel: Option<String>,
-    program: Option<(String, Program)>,
+    source: Option<(String, Arc<Source>)>,
     config: ConfigKind2,
     scheduler: SchedulerKind,
     sim: Option<SimConfig>,
@@ -203,11 +212,21 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Supplies an explicit program (custom kernels, the harness).
-    /// Overrides [`kernel`](Self::kernel).
+    /// Supplies an explicit program (custom kernels). Overrides
+    /// [`kernel`](Self::kernel). The session gets a [`Source`] of its
+    /// own.
     #[must_use]
-    pub fn program(mut self, name: impl Into<String>, program: Program) -> Self {
-        self.program = Some((name.into(), program));
+    pub fn program(self, name: impl Into<String>, program: Program) -> Self {
+        self.source(name, Arc::new(Source::new(program)))
+    }
+
+    /// Supplies a shared [`Source`] (the harness: one per kernel).
+    /// Sessions built from clones of the same `Arc` compute the
+    /// source's reference checksum once between them. Overrides
+    /// [`kernel`](Self::kernel).
+    #[must_use]
+    pub fn source(mut self, name: impl Into<String>, source: Arc<Source>) -> Self {
+        self.source = Some((name.into(), source));
         self
     }
 
@@ -373,11 +392,11 @@ impl ExperimentBuilder {
     /// [`ExperimentError::UnknownKernel`] for a bad kernel name,
     /// [`ExperimentError::MissingProgram`] when no program was selected.
     pub fn build(self) -> Result<Session, ExperimentError> {
-        let (name, program) = match (self.program, self.kernel) {
-            (Some((name, program)), _) => (name, program),
+        let (name, source) = match (self.source, self.kernel) {
+            (Some((name, source)), _) => (name, source),
             (None, Some(name)) => {
-                let program = resolve_kernel(&name)?;
-                (name, program)
+                let source = Arc::new(Source::new(resolve_kernel(&name)?));
+                (name, source)
             }
             (None, None) => return Err(ExperimentError::MissingProgram),
         };
@@ -413,7 +432,7 @@ impl ExperimentBuilder {
         };
         Ok(Session {
             name,
-            program,
+            source,
             options,
             trace: self.trace,
             engine: self.engine,
@@ -427,7 +446,7 @@ impl ExperimentBuilder {
 #[derive(Debug, Clone)]
 pub struct Session {
     name: String,
-    program: Program,
+    source: Arc<Source>,
     options: CompileOptions,
     trace: bool,
     engine: SimEngine,
@@ -444,7 +463,7 @@ impl Session {
     /// The source program.
     #[must_use]
     pub fn source(&self) -> &Program {
-        &self.program
+        self.source.program()
     }
 
     /// The resolved compile options.
@@ -493,7 +512,7 @@ impl Session {
     /// Propagates [`PipelineError`]s from compilation and simulation.
     pub fn run(&self) -> Result<RunResult, PipelineError> {
         let _trace = self.trace_scope();
-        run_impl(&self.program, &self.options, self.engine, self.sim_mode)
+        run_impl(&self.source, &self.options, self.engine, self.sim_mode)
     }
 
     /// Compiles only (no simulation): the full phase order through
@@ -504,7 +523,7 @@ impl Session {
     /// Propagates [`PipelineError`]s from compilation.
     pub fn compile(&self) -> Result<Compiled, PipelineError> {
         let _trace = self.trace_scope();
-        compile_impl(&self.program, &self.options)
+        compile_impl(&self.source, &self.options)
     }
 
     /// [`Session::compile`] that also returns the basic-block scheduling
@@ -518,7 +537,7 @@ impl Session {
     /// Propagates [`PipelineError`]s from compilation.
     pub fn compile_audited(&self) -> Result<(Compiled, bsched_core::ScheduleAudit), PipelineError> {
         let _trace = self.trace_scope();
-        crate::compile::compile_audited_impl(&self.program, &self.options)
+        crate::compile::compile_audited_impl(&self.source, &self.options)
     }
 }
 

@@ -14,7 +14,8 @@
 //! and then executed on the Alpha 21164-like timing simulator. Every
 //! compiled configuration is cross-checked against the reference
 //! interpreter: the observable memory checksum must match the unoptimized
-//! program's.
+//! program's. That reference checksum belongs to the [`Source`], which
+//! computes it once however many sessions share it.
 //!
 //! ```
 //! use bsched_pipeline::{Experiment, OptLevel, SchedulerKind};
@@ -50,6 +51,7 @@ pub mod experiment;
 pub mod experiments;
 pub mod options;
 pub mod run;
+pub mod source;
 pub mod table;
 
 pub use bsched_core::{SchedulerKind, TieBreak};
@@ -61,4 +63,5 @@ pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};
 pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode};
 pub use options::CompileOptions;
 pub use run::RunResult;
+pub use source::Source;
 pub use table::Table;

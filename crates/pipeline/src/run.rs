@@ -2,7 +2,7 @@
 
 use crate::compile::{compile_impl, CompileStats, PipelineError};
 use crate::options::CompileOptions;
-use bsched_ir::{Interp, Program};
+use crate::source::Source;
 use bsched_sim::{SampleStats, SimEngine, SimMetrics, SimMode, Simulator};
 
 /// The result of one end-to-end run.
@@ -25,13 +25,13 @@ pub struct RunResult {
 /// Compiles `source` under `opts` and runs it on the timing simulator
 /// — the implementation behind [`crate::Session::run`].
 pub(crate) fn run_impl(
-    source: &Program,
+    source: &Source,
     opts: &CompileOptions,
     engine: SimEngine,
     mode: SimMode,
 ) -> Result<RunResult, PipelineError> {
     let compiled = compile_impl(source, opts)?;
-    let reference = Interp::new(source).run()?;
+    let reference = source.reference_checksum()?;
     let machine = bsched_sim::MachineSpec::custom(opts.sim);
     let sim = Simulator::for_machine(&compiled.program, &machine)
         .with_engine(engine)
@@ -40,7 +40,7 @@ pub(crate) fn run_impl(
     Ok(RunResult {
         metrics: sim.metrics,
         compile: compiled.stats,
-        checksum_ok: sim.checksum == reference.checksum,
+        checksum_ok: sim.checksum == reference,
         sample: sim.sample,
     })
 }
@@ -50,6 +50,7 @@ mod tests {
     use super::*;
     use crate::experiment::Experiment;
     use bsched_core::SchedulerKind;
+    use bsched_ir::Program;
     use bsched_workloads::lang::ast::{Expr, Index};
     use bsched_workloads::lang::{ArrayInit, Kernel};
 

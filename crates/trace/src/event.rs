@@ -34,6 +34,10 @@ pub mod points {
     /// One optimization/codegen pass inside the pipeline (span). Label:
     /// pass name. Args: `before`/`after` static instruction counts.
     pub const PIPELINE_PASS: TraceId = TraceId::new("pipeline", "pass");
+    /// One source program's reference result: verification plus an
+    /// interpreter run of the unoptimized code (span, at most once per
+    /// shared source). Label: program name.
+    pub const PIPELINE_REFERENCE: TraceId = TraceId::new("pipeline", "reference");
     /// One scheduled straight-line region (instant). Label: function
     /// name. Args: `block`, `insts`, `loads`, `weight_sum`, `weight_max`.
     pub const SCHED_REGION: TraceId = TraceId::new("sched", "region");

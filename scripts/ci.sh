@@ -33,6 +33,23 @@ warm="$(run_smoke 1)"
 lines="$(printf '%s\n' "$cold" | wc -l)"
 [ "$lines" -eq 31 ] || { echo "FAIL: expected 31 output lines, got $lines"; exit 1; }
 
+echo "== gate: one source reference run per kernel, uncached =="
+# Each kernel's reference checksum (verify + interpret the unoptimized
+# source) is computed once per process and shared by all its cells. A
+# cold traced run over 2 kernels x 15 configurations must record
+# exactly 2 pipeline.reference spans: a deterministic count, so a slide
+# back to per-cell interpretation fails on any host. Tracing must not
+# change stdout.
+REF_TRACE="$SMOKE_CACHE/reference.trace.json"
+refrun="$(BSCHED_NO_CACHE=1 ./target/release/all_experiments --kernels ARC2D,TRFD \
+    --trace-json "$REF_TRACE" 2>"$SMOKE_CACHE/reference.err")" \
+    || { cat "$SMOKE_CACHE/reference.err"; echo "FAIL: traced cold run"; exit 1; }
+[ "$refrun" = "$cold" ] || { echo "FAIL: traced cold run changed stdout"; exit 1; }
+refs="$(grep -o '"cat":"pipeline","dur_ns":[0-9]*,"kind":"span","label":"[^"]*","name":"reference"' \
+    "$REF_TRACE" | wc -l)"
+[ "$refs" -eq 2 ] \
+    || { echo "FAIL: expected 2 pipeline.reference spans (one per kernel), got $refs"; exit 1; }
+
 echo "== verify gate: conformance suite on 2 kernels + fuzz smoke =="
 # Re-runs the same subset under --verify: every cell's schedule is
 # proven legal, weights cross-checked against the reference
