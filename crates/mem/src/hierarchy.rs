@@ -42,6 +42,12 @@ pub struct Access {
     pub ready_at: u64,
     /// Level that served the data.
     pub level: Level,
+    /// Structural stall cycles charged before the access could issue:
+    /// waiting for a free MSHR (or an outstanding fill, under a blocking
+    /// or no-merge policy) on a read, for a free write-buffer entry on a
+    /// store; always 0 for instruction fetches. `issue_at - now - stall`
+    /// is the TLB refill.
+    pub stall: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -130,6 +136,14 @@ impl Hierarchy {
         &self.stats
     }
 
+    /// Restarts every statistics counter from zero, leaving the cache,
+    /// TLB, MSHR and write-buffer state — and so all future timing —
+    /// untouched. Lets a caller measure one interval on a warm
+    /// hierarchy.
+    pub fn reset_stats(&mut self) {
+        self.stats = MemStats::default();
+    }
+
     /// Walks the lower levels (L2 → L3 → memory) for a line fill and
     /// returns the total load-use latency.
     fn lower_levels(&mut self, addr: u64) -> (u32, Level) {
@@ -155,6 +169,7 @@ impl Hierarchy {
             issue_at += u64::from(self.config.tlb_miss_penalty);
         }
         let line = addr / self.config.l1d.line;
+        let mut stall = 0;
         self.mshrs.retain(|e| e.fill_at > issue_at);
         // A blocking cache serialises: any read issued under an
         // outstanding miss waits for every outstanding fill.
@@ -165,6 +180,7 @@ impl Hierarchy {
                 .map(|e| e.fill_at)
                 .max()
                 .expect("mshrs non-empty");
+            stall += free_at - issue_at;
             self.stats.mshr_stall_cycles += free_at - issue_at;
             issue_at = free_at;
             self.mshrs.clear();
@@ -189,10 +205,12 @@ impl Hierarchy {
                     issue_at,
                     ready_at,
                     level,
+                    stall,
                 };
             }
             // NoMerge: structural stall until the outstanding fill
             // frees the line, then fall through to the L1 lookup.
+            stall += fill_at - issue_at;
             self.stats.mshr_stall_cycles += fill_at - issue_at;
             issue_at = fill_at;
             self.mshrs.retain(|e| e.fill_at > issue_at);
@@ -203,6 +221,7 @@ impl Hierarchy {
                 issue_at,
                 ready_at: issue_at + u64::from(self.config.l1d.latency),
                 level: Level::L1,
+                stall,
             };
         }
         // L1 miss: lockup-free path through the miss-address file.
@@ -214,6 +233,7 @@ impl Hierarchy {
                 .map(|e| e.fill_at)
                 .min()
                 .expect("mshrs non-empty");
+            stall += free_at - issue_at;
             self.stats.mshr_stall_cycles += free_at - issue_at;
             issue_at = free_at;
             self.mshrs.retain(|e| e.fill_at > issue_at);
@@ -232,6 +252,7 @@ impl Hierarchy {
             issue_at,
             ready_at,
             level,
+            stall,
         }
     }
 
@@ -283,6 +304,7 @@ impl Hierarchy {
             self.stats.dtb_misses += 1;
             issue_at += u64::from(self.config.tlb_miss_penalty);
         }
+        let mut stall = 0;
         // Finite write buffer: a full buffer stalls the store until the
         // oldest entry drains.
         if let Some(capacity) = self.config.write_buffer {
@@ -293,7 +315,8 @@ impl Hierarchy {
                     .iter()
                     .min()
                     .expect("write buffer non-empty");
-                self.stats.wb_stall_cycles += free_at - issue_at;
+                stall = free_at - issue_at;
+                self.stats.wb_stall_cycles += stall;
                 issue_at = free_at;
                 self.write_buffer.retain(|&d| d > issue_at);
             }
@@ -312,6 +335,7 @@ impl Hierarchy {
             issue_at,
             ready_at: issue_at + 1,
             level,
+            stall,
         }
     }
 
@@ -328,6 +352,7 @@ impl Hierarchy {
                 issue_at,
                 ready_at: issue_at,
                 level: Level::L1,
+                stall: 0,
             };
         }
         self.stats.icache_misses += 1;
@@ -336,13 +361,8 @@ impl Hierarchy {
             issue_at,
             ready_at: issue_at + u64::from(latency),
             level,
+            stall: 0,
         }
-    }
-
-    /// Number of MSHR entries outstanding at cycle `now`.
-    #[must_use]
-    pub fn outstanding_misses(&self, now: u64) -> usize {
-        self.mshrs.iter().filter(|e| e.fill_at > now).count()
     }
 }
 
@@ -445,14 +465,6 @@ mod tests {
         let r = h.data_read(0x9000, 100);
         assert_ne!(r.level, Level::L1);
         assert_eq!(h.stats().stores, 1);
-    }
-
-    #[test]
-    fn outstanding_count_tracks_time() {
-        let mut h = small();
-        let a = h.data_read(0x0, 0);
-        assert_eq!(h.outstanding_misses(a.issue_at), 1);
-        assert_eq!(h.outstanding_misses(a.ready_at + 1), 0);
     }
 }
 

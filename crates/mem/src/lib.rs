@@ -8,16 +8,25 @@
 //!
 //! The [`Hierarchy`] type answers timing queries from the simulator:
 //! given an address and the current cycle, when is the data ready, which
-//! level served it, and was there a structural stall for an MSHR?
+//! level served it, and how many cycles did it stall for a structural
+//! resource — a free MSHR on a read, a free write-buffer entry on a
+//! store ([`Access::stall`])?
 //!
 //! ```
 //! use bsched_mem::{Hierarchy, Level, MemConfig};
 //!
-//! let mut h = Hierarchy::new(MemConfig::alpha21164());
+//! let mut h = Hierarchy::new(MemConfig::alpha21164().with_mshrs(1));
 //! let first = h.data_read(0x1000, 0);
 //! assert_ne!(first.level, Level::L1); // cold miss
+//! assert_eq!(first.stall, 0); // a free MSHR: no structural stall
 //! let again = h.data_read(0x1000, first.ready_at);
 //! assert_eq!(again.level, Level::L1); // now cached
+//! // A second miss while the only MSHR is busy waits for its fill.
+//! let a = h.data_read(0x2000, again.ready_at);
+//! let b = h.data_read(0x3000, a.issue_at);
+//! assert_eq!(b.issue_at, a.ready_at);
+//! assert_eq!(b.stall, a.ready_at - a.issue_at);
+//! assert_eq!(h.stats().mshr_stall_cycles, b.stall);
 //! ```
 
 #![forbid(unsafe_code)]

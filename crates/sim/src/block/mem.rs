@@ -404,11 +404,9 @@ impl FastHier {
         (self.config.mem_latency, Level::Memory)
     }
 
-    /// A data read of the 8 bytes at `addr` issued at `now`. Returns
-    /// the access answer plus the MSHR structural-stall cycles charged
-    /// (the reference model exposes those only through stats deltas).
+    /// A data read of the 8 bytes at `addr` issued at `now`.
     #[inline]
-    pub fn data_read(&mut self, addr: u64, now: u64) -> (Access, u64) {
+    pub fn data_read(&mut self, addr: u64, now: u64) -> Access {
         let mut issue_at = now;
         if !self.dtb.access(addr) {
             self.stats.dtb_misses += 1;
@@ -419,7 +417,7 @@ impl FastHier {
         } else {
             addr / self.config.l1d.line
         };
-        let mut mshr_stall = 0;
+        let mut stall = 0;
         if !self.mshrs.is_empty() {
             // Expired entries exist only when the earliest fill time has
             // passed; the reference model's per-access retain is a no-op
@@ -436,7 +434,7 @@ impl FastHier {
                     .map(|e| e.fill_at)
                     .max()
                     .expect("mshrs non-empty");
-                mshr_stall += free_at - issue_at;
+                stall += free_at - issue_at;
                 self.stats.mshr_stall_cycles += free_at - issue_at;
                 issue_at = free_at;
                 self.mshrs.clear();
@@ -454,18 +452,16 @@ impl FastHier {
                     self.stats.mshr_merges += 1;
                     self.l1d.access(addr); // touch for LRU
                     let ready_at = fill_at.max(issue_at + u64::from(self.config.l1d.latency));
-                    return (
-                        Access {
-                            issue_at,
-                            ready_at,
-                            level,
-                        },
-                        mshr_stall,
-                    );
+                    return Access {
+                        issue_at,
+                        ready_at,
+                        level,
+                        stall,
+                    };
                 }
                 // NoMerge: structural stall until the outstanding fill
                 // frees the line, then fall through to the L1 lookup.
-                mshr_stall += fill_at - issue_at;
+                stall += fill_at - issue_at;
                 self.stats.mshr_stall_cycles += fill_at - issue_at;
                 issue_at = fill_at;
                 self.retire_mshrs(issue_at);
@@ -473,18 +469,16 @@ impl FastHier {
         }
         if self.l1d.access(addr) {
             self.stats.l1d_hits += 1;
-            return (
-                Access {
-                    issue_at,
-                    ready_at: issue_at + u64::from(self.config.l1d.latency),
-                    level: Level::L1,
-                },
-                mshr_stall,
-            );
+            return Access {
+                issue_at,
+                ready_at: issue_at + u64::from(self.config.l1d.latency),
+                level: Level::L1,
+                stall,
+            };
         }
         if self.mshrs.len() >= self.config.mshrs {
             let free_at = self.mshr_earliest;
-            mshr_stall += free_at - issue_at;
+            stall += free_at - issue_at;
             self.stats.mshr_stall_cycles += free_at - issue_at;
             issue_at = free_at;
             self.retire_mshrs(issue_at);
@@ -505,14 +499,12 @@ impl FastHier {
         });
         self.mshr_earliest = self.mshr_earliest.min(ready_at);
         self.maybe_prefetch(addr, line, issue_at);
-        (
-            Access {
-                issue_at,
-                ready_at,
-                level,
-            },
-            mshr_stall,
-        )
+        Access {
+            issue_at,
+            ready_at,
+            level,
+            stall,
+        }
     }
 
     /// The demand-miss hook of the L1D prefetcher — same decisions as
@@ -552,17 +544,16 @@ impl FastHier {
         self.mshr_earliest = self.mshr_earliest.min(fill_at);
     }
 
-    /// A data write of the 8 bytes at `addr` issued at `now`. Returns
-    /// the access answer plus the write-buffer stall cycles charged.
+    /// A data write of the 8 bytes at `addr` issued at `now`.
     #[inline]
-    pub fn data_write(&mut self, addr: u64, now: u64) -> (Access, u64) {
+    pub fn data_write(&mut self, addr: u64, now: u64) -> Access {
         self.stats.stores += 1;
         let mut issue_at = now;
         if !self.dtb.access(addr) {
             self.stats.dtb_misses += 1;
             issue_at += u64::from(self.config.tlb_miss_penalty);
         }
-        let mut wb_stall = 0;
+        let mut stall = 0;
         if let Some(capacity) = self.config.write_buffer {
             self.write_buffer.retain(|&d| d > issue_at);
             if self.write_buffer.len() >= capacity as usize {
@@ -571,8 +562,8 @@ impl FastHier {
                     .iter()
                     .min()
                     .expect("write buffer non-empty");
-                wb_stall = free_at - issue_at;
-                self.stats.wb_stall_cycles += wb_stall;
+                stall = free_at - issue_at;
+                self.stats.wb_stall_cycles += stall;
                 issue_at = free_at;
                 self.write_buffer.retain(|&d| d > issue_at);
             }
@@ -586,14 +577,12 @@ impl FastHier {
             l3.probe_update(addr);
         }
         let level = if hit { Level::L1 } else { Level::Memory };
-        (
-            Access {
-                issue_at,
-                ready_at: issue_at + 1,
-                level,
-            },
-            wb_stall,
-        )
+        Access {
+            issue_at,
+            ready_at: issue_at + 1,
+            level,
+            stall,
+        }
     }
 
     /// An instruction fetch at code address `addr` issued at `now`.
@@ -610,6 +599,7 @@ impl FastHier {
                     issue_at: now,
                     ready_at: now,
                     level: Level::L1,
+                    stall: 0,
                 };
             }
             self.line_touched[idx / 64] |= 1 << (idx % 64);
@@ -624,6 +614,7 @@ impl FastHier {
                 issue_at,
                 ready_at: issue_at,
                 level: Level::L1,
+                stall: 0,
             };
         }
         self.stats.icache_misses += 1;
@@ -632,6 +623,7 @@ impl FastHier {
             issue_at,
             ready_at: issue_at + u64::from(latency),
             level,
+            stall: 0,
         }
     }
 }
@@ -644,7 +636,7 @@ mod tests {
 
     /// Replays a random interleaved access stream through both the
     /// reference hierarchy and `FastHier`, comparing every `Access`
-    /// answer, every stall delta, and the final `MemStats` — across
+    /// answer (stall included) and the running `MemStats` — across
     /// representative configurations (including a finite write buffer,
     /// a blocking cache, and a code segment too large for the fetch
     /// proof, which forces the exact fallback path).
@@ -708,30 +700,21 @@ mod tests {
                     // Reads: mostly a small hot set, sometimes far.
                     0..=3 => {
                         let addr = 0x10_0000 + rng.range_u64(0, 4096) * 8;
-                        let before = reference.stats().mshr_stall_cycles;
                         let want = reference.data_read(addr, now);
-                        let want_stall = reference.stats().mshr_stall_cycles - before;
-                        let (got, got_stall) = fast.data_read(addr, now);
+                        let got = fast.data_read(addr, now);
                         assert_eq!(got, want, "{name}: read step {step}");
-                        assert_eq!(got_stall, want_stall, "{name}: read stall step {step}");
                     }
                     4 => {
                         let addr = rng.range_u64(0, 1 << 22);
-                        let before = reference.stats().mshr_stall_cycles;
                         let want = reference.data_read(addr, now);
-                        let want_stall = reference.stats().mshr_stall_cycles - before;
-                        let (got, got_stall) = fast.data_read(addr, now);
+                        let got = fast.data_read(addr, now);
                         assert_eq!(got, want, "{name}: far read step {step}");
-                        assert_eq!(got_stall, want_stall);
                     }
                     5..=6 => {
                         let addr = 0x10_0000 + rng.range_u64(0, 4096) * 8;
-                        let before = reference.stats().wb_stall_cycles;
                         let want = reference.data_write(addr, now);
-                        let want_stall = reference.stats().wb_stall_cycles - before;
-                        let (got, got_stall) = fast.data_write(addr, now);
+                        let got = fast.data_write(addr, now);
                         assert_eq!(got, want, "{name}: write step {step}");
-                        assert_eq!(got_stall, want_stall, "{name}: write stall step {step}");
                     }
                     _ => {
                         let addr = code_base + (rng.range_u64(0, (code_end - code_base) / 4)) * 4;

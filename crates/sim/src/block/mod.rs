@@ -230,13 +230,13 @@ fn run_impl<const WIDE: bool>(
             match mo.code {
                 Op::Ld => {
                     let addr = (s0.val as i64).wrapping_add(mo.imm as i64) as u64;
-                    let (a, mshr_stall) = hier.data_read(addr, now);
-                    m.load_interlock += mshr_stall;
-                    m.tlb_stall += (a.issue_at - now) - mshr_stall;
+                    let a = hier.data_read(addr, now);
+                    m.load_interlock += a.stall;
+                    m.tlb_stall += (a.issue_at - now) - a.stall;
                     if tracing {
                         let st = &mut sites[mo.aux as usize];
                         st.issued += 1;
-                        st.mshr += mshr_stall;
+                        st.mshr += a.stall;
                         st.hits[a.level as usize] += 1;
                     }
                     // `issue_at >= now` always (stalls only push it
@@ -254,9 +254,9 @@ fn run_impl<const WIDE: bool>(
                 }
                 Op::St => {
                     let addr = (s1.val as i64).wrapping_add(mo.imm as i64) as u64;
-                    let (a, wb_stall) = hier.data_write(addr, now);
-                    m.store_stall += wb_stall;
-                    m.tlb_stall += (a.issue_at - now) - wb_stall;
+                    let a = hier.data_write(addr, now);
+                    m.store_stall += a.stall;
+                    m.tlb_stall += (a.issue_at - now) - a.stall;
                     if WIDE && a.issue_at > now {
                         slot = 0;
                         mem_slot = 0;

@@ -45,15 +45,6 @@ impl SimEngine {
     pub fn valid_choices() -> &'static str {
         "interpret, block"
     }
-
-    /// The other engine — handy for differential cross-checks.
-    #[must_use]
-    pub fn other(self) -> SimEngine {
-        match self {
-            SimEngine::Interpret => SimEngine::BlockCompiled,
-            SimEngine::BlockCompiled => SimEngine::Interpret,
-        }
-    }
 }
 
 impl fmt::Display for SimEngine {
@@ -100,13 +91,5 @@ mod tests {
         let err = "banana".parse::<SimEngine>().unwrap_err();
         assert!(err.contains("banana"), "{err}");
         assert!(err.contains("interpret") && err.contains("block"), "{err}");
-    }
-
-    #[test]
-    fn other_flips() {
-        for engine in SimEngine::ALL {
-            assert_ne!(engine.other(), engine);
-            assert_eq!(engine.other().other(), engine);
-        }
     }
 }

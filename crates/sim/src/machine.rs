@@ -3,8 +3,12 @@
 //! This module holds the engine-agnostic [`Simulator`] front end, the
 //! machine-model state shared by both engines (scoreboard, per-site
 //! trace attribution, code layout), and the one-instruction-at-a-time
-//! *interpreting* engine. The block-compiled engine lives in
-//! [`crate::block`] and must reproduce the interpreter bit for bit.
+//! *interpreting* engine, `interpret`. That one loop is both the exact
+//! [`SimEngine::Interpret`] run and the cycle-level replay of every
+//! representative interval when sampled plans are built
+//! (`crate::sample`), so interpreted timing is defined in exactly one
+//! place. The block-compiled engine lives in [`crate::block`] and must
+//! reproduce the interpreter bit for bit.
 
 use crate::branch::BranchPredictor;
 use crate::config::SimConfig;
@@ -238,17 +242,11 @@ impl<'p> Simulator<'p> {
     }
 
     /// The interpreting engine: decode, evaluate, and charge every
-    /// instruction on every visit.
+    /// instruction on every visit, via [`interpret`] from a cold
+    /// machine to `Ret`. This wrapper owns what an exact run adds on
+    /// top: the `sim.run` span, per-site attribution, and the checksum.
     fn run_interpret(&self) -> Result<SimResult, ExecError> {
         let func = self.program.main();
-        let mut regs = RegFile::new(func);
-        let mut mem = MemImage::new(self.program);
-        let bases = mem.region_bases.clone();
-        let mut board = Scoreboard::new(func);
-        let mut hier = Hierarchy::new(self.config.mem);
-        let mut pred = BranchPredictor::new(&self.config.branch);
-        let mut m = SimMetrics::default();
-
         let (block_addr, code_end) = code_layout(func);
 
         // Load-interlock attribution (tracing only): one row per static
@@ -259,231 +257,308 @@ impl<'p> Simulator<'p> {
         } else {
             Vec::new()
         };
-        let mut run_span = Some(
-            bsched_trace::span(bsched_trace::points::SIM_RUN)
-                .label_with(|| self.program.name().to_string()),
-        );
+        let mut st = MachineState::cold(self.program, &self.config);
+        let run_span = bsched_trace::span(bsched_trace::points::SIM_RUN)
+            .label_with(|| self.program.name().to_string());
+        let (metrics, _) = interpret(
+            func,
+            &self.config,
+            &block_addr,
+            &mut st,
+            func.entry(),
+            u64::MAX,
+            &mut sites,
+        )?;
+        if tracing {
+            flush_site_events(self.program.name(), &sites, &block_addr);
+            run_span.finish(&[
+                ("cycles", metrics.cycles),
+                ("load_interlock", metrics.load_interlock),
+            ]);
+        }
+        Ok(SimResult {
+            metrics,
+            checksum: st.mem.checksum(),
+            sample: None,
+        })
+    }
+}
 
-        let mut now: u64 = 0;
-        let mut executed: u64 = 0;
-        let mut cur = func.entry();
-        // Issue-group state for multi-issue configurations. Any stall
-        // advances `now`, opening a fresh group.
-        let width = self.config.issue_width.max(1);
-        let ports = self.config.mem_ports.max(1);
-        let mut slot: u32 = 0;
-        let mut mem_slot: u32 = 0;
-        let fixed_latency = |op: Op| -> u32 {
-            if self.config.uniform_fixed_latency {
-                1
-            } else {
-                op.latency()
+/// The caller-owned state [`interpret`] runs on: the architectural
+/// state (register file, memory image), the micro-architectural state
+/// that stays warm across calls (hierarchy, branch predictor), and the
+/// clock.
+#[derive(Debug)]
+pub(crate) struct MachineState {
+    pub(crate) regs: RegFile,
+    pub(crate) mem: MemImage,
+    pub(crate) hier: Hierarchy,
+    pub(crate) pred: BranchPredictor,
+    pub(crate) now: u64,
+}
+
+impl MachineState {
+    /// A cold machine at cycle 0 holding `program`'s initial memory.
+    pub(crate) fn cold(program: &Program, config: &SimConfig) -> Self {
+        MachineState {
+            regs: RegFile::new(program.main()),
+            mem: MemImage::new(program),
+            hier: Hierarchy::new(config.mem),
+            pred: BranchPredictor::new(&config.branch),
+            now: 0,
+        }
+    }
+}
+
+/// The interpreting engine's timing loop — the one definition of its
+/// fetch, issue-group, interlock, memory, and branch timing. Runs `func`
+/// on `st` from block `start` until `Ret` or until `max_blocks` block
+/// executions have retired, whichever comes first.
+///
+/// Returns *interval-local* metrics — cycles since entry, the stall
+/// counters, instruction counts, and the hierarchy's statistics (whose
+/// counters restart at entry) — plus the block at which execution
+/// continues (`None` when the run reached `Ret`). `st` is advanced in place: an
+/// exact run passes a cold machine and `u64::MAX`, sampled-plan
+/// construction passes its warm fast-forward state and one interval's
+/// block count. The scoreboard and issue group start empty.
+///
+/// `sites` is the per-static-site attribution table; pass an empty
+/// slice to turn attribution off.
+///
+/// # Errors
+///
+/// [`ExecError::OutOfFuel`] past `config.fuel` instructions retired in
+/// this call, [`ExecError::WildStore`] on a store outside the memory
+/// image.
+pub(crate) fn interpret(
+    func: &Function,
+    config: &SimConfig,
+    block_addr: &[u64],
+    st: &mut MachineState,
+    start: BlockId,
+    max_blocks: u64,
+    sites: &mut [SiteStat],
+) -> Result<(SimMetrics, Option<BlockId>), ExecError> {
+    let MachineState {
+        regs,
+        mem,
+        hier,
+        pred,
+        now: clock,
+    } = st;
+    let tracing = !sites.is_empty();
+    let mut board = Scoreboard::new(func);
+    let mut m = SimMetrics::default();
+    let start_now = *clock;
+    let mut now = start_now;
+    hier.reset_stats();
+
+    let mut executed: u64 = 0;
+    let mut visited: u64 = 0;
+    let mut cur = start;
+    // Issue-group state for multi-issue configurations. Any stall
+    // advances `now`, opening a fresh group.
+    let width = config.issue_width.max(1);
+    let ports = config.mem_ports.max(1);
+    let mut slot: u32 = 0;
+    let mut mem_slot: u32 = 0;
+    let fixed_latency = |op: Op| -> u32 {
+        if config.uniform_fixed_latency {
+            1
+        } else {
+            op.latency()
+        }
+    };
+
+    let next_block = loop {
+        let block = func.block(cur);
+        let base_pc = block_addr[cur.index()];
+        for (k, inst) in block.insts.iter().enumerate() {
+            executed += 1;
+            if executed > config.fuel {
+                return Err(ExecError::OutOfFuel { fuel: config.fuel });
             }
-        };
-
-        loop {
-            let block = func.block(cur);
-            let base_pc = block_addr[cur.index()];
-            for (k, inst) in block.insts.iter().enumerate() {
-                executed += 1;
-                if executed > self.config.fuel {
-                    return Err(ExecError::OutOfFuel {
-                        fuel: self.config.fuel,
-                    });
-                }
-                // 1. Fetch.
-                if self.config.model_ifetch {
-                    let f = hier.inst_fetch(base_pc + 4 * k as u64, now);
-                    if f.ready_at > now {
-                        m.fetch_stall += f.ready_at - now;
-                        now = f.ready_at;
-                        slot = 0;
-                        mem_slot = 0;
-                    }
-                }
-                // 2. Structural issue limits: group full, or out of
-                // memory ports — advance to the next cycle first so the
-                // operand check below sees the true issue cycle.
-                if slot >= width || (inst.op.is_memory() && mem_slot >= ports) {
-                    now += 1;
+            // 1. Fetch.
+            if config.model_ifetch {
+                let f = hier.inst_fetch(base_pc + 4 * k as u64, now);
+                if f.ready_at > now {
+                    m.fetch_stall += f.ready_at - now;
+                    now = f.ready_at;
                     slot = 0;
                     mem_slot = 0;
                 }
-                // 2b. Operand interlock.
-                let mut op_ready = now;
-                let mut blame_site = NO_SITE;
-                for &s in inst.srcs() {
-                    let (t, site) = board.ready(s);
-                    if t > op_ready || (t == op_ready && site != NO_SITE && t > now) {
-                        op_ready = t;
-                        blame_site = site;
-                    }
+            }
+            // 2. Structural issue limits: group full, or out of
+            // memory ports — advance to the next cycle first so the
+            // operand check below sees the true issue cycle.
+            if slot >= width || (inst.op.is_memory() && mem_slot >= ports) {
+                now += 1;
+                slot = 0;
+                mem_slot = 0;
+            }
+            // 2b. Operand interlock.
+            let mut op_ready = now;
+            let mut blame_site = NO_SITE;
+            for &s in inst.srcs() {
+                let (t, site) = board.ready(s);
+                if t > op_ready || (t == op_ready && site != NO_SITE && t > now) {
+                    op_ready = t;
+                    blame_site = site;
                 }
-                if op_ready > now {
-                    let stall = op_ready - now;
-                    if blame_site != NO_SITE {
+            }
+            if op_ready > now {
+                let stall = op_ready - now;
+                if blame_site != NO_SITE {
+                    m.load_interlock += stall;
+                    if tracing {
+                        sites[blame_site as usize].interlock += stall;
+                    }
+                } else {
+                    m.fixed_interlock += stall;
+                }
+                now = op_ready;
+                slot = 0;
+                mem_slot = 0;
+            }
+            // 3. Execute.
+            m.insts.record(inst);
+            match inst.op {
+                Op::Ld => {
+                    let site = ((base_pc - CODE_BASE) / 4) as u32 + k as u32;
+                    let base = regs.get(inst.mem_base()).as_int();
+                    let addr = base.wrapping_add(inst.mem_disp()) as u64;
+                    let a = hier.data_read(addr, now);
+                    m.load_interlock += a.stall;
+                    m.tlb_stall += (a.issue_at - now) - a.stall;
+                    if tracing {
+                        let row = &mut sites[site as usize];
+                        row.issued += 1;
+                        row.mshr += a.stall;
+                        row.hits[a.level as usize] += 1;
+                    }
+                    if a.issue_at > now {
+                        now = a.issue_at;
+                        slot = 0;
+                        mem_slot = 0;
+                    }
+                    let dst = inst.dst.expect("load has a destination");
+                    regs.set(dst, Value::from_bits(dst.class(), mem.load(addr)));
+                    board.set(dst, a.ready_at, site);
+                }
+                Op::St => {
+                    let base = regs.get(inst.mem_base()).as_int();
+                    let addr = base.wrapping_add(inst.mem_disp()) as u64;
+                    let a = hier.data_write(addr, now);
+                    m.store_stall += a.stall;
+                    m.tlb_stall += (a.issue_at - now) - a.stall;
+                    if a.issue_at > now {
+                        now = a.issue_at;
+                        slot = 0;
+                        mem_slot = 0;
+                    }
+                    mem.store(addr, regs.get(inst.srcs()[0]).to_bits())?;
+                }
+                Op::LdAddr => {
+                    let region = inst
+                        .mem
+                        .and_then(|mm| mm.region)
+                        .expect("ldaddr has a region");
+                    let dst = inst.dst.expect("ldaddr has a destination");
+                    let base = mem.region_bases[region.index() as usize];
+                    regs.set(dst, Value::Int(base as i64));
+                    board.set(dst, now + u64::from(fixed_latency(inst.op)), NO_SITE);
+                }
+                _ => {
+                    let mut vals = [Value::Int(0); 3];
+                    for (slot, &s) in vals.iter_mut().zip(inst.srcs()) {
+                        *slot = regs.get(s);
+                    }
+                    let v = bsched_ir::value::eval(
+                        inst.op,
+                        &vals[..inst.srcs().len()],
+                        inst.imm,
+                        inst.fimm,
+                    );
+                    let dst = inst.dst.expect("pure op has a destination");
+                    regs.set(dst, v);
+                    board.set(dst, now + u64::from(fixed_latency(inst.op)), NO_SITE);
+                }
+            }
+            // 4. The instruction occupies one slot of the group.
+            slot += 1;
+            if inst.op.is_memory() {
+                mem_slot += 1;
+            }
+        }
+
+        // Terminator.
+        let term_pc = base_pc + 4 * block.len() as u64;
+        if config.model_ifetch {
+            let f = hier.inst_fetch(term_pc, now);
+            if f.ready_at > now {
+                m.fetch_stall += f.ready_at - now;
+                now = f.ready_at;
+            }
+        }
+        visited += 1;
+        // Every terminator path below ends the issue group itself.
+        let next: BlockId = match &block.term {
+            Terminator::Jmp(t) => {
+                m.insts.jumps += 1;
+                // A control transfer ends the issue group.
+                now += 1;
+                slot = 0;
+                mem_slot = 0;
+                *t
+            }
+            Terminator::Br {
+                cond,
+                when,
+                taken,
+                fall,
+            } => {
+                let (t, site) = board.ready(*cond);
+                if t > now {
+                    let stall = t - now;
+                    if site != NO_SITE {
                         m.load_interlock += stall;
                         if tracing {
-                            sites[blame_site as usize].interlock += stall;
+                            sites[site as usize].interlock += stall;
                         }
                     } else {
                         m.fixed_interlock += stall;
                     }
-                    now = op_ready;
-                    slot = 0;
-                    mem_slot = 0;
+                    now = t;
                 }
-                // 3. Execute.
-                m.insts.record(inst);
-                match inst.op {
-                    Op::Ld => {
-                        let site = ((base_pc - CODE_BASE) / 4) as u32 + k as u32;
-                        let base = regs.get(inst.mem_base()).as_int();
-                        let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                        let stall_before = hier.stats().mshr_stall_cycles;
-                        let a = hier.data_read(addr, now);
-                        let mshr_stall = hier.stats().mshr_stall_cycles - stall_before;
-                        let issue_delay = a.issue_at - now;
-                        m.load_interlock += mshr_stall;
-                        m.tlb_stall += issue_delay - mshr_stall;
-                        if tracing {
-                            let st = &mut sites[site as usize];
-                            st.issued += 1;
-                            st.mshr += mshr_stall;
-                            st.hits[a.level as usize] += 1;
-                        }
-                        if a.issue_at > now {
-                            now = a.issue_at;
-                            slot = 0;
-                            mem_slot = 0;
-                        }
-                        let dst = inst.dst.expect("load has a destination");
-                        regs.set(dst, Value::from_bits(dst.class(), mem.load(addr)));
-                        board.set(dst, a.ready_at, site);
-                    }
-                    Op::St => {
-                        let base = regs.get(inst.mem_base()).as_int();
-                        let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                        let wb_before = hier.stats().wb_stall_cycles;
-                        let a = hier.data_write(addr, now);
-                        let wb_stall = hier.stats().wb_stall_cycles - wb_before;
-                        m.store_stall += wb_stall;
-                        m.tlb_stall += (a.issue_at - now) - wb_stall;
-                        if a.issue_at > now {
-                            now = a.issue_at;
-                            slot = 0;
-                            mem_slot = 0;
-                        }
-                        mem.store(addr, regs.get(inst.srcs()[0]).to_bits())?;
-                    }
-                    Op::LdAddr => {
-                        let region = inst
-                            .mem
-                            .and_then(|mm| mm.region)
-                            .expect("ldaddr has a region");
-                        let dst = inst.dst.expect("ldaddr has a destination");
-                        regs.set(dst, Value::Int(bases[region.index() as usize] as i64));
-                        board.set(dst, now + u64::from(fixed_latency(inst.op)), NO_SITE);
-                    }
-                    _ => {
-                        let mut vals = [Value::Int(0); 3];
-                        for (slot, &s) in vals.iter_mut().zip(inst.srcs()) {
-                            *slot = regs.get(s);
-                        }
-                        let v = bsched_ir::value::eval(
-                            inst.op,
-                            &vals[..inst.srcs().len()],
-                            inst.imm,
-                            inst.fimm,
-                        );
-                        let dst = inst.dst.expect("pure op has a destination");
-                        regs.set(dst, v);
-                        board.set(dst, now + u64::from(fixed_latency(inst.op)), NO_SITE);
-                    }
+                m.insts.branches += 1;
+                let is_taken = when.holds(regs.get(*cond).as_int());
+                if !pred.predict_and_update(term_pc, is_taken) {
+                    m.branch_penalty += u64::from(config.branch.mispredict_penalty);
+                    now += u64::from(config.branch.mispredict_penalty);
                 }
-                // 4. The instruction occupies one slot of the group.
-                slot += 1;
-                if inst.op.is_memory() {
-                    mem_slot += 1;
+                // A control transfer ends the issue group.
+                now += 1;
+                slot = 0;
+                mem_slot = 0;
+                if is_taken {
+                    *taken
+                } else {
+                    *fall
                 }
             }
-
-            // Terminator.
-            let term_pc = base_pc + 4 * block.len() as u64;
-            if self.config.model_ifetch {
-                let f = hier.inst_fetch(term_pc, now);
-                if f.ready_at > now {
-                    m.fetch_stall += f.ready_at - now;
-                    now = f.ready_at;
-                }
-            }
-            // Every terminator path below ends the issue group itself.
-            let next: BlockId = match &block.term {
-                Terminator::Jmp(t) => {
-                    m.insts.jumps += 1;
-                    // A control transfer ends the issue group.
-                    now += 1;
-                    slot = 0;
-                    mem_slot = 0;
-                    *t
-                }
-                Terminator::Br {
-                    cond,
-                    when,
-                    taken,
-                    fall,
-                } => {
-                    let (t, site) = board.ready(*cond);
-                    if t > now {
-                        let stall = t - now;
-                        if site != NO_SITE {
-                            m.load_interlock += stall;
-                            if tracing {
-                                sites[site as usize].interlock += stall;
-                            }
-                        } else {
-                            m.fixed_interlock += stall;
-                        }
-                        now = t;
-                    }
-                    m.insts.branches += 1;
-                    let is_taken = when.holds(regs.get(*cond).as_int());
-                    if !pred.predict_and_update(term_pc, is_taken) {
-                        m.branch_penalty += u64::from(self.config.branch.mispredict_penalty);
-                        now += u64::from(self.config.branch.mispredict_penalty);
-                    }
-                    // A control transfer ends the issue group.
-                    now += 1;
-                    slot = 0;
-                    mem_slot = 0;
-                    if is_taken {
-                        *taken
-                    } else {
-                        *fall
-                    }
-                }
-                Terminator::Ret => {
-                    m.cycles = now;
-                    m.mem = *hier.stats();
-                    if tracing {
-                        flush_site_events(self.program.name(), &sites, &block_addr);
-                        if let Some(span) = run_span.take() {
-                            span.finish(&[
-                                ("cycles", m.cycles),
-                                ("load_interlock", m.load_interlock),
-                            ]);
-                        }
-                    }
-                    return Ok(SimResult {
-                        metrics: m,
-                        checksum: mem.checksum(),
-                        sample: None,
-                    });
-                }
-            };
-            cur = next;
+            Terminator::Ret => break None,
+        };
+        if visited == max_blocks {
+            break Some(next);
         }
-    }
+        cur = next;
+    };
+
+    *clock = now;
+    m.cycles = now - start_now;
+    m.mem = *hier.stats();
+    Ok((m, next_block))
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@
 //! 3. **Warm-and-replay**: fast-forward functionally through the
 //!    skipped intervals while keeping the cache hierarchy, TLBs, MSHRs,
 //!    and branch predictor warm under a proxy clock, and cycle-simulate
-//!    each representative interval *in place* as execution reaches it —
-//!    every representative replays against exactly the warm state the
-//!    full execution would have produced.
+//!    each representative interval *in place* as execution reaches it,
+//!    with the interpreting engine's own timing loop — every
+//!    representative replays against exactly the warm state the full
+//!    execution would have produced.
 //! 4. **Extrapolate**: scale each representative's interval-local
 //!    timing metrics by its stratum's total instructions
 //!    ([`run_sampled`]).
@@ -38,7 +39,6 @@
 
 pub mod kmeans;
 mod profile;
-mod replay;
 
 use crate::config::SimConfig;
 use crate::machine::SimResult;

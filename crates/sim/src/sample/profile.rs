@@ -14,17 +14,18 @@
 //! keeping the cache hierarchy, TLBs, MSHRs, and branch predictor warm
 //! under a retired-instruction proxy clock, and each representative
 //! interval is cycle-simulated in place on that exact warm state as
-//! execution reaches it (see DESIGN.md §13). The per-representative
-//! timing deltas are stored in the plan; sampled runs extrapolate from
-//! them without re-simulating.
+//! execution reaches it, by the interpreting engine's own timing loop
+//! (`crate::machine::interpret`; see DESIGN.md §13). The
+//! per-representative timing deltas are stored in the plan; sampled
+//! runs extrapolate from them without re-simulating.
 
 use crate::config::SimConfig;
-use crate::metrics::InstCounts;
+use crate::machine::{self, MachineState};
+use crate::metrics::{InstCounts, SimMetrics};
 use bsched_ir::{
     interp::{step, MemImage, RegFile},
     BlockId, ExecError, Program, Terminator,
 };
-use bsched_mem::Hierarchy;
 
 /// Everything pass 1 learns about one program under one interval length.
 #[derive(Debug)]
@@ -187,17 +188,18 @@ pub(crate) fn profile(
     Ok(out)
 }
 
-use crate::branch::BranchPredictor;
-
 /// Pass 2: one warm-and-replay sweep. Fast-forwards functionally from a
 /// cold start, keeping the cache hierarchy, TLBs, MSHRs, and branch
 /// predictor warm under a one-cycle-per-instruction proxy clock through
 /// every *skipped* interval, and cycle-simulating each representative
-/// interval in place the moment execution reaches its boundary
-/// ([`super::replay::replay_interval`]). Every representative therefore
-/// replays against exactly the architectural and micro-architectural
-/// state the full execution would have produced — no checkpoint
-/// snapshots, no stitching bias from skipped warm-up.
+/// interval in place the moment execution reaches its boundary — with
+/// the interpreting engine's own loop ([`machine::interpret`],
+/// bounded by the interval's block count, site attribution off). Every
+/// representative therefore replays against exactly the architectural
+/// and micro-architectural state the full execution would have
+/// produced — no checkpoint snapshots, no stitching bias from skipped
+/// warm-up — and is timed by exactly the code that defines exact
+/// interpreted timing.
 ///
 /// Returns the interval-local timing metrics per representative, in
 /// `rep_intervals` order. `rep_intervals` must be sorted ascending;
@@ -212,16 +214,11 @@ pub(crate) fn warm_replay(
     config: &SimConfig,
     prof: &IntervalProfile,
     rep_intervals: &[usize],
-) -> Result<Vec<crate::metrics::SimMetrics>, ExecError> {
+) -> Result<Vec<SimMetrics>, ExecError> {
     let func = program.main();
-    let (block_addr, _) = crate::machine::code_layout(func);
-    let mut regs = RegFile::new(func);
-    let mut mem = MemImage::new(program);
-    let bases = mem.region_bases.clone();
-
-    let mut hier = Hierarchy::new(config.mem);
-    let mut pred = BranchPredictor::new(&config.branch);
-    let mut now = 0u64;
+    let (block_addr, _) = machine::code_layout(func);
+    let mut st = MachineState::cold(program, config);
+    let bases = st.mem.region_bases.clone();
 
     let mut deltas = Vec::with_capacity(rep_intervals.len());
     let mut next_rep = 0usize;
@@ -232,17 +229,14 @@ pub(crate) fn warm_replay(
         let iv = rep_intervals[next_rep];
         if ord == prof.start_ord[iv] {
             debug_assert_eq!(cur, prof.start_block[iv]);
-            let (dm, next) = super::replay::replay_interval(
+            let (dm, next) = machine::interpret(
                 func,
-                &block_addr,
                 config,
+                &block_addr,
+                &mut st,
                 cur,
                 prof.n_blocks[iv],
-                &mut regs,
-                &mut mem,
-                &mut hier,
-                &mut pred,
-                &mut now,
+                &mut [],
             )?;
             deltas.push(dm);
             ord += prof.n_blocks[iv];
@@ -260,31 +254,31 @@ pub(crate) fn warm_replay(
         let base_pc = block_addr[cur.index()];
         for (k, inst) in block.insts.iter().enumerate() {
             if config.model_ifetch {
-                hier.inst_fetch(base_pc + 4 * k as u64, now);
+                st.hier.inst_fetch(base_pc + 4 * k as u64, st.now);
             }
             match inst.op {
                 bsched_ir::Op::Ld => {
-                    let base = regs.get(inst.mem_base()).as_int();
+                    let base = st.regs.get(inst.mem_base()).as_int();
                     let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                    hier.data_read(addr, now);
+                    st.hier.data_read(addr, st.now);
                 }
                 bsched_ir::Op::St => {
-                    let base = regs.get(inst.mem_base()).as_int();
+                    let base = st.regs.get(inst.mem_base()).as_int();
                     let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                    hier.data_write(addr, now);
+                    st.hier.data_write(addr, st.now);
                 }
                 _ => {}
             }
-            now += 1;
-            step(inst, &mut regs, &mut mem, &bases)?;
+            st.now += 1;
+            step(inst, &mut st.regs, &mut st.mem, &bases)?;
         }
         ord += 1;
 
         let term_pc = base_pc + 4 * block.len() as u64;
         if config.model_ifetch {
-            hier.inst_fetch(term_pc, now);
+            st.hier.inst_fetch(term_pc, st.now);
         }
-        now += 1;
+        st.now += 1;
         cur = match &block.term {
             Terminator::Jmp(t) => *t,
             Terminator::Br {
@@ -293,8 +287,8 @@ pub(crate) fn warm_replay(
                 taken,
                 fall,
             } => {
-                let is_taken = when.holds(regs.get(*cond).as_int());
-                pred.predict_and_update(term_pc, is_taken);
+                let is_taken = when.holds(st.regs.get(*cond).as_int());
+                st.pred.predict_and_update(term_pc, is_taken);
                 if is_taken {
                     *taken
                 } else {

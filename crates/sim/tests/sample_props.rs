@@ -181,3 +181,49 @@ fn sampled_runs_are_deterministic() {
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.sample, b.sample);
 }
+
+/// One interval spanning the whole program (`interval` ≥ retired
+/// instructions, `k=1,reps=1`) is replayed from a cold start with
+/// weight 1, so the sampled estimate must *be* the exact interpreted
+/// run: every `SimMetrics` field (cycles, each stall counter, each
+/// `MemStats` counter, the instruction counts) and the checksum.
+#[test]
+fn whole_program_interval_replays_the_exact_run() {
+    use bsched_sim::{MachineSpec, SimEngine};
+    let kernel = |name| bsched_workloads::kernel_by_name(name).unwrap().program();
+    let programs = [
+        ("TRFD", kernel("TRFD")),
+        ("ARC2D", kernel("ARC2D")),
+        ("stream", stream(96, 11)),
+    ];
+    let machines = [
+        "alpha21164",
+        "wide4",
+        "blocking21164",
+        "alpha21164+pf=stride",
+    ];
+    for (name, p) in &programs {
+        for spec in machines {
+            let machine: MachineSpec = spec.parse().unwrap();
+            let exact = Simulator::for_machine(p, &machine)
+                .with_engine(SimEngine::Interpret)
+                .run()
+                .unwrap();
+            let sample = SampleConfig {
+                interval: exact.metrics.insts.total(),
+                k: 1,
+                reps: 1,
+                ..SampleConfig::default()
+            };
+            let sampled = Simulator::for_machine(p, &machine)
+                .with_mode(SimMode::Sampled(sample))
+                .run()
+                .unwrap();
+            let stats = sampled.sample.expect("sampled run reports stats");
+            assert_eq!(stats.intervals, 1, "{name} on {spec}");
+            assert_eq!(stats.sampled_insts, stats.total_insts, "{name} on {spec}");
+            assert_eq!(sampled.metrics, exact.metrics, "{name} on {spec}");
+            assert_eq!(sampled.checksum, exact.checksum, "{name} on {spec}");
+        }
+    }
+}
