@@ -115,7 +115,7 @@ pub fn speedup_floor(case: &Json, speedup: f64, speedup_min: f64, ratio: f64) ->
     }
 }
 
-/// Loads the baseline at `path` and runs [`Baseline::gate`] on it:
+/// Loads the baseline at `path` and runs `Baseline::gate` on it:
 /// prints `check vs {path}: ok (N cases)` on success, else every
 /// failure, and exits 1 on failure or an unreadable baseline.
 pub fn check(

@@ -226,63 +226,10 @@ fn main() {
         .collect();
     grid.prefetch_cells(&cells);
 
+    let out = bsched_bench::render_grid(kernels, &configs, cli.csv, |k, c| grid.metrics(k, c));
+    print!("{out}");
     if cli.csv {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "kernel,config,scheduler,cycles,load_interlock,fixed_interlock,branch_penalty,\
-             fetch_stall,tlb_stall,dyn_insts,loads,stores,branches,spills,l1d_hit_rate"
-        );
-        for kernel in kernels {
-            for cfg in &configs {
-                let m = grid.metrics(kernel, *cfg);
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.4}",
-                    kernel,
-                    cfg.kind.label().replace(' ', ""),
-                    cfg.scheduler.label(),
-                    m.cycles,
-                    m.load_interlock,
-                    m.fixed_interlock,
-                    m.branch_penalty,
-                    m.fetch_stall,
-                    m.tlb_stall,
-                    m.insts.total(),
-                    m.insts.loads,
-                    m.insts.stores,
-                    m.insts.branches,
-                    m.insts.spills,
-                    m.mem.l1d_hit_rate(),
-                );
-            }
-        }
-        print!("{out}");
         bsched_bench::write_results("all_experiments.csv", &out);
-        run_fuzz(&grid, &cli);
-        finish(&grid, &cli);
-        return;
-    }
-    println!(
-        "{:10} {:12} {:>4} {:>10} {:>9} {:>9} {:>8} {:>10} {:>8}",
-        "kernel", "config", "sch", "cycles", "loadIL", "fixedIL", "branch", "dyninsts", "spills"
-    );
-    for kernel in kernels {
-        for cfg in &configs {
-            let m = grid.metrics(kernel, *cfg);
-            println!(
-                "{:10} {:12} {:>4} {:>10} {:>9} {:>9} {:>8} {:>10} {:>8}",
-                kernel,
-                cfg.kind.label(),
-                cfg.scheduler.label(),
-                m.cycles,
-                m.load_interlock,
-                m.fixed_interlock,
-                m.branch_penalty,
-                m.insts.total(),
-                m.insts.spills
-            );
-        }
     }
     run_fuzz(&grid, &cli);
     finish(&grid, &cli);

@@ -19,12 +19,13 @@
 //! server's cache hit rates. `--json` writes the report for the
 //! `BENCH_pr6.json` record.
 
+use bsched_bench::cli::{self, Args};
+use bsched_bench::render_grid;
 use bsched_harness::ExperimentCell;
-use bsched_pipeline::{resolve_kernel, standard_grid};
+use bsched_pipeline::standard_grid;
 use bsched_serve::protocol::cell_from_json;
 use bsched_serve::{Client, Endpoint, SubmitReply};
 use bsched_util::{Json, Prng};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -78,45 +79,18 @@ fn shorthand_cell(kernel: &str, scheduler: &str, config: &str) -> Result<Experim
 // ---------------------------------------------------------------- grid
 
 fn cmd_grid(endpoint: &Endpoint, args: &[String]) {
-    let mut filter: Option<Vec<String>> = None;
+    let mut kernels = cli::all_kernel_names();
     let mut verify = false;
     let mut trace = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::new(args.iter().cloned());
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--verify" => verify = true,
             "--trace" => trace = true,
-            "--kernels" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| bail("--kernels needs a value"));
-                filter = Some(v.split(',').map(str::to_string).collect());
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--kernels=") {
-                    filter = Some(v.split(',').map(str::to_string).collect());
-                } else {
-                    bail(&format!("unknown grid flag {other:?}"));
-                }
-            }
+            "--kernels" => kernels = cli::parse_kernel_list(&args.value()),
+            _ => args.unknown(),
         }
-        i += 1;
     }
-    let all: Vec<String> = bsched_workloads::all_kernels()
-        .iter()
-        .map(|k| k.name.to_string())
-        .collect();
-    let kernels: Vec<String> = match &filter {
-        None => all,
-        Some(want) => {
-            for w in want {
-                if let Err(e) = resolve_kernel(w) {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-            all.into_iter().filter(|k| want.contains(k)).collect()
-        }
-    };
     let configs = standard_grid();
     let cells: Vec<ExperimentCell> = kernels
         .iter()
@@ -136,41 +110,18 @@ fn cmd_grid(endpoint: &Endpoint, args: &[String]) {
     };
     debug_assert_eq!(received.len(), cells.len());
 
-    // Identical formatting to all_experiments, so `diff` proves the
-    // serve path reproduces the direct path byte for byte.
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:10} {:12} {:>4} {:>10} {:>9} {:>9} {:>8} {:>10} {:>8}",
-        "kernel", "config", "sch", "cycles", "loadIL", "fixedIL", "branch", "dyninsts", "spills"
-    );
-    let mut idx = 0;
-    let mut trace_events = 0usize;
-    for kernel in &kernels {
-        for cfg in &configs {
-            let rc = &received[idx];
-            idx += 1;
-            let m = match &rc.outcome {
-                Ok(result) => &result.metrics,
-                Err(msg) => run_fail(&format!("cell {} failed: {msg}", rc.cell)),
-            };
-            trace_events += rc.trace.len();
-            let _ = writeln!(
-                out,
-                "{:10} {:12} {:>4} {:>10} {:>9} {:>9} {:>8} {:>10} {:>8}",
-                kernel,
-                cfg.kind.label(),
-                cfg.scheduler.label(),
-                m.cycles,
-                m.load_interlock,
-                m.fixed_interlock,
-                m.branch_penalty,
-                m.insts.total(),
-                m.insts.spills
-            );
+    // The all_experiments renderer, so `diff` proves the serve path
+    // reproduces the direct path byte for byte.
+    let mut served = received.iter();
+    let table = render_grid(&kernels, &configs, false, |_, _| {
+        let rc = served.next().expect("one result per cell");
+        match &rc.outcome {
+            Ok(result) => result.metrics.clone(),
+            Err(msg) => run_fail(&format!("cell {} failed: {msg}", rc.cell)),
         }
-    }
-    print!("{out}");
+    });
+    print!("{table}");
+    let trace_events: usize = received.iter().map(|rc| rc.trace.len()).sum();
     eprintln!(
         "bsched-client: {} cells served by {}{}",
         received.len(),
@@ -284,31 +235,17 @@ fn cmd_loadgen(endpoint: &Endpoint, args: &[String]) {
     let mut clients: u64 = 2;
     let mut seed: u64 = 0xB5ED_5E1F;
     let mut json_out: Option<String> = None;
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| bail(&format!("{flag} needs a value")))
-            .clone()
-    };
-    let number = |v: &str, flag: &str| -> u64 {
-        let parsed = if let Some(hex) = v.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16)
-        } else {
-            v.parse()
-        };
-        parsed.unwrap_or_else(|_| bail(&format!("{flag} requires a number, got {v:?}")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--mix" => mix_path = Some(value(args, &mut i, "--mix")),
-            "--requests" => requests = number(&value(args, &mut i, "--requests"), "--requests").max(1),
-            "--clients" => clients = number(&value(args, &mut i, "--clients"), "--clients").max(1),
-            "--seed" => seed = number(&value(args, &mut i, "--seed"), "--seed"),
-            "--json" => json_out = Some(value(args, &mut i, "--json")),
-            other => bail(&format!("unknown loadgen flag {other:?}")),
+    let number = |flag: &str, v: &str| cli::parse_u64(flag, v, "a number");
+    let mut args = Args::new(args.iter().cloned());
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--mix" => mix_path = Some(args.value()),
+            "--requests" => requests = number(&flag, &args.value()).max(1),
+            "--clients" => clients = number(&flag, &args.value()).max(1),
+            "--seed" => seed = number(&flag, &args.value()),
+            "--json" => json_out = Some(args.value()),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     let mix_path = mix_path.unwrap_or_else(|| bail("loadgen needs --mix PATH"));
     let mix = load_mix(&mix_path);

@@ -45,7 +45,8 @@ impl Args {
     }
 
     /// Walks an explicit argument list.
-    fn new(args: impl IntoIterator<Item = String>) -> Self {
+    #[must_use]
+    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
         Args {
             rest: args.into_iter().collect::<Vec<_>>().into_iter(),
             flag: String::new(),

@@ -17,6 +17,7 @@ pub mod microbench;
 use bsched_harness::{Engine, EngineConfig, ExperimentCell, RunReport};
 use bsched_pipeline::{CompileOptions, ConfigKind, ExperimentConfig, SchedulerKind};
 use bsched_sim::{MachineSpec, SimConfig, SimMetrics};
+use std::fmt::Write as _;
 
 /// A harness-backed grid runner over the 17-kernel workload.
 pub struct Grid {
@@ -191,6 +192,81 @@ impl Grid {
     pub fn report(&self) -> RunReport {
         self.engine.report()
     }
+}
+
+/// Renders the `all_experiments` table: a header, then one line per
+/// kernel × configuration, kernels outermost, with `metrics` supplying
+/// each cell's numbers. `csv` selects the comma-separated form.
+/// `bsched-client grid` prints through the same function, so the served
+/// table is the direct one byte for byte.
+pub fn render_grid(
+    kernels: &[String],
+    configs: &[ExperimentConfig],
+    csv: bool,
+    mut metrics: impl FnMut(&str, ExperimentConfig) -> SimMetrics,
+) -> String {
+    let mut out = String::new();
+    if csv {
+        out.push_str(
+            "kernel,config,scheduler,cycles,load_interlock,fixed_interlock,branch_penalty,\
+             fetch_stall,tlb_stall,dyn_insts,loads,stores,branches,spills,l1d_hit_rate\n",
+        );
+    } else {
+        let _ = writeln!(
+            out,
+            "{:10} {:12} {:>4} {:>10} {:>9} {:>9} {:>8} {:>10} {:>8}",
+            "kernel",
+            "config",
+            "sch",
+            "cycles",
+            "loadIL",
+            "fixedIL",
+            "branch",
+            "dyninsts",
+            "spills"
+        );
+    }
+    for kernel in kernels {
+        for cfg in configs {
+            let m = metrics(kernel, *cfg);
+            let _ = if csv {
+                writeln!(
+                    out,
+                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.4}",
+                    kernel,
+                    cfg.kind.label().replace(' ', ""),
+                    cfg.scheduler.label(),
+                    m.cycles,
+                    m.load_interlock,
+                    m.fixed_interlock,
+                    m.branch_penalty,
+                    m.fetch_stall,
+                    m.tlb_stall,
+                    m.insts.total(),
+                    m.insts.loads,
+                    m.insts.stores,
+                    m.insts.branches,
+                    m.insts.spills,
+                    m.mem.l1d_hit_rate(),
+                )
+            } else {
+                writeln!(
+                    out,
+                    "{:10} {:12} {:>4} {:>10} {:>9} {:>9} {:>8} {:>10} {:>8}",
+                    kernel,
+                    cfg.kind.label(),
+                    cfg.scheduler.label(),
+                    m.cycles,
+                    m.load_interlock,
+                    m.fixed_interlock,
+                    m.branch_penalty,
+                    m.insts.total(),
+                    m.insts.spills
+                )
+            };
+        }
+    }
+    out
 }
 
 /// Writes a `--csv` table to `results/{name}` as well as stdout. A

@@ -1,6 +1,6 @@
-//! CLI-contract tests for `all_experiments`, `optimality`, and
-//! `machines`: argument validation must fail fast (exit code 2) with
-//! actionable messages, before any cell executes.
+//! CLI-contract tests for `all_experiments`, `optimality`, `machines`
+//! and `bsched-client`: argument validation must fail fast (exit code
+//! 2) with actionable messages, before any cell executes.
 
 use std::process::Command;
 
@@ -14,6 +14,14 @@ fn optimality() -> Command {
 
 fn machines() -> Command {
     Command::new(env!("CARGO_BIN_EXE_machines"))
+}
+
+/// `bsched-client` aimed at a socket that does not exist: a connection
+/// attempt would fail with exit 1 and `cannot connect`.
+fn client_grid() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bsched-client"));
+    cmd.args(["--connect", "unix:/nonexistent-bsched-dir/serve.sock", "grid"]);
+    cmd
 }
 
 #[test]
@@ -547,4 +555,24 @@ fn machines_check_reads_a_pretty_printed_baseline() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{err}");
     assert!(err.contains(": ok (1 cases)"), "{err}");
+}
+
+#[test]
+fn client_grid_rejects_bad_flags_and_kernels_before_connecting() {
+    for args in [
+        vec!["--bogus"],
+        vec!["--verify=1"],
+        vec!["--kernels"],
+        vec!["--kernels", "nonesuch"],
+        vec!["--kernels=TRFD,nonesuch"],
+    ] {
+        let out = client_grid().args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("cannot connect"), "{args:?} connected first: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    let out = client_grid().args(["--kernels", "nonesuch"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nonesuch") && err.contains("TRFD"), "{err}");
 }

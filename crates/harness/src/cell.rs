@@ -1,13 +1,10 @@
 //! Experiment cells and their canonical, version-stamped cache keys.
 
-use bsched_core::{SchedulerKind, TieBreak};
-use bsched_mem::{CacheConfig, MemConfig};
 use bsched_pipeline::CompileOptions;
-use bsched_sim::SimConfig;
 use bsched_util::Fnv1a;
 use std::cmp::Ordering;
-use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Version stamp of the canonical cell encoding *and* of the on-disk
 /// cache document format. Bump whenever either changes meaning — e.g. a
@@ -33,7 +30,12 @@ use std::hash::{Hash, Hasher};
 /// axes — the branch-predictor kind (`bp_kind=`), the L1D prefetcher
 /// (`prefetch=`), and the MSHR policy (`mshr_policy=`) — and the cached
 /// memory stats gained prefetch counters.
-pub const CACHE_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the key is derived from the types — the kernel plus the options'
+/// derived `Debug` — instead of a hand-written field list, so a new
+/// field reaches the key by construction. The spelling changed, so
+/// every v5 file is ignored.
+pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
 /// One deduplicated unit of experimental work: a kernel compiled under
 /// one full option set (the options embed the simulated machine).
@@ -47,6 +49,10 @@ pub struct ExperimentCell {
     kernel: String,
     opts: CompileOptions,
     canon: String,
+    /// FNV-1a of `canon`, computed once, on first use: every store
+    /// lookup asks for it, and a grid builds all its cells before it
+    /// looks any up.
+    hash: OnceLock<u64>,
 }
 
 impl ExperimentCell {
@@ -58,6 +64,7 @@ impl ExperimentCell {
             kernel: kernel.to_string(),
             opts,
             canon,
+            hash: OnceLock::new(),
         }
     }
 
@@ -73,8 +80,9 @@ impl ExperimentCell {
         &self.opts
     }
 
-    /// The canonical key: a flat, human-readable serialization of every
-    /// result-affecting field, prefixed with [`CACHE_SCHEMA_VERSION`].
+    /// The canonical key: `v{CACHE_SCHEMA_VERSION};kernel={kernel};`
+    /// followed by the options' derived `Debug`, which spells out every
+    /// field of the options and of the machine they embed.
     #[must_use]
     pub fn canonical_key(&self) -> &str {
         &self.canon
@@ -84,7 +92,7 @@ impl ExperimentCell {
     /// this cell in the on-disk cache.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        Fnv1a::hash(self.canon.as_bytes())
+        *self.hash.get_or_init(|| Fnv1a::hash(self.canon.as_bytes()))
     }
 }
 
@@ -118,114 +126,27 @@ impl std::fmt::Display for ExperimentCell {
     }
 }
 
-/// Serializes every field of the cell that can influence its metrics.
+/// Serializes every field of the cell, the way `sim::sample` keys its
+/// plans on a config's `Debug`.
 ///
-/// The encoding is exhaustive by hand: each struct's fields are written
-/// in declaration order with explicit names, so two option sets differing
-/// in *any* field — including ablation knobs like `weight_cap` or the
-/// write-buffer depth — produce different keys, while label collisions
-/// (e.g. two configs that both print as `BS+LU4`) cannot alias.
+/// The derived `Debug` names every field of every nested struct in
+/// declaration order, so two option sets differing in *any* field —
+/// including ablation knobs like `weight_cap` or the write-buffer
+/// depth — produce different keys, a new field cannot be forgotten, and
+/// label collisions (e.g. two configs that both print as `BS+LU4`)
+/// cannot alias. A toolchain that spelled `Debug` differently would
+/// only turn disk hits into misses: the disk document stores the full
+/// key and compares it on load.
 fn canonical_key(kernel: &str, o: &CompileOptions) -> String {
-    let mut s = String::with_capacity(256);
-    let _ = write!(s, "v{CACHE_SCHEMA_VERSION};kernel={kernel}");
-    let _ = write!(s, ";sched={}", scheduler_tag(o.scheduler));
-    match o.unroll {
-        None => s.push_str(";unroll=-"),
-        Some(f) => {
-            let _ = write!(s, ";unroll={f}");
-        }
-    }
-    let _ = write!(s, ";trace={}", u8::from(o.trace));
-    let _ = write!(s, ";locality={}", u8::from(o.locality));
-    let _ = write!(s, ";predicate={}", u8::from(o.predicate));
-    let _ = write!(s, ";weight_cap={}", o.weight_cap);
-    let _ = write!(s, ";tie_break={}", tie_break_tag(o.tie_break));
-    match o.unroll_budget {
-        None => s.push_str(";unroll_budget=-"),
-        Some(b) => {
-            let _ = write!(s, ";unroll_budget={b}");
-        }
-    }
-    let _ = write!(s, ";selective={}", u8::from(o.selective));
-    let _ = write!(s, ";refweights={}", u8::from(o.reference_weights));
-    let _ = write!(s, ";exact_budget={}", o.exact_budget);
-    canon_sim(&o.sim, &mut s);
-    s
-}
-
-fn scheduler_tag(k: SchedulerKind) -> &'static str {
-    match k {
-        SchedulerKind::Traditional => "trad",
-        SchedulerKind::Balanced => "bal",
-        SchedulerKind::SelectiveBalanced => "selbal",
-        SchedulerKind::Exact => "exact",
-    }
-}
-
-fn tie_break_tag(t: TieBreak) -> &'static str {
-    match t {
-        TieBreak::Standard => "std",
-        TieBreak::ExposedFirst => "exposed",
-        TieBreak::ProgramOrder => "order",
-    }
-}
-
-fn canon_sim(c: &SimConfig, s: &mut String) {
-    canon_mem(&c.mem, s);
-    let _ = write!(
-        s,
-        ";bp_kind={};bp_entries={};bp_penalty={}",
-        c.branch.kind.label(),
-        c.branch.entries,
-        c.branch.mispredict_penalty
-    );
-    let _ = write!(s, ";fuel={}", c.fuel);
-    let _ = write!(s, ";ifetch={}", u8::from(c.model_ifetch));
-    let _ = write!(s, ";issue={};ports={}", c.issue_width, c.mem_ports);
-    let _ = write!(s, ";uniform_fixed={}", u8::from(c.uniform_fixed_latency));
-}
-
-fn canon_mem(m: &MemConfig, s: &mut String) {
-    canon_cache("l1d", &m.l1d, s);
-    canon_cache("icache", &m.icache, s);
-    canon_cache("l2", &m.l2, s);
-    match &m.l3 {
-        None => s.push_str(";l3=-"),
-        Some(c) => canon_cache("l3", c, s),
-    }
-    let _ = write!(s, ";mem_latency={};mshrs={}", m.mem_latency, m.mshrs);
-    let _ = write!(
-        s,
-        ";prefetch={};mshr_policy={}",
-        m.prefetch.label(),
-        m.mshr_policy.label()
-    );
-    let _ = write!(
-        s,
-        ";dtb={};itb={};page={};tlb_penalty={}",
-        m.dtb_entries, m.itb_entries, m.page_size, m.tlb_miss_penalty
-    );
-    match m.write_buffer {
-        None => s.push_str(";wb=-"),
-        Some(n) => {
-            let _ = write!(s, ";wb={n}");
-        }
-    }
-    let _ = write!(s, ";wb_drain={}", m.write_drain_cycles);
-}
-
-fn canon_cache(name: &str, c: &CacheConfig, s: &mut String) {
-    let _ = write!(
-        s,
-        ";{name}={}x{}w{}l{}",
-        c.size, c.line, c.assoc, c.latency
-    );
+    format!("v{CACHE_SCHEMA_VERSION};kernel={kernel};{o:?}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsched_core::TieBreak;
     use bsched_pipeline::SchedulerKind;
+    use bsched_sim::SimConfig;
 
     fn base() -> CompileOptions {
         CompileOptions::new(SchedulerKind::Balanced)

@@ -575,12 +575,12 @@ impl Engine {
             // A sampled cell's estimates cannot be judged against exact
             // metamorphic identities; its suite instead replays the cell
             // exactly and bounds the estimation error.
-            let v = match self.config.sim_mode {
-                SimMode::Exact => bsched_verify::verify_cell(program, cell.options(), &run.metrics),
-                SimMode::Sampled(s) => {
-                    bsched_verify::verify_cell_sampled(program, cell.options(), s)
-                }
-            };
+            let v = bsched_verify::verify_cell_in(
+                self.config.sim_mode,
+                program,
+                cell.options(),
+                &run.metrics,
+            );
             if !v.is_clean() {
                 let mut r = self.report.lock().expect("report poisoned");
                 r.violations += v.violations.len() as u64;

@@ -5,12 +5,12 @@
 //! users need funnels through one typed builder:
 //!
 //! ```
-//! use bsched_pipeline::{Experiment, OptLevel, SchedulerKind};
+//! use bsched_pipeline::{ConfigKind, Experiment, SchedulerKind};
 //! use bsched_sim::MachineSpec;
 //!
 //! let session = Experiment::builder()
 //!     .kernel("TRFD")
-//!     .opts(OptLevel::Unroll4)
+//!     .config(ConfigKind::Lu(4))
 //!     .scheduler(SchedulerKind::Balanced)
 //!     .machine(MachineSpec::alpha21164())
 //!     .build()
@@ -21,7 +21,8 @@
 //!
 //! The builder validates kernel names against the workload suite (an
 //! unknown name errors with the list of valid choices), applies the
-//! optimization level, and resolves the effective [`CompileOptions`].
+//! optimization configuration, and resolves the effective
+//! [`CompileOptions`].
 //! [`Session`] is the frozen, validated configuration; [`Session::run`]
 //! compiles, simulates, and cross-checks against the reference
 //! interpreter, and [`Session::compile`] stops after code generation.
@@ -37,73 +38,10 @@ use crate::experiments::ConfigKind;
 use crate::options::CompileOptions;
 use crate::run::{run_impl, RunResult};
 use crate::source::Source;
-use bsched_core::{SchedulerKind, TieBreak};
+use bsched_core::SchedulerKind;
 use bsched_ir::Program;
 use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimMode};
 use std::sync::Arc;
-
-/// A named optimization level: the ILP-increasing transformation sets
-/// evaluated in the paper, with the paper's unroll factors baked in.
-///
-/// This is the builder-facing face of [`ConfigKind`]; arbitrary factors
-/// remain available through [`ExperimentBuilder::config`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OptLevel {
-    /// No ILP-increasing optimization.
-    #[default]
-    None,
-    /// Loop unrolling by 4.
-    Unroll4,
-    /// Loop unrolling by 8.
-    Unroll8,
-    /// Trace scheduling over 4-way unrolled loops.
-    Unroll4Trace,
-    /// Trace scheduling over 8-way unrolled loops.
-    Unroll8Trace,
-    /// Locality analysis alone.
-    Locality,
-    /// Locality analysis plus 4-way unrolling.
-    LocalityUnroll4,
-    /// Locality analysis plus 8-way unrolling.
-    LocalityUnroll8,
-    /// Locality analysis, trace scheduling, 4-way unrolling.
-    LocalityUnroll4Trace,
-    /// Locality analysis, trace scheduling, 8-way unrolling.
-    LocalityUnroll8Trace,
-}
-
-impl OptLevel {
-    /// Every level, in the paper's table order.
-    pub const ALL: [OptLevel; 10] = [
-        OptLevel::None,
-        OptLevel::Unroll4,
-        OptLevel::Unroll8,
-        OptLevel::Unroll4Trace,
-        OptLevel::Unroll8Trace,
-        OptLevel::Locality,
-        OptLevel::LocalityUnroll4,
-        OptLevel::LocalityUnroll8,
-        OptLevel::LocalityUnroll4Trace,
-        OptLevel::LocalityUnroll8Trace,
-    ];
-}
-
-impl From<OptLevel> for ConfigKind {
-    fn from(level: OptLevel) -> ConfigKind {
-        match level {
-            OptLevel::None => ConfigKind::Base,
-            OptLevel::Unroll4 => ConfigKind::Lu(4),
-            OptLevel::Unroll8 => ConfigKind::Lu(8),
-            OptLevel::Unroll4Trace => ConfigKind::TrsLu(4),
-            OptLevel::Unroll8Trace => ConfigKind::TrsLu(8),
-            OptLevel::Locality => ConfigKind::La,
-            OptLevel::LocalityUnroll4 => ConfigKind::LaLu(4),
-            OptLevel::LocalityUnroll8 => ConfigKind::LaLu(8),
-            OptLevel::LocalityUnroll4Trace => ConfigKind::LaTrsLu(4),
-            OptLevel::LocalityUnroll8Trace => ConfigKind::LaTrsLu(8),
-        }
-    }
-}
 
 /// Errors raised while building a [`Session`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,30 +115,13 @@ impl Experiment {
 pub struct ExperimentBuilder {
     kernel: Option<String>,
     source: Option<(String, Arc<Source>)>,
-    config: ConfigKind2,
+    config: ConfigKind,
     scheduler: SchedulerKind,
-    sim: Option<SimConfig>,
-    weight_cap: Option<u32>,
-    tie_break: Option<TieBreak>,
-    unroll_budget: Option<usize>,
-    exact_budget: Option<u64>,
-    predicate: Option<bool>,
-    selective: Option<bool>,
-    reference_weights: bool,
-    options_override: Option<CompileOptions>,
+    sim: SimConfig,
+    options: Option<CompileOptions>,
     trace: bool,
     engine: SimEngine,
     sim_mode: SimMode,
-}
-
-/// `ConfigKind` with a `Default`, private to the builder.
-#[derive(Debug, Clone, Copy)]
-struct ConfigKind2(ConfigKind);
-
-impl Default for ConfigKind2 {
-    fn default() -> Self {
-        ConfigKind2(ConfigKind::Base)
-    }
 }
 
 impl ExperimentBuilder {
@@ -230,18 +151,12 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the optimization level.
-    #[must_use]
-    pub fn opts(mut self, level: OptLevel) -> Self {
-        self.config = ConfigKind2(level.into());
-        self
-    }
-
-    /// Sets an optimization configuration with an arbitrary unroll
-    /// factor (the [`OptLevel`] levels cover the paper's 4 and 8).
+    /// Sets the optimization configuration (default:
+    /// [`ConfigKind::Base`]). The paper evaluates unroll factors 4 and
+    /// 8; any factor is accepted.
     #[must_use]
     pub fn config(mut self, kind: ConfigKind) -> Self {
-        self.config = ConfigKind2(kind);
+        self.config = kind;
         self
     }
 
@@ -259,82 +174,20 @@ impl ExperimentBuilder {
     /// [`MachineSpec::custom`].
     #[must_use]
     pub fn machine(mut self, machine: MachineSpec) -> Self {
-        self.sim = Some(machine.config());
+        self.sim = machine.config();
         self
     }
 
-    /// Sets the simulator configuration from a raw knob struct,
-    /// bypassing machine validation.
-    #[deprecated(
-        since = "0.5.0",
-        note = "describe the machine: .machine(MachineSpec::custom(sim)) \
-                — or name a registered one"
-    )]
-    #[must_use]
-    pub fn sim(mut self, sim: SimConfig) -> Self {
-        self.sim = Some(sim);
-        self
-    }
-
-    /// Overrides the balanced weight cap (ablations).
-    #[must_use]
-    pub fn weight_cap(mut self, cap: u32) -> Self {
-        self.weight_cap = Some(cap);
-        self
-    }
-
-    /// Overrides the scheduler tie-break order (ablations).
-    #[must_use]
-    pub fn tie_break(mut self, tie_break: TieBreak) -> Self {
-        self.tie_break = Some(tie_break);
-        self
-    }
-
-    /// Overrides the unrolled-body instruction budget (ablations).
-    #[must_use]
-    pub fn unroll_budget(mut self, budget: usize) -> Self {
-        self.unroll_budget = Some(budget);
-        self
-    }
-
-    /// Overrides the exact-search node budget (the
-    /// [`SchedulerKind::Exact`] arm only; a deterministic unit, part of
-    /// harness cache keys).
-    #[must_use]
-    pub fn exact_budget(mut self, budget: u64) -> Self {
-        self.exact_budget = Some(budget);
-        self
-    }
-
-    /// Switches predication of simple conditionals (ablations).
-    #[must_use]
-    pub fn predicate(mut self, on: bool) -> Self {
-        self.predicate = Some(on);
-        self
-    }
-
-    /// Switches selective scheduling under locality analysis (ablations).
-    #[must_use]
-    pub fn selective(mut self, on: bool) -> Self {
-        self.selective = Some(on);
-        self
-    }
-
-    /// Routes balanced-weight computation through the retained naive
-    /// reference implementation (identical results, pre-kernel cost) —
-    /// the "before" arm of the perf-trajectory benches.
-    #[must_use]
-    pub fn reference_weights(mut self, on: bool) -> Self {
-        self.reference_weights = on;
-        self
-    }
-
-    /// Supplies fully-formed [`CompileOptions`], bypassing every other
-    /// axis except the program. Escape hatch for the harness, whose
-    /// cache keys are keyed on complete option sets.
+    /// Supplies fully-formed [`CompileOptions`], bypassing
+    /// [`config`](Self::config), [`scheduler`](Self::scheduler) and
+    /// [`machine`](Self::machine). This is how every other knob — the
+    /// ablation axes (`CompileOptions::with_weight_cap`,
+    /// `with_tie_break`, `without_predication`, …) and the exact
+    /// search's node budget — reaches a session, and how the harness
+    /// runs a cell's complete option set.
     #[must_use]
     pub fn compile_options(mut self, options: CompileOptions) -> Self {
-        self.options_override = Some(options);
+        self.options = Some(options);
         self
     }
 
@@ -346,8 +199,8 @@ impl ExperimentBuilder {
     /// Observability only — results are byte-identical either way, and
     /// the flag is deliberately *not* part of [`CompileOptions`], so
     /// harness cache keys are unaffected. (Trace *scheduling*, the
-    /// compiler optimization, is selected through [`opts`](Self::opts)
-    /// instead.)
+    /// compiler optimization, is selected through
+    /// [`config`](Self::config) instead.)
     #[must_use]
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
@@ -400,36 +253,9 @@ impl ExperimentBuilder {
             }
             (None, None) => return Err(ExperimentError::MissingProgram),
         };
-        let options = if let Some(options) = self.options_override {
-            options
-        } else {
-            let mut o = self.config.0.options(self.scheduler);
-            if let Some(sim) = self.sim {
-                o = o.with_sim(sim);
-            }
-            if let Some(cap) = self.weight_cap {
-                o = o.with_weight_cap(cap);
-            }
-            if let Some(tb) = self.tie_break {
-                o = o.with_tie_break(tb);
-            }
-            if let Some(b) = self.unroll_budget {
-                o = o.with_unroll_budget(b);
-            }
-            if let Some(b) = self.exact_budget {
-                o = o.with_exact_budget(b);
-            }
-            if self.predicate == Some(false) {
-                o = o.without_predication();
-            }
-            if self.selective == Some(false) {
-                o = o.without_selective();
-            }
-            if self.reference_weights {
-                o = o.with_reference_weights();
-            }
-            o
-        };
+        let options = self
+            .options
+            .unwrap_or_else(|| self.config.options(self.scheduler).with_sim(self.sim));
         Ok(Session {
             name,
             source,
@@ -549,7 +375,7 @@ mod tests {
     fn builder_resolves_suite_kernels() {
         let s = Experiment::builder()
             .kernel("TRFD")
-            .opts(OptLevel::Unroll4)
+            .config(ConfigKind::Lu(4))
             .scheduler(SchedulerKind::Balanced)
             .build()
             .unwrap();
@@ -580,48 +406,16 @@ mod tests {
     }
 
     #[test]
-    fn opt_levels_map_onto_config_kinds() {
-        assert_eq!(ConfigKind::from(OptLevel::None), ConfigKind::Base);
-        assert_eq!(ConfigKind::from(OptLevel::Unroll8Trace), ConfigKind::TrsLu(8));
-        assert_eq!(
-            ConfigKind::from(OptLevel::LocalityUnroll4Trace),
-            ConfigKind::LaTrsLu(4)
-        );
-        // Every level resolves to a distinct configuration.
-        let kinds: std::collections::HashSet<ConfigKind> =
-            OptLevel::ALL.iter().map(|&l| l.into()).collect();
-        assert_eq!(kinds.len(), OptLevel::ALL.len());
-    }
-
-    #[test]
     fn builder_matches_manual_options() {
         let s = Experiment::builder()
             .kernel("ora")
-            .opts(OptLevel::LocalityUnroll8Trace)
+            .config(ConfigKind::LaTrsLu(8))
             .scheduler(SchedulerKind::Balanced)
             .machine(MachineSpec::alpha21164())
             .build()
             .unwrap();
         let manual = ConfigKind::LaTrsLu(8).options(SchedulerKind::Balanced);
         assert_eq!(format!("{:?}", s.options()), format!("{manual:?}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_sim_shim_matches_machine_builder() {
-        // Satellite of the MachineSpec migration: the raw-config shim
-        // and the machine builder resolve to identical sessions.
-        let cfg = SimConfig::alpha21164().with_mshrs(2);
-        let shim = Experiment::builder().kernel("TRFD").sim(cfg).build().unwrap();
-        let machined = Experiment::builder()
-            .kernel("TRFD")
-            .machine(MachineSpec::custom(cfg))
-            .build()
-            .unwrap();
-        assert_eq!(
-            format!("{:?}", shim.options()),
-            format!("{:?}", machined.options())
-        );
     }
 
     #[test]
@@ -719,24 +513,5 @@ mod tests {
         assert!(s.checksum_ok);
         assert_eq!(e.metrics.insts, s.metrics.insts);
         assert!(s.metrics.cycles > 0);
-    }
-
-    #[test]
-    fn ablation_axes_apply() {
-        let s = Experiment::builder()
-            .kernel("ora")
-            .weight_cap(10)
-            .tie_break(TieBreak::ProgramOrder)
-            .unroll_budget(32)
-            .predicate(false)
-            .selective(false)
-            .reference_weights(true)
-            .build()
-            .unwrap();
-        let o = s.options();
-        assert_eq!(o.weight_cap, 10);
-        assert_eq!(o.tie_break, TieBreak::ProgramOrder);
-        assert_eq!(o.unroll_budget, Some(32));
-        assert!(!o.predicate && !o.selective && o.reference_weights);
     }
 }

@@ -4,9 +4,10 @@ use crate::options::CompileOptions;
 use bsched_core::SchedulerKind;
 
 /// The optimization combinations evaluated in the paper (Tables 4–9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConfigKind {
     /// No ILP-increasing optimization.
+    #[default]
     Base,
     /// Loop unrolling by the factor.
     Lu(u32),

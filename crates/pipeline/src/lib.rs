@@ -18,7 +18,7 @@
 //! computes it once however many sessions share it.
 //!
 //! ```
-//! use bsched_pipeline::{Experiment, OptLevel, SchedulerKind};
+//! use bsched_pipeline::{ConfigKind, Experiment, SchedulerKind};
 //! use bsched_workloads::lang::ast::{Expr, Index};
 //! use bsched_workloads::lang::{ArrayInit, Kernel};
 //!
@@ -31,7 +31,7 @@
 //!
 //! let run = Experiment::builder()
 //!     .program("demo", program)
-//!     .opts(OptLevel::Unroll4)
+//!     .config(ConfigKind::Lu(4))
 //!     .scheduler(SchedulerKind::Balanced)
 //!     .build()
 //!     .unwrap()
@@ -56,9 +56,7 @@ pub mod table;
 
 pub use bsched_core::{SchedulerKind, TieBreak};
 pub use compile::{CompileStats, Compiled, PipelineError};
-pub use experiment::{
-    resolve_kernel, Experiment, ExperimentBuilder, ExperimentError, OptLevel, Session,
-};
+pub use experiment::{resolve_kernel, Experiment, ExperimentBuilder, ExperimentError, Session};
 pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};
 pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode};
 pub use options::CompileOptions;

@@ -164,10 +164,9 @@ impl SimConfig {
     }
 
     /// Returns the configuration with an explicit issue width and
-    /// memory-port count (the paper's future-work extension). Unlike the
-    /// deprecated [`SimConfig::with_issue_width`], ports are an
-    /// independent axis: `with_issue(4, 1)` and `with_issue(4, 4)` are
-    /// both expressible.
+    /// memory-port count (the paper's future-work extension). Ports are
+    /// an independent axis: `with_issue(4, 1)` and `with_issue(4, 4)`
+    /// are both expressible.
     ///
     /// # Panics
     ///
@@ -182,23 +181,6 @@ impl SimConfig {
         self.issue_width = width;
         self.mem_ports = ports;
         self
-    }
-
-    /// Returns the configuration with a different issue width, silently
-    /// scaling memory ports as `max(1, width/2)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use with_issue(width, ports): this shim couples ports to \
-                max(1, width/2), which wide machines cannot override"
-    )]
-    #[must_use]
-    pub fn with_issue_width(self, width: u32) -> Self {
-        assert!(width > 0, "issue width must be positive");
-        self.with_issue(width, (width / 2).max(1))
     }
 
     /// Returns the configuration with a different L1D prefetcher.
@@ -243,18 +225,6 @@ mod tests {
         assert_eq!(c.issue_width, 1);
         assert_eq!(c.with_mshrs(1).mem.mshrs, 1);
         assert!(!c.with_ifetch(false).model_ifetch);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn issue_width_scaling() {
-        let c = SimConfig::default().with_issue_width(4);
-        assert_eq!(c.issue_width, 4);
-        assert_eq!(c.mem_ports, 2);
-        let c2 = SimConfig::default().with_issue_width(1);
-        assert_eq!(c2.mem_ports, 1);
-        // The deprecated shim is exactly with_issue + the old coupling.
-        assert_eq!(c, SimConfig::default().with_issue(4, 2));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`SimEngine::Interpret`] run and the cycle-level replay of every
 //! representative interval when sampled plans are built
 //! (`crate::sample`), so interpreted timing is defined in exactly one
-//! place. The block-compiled engine lives in [`crate::block`] and must
+//! place. The block-compiled engine lives in `crate::block` and must
 //! reproduce the interpreter bit for bit.
 
 use crate::branch::BranchPredictor;
@@ -170,23 +170,6 @@ impl<'p> Simulator<'p> {
         Simulator {
             program,
             config: machine.config(),
-            engine: SimEngine::default(),
-            mode: crate::sample::SimMode::default(),
-        }
-    }
-
-    /// Creates a simulator from a raw knob struct, bypassing machine
-    /// validation.
-    #[deprecated(
-        since = "0.5.0",
-        note = "describe the machine first: Simulator::for_machine(p, \
-                &MachineSpec::custom(config)) — or name a registered one"
-    )]
-    #[must_use]
-    pub fn with_config(program: &'p Program, config: SimConfig) -> Self {
-        Simulator {
-            program,
-            config,
             engine: SimEngine::default(),
             mode: crate::sample::SimMode::default(),
         }

@@ -7,7 +7,7 @@
 //! 1. **Profile**: run the functional interpreter, slice the dynamic
 //!    block stream into intervals of ≥ `interval` retired instructions,
 //!    and emit one normalized basic-block vector per interval
-//!    ([`profile`]).
+//!    (`profile`).
 //! 2. **Cluster**: seeded k-means over the BBVs picks ≤ `k` phases;
 //!    each phase's members are split into up to `reps` contiguous
 //!    strata (in interval order) and the center member of each stratum
@@ -21,9 +21,9 @@
 //!    execution would have produced.
 //! 4. **Extrapolate**: scale each representative's interval-local
 //!    timing metrics by its stratum's total instructions
-//!    ([`run_sampled`]).
+//!    (`run_sampled`).
 //!
-//! Steps 1–3 build a [`SamplePlan`] — the per-representative timing
+//! Steps 1–3 build a `SamplePlan` — the per-representative timing
 //! deltas plus the exact functional outcome, a few kilobytes — cached
 //! process-wide per (program, machine config, sample config), so
 //! repeated sampled runs pay only step 4. The functional outcome —

@@ -182,19 +182,27 @@ impl Json {
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are copied whole.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = fmt::Write::write_fmt(out, format_args!("\\u{b:04x}"));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -381,6 +389,7 @@ mod tests {
             ("cycles", Json::u64(123_456_789)),
             ("ok", Json::Bool(true)),
             ("label", Json::Str("BS+LU4".into())),
+            ("escaped", Json::Str("q\"b\\s\n\r\t\u{1}é".into())),
             ("rate", Json::Num(0.875)),
             ("levels", Json::Arr(vec![Json::u64(1), Json::u64(2)])),
             ("nothing", Json::Null),

@@ -21,7 +21,7 @@ use crate::legality::validate_region_schedule;
 use crate::metamorphic::check_metrics;
 use bsched_core::SchedulerKind;
 use bsched_pipeline::{
-    Experiment, ExperimentBuilder, MachineSpec, OptLevel, SampleConfig, SimEngine, SimMode,
+    CompileOptions, ConfigKind, Experiment, MachineSpec, SampleConfig, SimEngine, SimMode,
 };
 use bsched_util::Prng;
 use bsched_workloads::lang::{print_kernel, ArrId, ArrayInit, CmpOp, Expr, Index, Kernel, Stmt, VarId};
@@ -35,6 +35,21 @@ pub const FUZZ_FUEL: u64 = 2_000_000;
 /// Cap on shrink-predicate evaluations per failure, so a pathological
 /// case cannot eat the whole fuzz budget.
 const SHRINK_BUDGET: usize = 128;
+
+/// The optimization configurations a case draws from: the paper's ten,
+/// in table order. The order is part of every seed's case stream.
+const CONFIGS: [ConfigKind; 10] = [
+    ConfigKind::Base,
+    ConfigKind::Lu(4),
+    ConfigKind::Lu(8),
+    ConfigKind::TrsLu(4),
+    ConfigKind::TrsLu(8),
+    ConfigKind::La,
+    ConfigKind::LaLu(4),
+    ConfigKind::LaLu(8),
+    ConfigKind::LaTrsLu(4),
+    ConfigKind::LaTrsLu(8),
+];
 
 /// Fuzzer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +99,7 @@ pub struct FuzzFailure {
     pub label: String,
     /// Every check message the shrunk case still triggers.
     pub messages: Vec<String>,
-    /// The minimal reproducer: a header naming seed/level/scheduler,
+    /// The minimal reproducer: a header naming seed/config/scheduler,
     /// followed by the kernel in loop-language syntax.
     pub reproducer: String,
 }
@@ -107,7 +122,7 @@ struct Case {
     decls: Kernel,
     pinned: Vec<Stmt>,
     stmts: Vec<Stmt>,
-    level: OptLevel,
+    config: ConfigKind,
     scheduler: SchedulerKind,
     engine: SimEngine,
     sample: Option<SampleConfig>,
@@ -133,6 +148,21 @@ impl Case {
             k.push(s.clone());
         }
         k
+    }
+
+    /// The cell's complete compile options. When the exact axis was
+    /// drawn, the branch-and-bound arm with the drawn node budget
+    /// replaces the heuristic scheduler (which still seeded every
+    /// earlier draw).
+    fn options(&self) -> CompileOptions {
+        let options = match self.exact {
+            Some(budget) => self
+                .config
+                .options(SchedulerKind::Exact)
+                .with_exact_budget(budget),
+            None => self.config.options(self.scheduler),
+        };
+        options.with_sim(self.machine.config())
     }
 }
 
@@ -290,7 +320,7 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
             body,
         });
     }
-    let level = OptLevel::ALL[rng.index(OptLevel::ALL.len())];
+    let config = CONFIGS[rng.index(CONFIGS.len())];
     let scheduler = SchedulerKind::ALL[rng.index(SchedulerKind::ALL.len())];
     // Drawn last so adding the engine axis left every earlier draw — and
     // hence every kernel a given seed generates — unchanged.
@@ -330,7 +360,7 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
         decls,
         pinned,
         stmts,
-        level,
+        config,
         scheduler,
         engine,
         sample,
@@ -339,40 +369,20 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
     }
 }
 
-/// Applies the exact-scheduler axis to a builder: when drawn, the cell
-/// compiles under the branch-and-bound arm with the drawn node budget
-/// (overriding the heuristic scheduler axis, which still seeded every
-/// earlier draw).
-fn exact_arm(builder: ExperimentBuilder, exact: Option<u64>) -> ExperimentBuilder {
-    match exact {
-        Some(budget) => builder.scheduler(SchedulerKind::Exact).exact_budget(budget),
-        None => builder,
-    }
-}
-
 /// Runs every conformance check on one kernel at one grid point,
 /// returning human-readable messages for whatever fails.
 fn check_kernel(
     kernel: &Kernel,
-    level: OptLevel,
-    scheduler: SchedulerKind,
+    options: &CompileOptions,
     engine: SimEngine,
     sample: Option<SampleConfig>,
-    exact: Option<u64>,
-    machine: &MachineSpec,
 ) -> Vec<String> {
     let mut messages = Vec::new();
-    let session = match exact_arm(
-        Experiment::builder()
-            .program(kernel.name(), kernel.lower())
-            .opts(level)
-            .scheduler(scheduler)
-            .engine(engine)
-            .machine(machine.clone()),
-        exact,
-    )
-    .build()
-    {
+    let builder = Experiment::builder()
+        .program(kernel.name(), kernel.lower())
+        .compile_options(*options)
+        .engine(engine);
+    let session = match builder.clone().build() {
         Ok(s) => s,
         Err(e) => return vec![format!("experiment build failed: {e}")],
     };
@@ -421,18 +431,10 @@ fn check_kernel(
         // coverage. Timing *estimates* are not judged here: tolerance
         // bounds belong to the grid regression suite, not to arbitrary
         // generated kernels.
-        let sampled_session = exact_arm(
-            Experiment::builder()
-                .program(kernel.name(), kernel.lower())
-                .opts(level)
-                .scheduler(scheduler)
-                .engine(engine)
-                .machine(machine.clone())
-                .sim_mode(SimMode::Sampled(sample)),
-            exact,
-        )
-        .build()
-        .expect("exact build above succeeded");
+        let sampled_session = builder
+            .sim_mode(SimMode::Sampled(sample))
+            .build()
+            .expect("exact build above succeeded");
         match sampled_session.run() {
             Ok(run) => {
                 if run.metrics.insts != baseline.metrics.insts {
@@ -547,61 +549,27 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         // randomness) can never desynchronize later iterations.
         let mut case_rng = rng.fork();
         let case = gen_case(&mut case_rng, iteration);
-        let messages = check_kernel(
-            &case.kernel(),
-            case.level,
-            case.scheduler,
-            case.engine,
-            case.sample,
-            case.exact,
-            &case.machine,
-        );
+        let options = case.options();
+        let messages = check_kernel(&case.kernel(), &options, case.engine, case.sample);
         if !messages.is_empty() {
-            // Shrinking replays the checks under the case's own engine,
-            // sampling config, exact-scheduler axis, and machine, so an
-            // axis-specific failure stays reproducible while it shrinks.
+            // Shrinking replays the checks under the case's own options,
+            // engine and sampling config, so an axis-specific failure
+            // stays reproducible while it shrinks.
             let minimal = shrink_stmts(case.stmts.clone(), &mut |stmts| {
-                !check_kernel(
-                    &case.kernel_with(stmts),
-                    case.level,
-                    case.scheduler,
-                    case.engine,
-                    case.sample,
-                    case.exact,
-                    &case.machine,
-                )
-                .is_empty()
+                !check_kernel(&case.kernel_with(stmts), &options, case.engine, case.sample)
+                    .is_empty()
             });
             let kernel = case.kernel_with(&minimal);
-            let messages = check_kernel(
-                &kernel,
-                case.level,
-                case.scheduler,
-                case.engine,
-                case.sample,
-                case.exact,
-                &case.machine,
-            );
-            let session = exact_arm(
-                Experiment::builder()
-                    .program(kernel.name(), kernel.lower())
-                    .opts(case.level)
-                    .scheduler(case.scheduler)
-                    .engine(case.engine)
-                    .machine(case.machine.clone()),
-                case.exact,
-            )
-            .build()
-            .expect("program supplied directly");
+            let messages = check_kernel(&kernel, &options, case.engine, case.sample);
             report.failures.push(FuzzFailure {
                 iteration,
-                label: session.label(),
+                label: options.label(),
                 messages,
                 reproducer: format!(
                     "// seed {:#x} iteration {iteration}: {:?} x {:?} x {} engine{}{} \
                      x machine {}\n{}",
                     config.seed,
-                    case.level,
+                    case.config,
                     case.scheduler,
                     case.engine,
                     match case.sample {
@@ -631,7 +599,7 @@ mod tests {
         let k1 = gen_case(&mut Prng::new(42), 7);
         let k2 = gen_case(&mut Prng::new(42), 7);
         assert_eq!(print_kernel(&k1.kernel()), print_kernel(&k2.kernel()));
-        assert_eq!(k1.level, k2.level);
+        assert_eq!(k1.config, k2.config);
         assert_eq!(k1.scheduler, k2.scheduler);
         assert_eq!(k1.engine, k2.engine);
         assert_eq!(k1.sample, k2.sample);

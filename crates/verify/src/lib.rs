@@ -16,11 +16,11 @@
 //! * [`metamorphic`] — invariants every simulated run must satisfy:
 //!   cycle accounting, cache-stats conservation, and all-hit
 //!   balanced/traditional closeness.
-//! * [`fuzz`] — a seeded pipeline fuzzer that generates random
+//! * [`mod@fuzz`] — a seeded pipeline fuzzer that generates random
 //!   loop-language kernels, drives them through the full stack under a
 //!   fuel budget, and shrinks failures to minimal reproducers.
 //!
-//! The harness (`bsched-harness`) calls [`verify_cell`] on every
+//! The harness (`bsched-harness`) calls [`verify_cell_in`] on every
 //! executed grid cell when verification is requested (`--verify` /
 //! `BSCHED_VERIFY=1`); violations fail the run.
 
@@ -48,7 +48,7 @@ pub use metamorphic::{
 
 use bsched_ir::Program;
 use bsched_pipeline::{CompileOptions, Experiment};
-use bsched_sim::{SampleConfig, SimMetrics};
+use bsched_sim::{SampleConfig, SimMetrics, SimMode};
 
 /// The verdict on one grid cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,14 +69,47 @@ impl CellVerification {
 }
 
 /// Runs the full per-cell conformance suite on one (program × options)
-/// point: recompile with a schedule audit, prove every region's schedule
-/// legal, cross-check the weights against both reference
-/// implementations, replay optimized vs unoptimized code through the
-/// interpreter, simulate the compiled program under both engines (which
-/// must agree bit for bit), and check the metamorphic invariants on
-/// `metrics` (the simulated run the caller already has).
+/// point simulated exactly: [`verify_cell_in`] under [`SimMode::Exact`],
+/// with `metrics` the simulated run the caller already has.
 #[must_use]
 pub fn verify_cell(
+    program: &Program,
+    options: &CompileOptions,
+    metrics: &SimMetrics,
+) -> CellVerification {
+    verify_cell_in(SimMode::Exact, program, options, metrics)
+}
+
+/// The conformance suite for a cell simulated under `sample`:
+/// [`verify_cell_in`] under [`SimMode::Sampled`].
+#[must_use]
+pub fn verify_cell_sampled(
+    program: &Program,
+    options: &CompileOptions,
+    sample: SampleConfig,
+) -> CellVerification {
+    verify_cell_in(SimMode::Sampled(sample), program, options, &SimMetrics::default())
+}
+
+/// The per-cell conformance suite. Whatever the mode, it recompiles the
+/// cell with a schedule audit, proves every region's schedule legal,
+/// cross-checks the weights against both reference implementations and
+/// replays optimized vs unoptimized code through the interpreter. Then
+/// the mode picks the simulator checks:
+///
+/// * [`SimMode::Exact`] simulates the compiled program under both
+///   engines, which must agree bit for bit, and checks the metamorphic
+///   invariants on `metrics` (the simulated run the caller already has).
+/// * [`SimMode::Sampled`] runs the sampling diff ([`check_sampling`]):
+///   exact-by-construction observables must match bit for bit, and
+///   estimates must land within the committed tolerances. `metrics` is
+///   not read. The metamorphic checks are deliberately skipped: they
+///   are exact-accounting identities (cycle accounting, cache
+///   conservation) that independently-scaled cluster estimates need
+///   not satisfy.
+#[must_use]
+pub fn verify_cell_in(
+    mode: SimMode,
     program: &Program,
     options: &CompileOptions,
     metrics: &SimMetrics,
@@ -103,81 +136,29 @@ pub fn verify_cell(
                 Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
                 Err(e) => violations.push(format!("interpreter error: {e}")),
             }
-            match differential::check_engines(&compiled.program, options.sim) {
+            let simulated = match mode {
+                SimMode::Exact => differential::check_engines(&compiled.program, options.sim),
+                SimMode::Sampled(sample) => {
+                    differential::check_sampling(&compiled.program, options.sim, sample)
+                }
+            };
+            match simulated {
                 Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
                 Err(e) => violations.push(format!("simulator error: {e}")),
             }
         }
         Err(e) => violations.push(format!("audited recompile failed: {e}")),
     }
-    violations.extend(
-        metamorphic::check_metrics(metrics)
-            .iter()
-            .map(ToString::to_string),
-    );
+    if mode == SimMode::Exact {
+        violations.extend(
+            metamorphic::check_metrics(metrics)
+                .iter()
+                .map(ToString::to_string),
+        );
+    }
     // Violations carry trace context: one event per message, so a
     // `--trace-json` export pairs every failure with the pass spans and
     // load-site attribution recorded around it.
-    if bsched_trace::enabled() {
-        for v in &violations {
-            bsched_trace::instant(
-                bsched_trace::points::VERIFY_VIOLATION,
-                v,
-                &[("regions", regions as u64)],
-            );
-        }
-    }
-    CellVerification {
-        regions,
-        violations,
-    }
-}
-
-/// The sampled-mode counterpart of [`verify_cell`]: proves schedule
-/// legality, weights, and the optimized-vs-baseline checksum exactly as
-/// the exact path does, then replaces the engine-bit-identity diff with
-/// the sampling diff ([`check_sampling`]) — exact-by-construction
-/// observables must match bit for bit, estimates must land within the
-/// committed tolerances.
-///
-/// The metamorphic metric checks are deliberately *skipped*: they are
-/// exact-accounting identities (cycle accounting, cache conservation)
-/// that independently-scaled cluster estimates need not satisfy.
-#[must_use]
-pub fn verify_cell_sampled(
-    program: &Program,
-    options: &CompileOptions,
-    sample: SampleConfig,
-) -> CellVerification {
-    let mut regions = 0;
-    let mut violations = Vec::new();
-    let session = Experiment::builder()
-        .program("cell", program.clone())
-        .compile_options(*options)
-        .build()
-        .expect("program is supplied directly");
-    match session.compile_audited() {
-        Ok((compiled, audit)) => {
-            regions = audit.regions.len();
-            for (ri, region) in audit.regions.iter().enumerate() {
-                for v in legality::validate_region_schedule(region) {
-                    violations.push(format!("region {ri}: {v}"));
-                }
-            }
-            for v in differential::check_weights(&audit) {
-                violations.push(v.to_string());
-            }
-            match differential::check_checksum(session.source(), &compiled.program) {
-                Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
-                Err(e) => violations.push(format!("interpreter error: {e}")),
-            }
-            match differential::check_sampling(&compiled.program, options.sim, sample) {
-                Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
-                Err(e) => violations.push(format!("simulator error: {e}")),
-            }
-        }
-        Err(e) => violations.push(format!("audited recompile failed: {e}")),
-    }
     if bsched_trace::enabled() {
         for v in &violations {
             bsched_trace::instant(

@@ -11,6 +11,10 @@ cargo build --release --workspace --all-targets
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy -q --all-targets -- -D warnings
 
+echo "== docs (rustdoc, warnings are errors) =="
+# A removed or private item must not leave a dangling doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "== tests (workspace) =="
 cargo test --workspace -q
 

@@ -24,11 +24,11 @@
 //! re-exported at the crate root:
 //!
 //! ```
-//! use balanced_scheduling::{Experiment, MachineSpec, OptLevel, SchedulerKind};
+//! use balanced_scheduling::{ConfigKind, Experiment, MachineSpec, SchedulerKind};
 //!
 //! let run = Experiment::builder()
 //!     .kernel("TRFD")
-//!     .opts(OptLevel::Unroll8Trace)
+//!     .config(ConfigKind::TrsLu(8))
 //!     .scheduler(SchedulerKind::Balanced)
 //!     .machine(MachineSpec::alpha21164())
 //!     .build()
@@ -55,6 +55,6 @@ pub use bsched_workloads as workloads;
 
 pub use bsched_pipeline::{
     resolve_kernel, CompileOptions, ConfigKind, Experiment, ExperimentBuilder, ExperimentError,
-    OptLevel, RunResult, SchedulerKind, Session, TieBreak,
+    RunResult, SchedulerKind, Session, TieBreak,
 };
 pub use bsched_sim::{MachineSpec, SimConfig};
