@@ -330,7 +330,7 @@ impl Engine {
         &self.config
     }
 
-    /// The in-memory memo layer (sharded; see [`crate::store`]).
+    /// The in-memory memo layer (see [`crate::store`]).
     /// `bsched-serve` reads its hit/miss counters for warm-cache stats.
     /// Exact results only — sampled runs use a separate store.
     #[must_use]
@@ -361,7 +361,7 @@ impl Engine {
     }
 
     /// Ensures every requested cell has a result, executing the
-    /// deduplicated cache misses on the work-stealing pool.
+    /// deduplicated cache misses on the [`crate::pool`].
     ///
     /// # Errors
     ///
@@ -391,7 +391,11 @@ impl Engine {
                 }
             }
         }
-        let deduplicated = cells.len() - unique.len();
+        let mut batch = RunReport {
+            requested: cells.len() as u64,
+            deduplicated: (cells.len() - unique.len()) as u64,
+            ..RunReport::default()
+        };
 
         // Layer 1/2: memory, then disk. A verifying run only accepts
         // cached results whose conformance suite passed at compute time;
@@ -401,29 +405,24 @@ impl Engine {
         let sampled = self.config.sim_mode.is_sampled();
         let store = self.active_store();
         let mut misses: Vec<&ExperimentCell> = Vec::new();
-        let mut memory_hits = 0u64;
-        let mut disk_hits = 0u64;
-        let mut verified = 0u64;
         let usable = |r: &CellResult| !verify || r.verified;
         for &cell in &unique {
             let hit = if let Some(r) = store.get(cell) {
                 usable(&r) && {
-                    memory_hits += 1;
+                    batch.memory_hits += 1;
                     true
                 }
             } else if let Some(r) = if sampled { None } else { self.disk.load(cell) } {
                 usable(&r) && {
                     store.insert(cell, r);
-                    disk_hits += 1;
+                    batch.disk_hits += 1;
                     true
                 }
             } else {
                 false
             };
             if hit {
-                if verify {
-                    verified += 1;
-                }
+                batch.verified += u64::from(verify);
                 continue;
             }
             if !self.index.contains_key(cell.kernel()) {
@@ -433,7 +432,7 @@ impl Engine {
         }
 
         // Layer 3: execute the misses in parallel.
-        let mut timings = Vec::new();
+        let mut failure = None;
         if !misses.is_empty() {
             let (outcomes, stats) = pool::run_jobs(self.config.jobs, misses.len(), |i| {
                 let cell = misses[i];
@@ -447,48 +446,30 @@ impl Engine {
                 bsched_trace::flush_thread();
                 (outcome, t0.elapsed())
             });
+            batch.pool_wall = stats.wall;
+            batch.worker_busy = stats.busy;
             for (cell, (outcome, wall)) in misses.iter().zip(outcomes) {
-                timings.push(CellTiming {
+                batch.cell_timings.push(CellTiming {
                     cell: cell.to_string(),
                     wall,
                 });
                 match outcome {
                     Ok(result) => {
-                        if result.verified {
-                            verified += 1;
-                        }
+                        batch.verified += u64::from(result.verified);
                         if !sampled {
                             self.disk.store(cell, &result);
                         }
                         store.insert(cell, result);
                     }
                     Err(e) => {
-                        self.update_report(cells.len() as u64, deduplicated as u64, memory_hits, disk_hits, verified, &timings, Some(&stats));
-                        return Err(e);
+                        failure = Some(e);
+                        break;
                     }
                 }
             }
-            self.update_report(
-                cells.len() as u64,
-                deduplicated as u64,
-                memory_hits,
-                disk_hits,
-                verified,
-                &timings,
-                Some(&stats),
-            );
-        } else {
-            self.update_report(
-                cells.len() as u64,
-                deduplicated as u64,
-                memory_hits,
-                disk_hits,
-                verified,
-                &timings,
-                None,
-            );
         }
-        Ok(())
+        self.update_report(batch);
+        failure.map_or(Ok(()), Err)
     }
 
     /// The memoized result for a cell, if present (from the configured
@@ -605,34 +586,24 @@ impl Engine {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn update_report(
-        &self,
-        requested: u64,
-        deduplicated: u64,
-        memory_hits: u64,
-        disk_hits: u64,
-        verified: u64,
-        timings: &[CellTiming],
-        stats: Option<&pool::PoolStats>,
-    ) {
+    /// Folds one `run_where` call's counters — a [`RunReport`] holding
+    /// only that call's deltas — into the engine's report.
+    fn update_report(&self, batch: RunReport) {
         let mut r = self.report.lock().expect("report poisoned");
-        r.requested += requested;
-        r.deduplicated += deduplicated;
-        r.memory_hits += memory_hits;
-        r.disk_hits += disk_hits;
-        r.verified += verified;
-        r.executed += timings.len() as u64;
-        r.cell_timings.extend_from_slice(timings);
-        if let Some(s) = stats {
-            r.pool_wall += s.wall;
-            r.steals += s.steals;
-            if r.worker_busy.len() < s.busy.len() {
-                r.worker_busy.resize(s.busy.len(), std::time::Duration::ZERO);
-            }
-            for (acc, b) in r.worker_busy.iter_mut().zip(&s.busy) {
-                *acc += *b;
-            }
+        r.requested += batch.requested;
+        r.deduplicated += batch.deduplicated;
+        r.memory_hits += batch.memory_hits;
+        r.disk_hits += batch.disk_hits;
+        r.verified += batch.verified;
+        r.executed += batch.cell_timings.len() as u64;
+        r.cell_timings.extend(batch.cell_timings);
+        r.pool_wall += batch.pool_wall;
+        if r.worker_busy.len() < batch.worker_busy.len() {
+            r.worker_busy
+                .resize(batch.worker_busy.len(), std::time::Duration::ZERO);
+        }
+        for (acc, b) in r.worker_busy.iter_mut().zip(&batch.worker_busy) {
+            *acc += *b;
         }
     }
 }

@@ -12,10 +12,10 @@
 //!    canonical, version-stamped key ([`cell::CACHE_SCHEMA_VERSION`])
 //!    from every result-affecting field of the cell; equal cells are
 //!    executed once, no matter how many tables request them.
-//! 2. **Parallel execution** — a std-only work-stealing pool
-//!    ([`pool`]): shared injector + per-worker deques, sized by
-//!    `std::thread::available_parallelism()` and overridable with
-//!    `BSCHED_JOBS`.
+//! 2. **Parallel execution** — a std-only self-scheduling pool
+//!    ([`pool`]): scoped worker threads claim the next cell from one
+//!    atomic counter, sized by `std::thread::available_parallelism()`
+//!    and overridable with `BSCHED_JOBS`.
 //! 3. **Memoization** — an in-memory [`store::ResultStore`] plus an
 //!    on-disk content-addressed cache ([`disk::DiskCache`]) under
 //!    `results/cache/`, keyed by an FNV-1a hash of the canonical cell

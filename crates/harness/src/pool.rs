@@ -1,32 +1,20 @@
-//! A std-only work-stealing thread pool for embarrassingly parallel,
-//! unevenly sized jobs.
+//! A std-only self-scheduling thread pool for independent, unevenly
+//! sized jobs.
 //!
-//! Structure (the classic shape, hand-rolled on `std` because the build
-//! environment has no access to the crates registry):
-//!
-//! * a **shared injector** holding all job indices at the start,
-//! * a **per-worker deque**; workers refill from the injector in small
-//!   batches, work their own deque LIFO-free (front), and
-//! * **steal** from the *back* of a victim's deque when both their deque
-//!   and the injector are empty.
-//!
-//! Batched refills keep injector contention low; stealing from the back
-//! moves the largest contiguous chunk of untouched work. Job cost in
-//! this workspace spans two orders of magnitude (BDNA's huge blocks vs.
-//! ora's single routine), which is exactly the workload self-scheduling
-//! loop schedulers are built for.
+//! Every worker claims the next job index from one shared atomic
+//! counter until the counter passes the job count — dynamic
+//! self-scheduling with a chunk of one. The harness's jobs are grid
+//! cells costing milliseconds each, so one relaxed `fetch_add` per
+//! claim is negligible next to the work it hands out, and no queue,
+//! batching or stealing is needed to keep the workers busy: a worker
+//! that draws a slow cell simply claims fewer of the rest.
 //!
 //! Results are written by job index, so the output order is independent
 //! of scheduling — callers see a deterministic `Vec<T>`.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// How many jobs a worker moves from the injector to its own deque per
-/// refill.
-const REFILL_BATCH: usize = 4;
 
 /// Observability counters from one pool run.
 #[derive(Debug, Clone)]
@@ -37,8 +25,6 @@ pub struct PoolStats {
     pub busy: Vec<Duration>,
     /// Wall time of the whole run.
     pub wall: Duration,
-    /// Successful steal operations.
-    pub steals: u64,
 }
 
 impl PoolStats {
@@ -51,14 +37,6 @@ impl PoolStats {
         let busy: f64 = self.busy.iter().map(Duration::as_secs_f64).sum();
         (busy / (self.wall.as_secs_f64() * self.workers as f64)).min(1.0)
     }
-}
-
-struct Shared<T> {
-    injector: Mutex<VecDeque<usize>>,
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    results: Vec<Mutex<Option<T>>>,
-    remaining: AtomicUsize,
-    steals: AtomicU64,
 }
 
 /// Runs `jobs` invocations of `f` (by index) on `workers` threads and
@@ -86,33 +64,34 @@ where
             workers: 1,
             busy: vec![t0.elapsed()],
             wall: started.elapsed(),
-            steals: 0,
         };
         return (results, stats);
     }
 
-    let shared = Shared {
-        injector: Mutex::new((0..jobs).collect()),
-        locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        results: (0..jobs).map(|_| Mutex::new(None)).collect(),
-        remaining: AtomicUsize::new(jobs),
-        steals: AtomicU64::new(0),
-    };
-
-    let mut busy = vec![Duration::ZERO; workers];
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|id| scope.spawn(move || worker(id, workers, shared, f)))
-            .collect();
-        for (id, h) in handles.into_iter().enumerate() {
-            busy[id] = h.join().expect("worker panicked");
-        }
+    let next = AtomicUsize::new(0);
+    let results: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let busy = std::thread::scope(|scope| {
+        let worker = || {
+            let mut busy = Duration::ZERO;
+            loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= jobs {
+                    return busy;
+                }
+                let t0 = Instant::now();
+                let out = f(idx);
+                busy += t0.elapsed();
+                *results[idx].lock().expect("result mutex poisoned") = Some(out);
+            }
+        };
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
     });
 
-    let results = shared
-        .results
+    let results = results
         .into_iter()
         .map(|slot| {
             slot.into_inner()
@@ -124,75 +103,8 @@ where
         workers,
         busy,
         wall: started.elapsed(),
-        steals: shared.steals.load(Ordering::Relaxed),
     };
     (results, stats)
-}
-
-fn worker<T, F>(id: usize, workers: usize, shared: &Shared<T>, f: &F) -> Duration
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut busy = Duration::ZERO;
-    loop {
-        let job = next_job(id, workers, shared);
-        match job {
-            Some(idx) => {
-                let t0 = Instant::now();
-                let out = f(idx);
-                busy += t0.elapsed();
-                *shared.results[idx].lock().expect("result mutex poisoned") = Some(out);
-                shared.remaining.fetch_sub(1, Ordering::Release);
-            }
-            None => {
-                if shared.remaining.load(Ordering::Acquire) == 0 {
-                    return busy;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-fn next_job<T>(id: usize, workers: usize, shared: &Shared<T>) -> Option<usize> {
-    // 1. Own deque, front.
-    if let Some(idx) = shared.locals[id].lock().expect("deque poisoned").pop_front() {
-        return Some(idx);
-    }
-    // 2. Refill a small batch from the injector.
-    {
-        let mut injector = shared.injector.lock().expect("injector poisoned");
-        if !injector.is_empty() {
-            let mut local = shared.locals[id].lock().expect("deque poisoned");
-            for _ in 0..REFILL_BATCH {
-                match injector.pop_front() {
-                    Some(idx) => local.push_back(idx),
-                    None => break,
-                }
-            }
-            drop(injector);
-            return local.pop_front();
-        }
-    }
-    // 3. Steal half of a victim's deque, from the back.
-    for off in 1..workers {
-        let victim = (id + off) % workers;
-        let mut their = shared.locals[victim].lock().expect("deque poisoned");
-        if their.is_empty() {
-            continue;
-        }
-        let take = their.len().div_ceil(2);
-        let stolen: Vec<usize> = (0..take).filter_map(|_| their.pop_back()).collect();
-        drop(their);
-        shared.steals.fetch_add(1, Ordering::Relaxed);
-        let mut mine = shared.locals[id].lock().expect("deque poisoned");
-        for idx in stolen {
-            mine.push_back(idx);
-        }
-        return mine.pop_front();
-    }
-    None
 }
 
 #[cfg(test)]
@@ -217,7 +129,6 @@ mod tests {
         let (results, stats) = run_jobs(1, 10, |i| i);
         assert_eq!(results, (0..10).collect::<Vec<_>>());
         assert_eq!(stats.workers, 1);
-        assert_eq!(stats.steals, 0);
     }
 
     #[test]

@@ -72,8 +72,6 @@ pub struct RunReport {
     pub worker_busy: Vec<Duration>,
     /// Wall time spent inside parallel batches.
     pub pool_wall: Duration,
-    /// Successful steals across batches.
-    pub steals: u64,
     /// Per-cell wall time of every executed cell.
     pub cell_timings: Vec<CellTiming>,
 }
@@ -174,12 +172,11 @@ impl RunReport {
             let total_busy: Duration = self.worker_busy.iter().sum();
             let _ = writeln!(
                 s,
-                "pool: {} workers, {:.3}s wall, {:.3}s busy ({:.0}% utilization), {} steals",
+                "pool: {} workers, {:.3}s wall, {:.3}s busy ({:.0}% utilization)",
                 self.workers,
                 self.pool_wall.as_secs_f64(),
                 total_busy.as_secs_f64(),
-                self.utilization() * 100.0,
-                self.steals
+                self.utilization() * 100.0
             );
             let (hits, misses, entries) = bsched_ir::analysis::cache_stats();
             if hits + misses > 0 {

@@ -1,24 +1,15 @@
-//! The in-memory result store: one process-wide memo of executed cells,
-//! sharded for concurrent access.
+//! The in-memory result store: one process-wide memo of executed cells.
 //!
-//! The original store was a single `Mutex<HashMap>` — fine when one
-//! `Engine::run` batch owns it, hostile when `bsched-serve` points many
-//! connection handlers and a batch dispatcher at the same warm cache.
-//! This version spreads keys across [`SHARDS`] independent
-//! `RwLock<HashMap>` shards, selected by the FNV-1a hash the cell
-//! already carries ([`ExperimentCell::content_hash`]), so:
-//!
-//! * **hits take a read lock only** — any number of threads can answer
-//!   warm lookups on the same shard simultaneously, and lookups on
-//!   different shards never touch the same lock at all (std has no
-//!   safe lock-free map, so a shared read lock is the honest fast
-//!   path);
-//! * **writes contend per shard**, not per store — concurrent batch
-//!   completions serialize only when two cells land in the same 1/64th
-//!   of the key space.
+//! A single `RwLock<HashMap>` keyed by the cell's canonical key. Only
+//! the thread that calls [`crate::Engine::run_where`] or
+//! [`crate::Engine::result`] touches it — the caller in the batch
+//! binaries, the single dispatcher in `bsched-serve` — while pool
+//! workers return their results by index and never see the store. So
+//! there is no contention to spread; the read lock still lets
+//! concurrent readers share a warm lookup.
 //!
 //! Hit/miss counters are relaxed atomics so the serving layer can report
-//! warm-cache effectiveness without taking any lock.
+//! warm-cache effectiveness without taking the lock.
 
 use crate::cell::ExperimentCell;
 use crate::engine::CellResult;
@@ -26,27 +17,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-/// Number of independent shards. A power of two so the shard index is a
-/// mask of the cell's content hash; 64 keeps worst-case contention at
-/// 1/64th of a single-lock store while costing ~4 KiB of empty maps.
-pub const SHARDS: usize = 64;
-
-/// A thread-safe, sharded map from canonical cell key to result.
-#[derive(Debug)]
+/// A thread-safe map from canonical cell key to result.
+#[derive(Debug, Default)]
 pub struct ResultStore {
-    shards: Vec<RwLock<HashMap<String, CellResult>>>,
+    map: RwLock<HashMap<String, CellResult>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl Default for ResultStore {
-    fn default() -> Self {
-        ResultStore {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
 }
 
 impl ResultStore {
@@ -56,17 +32,13 @@ impl ResultStore {
         ResultStore::default()
     }
 
-    fn shard(&self, cell: &ExperimentCell) -> &RwLock<HashMap<String, CellResult>> {
-        &self.shards[(cell.content_hash() as usize) & (SHARDS - 1)]
-    }
-
-    /// Looks up a cell (read lock on one shard only).
+    /// Looks up a cell (read lock only).
     #[must_use]
     pub fn get(&self, cell: &ExperimentCell) -> Option<CellResult> {
         let found = self
-            .shard(cell)
+            .map
             .read()
-            .expect("store shard poisoned")
+            .expect("store poisoned")
             .get(cell.canonical_key())
             .cloned();
         match &found {
@@ -79,28 +51,25 @@ impl ResultStore {
     /// Whether the cell is present (does not touch the hit counters).
     #[must_use]
     pub fn contains(&self, cell: &ExperimentCell) -> bool {
-        self.shard(cell)
+        self.map
             .read()
-            .expect("store shard poisoned")
+            .expect("store poisoned")
             .contains_key(cell.canonical_key())
     }
 
     /// Inserts (or overwrites — results are deterministic, so a race
     /// between equal cells is harmless) a result.
     pub fn insert(&self, cell: &ExperimentCell, result: CellResult) {
-        self.shard(cell)
+        self.map
             .write()
-            .expect("store shard poisoned")
+            .expect("store poisoned")
             .insert(cell.canonical_key().to_string(), result);
     }
 
-    /// Number of memoized cells (sums read locks over all shards).
+    /// Number of memoized cells.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("store shard poisoned").len())
-            .sum()
+        self.map.read().expect("store poisoned").len()
     }
 
     /// Whether the store is empty.
@@ -125,9 +94,7 @@ impl ResultStore {
     /// to force re-loading from disk). Counters are kept: they describe
     /// traffic, not contents.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().expect("store shard poisoned").clear();
-        }
+        self.map.write().expect("store poisoned").clear();
     }
 }
 
@@ -166,23 +133,6 @@ mod tests {
         assert_eq!(store.miss_count(), 1);
         store.clear();
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn keys_spread_across_shards() {
-        // 200 distinct cells must not all land in one shard — that would
-        // mean the shard selector ignores the hash.
-        let store = ResultStore::new();
-        for i in 0..200 {
-            store.insert(&cell(&format!("k{i}"), Some(i % 8 + 1)), result(u64::from(i)));
-        }
-        assert_eq!(store.len(), 200);
-        let populated = store
-            .shards
-            .iter()
-            .filter(|s| !s.read().unwrap().is_empty())
-            .count();
-        assert!(populated > SHARDS / 2, "only {populated} shards used");
     }
 
     #[test]

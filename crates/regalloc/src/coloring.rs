@@ -1,6 +1,6 @@
 //! Exact-interference graph coloring.
 //!
-//! The linear-scan intervals in [`crate::liveness_points`] ignore lifetime
+//! Min-max live intervals, as linear scan uses them, ignore lifetime
 //! holes, which over-constrains tightly scheduled unrolled blocks (a
 //! pressure-gated schedule with ≤27 simultaneously-live floats can still
 //! show >31 *interval* overlap). This allocator computes exact per-point
@@ -103,35 +103,7 @@ pub fn interference(func: &Function) -> Interference {
 /// minimal static use count.
 #[must_use]
 pub fn color(g: &Interference, k: u32) -> (HashMap<Reg, u32>, Vec<Reg>) {
-    let mut colors: HashMap<Reg, u32> = HashMap::new();
-    let mut spilled: Vec<Reg> = Vec::new();
-
-    // Color in decreasing use count (hot registers claim colors first),
-    // falling back to appearance order for determinism.
-    let mut order: Vec<usize> = (0..g.nodes.len()).collect();
-    order.sort_by_key(|&i| {
-        (
-            std::cmp::Reverse(g.uses.get(&g.nodes[i]).copied().unwrap_or(0)),
-            i,
-        )
-    });
-
-    for &i in &order {
-        let reg = g.nodes[i];
-        let mut taken = vec![false; k as usize];
-        for &j in &g.adj[i] {
-            if let Some(&c) = colors.get(&g.nodes[j]) {
-                taken[c as usize] = true;
-            }
-        }
-        match taken.iter().position(|t| !t) {
-            Some(c) => {
-                colors.insert(reg, c as u32);
-            }
-            None => spilled.push(reg),
-        }
-    }
-    (colors, spilled)
+    color_where(g, k, |_| true)
 }
 
 /// [`color`] restricted to one register class.
@@ -141,11 +113,20 @@ pub fn color_class(
     class: bsched_ir::RegClass,
     k: u32,
 ) -> (HashMap<Reg, u32>, Vec<Reg>) {
+    color_where(g, k, |r| r.class() == class)
+}
+
+fn color_where(
+    g: &Interference,
+    k: u32,
+    keep: impl Fn(Reg) -> bool,
+) -> (HashMap<Reg, u32>, Vec<Reg>) {
     let mut colors: HashMap<Reg, u32> = HashMap::new();
     let mut spilled: Vec<Reg> = Vec::new();
-    let mut order: Vec<usize> = (0..g.nodes.len())
-        .filter(|&i| g.nodes[i].class() == class)
-        .collect();
+
+    // Color in decreasing use count (hot registers claim colors first),
+    // falling back to appearance order for determinism.
+    let mut order: Vec<usize> = (0..g.nodes.len()).filter(|&i| keep(g.nodes[i])).collect();
     order.sort_by_key(|&i| {
         (
             std::cmp::Reverse(g.uses.get(&g.nodes[i]).copied().unwrap_or(0)),

@@ -1,4 +1,4 @@
-//! `bsched-regalloc` — linear-scan register allocation with spill code.
+//! `bsched-regalloc` — graph-coloring register allocation with spill code.
 //!
 //! Runs after instruction scheduling (the Multiflow phase order): virtual
 //! registers are mapped onto the Alpha's 31 integer / 31 floating-point
@@ -19,6 +19,5 @@
 
 pub mod coloring;
 pub mod linear_scan;
-pub mod liveness_points;
 
 pub use linear_scan::{allocate, AllocStats};

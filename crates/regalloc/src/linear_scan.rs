@@ -1,6 +1,7 @@
-//! The linear-scan allocator and spill-code rewriter.
+//! The allocator entry point and spill-code rewriter. Registers are assigned
+//! by exact-interference graph coloring ([`crate::coloring`]); the
+//! module keeps its historical name.
 
-use crate::liveness_points::intervals;
 use bsched_ir::{BlockId, Function, Inst, Program, Reg, RegClass, Terminator};
 use std::collections::HashMap;
 
@@ -46,84 +47,6 @@ pub struct AllocStats {
     pub restores: u64,
     /// Spill stores inserted.
     pub spill_stores: u64,
-}
-
-/// Runs linear scan per register class; returns the location map and the
-/// number of spill slots used.
-#[allow(dead_code)] // kept for the linear-scan-vs-coloring ablation bench
-fn assign(func: &Function) -> (HashMap<Reg, Loc>, u32, AllocStats) {
-    let ivs = intervals(func);
-    let mut locs: HashMap<Reg, Loc> = HashMap::new();
-    let mut slots: u32 = 0;
-    let mut stats = AllocStats::default();
-
-    // Static use counts steer spill choice: spilling a many-use register
-    // (say, an array base read every iteration) costs a restore per use,
-    // so prefer the least-used candidate.
-    let mut uses: HashMap<Reg, u32> = HashMap::new();
-    for (_, block) in func.iter_blocks() {
-        for inst in &block.insts {
-            for &s in inst.srcs() {
-                *uses.entry(s).or_insert(0) += 1;
-            }
-        }
-        if let Some(c) = block.term.cond_reg() {
-            *uses.entry(c).or_insert(0) += 1;
-        }
-    }
-
-    for class in RegClass::ALL {
-        let k = allocatable(class);
-        let mut free: Vec<u32> = (0..k).rev().collect();
-        // (end, phys index, reg)
-        let mut active: Vec<(u32, u32, Reg)> = Vec::new();
-        for iv in ivs.iter().filter(|iv| iv.reg.class() == class) {
-            active.retain(|&(end, phys, _)| {
-                if end < iv.start {
-                    free.push(phys);
-                    false
-                } else {
-                    true
-                }
-            });
-            if let Some(p) = free.pop() {
-                locs.insert(iv.reg, Loc::Phys(Reg::phys(class, p)));
-                active.push((iv.end, p, iv.reg));
-                stats.assigned += 1;
-                continue;
-            }
-            // Spill the candidate (an active interval or the incoming
-            // one) with the fewest static uses; ties go to the interval
-            // ending last.
-            let use_of = |r: Reg| uses.get(&r).copied().unwrap_or(0);
-            let victim = active
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(end, _, r))| (use_of(r), std::cmp::Reverse(end)))
-                .map(|(i, _)| i);
-            match victim {
-                Some(vi)
-                    if (use_of(active[vi].2), std::cmp::Reverse(active[vi].0))
-                        < (use_of(iv.reg), std::cmp::Reverse(iv.end)) =>
-                {
-                    let (_, phys, vreg) = active.swap_remove(vi);
-                    locs.insert(vreg, Loc::Spill(slots));
-                    slots += 1;
-                    stats.spilled += 1;
-                    stats.assigned -= 1;
-                    locs.insert(iv.reg, Loc::Phys(Reg::phys(class, phys)));
-                    active.push((iv.end, phys, iv.reg));
-                    stats.assigned += 1;
-                }
-                _ => {
-                    locs.insert(iv.reg, Loc::Spill(slots));
-                    slots += 1;
-                    stats.spilled += 1;
-                }
-            }
-        }
-    }
-    (locs, slots, stats)
 }
 
 /// Exact-interference assignment: colors each class's virtual registers

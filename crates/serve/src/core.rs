@@ -15,8 +15,8 @@
 //! * a single **dispatcher** ([`ServeCore::run_dispatcher`], one
 //!   dedicated thread) drains the queue in batches and executes them
 //!   through [`Engine::run_where`], which fans the batch out on the
-//!   harness's work-stealing pool and settles hits from the shared
-//!   sharded store / disk cache;
+//!   harness's self-scheduling pool and settles hits from the shared
+//!   memo store / disk cache;
 //! * [`ServeCore::drain`] implements graceful shutdown: admission stops
 //!   ([`SubmitError::Draining`]), queued and running work finishes, and
 //!   the dispatcher exits.

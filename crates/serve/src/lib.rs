@@ -18,7 +18,7 @@
 //!   in-flight cells across connections (N clients submitting the same
 //!   cold grid compute each cell once), and a dispatcher that batches
 //!   admitted work into [`bsched_harness::Engine::run_where`] — the
-//!   same work-stealing pool, sharded memo store, and content-addressed
+//!   same self-scheduling pool, memo store, and content-addressed
 //!   disk cache every batch binary uses, so a served result and a
 //!   locally computed one are byte-identical by construction;
 //! * **front end** ([`server`]) — nonblocking accept loop, a handler

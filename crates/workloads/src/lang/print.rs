@@ -187,12 +187,13 @@ fn expr(k: &Kernel, e: &Expr) -> String {
 mod tests {
     use super::*;
     use crate::lang::parse_kernel;
-    use crate::suite::all_kernels_sources;
+    use crate::suite::all_kernels;
     use bsched_ir::Interp;
 
     #[test]
     fn suite_kernels_round_trip_through_text() {
-        for (name, kernel) in all_kernels_sources() {
+        for spec in all_kernels() {
+            let (name, kernel) = (spec.name, spec.source());
             let text = print_kernel(&kernel);
             let reparsed = parse_kernel(&text)
                 .unwrap_or_else(|e| panic!("{name}: printed text fails to parse: {e}\n{text}"));
@@ -204,8 +205,8 @@ mod tests {
 
     #[test]
     fn printing_is_stable() {
-        let (_, k) = &all_kernels_sources()[0];
-        let t1 = print_kernel(k);
+        let k = all_kernels()[0].source();
+        let t1 = print_kernel(&k);
         let t2 = print_kernel(&parse_kernel(&t1).unwrap());
         assert_eq!(t1.trim(), t2.trim(), "print(parse(print(k))) is a fixpoint");
     }

@@ -35,4 +35,4 @@ pub mod lang;
 pub mod suite;
 
 pub use lang::{parse_kernel, ArrayInit, Kernel, ParseError};
-pub use suite::{all_kernels, all_kernels_sources, kernel_by_name, KernelSpec};
+pub use suite::{all_kernels, kernel_by_name, KernelSpec};

@@ -16,9 +16,6 @@ use crate::lang::ast::{Index, VarId};
 use crate::lang::Kernel;
 use bsched_ir::Program;
 
-/// A named kernel constructor, as listed by each suite module.
-pub(crate) type KernelSource = (&'static str, fn() -> Kernel);
-
 /// Which suite a benchmark came from in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suite {
@@ -41,14 +38,21 @@ pub struct KernelSpec {
     pub description: &'static str,
     /// The structural property our synthetic kernel reproduces.
     pub shape: &'static str,
-    build: fn() -> Program,
+    kernel: fn() -> Kernel,
 }
 
 impl KernelSpec {
-    /// Builds the kernel's program (deterministic).
+    /// Builds the kernel's un-lowered source (deterministic): what the
+    /// pretty-printer writes and the textual round-trip tests reparse.
+    #[must_use]
+    pub fn source(&self) -> Kernel {
+        (self.kernel)()
+    }
+
+    /// Builds and lowers the kernel's program (deterministic).
     #[must_use]
     pub fn program(&self) -> Program {
-        (self.build)()
+        self.source().lower()
     }
 }
 
@@ -57,20 +61,6 @@ impl KernelSpec {
 pub fn all_kernels() -> Vec<KernelSpec> {
     let mut v = perfect::kernels();
     v.extend(spec92::kernels());
-    v
-}
-
-/// Every kernel as an un-lowered [`crate::lang::Kernel`] (textual
-/// round-trip tests, pretty-printing).
-#[must_use]
-pub fn all_kernels_sources() -> Vec<(&'static str, crate::lang::Kernel)> {
-    let mut v: Vec<(&'static str, crate::lang::Kernel)> = Vec::new();
-    for (name, build) in perfect::kernel_sources() {
-        v.push((name, build()));
-    }
-    for (name, build) in spec92::kernel_sources() {
-        v.push((name, build()));
-    }
     v
 }
 

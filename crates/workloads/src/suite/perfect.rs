@@ -3,7 +3,6 @@
 use super::{idx2, idx2_off, KernelSpec, Suite};
 use crate::lang::ast::{CmpOp, Expr, Index, Stmt};
 use crate::lang::{ArrayInit, Kernel};
-use bsched_ir::Program;
 
 fn ld(arr: crate::lang::ast::ArrId, idx: Index) -> Expr {
     Expr::load(arr, idx)
@@ -321,7 +320,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Two-dimensional fluid flow problem solver using Euler equations",
             shape: "unrollable 2-D stencil sweeps with abundant independent loads",
-            build: arc2d,
+            kernel: arc2d_kernel,
         },
         KernelSpec {
             name: "BDNA",
@@ -329,7 +328,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Simulation of hydration structure and dynamics of nucleic acids",
             shape: "very large basic blocks; unrolling disabled by the size limit",
-            build: bdna,
+            kernel: bdna_kernel,
         },
         KernelSpec {
             name: "DYFESM",
@@ -337,7 +336,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Structural dynamics benchmark to solve displacements and stresses",
             shape: "50/50 data-dependent branch with stores in both arms (few dominant paths)",
-            build: dyfesm,
+            kernel: dyfesm_kernel,
         },
         KernelSpec {
             name: "MDG",
@@ -345,7 +344,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Molecular dynamic simulation of flexible water molecules",
             shape: "sqrt/divide chains plus a predicable cutoff",
-            build: mdg,
+            kernel: mdg_kernel,
         },
         KernelSpec {
             name: "QCD2",
@@ -353,7 +352,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Lattice-gauge QCD simulation",
             shape: "many short loops with small basic blocks",
-            build: qcd2,
+            kernel: qcd2_kernel,
         },
         KernelSpec {
             name: "TRFD",
@@ -361,39 +360,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Two-electron integral transformation",
             shape: "multi-accumulator inner products; unroll-by-8 spills",
-            build: trfd,
+            kernel: trfd_kernel,
         },
-    ]
-}
-
-fn arc2d() -> Program {
-    arc2d_kernel().lower()
-}
-fn bdna() -> Program {
-    bdna_kernel().lower()
-}
-fn dyfesm() -> Program {
-    dyfesm_kernel().lower()
-}
-fn mdg() -> Program {
-    mdg_kernel().lower()
-}
-fn qcd2() -> Program {
-    qcd2_kernel().lower()
-}
-fn trfd() -> Program {
-    trfd_kernel().lower()
-}
-
-/// The kernels of this module as un-lowered [`Kernel`]s (for the textual
-/// round-trip tests and the pretty-printer).
-pub(super) fn kernel_sources() -> Vec<super::KernelSource> {
-    vec![
-        ("arc2d", arc2d_kernel as fn() -> Kernel),
-        ("bdna", bdna_kernel as fn() -> Kernel),
-        ("dyfesm", dyfesm_kernel as fn() -> Kernel),
-        ("mdg", mdg_kernel as fn() -> Kernel),
-        ("qcd2", qcd2_kernel as fn() -> Kernel),
-        ("trfd", trfd_kernel as fn() -> Kernel),
     ]
 }

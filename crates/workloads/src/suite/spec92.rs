@@ -4,7 +4,6 @@
 use super::{idx2, KernelSpec, Suite};
 use crate::lang::ast::{CmpOp, Expr, Index, Stmt};
 use crate::lang::{ArrayInit, Kernel};
-use bsched_ir::Program;
 
 fn ld(arr: crate::lang::ast::ArrId, idx: Index) -> Expr {
     Expr::load(arr, idx)
@@ -443,7 +442,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "C",
             description: "Trains a neural network using back propagation",
             shape: "serial dot-product accumulator chains",
-            build: alvinn,
+            kernel: alvinn_kernel,
         },
         KernelSpec {
             name: "dnasa7",
@@ -451,7 +450,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Matrix manipulation routines",
             shape: "matrix multiply + wide independent element-wise streams",
-            build: dnasa7,
+            kernel: dnasa7_kernel,
         },
         KernelSpec {
             name: "doduc",
@@ -460,7 +459,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             description:
                 "Monte Carlo simulation of the time evolution of a nuclear reactor component",
             shape: "multiple un-predicable conditionals per loop; divide heavy",
-            build: doduc,
+            kernel: doduc_kernel,
         },
         KernelSpec {
             name: "ear",
@@ -468,7 +467,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "C",
             description: "Simulates the propagation of sound in the human cochlea",
             shape: "serial IIR filter recurrences (fixed-latency bound)",
-            build: ear,
+            kernel: ear_kernel,
         },
         KernelSpec {
             name: "hydro2d",
@@ -476,7 +475,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Solves hydrodynamical Navier Stokes equations to compute galactical jets",
             shape: "2-D sweeps over arrays larger than the L2",
-            build: hydro2d,
+            kernel: hydro2d_kernel,
         },
         KernelSpec {
             name: "mdljdp2",
@@ -484,7 +483,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Chemical application program that solves equations of motion for atoms",
             shape: "cutoff conditionals with stores; never unrolled",
-            build: mdljdp2,
+            kernel: mdljdp2_kernel,
         },
         KernelSpec {
             name: "ora",
@@ -493,7 +492,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             description:
                 "Traces rays through an optical system composed of spherical and planar surfaces",
             shape: "one large loop-free scalar body; ~zero load interlocks",
-            build: ora,
+            kernel: ora_kernel,
         },
         KernelSpec {
             name: "spice2g6",
@@ -501,7 +500,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Circuit simulation package",
             shape: "serially dependent dynamic-index loads through a 96 KB table",
-            build: spice2g6,
+            kernel: spice2g6_kernel,
         },
         KernelSpec {
             name: "su2cor",
@@ -510,7 +509,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             description:
                 "Computes masses of elementary particles in the framework of the Quark-Gluon theory",
             shape: "unit-stride SoA matrix-vector sweeps",
-            build: su2cor,
+            kernel: su2cor_kernel,
         },
         KernelSpec {
             name: "swm256",
@@ -518,7 +517,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Solves shallow water equations using finite difference equations",
             shape: "stencil body just over the factor-4 unroll budget",
-            build: swm256,
+            kernel: swm256_kernel,
         },
         KernelSpec {
             name: "tomcatv",
@@ -526,59 +525,7 @@ pub(super) fn kernels() -> Vec<KernelSpec> {
             lang: "Fortran",
             description: "Vectorized mesh generation program",
             shape: "sequential sweeps over large read-only arrays (LA best case)",
-            build: tomcatv,
+            kernel: tomcatv_kernel,
         },
-    ]
-}
-
-fn alvinn() -> Program {
-    alvinn_kernel().lower()
-}
-fn dnasa7() -> Program {
-    dnasa7_kernel().lower()
-}
-fn doduc() -> Program {
-    doduc_kernel().lower()
-}
-fn ear() -> Program {
-    ear_kernel().lower()
-}
-fn hydro2d() -> Program {
-    hydro2d_kernel().lower()
-}
-fn mdljdp2() -> Program {
-    mdljdp2_kernel().lower()
-}
-fn ora() -> Program {
-    ora_kernel().lower()
-}
-fn spice2g6() -> Program {
-    spice2g6_kernel().lower()
-}
-fn su2cor() -> Program {
-    su2cor_kernel().lower()
-}
-fn swm256() -> Program {
-    swm256_kernel().lower()
-}
-fn tomcatv() -> Program {
-    tomcatv_kernel().lower()
-}
-
-/// The kernels of this module as un-lowered [`Kernel`]s (for the textual
-/// round-trip tests and the pretty-printer).
-pub(super) fn kernel_sources() -> Vec<super::KernelSource> {
-    vec![
-        ("alvinn", alvinn_kernel as fn() -> Kernel),
-        ("dnasa7", dnasa7_kernel as fn() -> Kernel),
-        ("doduc", doduc_kernel as fn() -> Kernel),
-        ("ear", ear_kernel as fn() -> Kernel),
-        ("hydro2d", hydro2d_kernel as fn() -> Kernel),
-        ("mdljdp2", mdljdp2_kernel as fn() -> Kernel),
-        ("ora", ora_kernel as fn() -> Kernel),
-        ("spice2g6", spice2g6_kernel as fn() -> Kernel),
-        ("su2cor", su2cor_kernel as fn() -> Kernel),
-        ("swm256", swm256_kernel as fn() -> Kernel),
-        ("tomcatv", tomcatv_kernel as fn() -> Kernel),
     ]
 }

@@ -18,6 +18,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "== tests (workspace) =="
 cargo test --workspace -q
 
+echo "== tests (paper shape relations, full grid) =="
+# The paper's qualitative relations over the full grid are #[ignore]d
+# in the default run; gate them here so a golden refresh cannot break
+# them silently.
+cargo test --release --test paper_shape -- --ignored
+
 echo "== tests (benchmark self-tests) =="
 # perfbench/ is a Cargo workspace of its own, so the workspace run
 # above does not reach its self-tests.

@@ -10,7 +10,7 @@
 //!   paper's contribution).
 //! * [`opt`] — loop unrolling, peeling, trace scheduling, locality
 //!   analysis, predication, cleanup passes.
-//! * [`regalloc`] — linear-scan register allocation with spill insertion.
+//! * [`regalloc`] — graph-coloring register allocation with spill insertion.
 //! * [`mem`] — the Alpha 21164-like memory hierarchy (3-level caches,
 //!   lockup-free L1 MSHRs, TLBs).
 //! * [`sim`] — the execution-driven single-issue non-blocking timing
