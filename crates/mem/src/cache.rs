@@ -11,33 +11,51 @@ struct Way {
 }
 
 /// A single cache level.
+///
+/// Power-of-two geometry is resolved to shifts and masks once at
+/// construction, so an access never divides (a line size that is not a
+/// power of two falls back to exact division).
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     ways: Vec<Way>, // sets * assoc, row-major by set
+    assoc: usize,
+    /// `log2(line)`; meaningful only when `line_pow2`.
+    line_shift: u32,
+    line_pow2: bool,
+    sets: u64,
+    set_mask: u64,
+    tag_shift: u32,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
     /// Builds an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is not a power-of-two set count.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let n = config.sets() * u64::from(config.assoc);
+        let sets = config.sets();
+        let line_shift = config.line.trailing_zeros();
         Cache {
-            config,
             ways: vec![
                 Way {
                     tag: 0,
                     valid: false,
                     stamp: 0
                 };
-                n as usize
+                (sets * u64::from(config.assoc)) as usize
             ],
+            assoc: config.assoc as usize,
+            line_shift,
+            line_pow2: config.line.is_power_of_two(),
+            sets,
+            set_mask: sets - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
             clock: 0,
-            hits: 0,
-            misses: 0,
+            config,
         }
     }
 
@@ -47,74 +65,106 @@ impl Cache {
         &self.config
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.config.line) % self.config.sets()) as usize
+    /// The line number of `addr` (`addr / line`).
+    #[inline]
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
+        if self.line_pow2 {
+            addr >> self.line_shift
+        } else {
+            addr / self.config.line
+        }
     }
 
-    fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.config.line / self.config.sets()
+    /// `(set, tag)` of `addr`: `(addr / line) % sets` and
+    /// `addr / line / sets`.
+    #[inline]
+    fn index(&self, addr: u64) -> (usize, u64) {
+        if self.line_pow2 {
+            (
+                ((addr >> self.line_shift) & self.set_mask) as usize,
+                addr >> self.tag_shift,
+            )
+        } else {
+            let l = addr / self.config.line;
+            ((l % self.sets) as usize, l / self.sets)
+        }
     }
 
     /// Looks up `addr`, allocating the line on a miss. Returns `true` on a
     /// hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.access_inner(addr, true)
     }
 
     /// Looks up `addr` without allocating on a miss (write-through,
     /// no-write-allocate stores). Returns `true` on a hit.
+    #[inline]
     pub fn probe_update(&mut self, addr: u64) -> bool {
         self.access_inner(addr, false)
     }
 
+    #[inline]
     fn access_inner(&mut self, addr: u64, allocate: bool) -> bool {
         self.clock += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let assoc = self.config.assoc as usize;
-        let ways = &mut self.ways[set * assoc..(set + 1) * assoc];
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.stamp = self.clock;
-            self.hits += 1;
-            return true;
+        let (set, tag) = self.index(addr);
+        let clock = self.clock;
+        let fill = allocate.then_some(Way {
+            tag,
+            valid: true,
+            stamp: clock,
+        });
+        // Fixed-size sets for the 21164's direct-mapped L1s and 3-way
+        // L2, so the probe and the victim scan fully unroll.
+        if self.assoc == 1 {
+            let w = &mut self.ways[set];
+            if w.valid && w.tag == tag {
+                w.stamp = clock;
+                return true;
+            }
+            if let Some(fill) = fill {
+                *w = fill;
+            }
+            return false;
         }
-        self.misses += 1;
-        if allocate {
-            let victim = ways
-                .iter_mut()
-                .min_by_key(|w| if w.valid { w.stamp } else { 0 })
-                .expect("cache has at least one way");
-            *victim = Way {
-                tag,
-                valid: true,
-                stamp: self.clock,
-            };
+        if self.assoc == 3 {
+            let ways: &mut [Way; 3] = (&mut self.ways[set * 3..set * 3 + 3])
+                .try_into()
+                .expect("slice of length 3");
+            return probe(ways, tag, clock, fill);
         }
-        false
+        let n = self.assoc;
+        probe(&mut self.ways[set * n..(set + 1) * n], tag, clock, fill)
     }
 
     /// `true` if `addr`'s line is currently resident (no state change).
     #[must_use]
+    #[inline]
     pub fn contains(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let assoc = self.config.assoc as usize;
-        self.ways[set * assoc..(set + 1) * assoc]
+        let (set, tag) = self.index(addr);
+        self.ways[set * self.assoc..(set + 1) * self.assoc]
             .iter()
             .any(|w| w.valid && w.tag == tag)
     }
+}
 
-    /// Hit count so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
+/// Probes one set for `tag`, refreshing its stamp on a hit; on a miss,
+/// writes `fill` (if any) over the least recently used way, invalid
+/// ways first.
+#[inline(always)]
+fn probe(ways: &mut [Way], tag: u64, clock: u64, fill: Option<Way>) -> bool {
+    if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+        w.stamp = clock;
+        return true;
     }
-
-    /// Miss count so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
+    if let Some(fill) = fill {
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|w| if w.valid { w.stamp } else { 0 })
+            .expect("cache has at least one way");
+        *victim = fill;
     }
+    false
 }
 
 #[cfg(test)]
@@ -134,11 +184,9 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.access(0x40));
-        assert!(c.access(0x40));
-        assert!(c.access(0x48), "same 16-byte line");
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
+        // One miss, then two hits (the second on the same 16-byte line).
+        let hits = [0x40, 0x40, 0x48].map(|a| c.access(a));
+        assert_eq!(hits, [false, true, true]);
     }
 
     #[test]

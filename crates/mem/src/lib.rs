@@ -12,10 +12,15 @@
 //! resource — a free MSHR on a read, a free write-buffer entry on a
 //! store ([`Access::stall`])?
 //!
+//! It is the one model both simulation engines run on, written for
+//! their hot loops; the constructor takes the program's code segment so
+//! repeated instruction fetches can be proven hits (see [`Hierarchy`]).
+//!
 //! ```
 //! use bsched_mem::{Hierarchy, Level, MemConfig};
 //!
-//! let mut h = Hierarchy::new(MemConfig::alpha21164().with_mshrs(1));
+//! // A program whose code occupies 0x4000..0x6000.
+//! let mut h = Hierarchy::new(MemConfig::alpha21164().with_mshrs(1), 0x4000..0x6000);
 //! let first = h.data_read(0x1000, 0);
 //! assert_ne!(first.level, Level::L1); // cold miss
 //! assert_eq!(first.stall, 0); // a free MSHR: no structural stall

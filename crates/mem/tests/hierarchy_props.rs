@@ -14,7 +14,7 @@ fn access_timing_is_sane() {
     let mut rng = Prng::new(0x3E3_0001);
     for case in 0..64 {
         let addrs = gen_addrs(&mut rng, 1 << 22, 1, 200);
-        let mut h = Hierarchy::new(MemConfig::alpha21164());
+        let mut h = Hierarchy::new(MemConfig::alpha21164(), 0..0);
         let mut now = 0u64;
         for &a in &addrs {
             let acc = h.data_read(a & !7, now);
@@ -37,7 +37,7 @@ fn second_touch_is_at_least_as_fast() {
     let mut rng = Prng::new(0x3E3_0002);
     for case in 0..64 {
         let addrs = gen_addrs(&mut rng, 1 << 20, 1, 64);
-        let mut h = Hierarchy::new(MemConfig::alpha21164());
+        let mut h = Hierarchy::new(MemConfig::alpha21164(), 0..0);
         let mut now = 0;
         for &a in &addrs {
             let first = h.data_read(a & !7, now);
@@ -58,7 +58,7 @@ fn hierarchy_is_deterministic() {
     for case in 0..64 {
         let addrs = gen_addrs(&mut rng, 1 << 21, 1, 128);
         let run = || {
-            let mut h = Hierarchy::new(MemConfig::alpha21164());
+            let mut h = Hierarchy::new(MemConfig::alpha21164(), 0..0);
             let mut now = 0;
             let mut log = Vec::new();
             for &a in &addrs {

@@ -18,8 +18,10 @@
 //! [`SimEngine`] axis of [`Simulator`]): the original interpreting
 //! engine and a block-compiled engine that pre-decodes each basic block
 //! into a cached static cost skeleton and replays only dynamic state
-//! per visit. They produce bit-identical results; the block-compiled
-//! engine is simply much faster and is the default.
+//! per visit. Both run on the one `bsched_mem::Hierarchy` and the one
+//! [`BranchPredictor`], so they differ only in their timing loops. They
+//! produce bit-identical results; the block-compiled engine is faster
+//! and is the default.
 //!
 //! ```
 //! use bsched_ir::{FuncBuilder, Op, Program};

@@ -240,7 +240,7 @@ impl<'p> Simulator<'p> {
         } else {
             Vec::new()
         };
-        let mut st = MachineState::cold(self.program, &self.config);
+        let mut st = MachineState::cold(self.program, &self.config, code_end);
         let run_span = bsched_trace::span(bsched_trace::points::SIM_RUN)
             .label_with(|| self.program.name().to_string());
         let (metrics, _) = interpret(
@@ -281,12 +281,13 @@ pub(crate) struct MachineState {
 }
 
 impl MachineState {
-    /// A cold machine at cycle 0 holding `program`'s initial memory.
-    pub(crate) fn cold(program: &Program, config: &SimConfig) -> Self {
+    /// A cold machine at cycle 0 holding `program`'s initial memory,
+    /// for code ending at `code_end` (from [`code_layout`]).
+    pub(crate) fn cold(program: &Program, config: &SimConfig, code_end: u64) -> Self {
         MachineState {
             regs: RegFile::new(program.main()),
             mem: MemImage::new(program),
-            hier: Hierarchy::new(config.mem),
+            hier: Hierarchy::new(config.mem, CODE_BASE..code_end),
             pred: BranchPredictor::new(&config.branch),
             now: 0,
         }

@@ -216,8 +216,8 @@ pub(crate) fn warm_replay(
     rep_intervals: &[usize],
 ) -> Result<Vec<SimMetrics>, ExecError> {
     let func = program.main();
-    let (block_addr, _) = machine::code_layout(func);
-    let mut st = MachineState::cold(program, config);
+    let (block_addr, code_end) = machine::code_layout(func);
+    let mut st = MachineState::cold(program, config, code_end);
     let bases = st.mem.region_bases.clone();
 
     let mut deltas = Vec::with_capacity(rep_intervals.len());
