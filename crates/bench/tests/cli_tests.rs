@@ -258,7 +258,7 @@ fn sampled_runs_never_touch_the_exact_result_cache() {
     }
     let err = String::from_utf8_lossy(&sampled.stderr);
     assert!(
-        err.contains("0 memory hits, 0 disk hits, 15 executed (0% cache hits)"),
+        err.contains("0 memory hits, 0 disk hits, 15 executed from 15 compiles (0% cache hits)"),
         "the sampled run must not be answered from the exact-warmed cache: {err}"
     );
     assert!(err.contains("sampling: "), "sampled report section missing: {err}");

@@ -7,13 +7,13 @@ use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
 use bsched_ir::Program;
-use bsched_pipeline::{Experiment, Source};
+use bsched_pipeline::{Experiment, RunResult, Source};
 use bsched_sim::{SampleConfig, SimEngine, SimMetrics, SimMode};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The cached outcome of one cell: the simulator metrics plus the
 /// record that the interpreter cross-check passed when the cell was
@@ -361,7 +361,8 @@ impl Engine {
     }
 
     /// Ensures every requested cell has a result, executing the
-    /// deduplicated cache misses on the [`crate::pool`].
+    /// deduplicated cache misses on the [`crate::pool`], one job per
+    /// group of misses that differ only in the simulated machine.
     ///
     /// # Errors
     ///
@@ -431,24 +432,28 @@ impl Engine {
             misses.push(cell);
         }
 
-        // Layer 3: execute the misses in parallel.
+        // Layer 3: execute the misses in parallel, one pool job per
+        // compile. Cells that differ only in the simulated machine share
+        // a compile key; their job compiles once and simulates each
+        // member on its own machine. Outcomes are scattered back by
+        // index, so the first failure in request order is reported.
         let mut failure = None;
         if !misses.is_empty() {
-            let (outcomes, stats) = pool::run_jobs(self.config.jobs, misses.len(), |i| {
-                let cell = misses[i];
-                let t0 = Instant::now();
-                let span = bsched_trace::span(bsched_trace::points::HARNESS_CELL)
-                    .label_with(|| cell.to_string());
-                let outcome = self.execute(cell, verify);
-                span.finish(&[]);
-                // Workers flush per cell so a drain on the coordinating
-                // thread sees every event even while the pool is alive.
-                bsched_trace::flush_thread();
-                (outcome, t0.elapsed())
+            let groups = compile_groups(&misses);
+            let (outcomes, stats) = pool::run_jobs(self.config.jobs, groups.len(), |g| {
+                let members: Vec<&ExperimentCell> = groups[g].iter().map(|&i| misses[i]).collect();
+                self.execute_group(&members, verify)
             });
             batch.pool_wall = stats.wall;
             batch.worker_busy = stats.busy;
-            for (cell, (outcome, wall)) in misses.iter().zip(outcomes) {
+            batch.compiles = groups.len() as u64;
+            let mut by_cell: Vec<_> = groups
+                .iter()
+                .flatten()
+                .zip(outcomes.into_iter().flatten())
+                .collect();
+            by_cell.sort_unstable_by_key(|&(&i, _)| i);
+            for (cell, (_, (outcome, wall))) in misses.iter().zip(by_cell) {
                 batch.cell_timings.push(CellTiming {
                     cell: cell.to_string(),
                     wall,
@@ -518,28 +523,67 @@ impl Engine {
         self.report.lock().expect("report poisoned").fuzz_iterations += iterations;
     }
 
-    fn execute(&self, cell: &ExperimentCell, verify: bool) -> Result<CellResult, HarnessError> {
-        let source = &self.kernels[self.index[cell.kernel()]].1;
-        let program = source.program();
+    /// Runs one compile group: compiles the first member's options once
+    /// and simulates every member on its own machine, each under its own
+    /// `harness.cell` span and timing (the first member's includes the
+    /// compile). The compiled program is dropped when this returns.
+    fn execute_group(
+        &self,
+        cells: &[&ExperimentCell],
+        verify: bool,
+    ) -> Vec<(Result<CellResult, HarnessError>, Duration)> {
+        let first = cells[0];
+        let source = &self.kernels[self.index[first.kernel()]].1;
         let session = Experiment::builder()
-            .source(cell.kernel(), Arc::clone(source))
-            .compile_options(*cell.options())
+            .source(first.kernel(), Arc::clone(source))
+            .compile_options(*first.options())
             .engine(self.config.sim_engine)
             .sim_mode(self.config.sim_mode)
             .build()
-            .map_err(|e| HarnessError::Cell {
-                cell: cell.to_string(),
-                msg: e.to_string(),
-            })?;
-        let run = session.run().map_err(|e| HarnessError::Cell {
-            cell: cell.to_string(),
-            msg: e.to_string(),
-        })?;
+            .expect("a session over a supplied source always builds");
+        let mut runs = session.run_on(cells.iter().map(|c| c.options().sim));
+        cells
+            .iter()
+            .enumerate()
+            .map(|(k, &cell)| {
+                let t0 = Instant::now();
+                let span = bsched_trace::span(bsched_trace::points::HARNESS_CELL)
+                    .label_with(|| cell.to_string());
+                let run = runs.next().expect("one run per member");
+                // Every member carries the compile's statistics; the
+                // report counts its exact search once.
+                if let (0, Ok(run)) = (k, &run) {
+                    if run.compile.exact.regions > 0 {
+                        let mut r = self.report.lock().expect("report poisoned");
+                        r.exact.merge(&run.compile.exact);
+                    }
+                }
+                let outcome = run
+                    .map_err(|e| cell_error(cell, e.to_string()))
+                    .and_then(|run| self.check(cell, run, verify));
+                span.finish(&[]);
+                // Workers flush per cell so a drain on the coordinating
+                // thread sees every event even while the pool is alive.
+                bsched_trace::flush_thread();
+                (outcome, t0.elapsed())
+            })
+            .collect()
+    }
+
+    /// One member's checks after its run: the simulator-vs-reference
+    /// checksum, the sampling tallies and, when `verify`, the
+    /// conformance suite.
+    fn check(
+        &self,
+        cell: &ExperimentCell,
+        run: RunResult,
+        verify: bool,
+    ) -> Result<CellResult, HarnessError> {
         if !run.checksum_ok {
-            return Err(HarnessError::Cell {
-                cell: cell.to_string(),
-                msg: "simulator diverged from the reference interpreter".to_string(),
-            });
+            return Err(cell_error(
+                cell,
+                "simulator diverged from the reference interpreter".to_string(),
+            ));
         }
         if let Some(stats) = run.sample {
             let mut r = self.report.lock().expect("report poisoned");
@@ -548,14 +592,11 @@ impl Engine {
             r.sampled_insts += stats.sampled_insts;
             r.sample_total_insts += stats.total_insts;
         }
-        if run.compile.exact.regions > 0 {
-            let mut r = self.report.lock().expect("report poisoned");
-            r.exact.merge(&run.compile.exact);
-        }
         let verified = if verify {
             // A sampled cell's estimates cannot be judged against exact
             // metamorphic identities; its suite instead replays the cell
             // exactly and bounds the estimation error.
+            let program = self.kernels[self.index[cell.kernel()]].1.program();
             let v = bsched_verify::verify_cell_in(
                 self.config.sim_mode,
                 program,
@@ -566,14 +607,14 @@ impl Engine {
                 let mut r = self.report.lock().expect("report poisoned");
                 r.violations += v.violations.len() as u64;
                 drop(r);
-                return Err(HarnessError::Cell {
-                    cell: cell.to_string(),
-                    msg: format!(
+                return Err(cell_error(
+                    cell,
+                    format!(
                         "verification failed ({} violations): {}",
                         v.violations.len(),
                         v.violations.join("; ")
                     ),
-                });
+                ));
             }
             true
         } else {
@@ -596,6 +637,7 @@ impl Engine {
         r.disk_hits += batch.disk_hits;
         r.verified += batch.verified;
         r.executed += batch.cell_timings.len() as u64;
+        r.compiles += batch.compiles;
         r.cell_timings.extend(batch.cell_timings);
         r.pool_wall += batch.pool_wall;
         if r.worker_busy.len() < batch.worker_busy.len() {
@@ -606,4 +648,30 @@ impl Engine {
             *acc += *b;
         }
     }
+}
+
+fn cell_error(cell: &ExperimentCell, msg: String) -> HarnessError {
+    HarnessError::Cell {
+        cell: cell.to_string(),
+        msg,
+    }
+}
+
+/// Groups cells by kernel and [`CompileOptions::compile_key`]: indices
+/// into `cells`, groups in order of their first member, members in
+/// request order.
+///
+/// [`CompileOptions::compile_key`]: bsched_pipeline::CompileOptions::compile_key
+fn compile_groups(cells: &[&ExperimentCell]) -> Vec<Vec<usize>> {
+    let mut index: HashMap<(&str, String), usize> = HashMap::with_capacity(cells.len());
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        let key = (cell.kernel(), format!("{:?}", cell.options().compile_key()));
+        let g = *index.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    groups
 }

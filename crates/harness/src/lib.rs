@@ -13,9 +13,12 @@
 //!    from every result-affecting field of the cell; equal cells are
 //!    executed once, no matter how many tables request them.
 //! 2. **Parallel execution** — a std-only self-scheduling pool
-//!    ([`pool`]): scoped worker threads claim the next cell from one
+//!    ([`pool`]): scoped worker threads claim the next job from one
 //!    atomic counter, sized by `std::thread::available_parallelism()`
-//!    and overridable with `BSCHED_JOBS`.
+//!    and overridable with `BSCHED_JOBS`. A job is one compile: the
+//!    batch's misses that differ only in the simulated machine share
+//!    it (compilation reads no machine), and each is then simulated on
+//!    its own machine.
 //! 3. **Memoization** — an in-memory [`store::ResultStore`] plus an
 //!    on-disk content-addressed cache ([`disk::DiskCache`]) under
 //!    `results/cache/`, keyed by an FNV-1a hash of the canonical cell

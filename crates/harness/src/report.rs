@@ -38,6 +38,9 @@ pub struct RunReport {
     pub disk_hits: u64,
     /// Cells actually executed (cache misses).
     pub executed: u64,
+    /// Compiles run for the executed cells: one per group of cells that
+    /// differ only in the simulated machine.
+    pub compiles: u64,
     /// Cells whose conformance suite passed (executed under `--verify`,
     /// or served from a cache entry that was verified when computed).
     pub verified: u64,
@@ -64,9 +67,10 @@ pub struct RunReport {
     /// Total retired instructions across executed sampled cells (the
     /// coverage denominator).
     pub sample_total_insts: u64,
-    /// Exact-search statistics aggregated over executed exact-arm cells
-    /// (regions searched, optima proven, budget fallbacks, nodes, and
-    /// the heuristic-vs-exact issue-span costs behind "% of optimal").
+    /// Exact-search statistics aggregated over the exact-arm compiles
+    /// actually run (regions searched, optima proven, budget fallbacks,
+    /// nodes, and the heuristic-vs-exact issue-span costs behind "% of
+    /// optimal"). Cells sharing one compile count its search once.
     pub exact: ExactStats,
     /// Busy time per worker, summed over batches.
     pub worker_busy: Vec<Duration>,
@@ -114,7 +118,10 @@ impl RunReport {
     }
 
     /// Renders the report as human-readable text (the binaries print
-    /// this to stderr so stdout stays byte-deterministic).
+    /// this to stderr so stdout stays byte-deterministic). The `cells:`
+    /// line names the compiles behind the executed cells (`306 executed
+    /// from 51 compiles`); the `exact:` line counts each search once per
+    /// compile that ran it.
     #[must_use]
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -122,12 +129,17 @@ impl RunReport {
         let _ = writeln!(s, "── bsched-harness run report ──");
         let _ = writeln!(
             s,
-            "cells: {} requested, {} deduplicated, {} memory hits, {} disk hits, {} executed ({:.0}% cache hits)",
+            "cells: {} requested, {} deduplicated, {} memory hits, {} disk hits, {} executed{} ({:.0}% cache hits)",
             self.requested,
             self.deduplicated,
             self.memory_hits,
             self.disk_hits,
             self.executed,
+            match (self.executed, self.compiles) {
+                (0, _) => String::new(),
+                (_, 1) => " from 1 compile".to_string(),
+                (_, n) => format!(" from {n} compiles"),
+            },
             self.hit_rate() * 100.0
         );
         if self.verified > 0 || self.violations > 0 || self.fuzz_iterations > 0 {
@@ -241,6 +253,7 @@ mod tests {
         let r = RunReport {
             requested: 4,
             executed: 2,
+            compiles: 2,
             workers: 2,
             worker_busy: vec![Duration::from_millis(10); 2],
             pool_wall: Duration::from_millis(12),
@@ -248,7 +261,23 @@ mod tests {
             ..RunReport::default()
         };
         let text = r.render();
-        assert!(text.contains("2 executed"));
+        assert!(
+            text.contains("2 executed from 2 compiles (0% cache hits)"),
+            "{text}"
+        );
+        let shared = RunReport {
+            compiles: 1,
+            ..r.clone()
+        };
+        assert!(shared
+            .render()
+            .contains("2 executed from 1 compile (0% cache hits)"));
+        let warm = RunReport {
+            requested: 4,
+            memory_hits: 4,
+            ..RunReport::default()
+        };
+        assert!(warm.render().contains(" 0 executed (100% cache hits)"));
         assert!(text.contains("slowest cells"));
         assert!(text.contains("k/BS"));
     }

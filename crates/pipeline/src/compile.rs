@@ -87,7 +87,9 @@ pub struct Compiled {
 }
 
 /// Runs the full phase order on (a clone of) the source program — the
-/// implementation behind [`crate::Session::compile`].
+/// implementation behind [`crate::Session::compile`]. It compiles under
+/// [`CompileOptions::compile_key`], so the result does not depend on
+/// `opts.sim`.
 ///
 /// # Errors
 ///
@@ -140,6 +142,8 @@ fn compile_inner(
     audited: bool,
     sink: &mut Option<ScheduleAudit>,
 ) -> Result<Compiled, PipelineError> {
+    // No pass can read the simulated machine: it compiles from the key.
+    let opts = &opts.compile_key();
     let program = source.program();
     let mut compile_span = bsched_trace::span(bsched_trace::points::PIPELINE_COMPILE)
         .label_with(|| program.name().to_string());

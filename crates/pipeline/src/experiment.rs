@@ -26,6 +26,8 @@
 //! [`Session`] is the frozen, validated configuration; [`Session::run`]
 //! compiles, simulates, and cross-checks against the reference
 //! interpreter, and [`Session::compile`] stops after code generation.
+//! [`Session::run_on`] compiles once and simulates the program on each
+//! of several machines; `run` is its one-machine case.
 //!
 //! A session reads its program from an `Arc<`[`Source`]`>`, which
 //! computes the source's reference checksum once for every session
@@ -36,7 +38,7 @@
 use crate::compile::{compile_impl, Compiled, PipelineError};
 use crate::experiments::ConfigKind;
 use crate::options::CompileOptions;
-use crate::run::{run_impl, RunResult};
+use crate::run::{RunResult, Runs};
 use crate::source::Source;
 use bsched_core::SchedulerKind;
 use bsched_ir::Program;
@@ -330,15 +332,43 @@ impl Session {
         self.trace.then(bsched_trace::enable_scope)
     }
 
-    /// Compiles and simulates, cross-checking the simulator's memory
-    /// against the reference interpreter.
+    /// Compiles and simulates on the session's machine, cross-checking
+    /// the simulator's memory against the reference interpreter: the
+    /// one-machine case of [`Session::run_on`].
     ///
     /// # Errors
     ///
     /// Propagates [`PipelineError`]s from compilation and simulation.
     pub fn run(&self) -> Result<RunResult, PipelineError> {
-        let _trace = self.trace_scope();
-        run_impl(&self.source, &self.options, self.engine, self.sim_mode)
+        self.run_on([self.options.sim])
+            .next()
+            .expect("one machine yields one run")
+    }
+
+    /// Compiles once and simulates the program on each of `machines`
+    /// in turn, yielding one [`RunResult`] per machine, lazily: the
+    /// first item pays for the compile, each item for its own
+    /// simulation and cross-check. The session's own machine
+    /// (`options().sim`) is not simulated unless it is listed. Every
+    /// item equals what [`Session::run`] returns for the session with
+    /// that machine, because compilation reads no machine
+    /// ([`CompileOptions::compile_key`]).
+    ///
+    /// A failed compile is every item's error. Tracing, when the session
+    /// enables it, stays on until the iterator is dropped.
+    pub fn run_on<I>(&self, machines: I) -> Runs<'_, I::IntoIter>
+    where
+        I: IntoIterator<Item = SimConfig>,
+    {
+        Runs {
+            source: &self.source,
+            opts: self.options,
+            engine: self.engine,
+            mode: self.sim_mode,
+            machines: machines.into_iter(),
+            compiled: None,
+            _trace: self.trace_scope(),
+        }
     }
 
     /// Compiles only (no simulation): the full phase order through
@@ -442,6 +472,36 @@ mod tests {
         assert!(run.metrics.cycles > 0);
         let compiled = s.compile().unwrap();
         assert!(compiled.program.main().inst_count() > 0);
+    }
+
+    #[test]
+    fn run_on_yields_each_machines_own_run() {
+        let machines: Vec<MachineSpec> = ["alpha21164", "wide4", "blocking21164"]
+            .iter()
+            .map(|m| m.parse().unwrap())
+            .collect();
+        let session = Experiment::builder().kernel("TRFD").build().unwrap();
+        let runs: Vec<RunResult> = session
+            .run_on(machines.iter().map(MachineSpec::config))
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(runs.len(), machines.len());
+        for (m, shared) in machines.iter().zip(&runs) {
+            let own = Experiment::builder()
+                .kernel("TRFD")
+                .machine(m.clone())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(shared.metrics, own.metrics, "{}", m.spec());
+            assert_eq!(
+                format!("{:?}", shared.compile),
+                format!("{:?}", own.compile)
+            );
+            assert!(shared.checksum_ok);
+        }
+        assert_ne!(runs[0].metrics, runs[2].metrics, "the machines differ");
     }
 
     #[test]

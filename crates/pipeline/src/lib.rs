@@ -60,6 +60,6 @@ pub use experiment::{resolve_kernel, Experiment, ExperimentBuilder, ExperimentEr
 pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};
 pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode};
 pub use options::CompileOptions;
-pub use run::RunResult;
+pub use run::{RunResult, Runs};
 pub use source::Source;
 pub use table::Table;

@@ -143,6 +143,19 @@ impl CompileOptions {
         self
     }
 
+    /// The options the compiler sees: these options with the simulated
+    /// machine reset to [`SimConfig::default`]. Compilation reads only
+    /// this, so two option sets with equal compile keys produce the
+    /// same program and [`CompileStats`](crate::CompileStats) on any
+    /// machine, and the harness compiles such cells once.
+    #[must_use]
+    pub fn compile_key(&self) -> CompileOptions {
+        CompileOptions {
+            sim: SimConfig::default(),
+            ..*self
+        }
+    }
+
     /// The weight policy the scheduler actually runs with: under locality
     /// analysis, balanced scheduling becomes *selective* (hits keep the
     /// optimistic weight, §3.3). Traditional scheduling has no locality
@@ -199,6 +212,23 @@ mod tests {
                 .with_unroll(8)
                 .label(),
             "TS+LU8"
+        );
+    }
+
+    #[test]
+    fn compile_key_forgets_only_the_machine() {
+        let o = CompileOptions::new(SchedulerKind::Exact)
+            .with_unroll(4)
+            .with_sim(SimConfig::default().with_issue(4, 2));
+        let key = o.compile_key();
+        assert_eq!(
+            format!("{:?}", key.sim),
+            format!("{:?}", SimConfig::default())
+        );
+        assert_eq!(
+            format!("{:?}", key.with_sim(o.sim)),
+            format!("{o:?}"),
+            "every other field survives"
         );
     }
 

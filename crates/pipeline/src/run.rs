@@ -1,9 +1,9 @@
 //! Compile-and-simulate entry point.
 
-use crate::compile::{compile_impl, CompileStats, PipelineError};
+use crate::compile::{compile_impl, CompileStats, Compiled, PipelineError};
 use crate::options::CompileOptions;
 use crate::source::Source;
-use bsched_sim::{SampleStats, SimEngine, SimMetrics, SimMode, Simulator};
+use bsched_sim::{MachineSpec, SampleStats, SimConfig, SimEngine, SimMetrics, SimMode, Simulator};
 
 /// The result of one end-to-end run.
 #[derive(Debug, Clone)]
@@ -22,26 +22,64 @@ pub struct RunResult {
     pub sample: Option<SampleStats>,
 }
 
-/// Compiles `source` under `opts` and runs it on the timing simulator
-/// — the implementation behind [`crate::Session::run`].
-pub(crate) fn run_impl(
-    source: &Source,
-    opts: &CompileOptions,
+/// One compiled program run on a sequence of machines — the iterator
+/// behind [`crate::Session::run_on`] (and so [`crate::Session::run`]).
+///
+/// Compilation reads no machine ([`CompileOptions::compile_key`]), so
+/// the first call to `next` compiles once and every call simulates the
+/// compiled program on the next [`SimConfig`]. A failed compile, or a
+/// source whose reference run fails, is the result of every item. The
+/// compiled program lives as long as the iterator.
+#[derive(Debug)]
+pub struct Runs<'a, I> {
+    pub(crate) source: &'a Source,
+    pub(crate) opts: CompileOptions,
+    pub(crate) engine: SimEngine,
+    pub(crate) mode: SimMode,
+    pub(crate) machines: I,
+    /// The compiled program and the source's reference checksum, once
+    /// the first item asked for them.
+    pub(crate) compiled: Option<Result<(Compiled, u64), PipelineError>>,
+    /// Keeps a traced session's tracing on while the runs last.
+    pub(crate) _trace: Option<bsched_trace::EnableGuard>,
+}
+
+impl<I: Iterator<Item = SimConfig>> Iterator for Runs<'_, I> {
+    type Item = Result<RunResult, PipelineError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let sim = self.machines.next()?;
+        let compiled = self.compiled.get_or_insert_with(|| {
+            let compiled = compile_impl(self.source, &self.opts)?;
+            Ok((compiled, self.source.reference_checksum()?))
+        });
+        Some(match compiled {
+            Ok((compiled, reference)) => {
+                simulate(compiled, *reference, sim, self.engine, self.mode)
+            }
+            Err(e) => Err(e.clone()),
+        })
+    }
+}
+
+/// Simulates a compiled program on one machine and cross-checks its
+/// final memory against the source's reference checksum.
+fn simulate(
+    compiled: &Compiled,
+    reference: u64,
+    sim: SimConfig,
     engine: SimEngine,
     mode: SimMode,
 ) -> Result<RunResult, PipelineError> {
-    let compiled = compile_impl(source, opts)?;
-    let reference = source.reference_checksum()?;
-    let machine = bsched_sim::MachineSpec::custom(opts.sim);
-    let sim = Simulator::for_machine(&compiled.program, &machine)
+    let run = Simulator::for_machine(&compiled.program, &MachineSpec::custom(sim))
         .with_engine(engine)
         .with_mode(mode)
         .run()?;
     Ok(RunResult {
-        metrics: sim.metrics,
-        compile: compiled.stats,
-        checksum_ok: sim.checksum == reference,
-        sample: sim.sample,
+        metrics: run.metrics,
+        compile: compiled.stats.clone(),
+        checksum_ok: run.checksum == reference,
+        sample: run.sample,
     })
 }
 

@@ -60,6 +60,17 @@ refs="$(grep -o '"cat":"pipeline","dur_ns":[0-9]*,"kind":"span","label":"[^"]*",
 [ "$refs" -eq 2 ] \
     || { echo "FAIL: expected 2 pipeline.reference spans (one per kernel), got $refs"; exit 1; }
 
+echo "== gate: one compile per kernel x options across machines, uncached =="
+# Compilation reads no machine, so the engine compiles the cells of a
+# batch that differ only in the simulated machine once and simulates
+# each on its own machine. ARC2D and TRFD x {TS, BS, EX}@LU4 x the 6
+# registry machines must record exactly 6 pipeline.compile spans for 36
+# harness.cell spans, and every cell must equal its own Session::run: a
+# deterministic count, so a slide back to per-cell compiles fails on
+# any host.
+cargo test -q --release -p bsched-harness --test compile_sharing \
+    zoo_cells_compile_once_per_kernel_and_arm
+
 echo "== verify gate: conformance suite on 2 kernels + fuzz smoke =="
 # Re-runs the same subset under --verify: every cell's schedule is
 # proven legal, weights cross-checked against the reference
@@ -120,7 +131,7 @@ grep -q "mode: sampled(" "$SAMPLE_ERR" \
     || { cat "$SAMPLE_ERR"; echo "FAIL: run report must name the sampled mode"; exit 1; }
 grep -q "sampling: .* insts cycle-simulated" "$SAMPLE_ERR" \
     || { cat "$SAMPLE_ERR"; echo "FAIL: no sampling report section"; exit 1; }
-grep -q "0 memory hits, 0 disk hits, 30 executed (0% cache hits)" "$SAMPLE_ERR" \
+grep -q "0 memory hits, 0 disk hits, 30 executed from 30 compiles (0% cache hits)" "$SAMPLE_ERR" \
     || { cat "$SAMPLE_ERR"; echo "FAIL: sampled run must not hit the exact cache"; exit 1; }
 [ "$sampled" != "$cold" ] \
     || { echo "FAIL: sampled table should be an estimate, not a cache readback"; exit 1; }
