@@ -10,9 +10,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Samples collected per benchmark — 11 unless overridden with
-/// `BENCH_SAMPLES` (3..=501). CI's tight tracing-overhead gate runs
-/// with more samples so the min estimator converges despite
-/// scheduling noise.
+/// `BENCH_SAMPLES` (3..=501). CI's weights gate runs with more samples
+/// so the min estimator converges despite scheduling noise.
 fn samples() -> usize {
     std::env::var("BENCH_SAMPLES")
         .ok()

@@ -336,6 +336,39 @@ fn trace_summary_composes_with_verify_and_kernels() {
     );
 }
 
+/// `--verify` recompiles every cell from the kernel's shared source, so
+/// the unoptimized source is verified and interpreted for its
+/// reference checksum once per process, not once more per verified
+/// cell: an uncached traced run records exactly one
+/// `pipeline.reference` span.
+#[test]
+fn verified_cells_share_their_kernels_reference_run() {
+    let trace = std::env::temp_dir().join(format!(
+        "bsched-verify-reference-{}.json",
+        std::process::id()
+    ));
+    let out = all_experiments()
+        .args(["--kernels", "TRFD", "--verify", "--trace-json"])
+        .arg(&trace)
+        .env("BSCHED_JOBS", "2")
+        .env("BSCHED_NO_CACHE", "1")
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .unwrap();
+    let json = std::fs::read_to_string(&trace).unwrap_or_default();
+    std::fs::remove_file(&trace).ok();
+    assert!(
+        out.status.success(),
+        "verified traced run failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let references = json
+        .split("},{")
+        .filter(|e| e.contains("\"cat\":\"pipeline\"") && e.contains("\"name\":\"reference\""))
+        .count();
+    assert_eq!(references, 1, "one reference run for TRFD's 15 verified cells");
+}
+
 #[test]
 fn unknown_machine_specs_are_rejected_with_the_valid_choices() {
     for args in [vec!["--machine", "nonesuch"], vec!["--machine=nonesuch"]] {

@@ -1,6 +1,7 @@
 //! Experiment cells and their canonical, version-stamped cache keys.
 
-use bsched_pipeline::CompileOptions;
+use bsched_pipeline::{CompileOptions, MachineSpec};
+use bsched_sim::SimConfig;
 use bsched_util::Fnv1a;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -120,9 +121,23 @@ impl Hash for ExperimentCell {
     }
 }
 
+/// `kernel/label`, plus `@machine` when the cell does not run on the
+/// default machine, so cells that differ only in the machine print
+/// apart in span labels, run reports and errors.
 impl std::fmt::Display for ExperimentCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.kernel, self.opts.label())
+        write!(f, "{}/{}", self.kernel, self.opts.label())?;
+        let sim = self.opts.sim;
+        if sim == SimConfig::default() {
+            return Ok(());
+        }
+        let registered = MachineSpec::registry()
+            .iter()
+            .find(|m| MachineSpec::named(m.name).is_ok_and(|spec| spec.config() == sim));
+        match registered {
+            Some(m) => write!(f, "@{}", m.name),
+            None => write!(f, "@custom-{:08x}", Fnv1a::hash(format!("{sim:?}").as_bytes()) as u32),
+        }
     }
 }
 
@@ -146,7 +161,6 @@ mod tests {
     use super::*;
     use bsched_core::TieBreak;
     use bsched_pipeline::SchedulerKind;
-    use bsched_sim::SimConfig;
 
     fn base() -> CompileOptions {
         CompileOptions::new(SchedulerKind::Balanced)
@@ -243,5 +257,29 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn labels_name_the_machine_off_the_default() {
+        let on = |sim: SimConfig| ExperimentCell::new("MDG", base().with_sim(sim)).to_string();
+        assert_eq!(on(SimConfig::default()), "MDG/BS");
+        let mut labels = Vec::new();
+        for m in MachineSpec::registry() {
+            let sim = MachineSpec::named(m.name).expect("registry names parse").config();
+            let label = on(sim);
+            if sim == SimConfig::default() {
+                assert_eq!(label, "MDG/BS", "{}", m.name);
+            } else {
+                assert_eq!(label, format!("MDG/BS@{}", m.name));
+            }
+            labels.push(label);
+        }
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), MachineSpec::registry().len(), "{labels:?}");
+        let custom = on(SimConfig::default().with_mshrs(3));
+        assert!(custom.starts_with("MDG/BS@custom-"), "{custom}");
+        assert_eq!(custom.len(), "MDG/BS@custom-".len() + 8, "{custom}");
+        assert_eq!(custom, on(SimConfig::default().with_mshrs(3)), "stable");
     }
 }

@@ -596,10 +596,9 @@ impl Engine {
             // A sampled cell's estimates cannot be judged against exact
             // metamorphic identities; its suite instead replays the cell
             // exactly and bounds the estimation error.
-            let program = self.kernels[self.index[cell.kernel()]].1.program();
             let v = bsched_verify::verify_cell_in(
                 self.config.sim_mode,
-                program,
+                &self.kernels[self.index[cell.kernel()]].1,
                 cell.options(),
                 &run.metrics,
             );

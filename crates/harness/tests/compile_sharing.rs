@@ -181,11 +181,11 @@ fn a_failed_compile_fails_every_member_and_stores_nothing() {
     let ok = on_machines("ok");
     let worse = ExperimentCell::new("worse", opts);
 
-    // Each member alone fails.
+    // Each member alone fails, under its own label.
     for cell in &bad {
         assert_eq!(
             failed_cell(engine.run(std::slice::from_ref(cell))),
-            "bad/BS"
+            cell.to_string()
         );
     }
     // In one batch with another failing group, whichever group's member
@@ -196,7 +196,7 @@ fn a_failed_compile_fails_every_member_and_stores_nothing() {
         rotated.rotate_left(first);
         let mut batch = vec![rotated[0].clone(), worse.clone()];
         batch.extend(rotated[1..].iter().cloned());
-        assert_eq!(failed_cell(engine.run(&batch)), "bad/BS");
+        assert_eq!(failed_cell(engine.run(&batch)), rotated[0].to_string());
         batch.swap(0, 1);
         assert_eq!(failed_cell(engine.run(&batch)), "worse/BS");
     }
@@ -211,7 +211,7 @@ fn a_failed_compile_fails_every_member_and_stores_nothing() {
         bad[1].clone(),
         bad[2].clone(),
     ];
-    assert_eq!(failed_cell(engine.run(&batch)), "bad/BS");
+    assert_eq!(failed_cell(engine.run(&batch)), bad[0].to_string());
     assert!(
         engine.result(&ok[0]).is_some(),
         "ok[0] precedes the failure"

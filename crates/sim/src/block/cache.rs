@@ -13,8 +13,8 @@
 
 use super::skeleton::Skeleton;
 
-/// The block engine's work counts for one run, derived at exit from the
-/// skeletons and their visit counts (the replay loop keeps no counters).
+/// The timing loop's work counts for one run, derived at exit from the
+/// skeletons and the run's visit counts (the loop keeps no counters).
 /// The unit tests pin them exactly, so redoing skipped work shows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CacheStats {
@@ -23,21 +23,17 @@ pub(crate) struct CacheStats {
     /// Block visits replayed.
     pub visits: u64,
     /// `inst_fetch` probes issued: Σ visits × the skeleton's fetch
-    /// points (line-run starts, terminator included).
+    /// points (terminator included).
     pub fetches: u64,
-    /// Operand-interlock scans on a single-issue machine: Σ visits ×
-    /// the skeleton's micro-ops with `MicroOp::chk` set.
+    /// Operand-interlock scans: Σ visits × the skeleton's micro-ops
+    /// with `MicroOp::chk` set.
     pub scans: u64,
 }
 
-/// The cache itself: a dense slot per block of the function, plus a
-/// per-block visit counter so whole-run instruction totals can be
-/// folded once at exit (`Σ visits × static counts`) instead of
-/// accumulated on every visit.
+/// The cache itself: a dense slot per block of the function.
 #[derive(Debug)]
 pub(crate) struct BlockCache {
     skeletons: Vec<Option<Skeleton>>,
-    visits: Vec<u64>,
     builds: u64,
 }
 
@@ -45,17 +41,17 @@ impl BlockCache {
     pub fn new(num_blocks: usize) -> Self {
         BlockCache {
             skeletons: vec![None; num_blocks],
-            visits: vec![0; num_blocks],
             builds: 0,
         }
     }
 
-    pub fn stats(&self) -> CacheStats {
+    /// The work counts of a run that made `visits` (by block index).
+    pub fn stats(&self, visits: &[u64]) -> CacheStats {
         let mut stats = CacheStats {
             builds: self.builds,
             ..CacheStats::default()
         };
-        for (sk, n) in self.entries() {
+        for (sk, n) in self.entries(visits) {
             let fetches = sk.micros.iter().filter(|mo| mo.fetch).count() as u64;
             let scans = sk.micros.iter().filter(|mo| mo.chk).count() as u64;
             stats.visits += n;
@@ -75,7 +71,6 @@ impl BlockCache {
         index: usize,
         build: impl FnOnce() -> Skeleton,
     ) -> &Skeleton {
-        self.visits[index] += 1;
         if self.skeletons[index].is_none() {
             self.skeletons[index] = Some(build());
             self.builds += 1;
@@ -85,12 +80,13 @@ impl BlockCache {
             .expect("skeleton filled above")
     }
 
-    /// Visited skeletons with their visit counts (skeletons are built
-    /// on first visit, so every visited block has one).
-    pub fn entries(&self) -> impl Iterator<Item = (&Skeleton, u64)> {
+    /// Built skeletons with their counts in `visits` (by block index).
+    /// Skeletons are built on first visit, so every visited block has
+    /// one.
+    pub fn entries<'a>(&'a self, visits: &'a [u64]) -> impl Iterator<Item = (&'a Skeleton, u64)> {
         self.skeletons
             .iter()
-            .zip(&self.visits)
+            .zip(visits)
             .filter_map(|(sk, &n)| sk.as_ref().map(|sk| (sk, n)))
     }
 }

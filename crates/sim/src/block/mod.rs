@@ -1,29 +1,109 @@
-//! The block-compiled execution engine.
+//! The machine model's one timing loop, over one pre-decoded program
+//! form.
 //!
-//! Where the interpreting engine decodes, evaluates, and charges every
-//! instruction on every visit, this engine translates each basic block
-//! once into a static cost [`skeleton::Skeleton`] (cached by block
-//! identity in a [`cache::BlockCache`]) and per visit replays only the
-//! dynamic parts of the machine model: cache/TLB lookups, MSHR
-//! occupancy (through the same `bsched_mem::Hierarchy` the interpreter
-//! calls), branch outcomes, and the scoreboard. The replay loop
-//! reproduces `Simulator`'s interpreting engine **bit for bit** — same
-//! `SimMetrics`, same per-load-site trace attribution, same memory
-//! checksum — which the conformance suite (`bsched-verify`) enforces on
-//! every verified cell. Its speed is pinned by the work counts the
-//! block cache reports ([`cache::CacheStats`]), not by wall clock.
+//! Every simulation executes [`skeleton::Skeleton`]s: each basic block
+//! is translated once into a static cost skeleton (operand slots,
+//! latencies, load sites, fetch points, instruction-count deltas),
+//! cached by block identity in a [`cache::BlockCache`], and replayed
+//! per visit by [`run_interval`], which carries only the dynamic parts
+//! of the model: cache/TLB lookups and MSHR occupancy (through
+//! `bsched_mem::Hierarchy`), branch outcomes, and the scoreboard. That
+//! one loop is the exact run under either [`SimEngine`] and the
+//! cycle-level replay of every representative interval of a sampled
+//! plan (`crate::sample`), so timing is defined in exactly one place.
+//!
+//! The engines differ only in how much the decode proves:
+//!
+//! * [`SimEngine::BlockCompiled`] decodes with every proof on: one
+//!   `inst_fetch` per icache-line run instead of per instruction,
+//!   operand scans elided where single issue makes a stall impossible,
+//!   a single-issue specialisation of the issue-group bookkeeping, and
+//!   fuel charged per block where the block cannot exhaust it.
+//! * [`SimEngine::Interpret`] decodes with every proof off: a fetch on
+//!   every slot, every operand scanned, the full issue-group path at
+//!   any width, fuel per instruction. It is the differential reference
+//!   for exactly what the proofs elide, and the conformance suite
+//!   (`bsched-verify`) requires the two to agree bit for bit — same
+//!   `SimMetrics`, per-load-site trace attribution, and memory checksum.
+//!
+//! The engine's speed is pinned by the work counts the block cache
+//! reports ([`cache::CacheStats`]), not by wall clock.
 
 mod cache;
 mod skeleton;
 
 use crate::branch::BranchPredictor;
 use crate::config::SimConfig;
-use crate::machine::{code_layout, flush_site_events, SimResult, SiteStat, CODE_BASE, NO_SITE};
-use crate::metrics::SimMetrics;
-use bsched_ir::{ExecError, MemImage, Op, Program, Reg, RegClass};
+use crate::engine::SimEngine;
+use crate::machine::SimResult;
+use crate::metrics::{InstCounts, SimMetrics};
+use bsched_ir::{BlockId, ExecError, Function, MemImage, Op, Program, Reg, RegClass};
 use bsched_mem::Hierarchy;
 use cache::{BlockCache, CacheStats};
-use skeleton::TermKind;
+use skeleton::{Skeleton, Slot, TermKind};
+
+/// Sentinel "not produced by a load" site id.
+const NO_SITE: u32 = u32::MAX;
+
+/// Base address of the code region: 4 bytes per instruction, terminator
+/// included. Code lives far above data so instruction fetches and data
+/// accesses never share cache lines.
+const CODE_BASE: u64 = 1 << 32;
+
+/// Computes the code layout: the base address of every block (in
+/// [`BlockId`] index order) and the end-of-code address. The static
+/// *site id* of the instruction at `pc` is `(pc - CODE_BASE) / 4`.
+fn code_layout(func: &Function) -> (Vec<u64>, u64) {
+    let mut block_addr = Vec::with_capacity(func.blocks().len());
+    let mut pc = CODE_BASE;
+    for (_, b) in func.iter_blocks() {
+        block_addr.push(pc);
+        pc += 4 * (b.len() as u64 + 1);
+    }
+    (block_addr, pc)
+}
+
+/// Tracing-only per-static-load-site attribution, allocated only when
+/// `bsched_trace::enabled()`. The interlock and MSHR columns are
+/// incremented at exactly the three points that bump the aggregate
+/// `load_interlock` counter, so their sum reproduces it exactly — the
+/// conservation property the test suite pins.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SiteStat {
+    issued: u64,
+    interlock: u64,
+    mshr: u64,
+    hits: [u64; 4], // L1, L2, L3, memory
+}
+
+/// Emits one `sim.load_site` event per static site with any load
+/// activity: where it lives (block), how often it issued, which memory
+/// levels answered, and how many load-interlock cycles it was blamed
+/// for (operand interlocks + MSHR stalls).
+fn flush_site_events(program_name: &str, sites: &[SiteStat], block_addr: &[u64]) {
+    for (site, st) in sites.iter().enumerate() {
+        if st.issued == 0 && st.interlock == 0 && st.mshr == 0 {
+            continue;
+        }
+        let addr = CODE_BASE + 4 * site as u64;
+        let block = block_addr.partition_point(|&b| b <= addr).saturating_sub(1);
+        bsched_trace::instant(
+            bsched_trace::points::SIM_LOAD_SITE,
+            program_name,
+            &[
+                ("site", site as u64),
+                ("block", block as u64),
+                ("issued", st.issued),
+                ("interlock", st.interlock),
+                ("mshr_stall", st.mshr),
+                ("l1", st.hits[0]),
+                ("l2", st.hits[1]),
+                ("l3", st.hits[2]),
+                ("mem", st.hits[3]),
+            ],
+        );
+    }
+}
 
 /// One register's full dynamic state, kept together so each operand
 /// costs a single indexed access (and a single cache line) in the
@@ -36,84 +116,262 @@ struct RegSlot {
     site: u32,
 }
 
-/// Runs `program` to completion on the block-compiled engine.
-pub(crate) fn run(program: &Program, config: SimConfig) -> Result<SimResult, ExecError> {
-    run_with_stats(program, config).map(|(result, _)| result)
+/// A program decoded for one simulation: the code layout, the unified
+/// register-slot geometry, and one lazily built skeleton per block.
+#[derive(Debug)]
+pub(crate) struct Code<'p> {
+    func: &'p Function,
+    config: SimConfig,
+    /// Decode with the block engine's proofs (see the module docs).
+    proofs: bool,
+    block_addr: Vec<u64>,
+    code_end: u64,
+    /// Integer register slots (the float-slot offset).
+    ni: u32,
+    sentinel: Slot,
+    /// The run's region base addresses, folded into `LdAddr` at decode.
+    bases: Vec<u64>,
+    cache: BlockCache,
 }
 
-/// [`run`], also returning the block-cache build/visit counters (used
-/// by the unit tests below to pin the caching behaviour).
-///
-/// Single-issue machines (the paper's default grid) replay through a
-/// specialised loop: with `issue_width == 1` the slot counter is
-/// provably 1 at the top of every instruction after the first of a
-/// group, so the structural-limit check collapses to an unconditional
-/// `now += 1` (suppressed only right after a fetch stall or a control
-/// transfer, where the group is already fresh) and the memory-port
-/// limit can never bind. The wide path keeps the full group
-/// bookkeeping. Both monomorphise from the same body, so the timing
-/// semantics cannot drift apart.
-pub(crate) fn run_with_stats(
-    program: &Program,
-    config: SimConfig,
-) -> Result<(SimResult, CacheStats), ExecError> {
-    if config.issue_width.max(1) == 1 {
-        run_impl::<false>(program, config)
-    } else {
-        run_impl::<true>(program, config)
+impl<'p> Code<'p> {
+    /// Lays out `program`'s code for `config`, decoding blocks the way
+    /// `engine` does as they are first reached.
+    pub(crate) fn new(program: &'p Program, config: SimConfig, engine: SimEngine) -> Self {
+        let func = program.main();
+        let (block_addr, code_end) = code_layout(func);
+        let ni = Reg::NUM_PHYS + func.vreg_count(RegClass::Int);
+        let nf = Reg::NUM_PHYS + func.vreg_count(RegClass::Float);
+        Code {
+            func,
+            config,
+            proofs: engine == SimEngine::BlockCompiled,
+            block_addr,
+            code_end,
+            ni,
+            sentinel: skeleton::sentinel_slot(ni, nf),
+            bases: program.region_bases(),
+            cache: BlockCache::new(func.blocks().len()),
+        }
+    }
+
+    /// The dynamic instruction counts of a run that made `visits` (by
+    /// block index), folded once: Σ over blocks of (visits × static
+    /// counts) equals the per-visit accumulation.
+    pub(crate) fn counts(&self, visits: &[u64]) -> InstCounts {
+        let mut counts = InstCounts::default();
+        for (sk, n) in self.cache.entries(visits) {
+            counts.scaled_add(&sk.counts, n);
+        }
+        counts
+    }
+
+    /// The skeleton of block `b`, decoded on first use.
+    fn skeleton(&mut self, b: BlockId) -> &Skeleton {
+        let Code {
+            func,
+            config,
+            proofs,
+            block_addr,
+            ni,
+            sentinel,
+            bases,
+            cache,
+            ..
+        } = self;
+        let sk = cache.get_or_build(b.index(), || {
+            skeleton::build(
+                func.block(b),
+                block_addr[b.index()],
+                config,
+                *proofs,
+                bases,
+                *ni,
+                *sentinel,
+            )
+        });
+        debug_assert_eq!(
+            sk.n_insts,
+            func.block(b).insts.len() as u64,
+            "block {b} changed size under a cached skeleton — \
+             the IR must not be mutated during a run"
+        );
+        sk
     }
 }
 
-fn run_impl<const WIDE: bool>(
-    program: &Program,
-    config: SimConfig,
-) -> Result<(SimResult, CacheStats), ExecError> {
-    let func = program.main();
-    let mut mem = MemImage::new(program);
-    let bases = mem.region_bases.clone();
-    let mut pred = BranchPredictor::new(&config.branch);
-    let mut m = SimMetrics::default();
+/// The caller-owned state the timing loop runs on: the architectural
+/// state (the unified register/scoreboard file, the memory image), the
+/// micro-architectural state that stays warm across calls (hierarchy,
+/// branch predictor), and the clock.
+#[derive(Debug)]
+pub(crate) struct MachineState {
+    /// Integer slots first, floats after, then one always-ready
+    /// sentinel slot (operand padding — see `skeleton::sentinel_slot`).
+    /// Values are raw 64-bit images (`Value::to_bits` form), so loads,
+    /// stores, moves, and selects copy bits without class dispatch.
+    /// Padded to a power of two so `slot & mask` is the identity on
+    /// every valid slot and the optimizer can drop the bounds checks.
+    rf: Vec<RegSlot>,
+    pub(crate) mem: MemImage,
+    hier: Hierarchy,
+    pred: BranchPredictor,
+    now: u64,
+}
 
-    // Unified register/scoreboard arrays: integer slots first, floats
-    // after, then one extra always-ready sentinel slot (operand padding
-    // — see `skeleton::sentinel_slot`). Values are raw 64-bit images
-    // (`Value::to_bits` form), so loads, stores, moves, and selects
-    // copy bits without class dispatch.
-    let ni = Reg::NUM_PHYS as usize + func.vreg_count(RegClass::Int) as usize;
-    let nf = Reg::NUM_PHYS as usize + func.vreg_count(RegClass::Float) as usize;
-    let sentinel = skeleton::sentinel_slot(ni as u32, nf as u32);
-    // Padded to a power of two so `slot & mask` is the identity on every
-    // valid slot and the optimizer can drop the bounds checks (`i & mask`
-    // is provably `< len`).
-    let mut rf: Vec<RegSlot> = vec![
-        RegSlot {
+impl MachineState {
+    /// A cold machine at cycle 0 holding `program`'s initial memory and
+    /// zeroed registers, for `code` decoded from the same program.
+    pub(crate) fn cold(program: &Program, code: &Code<'_>) -> Self {
+        let empty = RegSlot {
             val: 0,
             ready: 0,
             site: NO_SITE,
         };
-        (ni + nf + 1).next_power_of_two()
-    ];
-    let rf: &mut [RegSlot] = &mut rf;
-    let mask = rf.len() - 1;
+        MachineState {
+            rf: vec![empty; (code.sentinel as usize + 1).next_power_of_two()],
+            mem: MemImage::new(program),
+            hier: Hierarchy::new(code.config.mem, CODE_BASE..code.code_end),
+            pred: BranchPredictor::new(&code.config.branch),
+            now: 0,
+        }
+    }
+}
 
-    let (block_addr, code_end) = code_layout(func);
-    let mut hier = Hierarchy::new(config.mem, CODE_BASE..code_end);
+/// What one [`run_interval`] call retired.
+#[derive(Debug)]
+pub(crate) struct Interval {
+    /// Interval-local metrics: cycles since entry, the stall counters,
+    /// instruction counts, and the hierarchy's statistics (whose
+    /// counters restart at entry).
+    pub(crate) metrics: SimMetrics,
+    /// The block at which execution continues; `None` after `Ret`.
+    pub(crate) next: Option<BlockId>,
+    /// Visits per block in this call, by block index.
+    visits: Vec<u64>,
+}
+
+/// Runs `program` to completion from a cold machine under `engine`.
+pub(crate) fn run(
+    program: &Program,
+    config: SimConfig,
+    engine: SimEngine,
+) -> Result<SimResult, ExecError> {
+    run_with_stats(program, config, engine).map(|(result, _)| result)
+}
+
+/// [`run`], also returning the block cache's work counts (pinned by the
+/// unit tests below). An exact run adds to [`run_interval`] the
+/// `sim.run` span, per-site attribution, and the checksum.
+fn run_with_stats(
+    program: &Program,
+    config: SimConfig,
+    engine: SimEngine,
+) -> Result<(SimResult, CacheStats), ExecError> {
+    let mut code = Code::new(program, config, engine);
+    let mut st = MachineState::cold(program, &code);
+    // Load-interlock attribution (tracing only): one row per static
+    // code slot, flushed as `sim.load_site` events at `Ret`.
     let tracing = bsched_trace::enabled();
-    let mut sites: Vec<SiteStat> = if tracing {
-        vec![SiteStat::default(); ((code_end - CODE_BASE) / 4) as usize]
+    let mut sites = if tracing {
+        vec![SiteStat::default(); ((code.code_end - CODE_BASE) / 4) as usize]
     } else {
         Vec::new()
     };
-    let mut run_span = Some(
-        bsched_trace::span(bsched_trace::points::SIM_RUN)
-            .label_with(|| program.name().to_string()),
-    );
+    let run_span = bsched_trace::span(bsched_trace::points::SIM_RUN)
+        .label_with(|| program.name().to_string());
+    let entry = program.main().entry();
+    let iv = run_interval(&mut code, &mut st, entry, u64::MAX, &mut sites)?;
+    if tracing {
+        flush_site_events(program.name(), &sites, &code.block_addr);
+        run_span.finish(&[
+            ("cycles", iv.metrics.cycles),
+            ("load_interlock", iv.metrics.load_interlock),
+        ]);
+    }
+    let result = SimResult {
+        metrics: iv.metrics,
+        checksum: st.mem.checksum(),
+        sample: None,
+    };
+    Ok((result, code.cache.stats(&iv.visits)))
+}
 
-    let mut block_cache = BlockCache::new(func.blocks().len());
+/// The timing loop — the one definition of the model's fetch,
+/// issue-group, interlock, memory, and branch timing. Runs `code` on
+/// `st` from block `start` until `Ret` or until `max_blocks` block
+/// executions have retired, whichever comes first. `st` is advanced in
+/// place: an exact run passes a cold machine and `u64::MAX`,
+/// sampled-plan construction passes its warm fast-forward state and one
+/// interval's block count. The scoreboard and the issue group start
+/// empty.
+///
+/// `sites` is the per-static-site attribution table; pass an empty
+/// slice to turn attribution off.
+///
+/// Single-issue machines under the proven decode replay through a
+/// specialised body: with `issue_width == 1` the slot counter is
+/// provably 1 at the top of every instruction after the first of a
+/// group, so the structural-limit check collapses to an unconditional
+/// `now += 1` (suppressed only right after a fetch stall or a control
+/// transfer, where the group is already fresh) and the memory-port
+/// limit can never bind. Every other run keeps the full group
+/// bookkeeping. Both monomorphise from the same body, so the timing
+/// semantics cannot drift apart.
+///
+/// # Errors
+///
+/// [`ExecError::OutOfFuel`] past `config.fuel` instructions retired in
+/// this call, [`ExecError::WildStore`] on a store outside the memory
+/// image.
+pub(crate) fn run_interval(
+    code: &mut Code<'_>,
+    st: &mut MachineState,
+    start: BlockId,
+    max_blocks: u64,
+    sites: &mut [SiteStat],
+) -> Result<Interval, ExecError> {
+    if code.proofs && code.config.issue_width.max(1) == 1 {
+        replay::<false>(code, st, start, max_blocks, sites)
+    } else {
+        replay::<true>(code, st, start, max_blocks, sites)
+    }
+}
 
-    let mut now: u64 = 0;
+fn replay<const WIDE: bool>(
+    code: &mut Code<'_>,
+    st: &mut MachineState,
+    start: BlockId,
+    max_blocks: u64,
+    sites: &mut [SiteStat],
+) -> Result<Interval, ExecError> {
+    let config = code.config;
+    let batch_fuel = code.proofs;
+    let tracing = !sites.is_empty();
+    let MachineState {
+        rf,
+        mem,
+        hier,
+        pred,
+        now: clock,
+    } = st;
+    let rf: &mut [RegSlot] = rf;
+    let mask = rf.len() - 1;
+    for s in rf.iter_mut() {
+        s.ready = 0;
+        s.site = NO_SITE;
+    }
+    hier.reset_stats();
+    let mut m = SimMetrics::default();
+    let mut visits = vec![0u64; code.func.blocks().len()];
+    let mut visited: u64 = 0;
+
+    let start_now = *clock;
+    let mut now = start_now;
     let mut executed: u64 = 0;
-    let mut cur = func.entry();
+    let mut cur = start;
+    // Issue-group state. Any stall advances `now`, opening a fresh
+    // group.
     let width = config.issue_width.max(1);
     let ports = config.mem_ports.max(1);
     let mut slot: u32 = 0;
@@ -122,34 +380,19 @@ fn run_impl<const WIDE: bool>(
     // when the current instruction starts a fresh group).
     let mut inc: u64 = 0;
 
-    loop {
-        let index = cur.index();
-        let sk = block_cache.get_or_build(index, || {
-            skeleton::build(
-                func.block(cur),
-                block_addr[index],
-                &config,
-                &bases,
-                ni as u32,
-                sentinel,
-            )
-        });
-        debug_assert_eq!(
-            sk.n_insts,
-            func.block(cur).insts.len() as u64,
-            "block {index} changed size under a cached skeleton — \
-             the IR must not be mutated during a run"
-        );
+    let next = loop {
+        visits[cur.index()] += 1;
+        let sk = code.skeleton(cur);
 
         // Fuel is charged per instruction, but the check only needs per
         // instruction precision when this block could actually trip it:
         // the per-inst check fires at the smallest k with
         // `executed + k > fuel`, which exists within the block iff
-        // `executed + n_insts > fuel`. Otherwise the whole block is
-        // charged at once. Precise mode still walks instruction by
-        // instruction so an earlier in-block error (e.g. a wild store)
-        // wins over fuel exhaustion in exactly the interpreter's order.
-        let precise_fuel = executed + sk.n_insts > config.fuel;
+        // `executed + n_insts > fuel`. The proven decode charges the
+        // whole block at once otherwise. Precise mode walks instruction
+        // by instruction so an earlier in-block error (e.g. a wild
+        // store) wins over fuel exhaustion in program order.
+        let precise_fuel = !batch_fuel || executed + sk.n_insts > config.fuel;
         if !precise_fuel {
             executed += sk.n_insts;
         }
@@ -160,8 +403,9 @@ fn run_impl<const WIDE: bool>(
                     return Err(ExecError::OutOfFuel { fuel: config.fuel });
                 }
             }
-            // 1. Fetch — only at icache-line boundaries. Every skipped
-            // fetch is a guaranteed icache+ITB hit whose access returns
+            // 1. Fetch — on every slot, or under the proven decode only
+            // at icache-line boundaries: every skipped fetch is a
+            // guaranteed icache+ITB hit whose access returns
             // `ready_at == issue_at` and touches no observable state.
             if mo.fetch {
                 let f = hier.inst_fetch(mo.pc, now);
@@ -176,7 +420,9 @@ fn run_impl<const WIDE: bool>(
                     }
                 }
             }
-            // 2. Structural issue limits (single-issue: every
+            // 2. Structural issue limits: group full, or out of memory
+            // ports — advance to the next cycle first so the operand
+            // check below sees the true issue cycle (single issue: every
             // instruction past the first of a group takes a cycle).
             if WIDE {
                 if slot >= width || (mo.is_memory && mem_slot >= ports) {
@@ -188,19 +434,17 @@ fn run_impl<const WIDE: bool>(
                 now += inc;
                 inc = 1;
             }
-            // 2b. Operand interlock (order-sensitive blame rule,
-            // identical to the interpreter's). The scan is fixed-width:
-            // missing operands are the sentinel slot, which is always
-            // ready at 0 with no site and so can never win. On
-            // single-issue machines the skeleton statically elides the
-            // scan where no source can possibly stall (`MicroOp::chk`);
-            // the proof does not hold for wide issue, so `WIDE` always
-            // scans. The stall bookkeeping is branchless: a zero stall
-            // adds zero to whichever counter is selected.
+            // 2b. Operand interlock, unless the decode proved every
+            // source ready (`MicroOp::chk`). The blame rule is
+            // order-sensitive; the scan is fixed-width: missing operands
+            // are the sentinel slot, which is always ready at 0 with no
+            // site and so can never win. The stall bookkeeping is
+            // branchless: a zero stall adds zero to whichever counter is
+            // selected.
             let s0 = rf[mo.srcs[0] as usize & mask];
             let s1 = rf[mo.srcs[1] as usize & mask];
             let s2 = rf[mo.srcs[2] as usize & mask];
-            if WIDE || mo.chk {
+            if mo.chk {
                 let mut op_ready = now;
                 let mut blame_site = NO_SITE;
                 for s in [&s0, &s1, &s2] {
@@ -282,8 +526,8 @@ fn run_impl<const WIDE: bool>(
             }
         }
 
-        // Terminator: fetch (batched into the block's line runs), then
-        // the whole-block instruction-count delta, then control flow.
+        // Terminator: fetch, then control flow. Every path below ends
+        // the issue group.
         if sk.term_fetch {
             let f = hier.inst_fetch(sk.term_pc, now);
             if f.ready_at > now {
@@ -291,18 +535,9 @@ fn run_impl<const WIDE: bool>(
                 now = f.ready_at;
             }
         }
+        visited += 1;
         let next = match sk.term {
-            TermKind::Jmp { target } => {
-                // A control transfer ends the issue group.
-                now += 1;
-                if WIDE {
-                    slot = 0;
-                    mem_slot = 0;
-                } else {
-                    inc = 0;
-                }
-                target
-            }
+            TermKind::Jmp { target } => target,
             TermKind::Br {
                 cond,
                 when,
@@ -310,7 +545,7 @@ fn run_impl<const WIDE: bool>(
                 fall,
             } => {
                 let c = rf[cond as usize & mask];
-                if (WIDE || sk.br_chk) && c.ready > now {
+                if sk.br_chk && c.ready > now {
                     let stall = c.ready - now;
                     if c.site != NO_SITE {
                         m.load_interlock += stall;
@@ -327,45 +562,122 @@ fn run_impl<const WIDE: bool>(
                     m.branch_penalty += u64::from(config.branch.mispredict_penalty);
                     now += u64::from(config.branch.mispredict_penalty);
                 }
-                // A control transfer ends the issue group.
-                now += 1;
-                if WIDE {
-                    slot = 0;
-                    mem_slot = 0;
-                } else {
-                    inc = 0;
-                }
                 if is_taken {
                     taken
                 } else {
                     fall
                 }
             }
-            TermKind::Ret => {
-                m.cycles = now;
-                m.mem = *hier.stats();
-                // Fold the per-block instruction counts once: Σ over
-                // blocks of (visits × static counts) equals the
-                // per-visit accumulation exactly.
-                for (sk, n) in block_cache.entries() {
-                    m.insts.scaled_add(&sk.counts, n);
-                }
-                if tracing {
-                    flush_site_events(program.name(), &sites, &block_addr);
-                    if let Some(span) = run_span.take() {
-                        span.finish(&[("cycles", m.cycles), ("load_interlock", m.load_interlock)]);
-                    }
-                }
-                let result = SimResult {
-                    metrics: m,
-                    checksum: mem.checksum(),
-                    sample: None,
-                };
-                return Ok((result, block_cache.stats()));
-            }
+            TermKind::Ret => break None,
         };
+        // A control transfer ends the issue group.
+        now += 1;
+        if WIDE {
+            slot = 0;
+            mem_slot = 0;
+        } else {
+            inc = 0;
+        }
+        if visited == max_blocks {
+            break Some(next);
+        }
         cur = next;
+    };
+
+    *clock = now;
+    m.cycles = now - start_now;
+    m.mem = *hier.stats();
+    m.insts = code.counts(&visits);
+    Ok(Interval {
+        metrics: m,
+        next,
+        visits,
+    })
+}
+
+/// Executes block `b` functionally on `st` — values and memory, no
+/// timing charged — and returns its successor, `None` at `Ret`. Each
+/// instruction draws one unit from `fuel`. With `warm`, it also keeps
+/// the hierarchy, TLBs, MSHRs, and branch predictor warm under a
+/// one-cycle-per-instruction proxy clock: every slot is fetched (when
+/// `model_ifetch` is on) and every memory access issued, whatever the
+/// decode elides. The scoreboard is left to the next [`run_interval`],
+/// which starts it empty.
+///
+/// # Errors
+///
+/// [`ExecError::OutOfFuel`] (naming `config.fuel`) when an instruction
+/// finds `fuel` spent, [`ExecError::WildStore`] on a store outside the
+/// memory image — whichever comes first in program order.
+pub(crate) fn execute_block(
+    code: &mut Code<'_>,
+    st: &mut MachineState,
+    b: BlockId,
+    warm: bool,
+    fuel: &mut u64,
+) -> Result<Option<BlockId>, ExecError> {
+    let config = code.config;
+    let ifetch = warm && config.model_ifetch;
+    let MachineState {
+        rf,
+        mem,
+        hier,
+        pred,
+        now,
+    } = st;
+    let mask = rf.len() - 1;
+    let sk = code.skeleton(b);
+    for mo in &sk.micros {
+        *fuel = fuel
+            .checked_sub(1)
+            .ok_or(ExecError::OutOfFuel { fuel: config.fuel })?;
+        if ifetch {
+            hier.inst_fetch(mo.pc, *now);
+        }
+        let v0 = rf[mo.srcs[0] as usize & mask].val;
+        let v1 = rf[mo.srcs[1] as usize & mask].val;
+        match mo.code {
+            Op::Ld => {
+                let addr = (v0 as i64).wrapping_add(mo.imm as i64) as u64;
+                if warm {
+                    hier.data_read(addr, *now);
+                }
+                rf[mo.dst as usize & mask].val = mem.load(addr);
+            }
+            Op::St => {
+                let addr = (v1 as i64).wrapping_add(mo.imm as i64) as u64;
+                if warm {
+                    hier.data_write(addr, *now);
+                }
+                mem.store(addr, v0)?;
+            }
+            code => {
+                let v2 = rf[mo.srcs[2] as usize & mask].val;
+                rf[mo.dst as usize & mask].val = eval_code(code, v0, v1, v2, mo.imm);
+            }
+        }
+        *now += u64::from(warm);
     }
+    if ifetch {
+        hier.inst_fetch(sk.term_pc, *now);
+    }
+    *now += u64::from(warm);
+    Ok(match sk.term {
+        TermKind::Jmp { target } => Some(target),
+        TermKind::Br {
+            cond,
+            when,
+            taken,
+            fall,
+        } => {
+            let is_taken = when.holds(rf[cond as usize & mask].val as i64);
+            if warm {
+                pred.predict_and_update(sk.term_pc, is_taken);
+            }
+            Some(if is_taken { taken } else { fall })
+        }
+        TermKind::Ret => None,
+    })
 }
 
 /// Evaluates a pure operation directly on raw 64-bit register images.
@@ -508,9 +820,14 @@ mod tests {
     }
 
     mod block_cache {
-        use crate::block::run_with_stats;
-        use crate::SimConfig;
+        use crate::block::{run_with_stats, CacheStats};
+        use crate::{SimConfig, SimEngine, SimResult};
         use bsched_ir::{BrCond, FuncBuilder, Op, Program};
+
+        /// A block-engine run on the default machine.
+        fn run(p: &Program) -> (SimResult, CacheStats) {
+            run_with_stats(p, SimConfig::default(), SimEngine::BlockCompiled).unwrap()
+        }
 
         /// for i in 0..n { sum += i } over four blocks (entry, header,
         /// body, exit).
@@ -543,7 +860,7 @@ mod tests {
         #[test]
         fn re_entry_replays_the_cached_skeleton() {
             let p = loop_program(50);
-            let (_, stats) = run_with_stats(&p, SimConfig::default()).unwrap();
+            let (_, stats) = run(&p);
             // Four distinct blocks, each built exactly once...
             assert_eq!(stats.builds, 4, "{stats:?}");
             // ...but the header and body are visited ~50 times each.
@@ -558,8 +875,8 @@ mod tests {
             // state a fresh run reaches, visit after visit, run after
             // run.
             let p = loop_program(50);
-            let (a, sa) = run_with_stats(&p, SimConfig::default()).unwrap();
-            let (b, sb) = run_with_stats(&p, SimConfig::default()).unwrap();
+            let (a, sa) = run(&p);
+            let (b, sb) = run(&p);
             assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.checksum, b.checksum);
             assert_eq!(sa, sb);
@@ -590,12 +907,13 @@ mod tests {
             b.ret();
             p.set_main(b.finish());
 
-            let (_, stats) = run_with_stats(&p, SimConfig::default()).unwrap();
+            let (_, stats) = run(&p);
             assert_eq!(stats.builds, 3, "identical blocks must not share skeletons");
         }
     }
 
-    /// The block engine's deterministic performance gate: its work
+    /// The block engine's deterministic performance gate: the timing
+    /// loop's work
     /// counts on every lowered suite kernel under the default machine,
     /// pinned by exact equality. Each count guards one thing the
     /// engine exists to skip — rebuilding a block's skeleton on
@@ -630,7 +948,9 @@ mod tests {
         assert_eq!(kernels.len(), RECORDED.len());
         for (k, (name, builds, visits, fetches, scans)) in kernels.iter().zip(RECORDED) {
             assert_eq!(k.name, name);
-            let (_, got) = run_with_stats(&k.program(), SimConfig::default()).unwrap();
+            let (_, got) =
+                run_with_stats(&k.program(), SimConfig::default(), SimEngine::BlockCompiled)
+                    .unwrap();
             let want = CacheStats {
                 builds,
                 visits,
@@ -638,6 +958,34 @@ mod tests {
                 scans,
             };
             assert_eq!(got, want, "{name}: block-engine work counts moved");
+        }
+    }
+
+    /// The reference decode elides nothing: over the same kernels,
+    /// [`SimEngine::Interpret`] probes the I-cache on every slot
+    /// (Σ visits × (insts + 1), terminators included) and scans the
+    /// operands of every instruction (Σ visits × insts), while building
+    /// and visiting exactly what the block engine does. If it quietly
+    /// started eliding, `check_engines` would compare the block engine
+    /// against itself.
+    #[test]
+    fn the_reference_decode_elides_nothing() {
+        for k in bsched_workloads::suite::all_kernels() {
+            let program = k.program();
+            let (proven, block) =
+                run_with_stats(&program, SimConfig::default(), SimEngine::BlockCompiled).unwrap();
+            let (reference, got) =
+                run_with_stats(&program, SimConfig::default(), SimEngine::Interpret).unwrap();
+            assert_eq!(reference.metrics, proven.metrics, "{}", k.name);
+            let counts = reference.metrics.insts;
+            let insts = counts.total() - counts.branches - counts.jumps;
+            let want = CacheStats {
+                builds: block.builds,
+                visits: block.visits,
+                fetches: insts + block.visits,
+                scans: insts,
+            };
+            assert_eq!(got, want, "{}: the reference decode elided work", k.name);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Static per-block cost skeletons.
 //!
-//! A [`Skeleton`] captures everything the interpreting engine recomputes
-//! on every instruction visit that is in fact a pure function of the
-//! block's code, the code layout, and the simulator configuration:
+//! A [`Skeleton`] captures everything about a block that is a pure
+//! function of its code, the code layout, and the simulator
+//! configuration, so the timing loop never re-decodes an instruction:
 //!
 //! * operand and destination register **slots**, resolved into one
 //!   unified index space (integer registers first, then floats), so the
@@ -12,17 +12,20 @@
 //!   in;
 //! * static **load sites** (`(pc - CODE_BASE) / 4`) for interlock
 //!   attribution;
-//! * **fetch points** — the instruction slots that start a new icache
-//!   line, so each visit issues one `inst_fetch` per line run instead of
-//!   one per instruction (every skipped fetch is a guaranteed
-//!   icache+ITB hit with `ready_at == issue_at`, so metrics are
-//!   unchanged — see DESIGN.md §12);
+//! * **fetch points** — under the proven decode, the instruction slots
+//!   that start a new icache line, so each visit issues one `inst_fetch`
+//!   per line run instead of one per instruction (every skipped fetch is
+//!   a guaranteed icache+ITB hit with `ready_at == issue_at`, so metrics
+//!   are unchanged — see DESIGN.md §12);
+//! * **interlock proofs** — under the proven decode on a single-issue
+//!   machine, the operand scans that can never find a stall
+//!   ([`MicroOp::chk`]);
 //! * the whole-block dynamic **instruction-count delta**, terminator
 //!   included;
 //! * region base addresses for `LdAddr`, resolved to constants.
 
 use crate::config::SimConfig;
-use crate::machine::CODE_BASE;
+use super::CODE_BASE;
 use crate::metrics::InstCounts;
 use bsched_ir::{interp::RegFile, Block, BlockId, BrCond, Op, Reg, RegClass, Terminator};
 
@@ -84,11 +87,13 @@ pub(crate) struct MicroOp {
     pub code: Op,
     /// Occupies a memory port in its issue group.
     pub is_memory: bool,
-    /// Starts a new icache line: issue an `inst_fetch` at `pc` before
-    /// this op. Always false when `model_ifetch` is off.
+    /// Issue an `inst_fetch` at `pc` before this op: on every slot
+    /// without proofs, only where a new icache line starts with them.
+    /// Always false when `model_ifetch` is off.
     pub fetch: bool,
-    /// Operand interlock **must be checked**. False only when every
-    /// source is statically proven ready on a single-issue machine:
+    /// Operand interlock **must be checked**. Always true without
+    /// proofs; with them, false only when every source is statically
+    /// proven ready on a single-issue machine:
     /// each is the sentinel or was defined *earlier in this block* by a
     /// pure op of latency ≤ 1. Single-issue replay issues every
     /// instruction at least one cycle after its predecessor (fetch
@@ -127,7 +132,8 @@ pub(crate) struct Skeleton {
     pub term: TermKind,
     /// Code address of the terminator slot.
     pub term_pc: u64,
-    /// The terminator starts a new icache line relative to the last
+    /// Fetch the terminator slot: always without proofs, with them only
+    /// when it starts a new icache line relative to the last
     /// instruction of the block (or the block is empty). Always false
     /// when `model_ifetch` is off.
     pub term_fetch: bool,
@@ -140,7 +146,9 @@ pub(crate) struct Skeleton {
     pub br_chk: bool,
 }
 
-/// Decodes `block` (based at `base_pc`) into its skeleton.
+/// Decodes `block` (based at `base_pc`) into its skeleton, with the
+/// block engine's fetch and interlock proofs when `proofs` is set and
+/// none otherwise.
 ///
 /// `region_bases` are the run's resolved region base addresses (fixed
 /// for the lifetime of the run, so `LdAddr` folds to a constant); `ni`
@@ -149,11 +157,13 @@ pub(crate) fn build(
     block: &Block,
     base_pc: u64,
     config: &SimConfig,
+    proofs: bool,
     region_bases: &[u64],
     ni: u32,
     sentinel: Slot,
 ) -> Skeleton {
     let line = config.mem.icache.line.max(1);
+    let elide = proofs && config.issue_width.max(1) == 1;
     let fixed_latency = |op: Op| -> u32 {
         if config.uniform_fixed_latency {
             1
@@ -175,7 +185,7 @@ pub(crate) fn build(
     for (k, inst) in block.insts.iter().enumerate() {
         counts.record(inst);
         let pc = base_pc + 4 * k as u64;
-        let fetch = config.model_ifetch && pc / line != prev_line;
+        let fetch = config.model_ifetch && (!proofs || pc / line != prev_line);
         if fetch {
             prev_line = pc / line;
         }
@@ -220,7 +230,7 @@ pub(crate) fn build(
                 )
             }
         };
-        let chk = srcs.iter().any(|&s| !fast[s as usize]);
+        let chk = !elide || srcs.iter().any(|&s| !fast[s as usize]);
         match inst.op {
             Op::St => {} // no destination (dst is the sentinel slot)
             Op::Ld => fast[dst as usize] = false,
@@ -258,7 +268,8 @@ pub(crate) fn build(
             // cycle, so a definition *by the last instruction* is ready
             // one cycle too late even at latency 1 — the elision proof
             // needs the definition at distance ≥ 1.
-            br_chk = !fast[cond as usize]
+            br_chk = !elide
+                || !fast[cond as usize]
                 || micros.last().is_some_and(|mo| mo.dst == cond);
             TermKind::Br {
                 cond,
@@ -276,7 +287,7 @@ pub(crate) fn build(
         micros,
         term,
         term_pc,
-        term_fetch: config.model_ifetch && term_pc / line != prev_line,
+        term_fetch: config.model_ifetch && (!proofs || term_pc / line != prev_line),
         br_chk,
     }
 }

@@ -1,8 +1,8 @@
 //! Branch predictors: bimodal, gshare, and a small TAGE.
 //!
 //! One [`BranchPredictor`] type dispatches internally on
-//! [`PredictorKind`], so every consumer (the interpreting engine, the
-//! block-compiled engine, and sampled replay) picks up new predictors
+//! [`PredictorKind`], so every consumer (exact runs under either engine,
+//! and sampled fast-forward and replay) picks up new predictors
 //! with bit-identical behaviour automatically. All predictors are
 //! deterministic — no randomized allocation — which is what makes the
 //! cross-engine equivalence guarantee free.

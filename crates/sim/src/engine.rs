@@ -1,8 +1,9 @@
 //! The engine axis of the simulator API.
 //!
-//! Both engines implement the *same* machine model and produce
-//! bit-identical [`crate::SimMetrics`], per-load-site trace attribution,
-//! and memory checksums; they differ only in how fast they get there.
+//! Both engines run the *same* timing loop over the same pre-decoded
+//! block skeletons and produce bit-identical [`crate::SimMetrics`],
+//! per-load-site trace attribution, and memory checksums; they differ
+//! only in what the decode proves, and so in how fast they get there.
 //! Because the choice is metrics-invariant it is deliberately **not**
 //! part of `CompileOptions` or any result-cache key — like tracing, it
 //! is an execution detail, not an experiment knob.
@@ -13,16 +14,17 @@ use std::str::FromStr;
 /// Which execution engine [`crate::Simulator::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimEngine {
-    /// The original one-instruction-at-a-time interpreting engine:
-    /// decodes, evaluates, and charges every instruction on every visit.
-    /// Retained as the differential reference for the block-compiled
-    /// engine.
+    /// The reference: the timing loop over skeletons decoded with every
+    /// proof off — an I-cache fetch on every instruction slot, every
+    /// operand's interlock scanned, the full issue-group bookkeeping at
+    /// any width, fuel charged per instruction. It is the differential
+    /// reference for exactly what [`SimEngine::BlockCompiled`] elides.
     Interpret,
-    /// The block-compiled engine: pre-decodes each basic block once into
-    /// a static cost skeleton (operand slots, latencies, load sites,
-    /// icache-line fetch points, instruction-count deltas), caches it by
-    /// block identity, and per visit replays only the dynamic parts —
-    /// cache/TLB lookups, MSHR occupancy, branch outcomes.
+    /// The block-compiled engine: the same loop over skeletons decoded
+    /// with every proof on — one fetch per icache-line run, interlock
+    /// scans elided where single issue proves them stall-free, a
+    /// single-issue specialisation of the issue-group bookkeeping, and
+    /// fuel charged per block.
     #[default]
     BlockCompiled,
 }

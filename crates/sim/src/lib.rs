@@ -14,14 +14,16 @@
 //! the paper reports: total cycles, **load interlock cycles**, fixed-
 //! latency interlock cycles, and dynamic instruction counts by class.
 //!
-//! Two execution engines implement the model behind one API (the
-//! [`SimEngine`] axis of [`Simulator`]): the original interpreting
-//! engine and a block-compiled engine that pre-decodes each basic block
-//! into a cached static cost skeleton and replays only dynamic state
-//! per visit. Both run on the one `bsched_mem::Hierarchy` and the one
-//! [`BranchPredictor`], so they differ only in their timing loops. They
-//! produce bit-identical results; the block-compiled engine is faster
-//! and is the default.
+//! Every simulation runs one timing loop over one program form: each
+//! basic block is pre-decoded once into a cached static cost skeleton,
+//! and the loop replays only dynamic state per visit, on the one
+//! `bsched_mem::Hierarchy` and the one [`BranchPredictor`]. The two
+//! engines of the [`SimEngine`] axis differ only in what that decode
+//! proves: the block-compiled engine (the default) elides work its
+//! proofs show cannot change a result, and the interpreting engine
+//! decodes with every proof off, as the differential reference. They
+//! produce bit-identical results. Sampled runs replay their
+//! representative intervals through the same loop.
 //!
 //! ```
 //! use bsched_ir::{FuncBuilder, Op, Program};

@@ -1,23 +1,14 @@
-//! The execution-driven timing machine.
+//! The simulator front end: [`Simulator`] and its [`SimResult`].
 //!
-//! This module holds the engine-agnostic [`Simulator`] front end, the
-//! machine-model state shared by both engines (scoreboard, per-site
-//! trace attribution, code layout), and the one-instruction-at-a-time
-//! *interpreting* engine, `interpret`. That one loop is both the exact
-//! [`SimEngine::Interpret`] run and the cycle-level replay of every
-//! representative interval when sampled plans are built
-//! (`crate::sample`), so interpreted timing is defined in exactly one
-//! place. The block-compiled engine lives in `crate::block` and must
-//! reproduce the interpreter bit for bit.
+//! A simulator picks a machine, an engine ([`SimEngine`]) and a mode
+//! ([`crate::SimMode`]); every exact run, under either engine, executes
+//! in the one timing loop of `crate::block`, and sampled runs replay
+//! their representative intervals through that same loop
+//! (`crate::sample`).
 
-use crate::branch::BranchPredictor;
 use crate::config::SimConfig;
 use crate::engine::SimEngine;
-use crate::metrics::SimMetrics;
-use bsched_ir::{
-    interp::RegFile, BlockId, ExecError, Function, MemImage, Op, Program, Terminator, Value,
-};
-use bsched_mem::Hierarchy;
+use bsched_ir::{ExecError, Program};
 
 /// Result of a simulated run: timing metrics plus the functional outcome
 /// (memory checksum) used to cross-check against the reference
@@ -25,131 +16,12 @@ use bsched_mem::Hierarchy;
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// Timing and instruction-count metrics.
-    pub metrics: SimMetrics,
+    pub metrics: crate::metrics::SimMetrics,
     /// FNV-1a hash of the final memory image.
     pub checksum: u64,
     /// Sampling summary when the run was estimated under
     /// [`crate::SimMode::Sampled`]; `None` for exact runs.
     pub sample: Option<crate::sample::SampleStats>,
-}
-
-/// Sentinel "not produced by a load" site id.
-pub(crate) const NO_SITE: u32 = u32::MAX;
-
-/// Base address of the code region: 4 bytes per instruction, terminator
-/// included. Code lives far above data so instruction fetches and data
-/// accesses never share cache lines.
-pub(crate) const CODE_BASE: u64 = 1 << 32;
-
-/// Computes the code layout shared by both engines: the base address of
-/// every block (in [`BlockId`] index order) and the end-of-code address.
-/// The static *site id* of the instruction at `pc` is
-/// `(pc - CODE_BASE) / 4`.
-pub(crate) fn code_layout(func: &Function) -> (Vec<u64>, u64) {
-    let mut block_addr = Vec::with_capacity(func.blocks().len());
-    let mut pc = CODE_BASE;
-    for (_, b) in func.iter_blocks() {
-        block_addr.push(pc);
-        pc += 4 * (b.len() as u64 + 1);
-    }
-    (block_addr, pc)
-}
-
-/// Per-register scoreboard: when each register's value becomes
-/// available, and — for interlock attribution — the static code site
-/// (`(pc - CODE_BASE) / 4`) of its most recent producing load, or
-/// [`NO_SITE`] for non-load producers.
-#[derive(Debug)]
-pub(crate) struct Scoreboard {
-    ready_int: Vec<u64>,
-    ready_float: Vec<u64>,
-    load_site_int: Vec<u32>,
-    load_site_float: Vec<u32>,
-}
-
-impl Scoreboard {
-    pub(crate) fn new(func: &Function) -> Self {
-        use bsched_ir::RegClass;
-        let ni = bsched_ir::Reg::NUM_PHYS as usize + func.vreg_count(RegClass::Int) as usize;
-        let nf = bsched_ir::Reg::NUM_PHYS as usize + func.vreg_count(RegClass::Float) as usize;
-        Scoreboard {
-            ready_int: vec![0; ni],
-            ready_float: vec![0; nf],
-            load_site_int: vec![NO_SITE; ni],
-            load_site_float: vec![NO_SITE; nf],
-        }
-    }
-
-    pub(crate) fn ready(&self, r: bsched_ir::Reg) -> (u64, u32) {
-        let s = RegFile::slot(r);
-        match r.class() {
-            bsched_ir::RegClass::Int => (self.ready_int[s], self.load_site_int[s]),
-            bsched_ir::RegClass::Float => (self.ready_float[s], self.load_site_float[s]),
-        }
-    }
-
-    pub(crate) fn set(&mut self, r: bsched_ir::Reg, at: u64, load_site: u32) {
-        let s = RegFile::slot(r);
-        match r.class() {
-            bsched_ir::RegClass::Int => {
-                self.ready_int[s] = at;
-                self.load_site_int[s] = load_site;
-            }
-            bsched_ir::RegClass::Float => {
-                self.ready_float[s] = at;
-                self.load_site_float[s] = load_site;
-            }
-        }
-    }
-}
-
-/// Tracing-only per-static-load-site attribution, allocated only when
-/// `bsched_trace::enabled()`. The interlock and MSHR columns are
-/// incremented at exactly the three points that bump the aggregate
-/// `load_interlock` counter, so their sum reproduces it exactly — the
-/// conservation property the test suite pins.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SiteStat {
-    pub(crate) issued: u64,
-    pub(crate) interlock: u64,
-    pub(crate) mshr: u64,
-    pub(crate) hits: [u64; 4], // L1, L2, L3, memory
-}
-
-impl SiteStat {
-    fn any(&self) -> bool {
-        self.issued > 0 || self.interlock > 0 || self.mshr > 0
-    }
-}
-
-/// Emits one `sim.load_site` event per static site with any load
-/// activity: where it lives (block), how often it issued, which memory
-/// levels answered, and how many load-interlock cycles it was blamed
-/// for (operand interlocks + MSHR stalls). Shared by both engines so
-/// per-site attribution is byte-identical across them.
-pub(crate) fn flush_site_events(program_name: &str, sites: &[SiteStat], block_addr: &[u64]) {
-    for (site, st) in sites.iter().enumerate() {
-        if !st.any() {
-            continue;
-        }
-        let addr = CODE_BASE + 4 * site as u64;
-        let block = block_addr.partition_point(|&b| b <= addr).saturating_sub(1);
-        bsched_trace::instant(
-            bsched_trace::points::SIM_LOAD_SITE,
-            program_name,
-            &[
-                ("site", site as u64),
-                ("block", block as u64),
-                ("issued", st.issued),
-                ("interlock", st.interlock),
-                ("mshr_stall", st.mshr),
-                ("l1", st.hits[0]),
-                ("l2", st.hits[1]),
-                ("l3", st.hits[2]),
-                ("mem", st.hits[3]),
-            ],
-        );
-    }
 }
 
 /// The simulator. Build with [`Simulator::for_machine`], pick an engine
@@ -214,335 +86,14 @@ impl<'p> Simulator<'p> {
     /// the memory image.
     pub fn run(&self) -> Result<SimResult, ExecError> {
         match self.mode {
-            crate::sample::SimMode::Exact => match self.engine {
-                SimEngine::Interpret => self.run_interpret(),
-                SimEngine::BlockCompiled => crate::block::run(self.program, self.config),
-            },
+            crate::sample::SimMode::Exact => {
+                crate::block::run(self.program, self.config, self.engine)
+            }
             crate::sample::SimMode::Sampled(sample) => {
                 crate::sample::run_sampled(self.program, self.config, sample)
             }
         }
     }
-
-    /// The interpreting engine: decode, evaluate, and charge every
-    /// instruction on every visit, via [`interpret`] from a cold
-    /// machine to `Ret`. This wrapper owns what an exact run adds on
-    /// top: the `sim.run` span, per-site attribution, and the checksum.
-    fn run_interpret(&self) -> Result<SimResult, ExecError> {
-        let func = self.program.main();
-        let (block_addr, code_end) = code_layout(func);
-
-        // Load-interlock attribution (tracing only): one row per static
-        // code slot, flushed as `sim.load_site` events at `Ret`.
-        let tracing = bsched_trace::enabled();
-        let mut sites: Vec<SiteStat> = if tracing {
-            vec![SiteStat::default(); ((code_end - CODE_BASE) / 4) as usize]
-        } else {
-            Vec::new()
-        };
-        let mut st = MachineState::cold(self.program, &self.config, code_end);
-        let run_span = bsched_trace::span(bsched_trace::points::SIM_RUN)
-            .label_with(|| self.program.name().to_string());
-        let (metrics, _) = interpret(
-            func,
-            &self.config,
-            &block_addr,
-            &mut st,
-            func.entry(),
-            u64::MAX,
-            &mut sites,
-        )?;
-        if tracing {
-            flush_site_events(self.program.name(), &sites, &block_addr);
-            run_span.finish(&[
-                ("cycles", metrics.cycles),
-                ("load_interlock", metrics.load_interlock),
-            ]);
-        }
-        Ok(SimResult {
-            metrics,
-            checksum: st.mem.checksum(),
-            sample: None,
-        })
-    }
-}
-
-/// The caller-owned state [`interpret`] runs on: the architectural
-/// state (register file, memory image), the micro-architectural state
-/// that stays warm across calls (hierarchy, branch predictor), and the
-/// clock.
-#[derive(Debug)]
-pub(crate) struct MachineState {
-    pub(crate) regs: RegFile,
-    pub(crate) mem: MemImage,
-    pub(crate) hier: Hierarchy,
-    pub(crate) pred: BranchPredictor,
-    pub(crate) now: u64,
-}
-
-impl MachineState {
-    /// A cold machine at cycle 0 holding `program`'s initial memory,
-    /// for code ending at `code_end` (from [`code_layout`]).
-    pub(crate) fn cold(program: &Program, config: &SimConfig, code_end: u64) -> Self {
-        MachineState {
-            regs: RegFile::new(program.main()),
-            mem: MemImage::new(program),
-            hier: Hierarchy::new(config.mem, CODE_BASE..code_end),
-            pred: BranchPredictor::new(&config.branch),
-            now: 0,
-        }
-    }
-}
-
-/// The interpreting engine's timing loop — the one definition of its
-/// fetch, issue-group, interlock, memory, and branch timing. Runs `func`
-/// on `st` from block `start` until `Ret` or until `max_blocks` block
-/// executions have retired, whichever comes first.
-///
-/// Returns *interval-local* metrics — cycles since entry, the stall
-/// counters, instruction counts, and the hierarchy's statistics (whose
-/// counters restart at entry) — plus the block at which execution
-/// continues (`None` when the run reached `Ret`). `st` is advanced in place: an
-/// exact run passes a cold machine and `u64::MAX`, sampled-plan
-/// construction passes its warm fast-forward state and one interval's
-/// block count. The scoreboard and issue group start empty.
-///
-/// `sites` is the per-static-site attribution table; pass an empty
-/// slice to turn attribution off.
-///
-/// # Errors
-///
-/// [`ExecError::OutOfFuel`] past `config.fuel` instructions retired in
-/// this call, [`ExecError::WildStore`] on a store outside the memory
-/// image.
-pub(crate) fn interpret(
-    func: &Function,
-    config: &SimConfig,
-    block_addr: &[u64],
-    st: &mut MachineState,
-    start: BlockId,
-    max_blocks: u64,
-    sites: &mut [SiteStat],
-) -> Result<(SimMetrics, Option<BlockId>), ExecError> {
-    let MachineState {
-        regs,
-        mem,
-        hier,
-        pred,
-        now: clock,
-    } = st;
-    let tracing = !sites.is_empty();
-    let mut board = Scoreboard::new(func);
-    let mut m = SimMetrics::default();
-    let start_now = *clock;
-    let mut now = start_now;
-    hier.reset_stats();
-
-    let mut executed: u64 = 0;
-    let mut visited: u64 = 0;
-    let mut cur = start;
-    // Issue-group state for multi-issue configurations. Any stall
-    // advances `now`, opening a fresh group.
-    let width = config.issue_width.max(1);
-    let ports = config.mem_ports.max(1);
-    let mut slot: u32 = 0;
-    let mut mem_slot: u32 = 0;
-    let fixed_latency = |op: Op| -> u32 {
-        if config.uniform_fixed_latency {
-            1
-        } else {
-            op.latency()
-        }
-    };
-
-    let next_block = loop {
-        let block = func.block(cur);
-        let base_pc = block_addr[cur.index()];
-        for (k, inst) in block.insts.iter().enumerate() {
-            executed += 1;
-            if executed > config.fuel {
-                return Err(ExecError::OutOfFuel { fuel: config.fuel });
-            }
-            // 1. Fetch.
-            if config.model_ifetch {
-                let f = hier.inst_fetch(base_pc + 4 * k as u64, now);
-                if f.ready_at > now {
-                    m.fetch_stall += f.ready_at - now;
-                    now = f.ready_at;
-                    slot = 0;
-                    mem_slot = 0;
-                }
-            }
-            // 2. Structural issue limits: group full, or out of
-            // memory ports — advance to the next cycle first so the
-            // operand check below sees the true issue cycle.
-            if slot >= width || (inst.op.is_memory() && mem_slot >= ports) {
-                now += 1;
-                slot = 0;
-                mem_slot = 0;
-            }
-            // 2b. Operand interlock.
-            let mut op_ready = now;
-            let mut blame_site = NO_SITE;
-            for &s in inst.srcs() {
-                let (t, site) = board.ready(s);
-                if t > op_ready || (t == op_ready && site != NO_SITE && t > now) {
-                    op_ready = t;
-                    blame_site = site;
-                }
-            }
-            if op_ready > now {
-                let stall = op_ready - now;
-                if blame_site != NO_SITE {
-                    m.load_interlock += stall;
-                    if tracing {
-                        sites[blame_site as usize].interlock += stall;
-                    }
-                } else {
-                    m.fixed_interlock += stall;
-                }
-                now = op_ready;
-                slot = 0;
-                mem_slot = 0;
-            }
-            // 3. Execute.
-            m.insts.record(inst);
-            match inst.op {
-                Op::Ld => {
-                    let site = ((base_pc - CODE_BASE) / 4) as u32 + k as u32;
-                    let base = regs.get(inst.mem_base()).as_int();
-                    let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                    let a = hier.data_read(addr, now);
-                    m.load_interlock += a.stall;
-                    m.tlb_stall += (a.issue_at - now) - a.stall;
-                    if tracing {
-                        let row = &mut sites[site as usize];
-                        row.issued += 1;
-                        row.mshr += a.stall;
-                        row.hits[a.level as usize] += 1;
-                    }
-                    if a.issue_at > now {
-                        now = a.issue_at;
-                        slot = 0;
-                        mem_slot = 0;
-                    }
-                    let dst = inst.dst.expect("load has a destination");
-                    regs.set(dst, Value::from_bits(dst.class(), mem.load(addr)));
-                    board.set(dst, a.ready_at, site);
-                }
-                Op::St => {
-                    let base = regs.get(inst.mem_base()).as_int();
-                    let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                    let a = hier.data_write(addr, now);
-                    m.store_stall += a.stall;
-                    m.tlb_stall += (a.issue_at - now) - a.stall;
-                    if a.issue_at > now {
-                        now = a.issue_at;
-                        slot = 0;
-                        mem_slot = 0;
-                    }
-                    mem.store(addr, regs.get(inst.srcs()[0]).to_bits())?;
-                }
-                Op::LdAddr => {
-                    let region = inst
-                        .mem
-                        .and_then(|mm| mm.region)
-                        .expect("ldaddr has a region");
-                    let dst = inst.dst.expect("ldaddr has a destination");
-                    let base = mem.region_bases[region.index() as usize];
-                    regs.set(dst, Value::Int(base as i64));
-                    board.set(dst, now + u64::from(fixed_latency(inst.op)), NO_SITE);
-                }
-                _ => {
-                    let mut vals = [Value::Int(0); 3];
-                    for (slot, &s) in vals.iter_mut().zip(inst.srcs()) {
-                        *slot = regs.get(s);
-                    }
-                    let v = bsched_ir::value::eval(
-                        inst.op,
-                        &vals[..inst.srcs().len()],
-                        inst.imm,
-                        inst.fimm,
-                    );
-                    let dst = inst.dst.expect("pure op has a destination");
-                    regs.set(dst, v);
-                    board.set(dst, now + u64::from(fixed_latency(inst.op)), NO_SITE);
-                }
-            }
-            // 4. The instruction occupies one slot of the group.
-            slot += 1;
-            if inst.op.is_memory() {
-                mem_slot += 1;
-            }
-        }
-
-        // Terminator.
-        let term_pc = base_pc + 4 * block.len() as u64;
-        if config.model_ifetch {
-            let f = hier.inst_fetch(term_pc, now);
-            if f.ready_at > now {
-                m.fetch_stall += f.ready_at - now;
-                now = f.ready_at;
-            }
-        }
-        visited += 1;
-        // Every terminator path below ends the issue group itself.
-        let next: BlockId = match &block.term {
-            Terminator::Jmp(t) => {
-                m.insts.jumps += 1;
-                // A control transfer ends the issue group.
-                now += 1;
-                slot = 0;
-                mem_slot = 0;
-                *t
-            }
-            Terminator::Br {
-                cond,
-                when,
-                taken,
-                fall,
-            } => {
-                let (t, site) = board.ready(*cond);
-                if t > now {
-                    let stall = t - now;
-                    if site != NO_SITE {
-                        m.load_interlock += stall;
-                        if tracing {
-                            sites[site as usize].interlock += stall;
-                        }
-                    } else {
-                        m.fixed_interlock += stall;
-                    }
-                    now = t;
-                }
-                m.insts.branches += 1;
-                let is_taken = when.holds(regs.get(*cond).as_int());
-                if !pred.predict_and_update(term_pc, is_taken) {
-                    m.branch_penalty += u64::from(config.branch.mispredict_penalty);
-                    now += u64::from(config.branch.mispredict_penalty);
-                }
-                // A control transfer ends the issue group.
-                now += 1;
-                slot = 0;
-                mem_slot = 0;
-                if is_taken {
-                    *taken
-                } else {
-                    *fall
-                }
-            }
-            Terminator::Ret => break None,
-        };
-        if visited == max_blocks {
-            break Some(next);
-        }
-        cur = next;
-    };
-
-    *clock = now;
-    m.cycles = now - start_now;
-    m.mem = *hier.stats();
-    Ok((m, next_block))
 }
 
 #[cfg(test)]

@@ -87,7 +87,8 @@ impl InstCounts {
 ///
 /// `PartialEq`/`Eq` compare every field bit for bit — the conformance
 /// suite uses this to prove the block-compiled engine reproduces the
-/// interpreting engine exactly.
+/// proof-free reference decode ([`crate::SimEngine::Interpret`])
+/// exactly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// Total execution cycles.

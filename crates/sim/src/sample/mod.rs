@@ -16,7 +16,7 @@
 //!    skipped intervals while keeping the cache hierarchy, TLBs, MSHRs,
 //!    and branch predictor warm under a proxy clock, and cycle-simulate
 //!    each representative interval *in place* as execution reaches it,
-//!    with the interpreting engine's own timing loop — every
+//!    with the simulator's one timing loop — every
 //!    representative replays against exactly the warm state the full
 //!    execution would have produced.
 //! 4. **Extrapolate**: scale each representative's interval-local
@@ -259,7 +259,7 @@ fn build_plan(
     config: &SimConfig,
     sample: SampleConfig,
 ) -> Result<SamplePlan, ExecError> {
-    let prof = profile::profile(program, sample.interval, config.fuel)?;
+    let prof = profile::profile(program, config, sample.interval)?;
     let clustering = kmeans::cluster(
         &prof.bbvs,
         &prof.insts_per,

@@ -1,10 +1,10 @@
 //! Pass 1 and pass 2 of sampled-plan construction.
 //!
-//! **Pass 1** ([`profile`]) runs the functional interpreter over the
-//! compiled kernel and slices the dynamic block stream into intervals of
-//! at least `interval_len` retired instructions (intervals close only at
-//! block boundaries, so an interval is always a whole number of block
-//! executions). It emits one normalized basic-block vector per interval
+//! **Pass 1** ([`profile`]) executes the compiled kernel functionally
+//! ([`block::execute_block`]) and slices the dynamic block stream into
+//! intervals of at least `interval_len` retired instructions (intervals
+//! close only at block boundaries, so an interval is always a whole
+//! number of block executions). It emits one normalized basic-block vector per interval
 //! plus the *exact* dynamic instruction counts and final-memory checksum
 //! — the sampled result reports those exactly; only cycle-level metrics
 //! are estimated.
@@ -14,18 +14,17 @@
 //! keeping the cache hierarchy, TLBs, MSHRs, and branch predictor warm
 //! under a retired-instruction proxy clock, and each representative
 //! interval is cycle-simulated in place on that exact warm state as
-//! execution reaches it, by the interpreting engine's own timing loop
-//! (`crate::machine::interpret`; see DESIGN.md §13). The
+//! execution reaches it, by the simulator's one timing loop
+//! (`crate::block::run_interval`; see DESIGN.md §13). Both passes run
+//! over the same decoded block skeletons as exact runs. The
 //! per-representative timing deltas are stored in the plan; sampled
 //! runs extrapolate from them without re-simulating.
 
+use crate::block::{self, Code, MachineState};
 use crate::config::SimConfig;
-use crate::machine::{self, MachineState};
+use crate::engine::SimEngine;
 use crate::metrics::{InstCounts, SimMetrics};
-use bsched_ir::{
-    interp::{step, MemImage, RegFile},
-    BlockId, ExecError, Program, Terminator,
-};
+use bsched_ir::{BlockId, ExecError, Program};
 
 /// Everything pass 1 learns about one program under one interval length.
 #[derive(Debug)]
@@ -50,40 +49,25 @@ pub(crate) struct IntervalProfile {
     pub total_insts: u64,
 }
 
-/// Runs the functional interpreter and profiles per-interval BBVs.
+/// Executes `program` functionally and profiles per-interval BBVs.
 ///
 /// # Errors
 ///
-/// [`ExecError::OutOfFuel`] past `fuel` retired instructions,
+/// [`ExecError::OutOfFuel`] past `config.fuel` retired instructions,
 /// [`ExecError::WildStore`] on a store outside the memory image — the
 /// same failures the exact engines report for the same program.
 pub(crate) fn profile(
     program: &Program,
+    config: &SimConfig,
     interval_len: u64,
-    fuel: u64,
 ) -> Result<IntervalProfile, ExecError> {
     let func = program.main();
     let nb = func.blocks().len();
-
-    // Static per-block counts; one `scaled_add` per block at the end
-    // reproduces the exact engines' per-instruction accumulation.
-    let mut static_counts = vec![InstCounts::default(); nb];
-    let mut block_insts = vec![0u64; nb];
-    for (id, b) in func.iter_blocks() {
-        for inst in &b.insts {
-            static_counts[id.index()].record(inst);
-        }
-        block_insts[id.index()] = b.insts.len() as u64;
-    }
-
-    let mut regs = RegFile::new(func);
-    let mut mem = MemImage::new(program);
-    let bases = mem.region_bases.clone();
-
+    let block_insts: Vec<u64> = func.blocks().iter().map(|b| b.insts.len() as u64).collect();
+    let mut code = Code::new(program, *config, SimEngine::default());
+    let mut st = MachineState::cold(program, &code);
+    let mut fuel = config.fuel;
     let mut visits = vec![0u64; nb];
-    let mut branches = 0u64;
-    let mut jumps = 0u64;
-    let mut executed = 0u64;
 
     let mut out = IntervalProfile {
         bbvs: Vec::new(),
@@ -112,44 +96,12 @@ pub(crate) fn profile(
         }
         visits[cur.index()] += 1;
         cur_bbv[cur.index()] += 1;
-        let block = func.block(cur);
-        for inst in &block.insts {
-            executed += 1;
-            if executed > fuel {
-                return Err(ExecError::OutOfFuel { fuel });
-            }
-            step(inst, &mut regs, &mut mem, &bases)?;
-        }
+        let next = block::execute_block(&mut code, &mut st, cur, false, &mut fuel)?;
         ord += 1;
         cur_blocks += 1;
         cur_insts += block_insts[cur.index()];
 
-        let mut done = false;
-        let next = match &block.term {
-            Terminator::Jmp(t) => {
-                jumps += 1;
-                *t
-            }
-            Terminator::Br {
-                cond,
-                when,
-                taken,
-                fall,
-            } => {
-                branches += 1;
-                if when.holds(regs.get(*cond).as_int()) {
-                    *taken
-                } else {
-                    *fall
-                }
-            }
-            Terminator::Ret => {
-                done = true;
-                cur
-            }
-        };
-
-        if done || cur_insts >= interval_len {
+        if next.is_none() || cur_insts >= interval_len {
             // Close the interval: BBV dimensions weighted by executed
             // instructions (+1 for the terminator), L1-normalized.
             let mut v: Vec<f64> = cur_bbv
@@ -172,34 +124,30 @@ pub(crate) fn profile(
             cur_insts = 0;
             cur_blocks = 0;
         }
-        if done {
-            break;
+        match next {
+            Some(b) => cur = b,
+            None => break,
         }
-        cur = next;
     }
 
-    for (b, &n) in visits.iter().enumerate() {
-        out.counts.scaled_add(&static_counts[b], n);
-    }
-    out.counts.branches += branches;
-    out.counts.jumps += jumps;
-    out.checksum = mem.checksum();
-    out.total_insts = executed;
+    out.counts = code.counts(&visits);
+    out.checksum = st.mem.checksum();
+    out.total_insts = config.fuel - fuel;
     Ok(out)
 }
 
 /// Pass 2: one warm-and-replay sweep. Fast-forwards functionally from a
-/// cold start, keeping the cache hierarchy, TLBs, MSHRs, and branch
-/// predictor warm under a one-cycle-per-instruction proxy clock through
-/// every *skipped* interval, and cycle-simulating each representative
-/// interval in place the moment execution reaches its boundary — with
-/// the interpreting engine's own loop ([`machine::interpret`],
-/// bounded by the interval's block count, site attribution off). Every
-/// representative therefore replays against exactly the architectural
-/// and micro-architectural state the full execution would have
-/// produced — no checkpoint snapshots, no stitching bias from skipped
-/// warm-up — and is timed by exactly the code that defines exact
-/// interpreted timing.
+/// cold start ([`block::execute_block`] with `warm`), keeping the cache
+/// hierarchy, TLBs, MSHRs, and branch predictor warm under a
+/// one-cycle-per-instruction proxy clock through every *skipped*
+/// interval, and cycle-simulating each representative interval in place
+/// the moment execution reaches its boundary — with the simulator's one
+/// timing loop ([`block::run_interval`], bounded by the interval's
+/// block count, site attribution off). Every representative therefore
+/// replays against exactly the architectural and micro-architectural
+/// state the full execution would have produced — no checkpoint
+/// snapshots, no stitching bias from skipped warm-up — and is timed by
+/// exactly the code that defines exact timing.
 ///
 /// Returns the interval-local timing metrics per representative, in
 /// `rep_intervals` order. `rep_intervals` must be sorted ascending;
@@ -207,98 +155,33 @@ pub(crate) fn profile(
 ///
 /// # Errors
 ///
-/// Propagates the functional interpreter's errors; pass 1 already
-/// succeeded, so in practice this cannot fail.
+/// Propagates execution errors; pass 1 already succeeded, so in
+/// practice this cannot fail.
 pub(crate) fn warm_replay(
     program: &Program,
     config: &SimConfig,
     prof: &IntervalProfile,
     rep_intervals: &[usize],
 ) -> Result<Vec<SimMetrics>, ExecError> {
-    let func = program.main();
-    let (block_addr, code_end) = machine::code_layout(func);
-    let mut st = MachineState::cold(program, config, code_end);
-    let bases = st.mem.region_bases.clone();
-
+    let mut code = Code::new(program, *config, SimEngine::default());
+    let mut st = MachineState::cold(program, &code);
     let mut deltas = Vec::with_capacity(rep_intervals.len());
-    let mut next_rep = 0usize;
-
+    let mut fuel = u64::MAX;
     let mut ord = 0u64;
-    let mut cur = func.entry();
-    while next_rep < rep_intervals.len() {
-        let iv = rep_intervals[next_rep];
-        if ord == prof.start_ord[iv] {
-            debug_assert_eq!(cur, prof.start_block[iv]);
-            let (dm, next) = machine::interpret(
-                func,
-                config,
-                &block_addr,
-                &mut st,
-                cur,
-                prof.n_blocks[iv],
-                &mut [],
-            )?;
-            deltas.push(dm);
-            ord += prof.n_blocks[iv];
-            next_rep += 1;
-            match next {
-                Some(b) => cur = b,
-                None => break, // the interval ended at Ret
-            }
-            continue;
+    let mut cur = program.main().entry();
+    for &iv in rep_intervals {
+        for _ in ord..prof.start_ord[iv] {
+            cur = block::execute_block(&mut code, &mut st, cur, true, &mut fuel)?
+                .expect("every representative starts before the final Ret");
         }
-
-        // A skipped block: execute functionally, warming hierarchy and
-        // predictor under the proxy clock.
-        let block = func.block(cur);
-        let base_pc = block_addr[cur.index()];
-        for (k, inst) in block.insts.iter().enumerate() {
-            if config.model_ifetch {
-                st.hier.inst_fetch(base_pc + 4 * k as u64, st.now);
-            }
-            match inst.op {
-                bsched_ir::Op::Ld => {
-                    let base = st.regs.get(inst.mem_base()).as_int();
-                    let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                    st.hier.data_read(addr, st.now);
-                }
-                bsched_ir::Op::St => {
-                    let base = st.regs.get(inst.mem_base()).as_int();
-                    let addr = base.wrapping_add(inst.mem_disp()) as u64;
-                    st.hier.data_write(addr, st.now);
-                }
-                _ => {}
-            }
-            st.now += 1;
-            step(inst, &mut st.regs, &mut st.mem, &bases)?;
+        debug_assert_eq!(cur, prof.start_block[iv]);
+        let replayed = block::run_interval(&mut code, &mut st, cur, prof.n_blocks[iv], &mut [])?;
+        deltas.push(replayed.metrics);
+        ord = prof.start_ord[iv] + prof.n_blocks[iv];
+        match replayed.next {
+            Some(b) => cur = b,
+            None => break, // the interval ended at Ret
         }
-        ord += 1;
-
-        let term_pc = base_pc + 4 * block.len() as u64;
-        if config.model_ifetch {
-            st.hier.inst_fetch(term_pc, st.now);
-        }
-        st.now += 1;
-        cur = match &block.term {
-            Terminator::Jmp(t) => *t,
-            Terminator::Br {
-                cond,
-                when,
-                taken,
-                fall,
-            } => {
-                let is_taken = when.holds(st.regs.get(*cond).as_int());
-                st.pred.predict_and_update(term_pc, is_taken);
-                if is_taken {
-                    *taken
-                } else {
-                    *fall
-                }
-            }
-            Terminator::Ret => {
-                unreachable!("all representatives start before the final Ret")
-            }
-        };
     }
     debug_assert_eq!(deltas.len(), rep_intervals.len());
     Ok(deltas)

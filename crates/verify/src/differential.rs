@@ -233,7 +233,7 @@ pub fn check_engines(
     };
     let (interp, block) = match (run(SimEngine::Interpret), run(SimEngine::BlockCompiled)) {
         (Ok(i), Ok(b)) => (i, b),
-        (Err(e), Err(_)) => return Err(e),
+        (Err(e), Err(b)) if e == b => return Err(e),
         (i, b) => {
             let render = |r: &Result<_, ExecError>| match r {
                 Ok(_) => "success".to_string(),
@@ -436,6 +436,31 @@ mod tests {
         let compiled = session.compile().unwrap();
         let v = check_engines(&compiled.program, session.options().sim).unwrap();
         assert_eq!(v, vec![]);
+    }
+
+    /// The engines must also fail alike: when the fuel budget runs out
+    /// in the same block as an earlier wild store, the store's error
+    /// wins under both, however the block engine batches its fuel.
+    #[test]
+    fn engines_agree_on_which_error_stops_a_run() {
+        let mut p = Program::new("wild");
+        let r = p.add_region("a", 64);
+        let mut b = bsched_ir::FuncBuilder::new("main");
+        let base = b.load_region_addr(r);
+        let v = b.iconst(7);
+        b.store(v, base, 1 << 40).with_region(r).emit(&mut b);
+        let _ = b.iconst(1);
+        let _ = b.iconst(2);
+        b.ret();
+        p.set_main(b.finish());
+        let config = SimConfig {
+            fuel: 3,
+            ..SimConfig::default()
+        };
+        assert!(matches!(
+            check_engines(&p, config),
+            Err(ExecError::WildStore { .. })
+        ));
     }
 
     #[test]

@@ -46,9 +46,9 @@ pub use metamorphic::{
     allhit_config, check_allhit_closeness, check_metrics, stall_sum, MetaViolation,
 };
 
-use bsched_ir::Program;
-use bsched_pipeline::{CompileOptions, Experiment};
+use bsched_pipeline::{CompileOptions, Experiment, Source};
 use bsched_sim::{SampleConfig, SimMetrics, SimMode};
+use std::sync::Arc;
 
 /// The verdict on one grid cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,31 +68,32 @@ impl CellVerification {
     }
 }
 
-/// Runs the full per-cell conformance suite on one (program × options)
+/// Runs the full per-cell conformance suite on one (source × options)
 /// point simulated exactly: [`verify_cell_in`] under [`SimMode::Exact`],
 /// with `metrics` the simulated run the caller already has.
 #[must_use]
 pub fn verify_cell(
-    program: &Program,
+    source: &Arc<Source>,
     options: &CompileOptions,
     metrics: &SimMetrics,
 ) -> CellVerification {
-    verify_cell_in(SimMode::Exact, program, options, metrics)
+    verify_cell_in(SimMode::Exact, source, options, metrics)
 }
 
 /// The conformance suite for a cell simulated under `sample`:
 /// [`verify_cell_in`] under [`SimMode::Sampled`].
 #[must_use]
 pub fn verify_cell_sampled(
-    program: &Program,
+    source: &Arc<Source>,
     options: &CompileOptions,
     sample: SampleConfig,
 ) -> CellVerification {
-    verify_cell_in(SimMode::Sampled(sample), program, options, &SimMetrics::default())
+    verify_cell_in(SimMode::Sampled(sample), source, options, &SimMetrics::default())
 }
 
 /// The per-cell conformance suite. Whatever the mode, it recompiles the
-/// cell with a schedule audit, proves every region's schedule legal,
+/// cell from `source` with a schedule audit (sharing the source's
+/// reference checksum with every other session on it), proves every region's schedule legal,
 /// cross-checks the weights against both reference implementations and
 /// replays optimized vs unoptimized code through the interpreter. Then
 /// the mode picks the simulator checks:
@@ -110,14 +111,14 @@ pub fn verify_cell_sampled(
 #[must_use]
 pub fn verify_cell_in(
     mode: SimMode,
-    program: &Program,
+    source: &Arc<Source>,
     options: &CompileOptions,
     metrics: &SimMetrics,
 ) -> CellVerification {
     let mut regions = 0;
     let mut violations = Vec::new();
     let session = Experiment::builder()
-        .program("cell", program.clone())
+        .source("cell", Arc::clone(source))
         .compile_options(*options)
         .build()
         .expect("program is supplied directly");
@@ -180,42 +181,45 @@ mod tests {
     use bsched_core::SchedulerKind;
     use bsched_pipeline::resolve_kernel;
 
+    fn trfd() -> Arc<Source> {
+        Arc::new(Source::new(resolve_kernel("TRFD").unwrap()))
+    }
+
     #[test]
     fn a_real_cell_verifies_clean() {
-        let program = resolve_kernel("TRFD").unwrap();
+        let source = trfd();
         let options = CompileOptions::new(SchedulerKind::Balanced);
         let session = Experiment::builder()
-            .program("TRFD", program.clone())
+            .source("TRFD", Arc::clone(&source))
             .compile_options(options)
             .build()
             .unwrap();
         let run = session.run().unwrap();
-        let v = verify_cell(&program, &options, &run.metrics);
+        let v = verify_cell(&source, &options, &run.metrics);
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
 
     #[test]
     fn a_real_cell_verifies_clean_under_sampling() {
-        let program = resolve_kernel("TRFD").unwrap();
         let options = CompileOptions::new(SchedulerKind::Balanced);
-        let v = verify_cell_sampled(&program, &options, SampleConfig::default());
+        let v = verify_cell_sampled(&trfd(), &options, SampleConfig::default());
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
 
     #[test]
     fn corrupted_metrics_fail_the_cell() {
-        let program = resolve_kernel("TRFD").unwrap();
+        let source = trfd();
         let options = CompileOptions::new(SchedulerKind::Balanced);
         let session = Experiment::builder()
-            .program("TRFD", program.clone())
+            .source("TRFD", Arc::clone(&source))
             .compile_options(options)
             .build()
             .unwrap();
         let mut metrics = session.run().unwrap().metrics;
         metrics.cycles = 1; // below any plausible accounting floor
-        let v = verify_cell(&program, &options, &metrics);
+        let v = verify_cell(&source, &options, &metrics);
         assert!(!v.is_clean());
     }
 }

@@ -221,28 +221,12 @@ echo "== smoke: weights microbench vs recorded BENCH_pr2.json baseline =="
 BENCH_SAMPLES=31 cargo bench -q -p bsched-bench --bench weights -- \
     --json "$SMOKE_CACHE/BENCH_pr2.json" --check "$PWD/BENCH_pr2.json"
 
-echo "== smoke: tracing overhead (recorder compiled in, disabled) =="
-# The trace recorder's off state must be near-free: every point pays
-# one relaxed atomic load, and the weight kernel itself has none. Gate
-# at a tight 0.97 floor against the baseline this CI run just recorded
-# (same machine, minutes apart, min-based ratios — stable to ~1%
-# where cross-run median ratios swing ~8% under scheduling noise).
-# The committed pre-tracing baseline is still enforced above at the
-# machine-independent 10% floor. (The traced-on path is covered by
-# the byte-identity and conservation tests.) Per-process code-layout
-# variance runs a few percent even on min times, and only ever causes
-# false *failures* at this floor, so the gate takes the best of three
-# measurement attempts; a genuine >=3% regression fails all three.
-overhead_ok=0
-for attempt in 1 2 3; do
-    if BENCH_SAMPLES=31 cargo bench -q -p bsched-bench --bench weights -- \
-        --check "$SMOKE_CACHE/BENCH_pr2.json" --check-ratio 0.97; then
-        overhead_ok=1
-        break
-    fi
-    echo "tracing-overhead attempt $attempt regressed; re-measuring"
-done
-[ "$overhead_ok" -eq 1 ] || { echo "FAIL: tracing-overhead gate"; exit 1; }
+echo "== gate: the weight kernel carries no trace points =="
+# Structural replacement for a wall-clock tracing-overhead ratio: with
+# the recorder on, compute_weights over every suite kernel's scheduled
+# regions must record zero events, so the kernel pays nothing for
+# tracing in either state. Deterministic on any host.
+cargo test -q --release -p bsched-pipeline --test weights_untraced
 
 echo "== smoke: traced run report + exports =="
 # One traced warm-cache run: the trace flags must not change stdout
