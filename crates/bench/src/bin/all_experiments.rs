@@ -4,7 +4,9 @@
 //! The whole deduplicated grid executes up front on the harness's
 //! work-stealing pool; results come back in deterministic kernel ×
 //! configuration order regardless of worker count or cache state. In
-//! `--csv` mode the same bytes also land in `results/all_experiments.csv`.
+//! `--csv` mode the same bytes also land in `results/all_experiments.csv`
+//! (`results/all_experiments_sampled.csv` for a sampled run, so estimates
+//! never overwrite the exact table).
 //! The harness run report goes to stderr so stdout stays byte-identical
 //! across runs.
 //!
@@ -23,8 +25,8 @@
 //! estimates extrapolated from representative intervals (instruction
 //! counts and checksums stay exact; see DESIGN.md §13). Like the engine
 //! axis the mode is execution-only — it never enters a cache key — but
-//! sampled results live in their own store and never touch the exact
-//! caches. A bare `--sample` uses the default configuration; a spec
+//! sampled results stay in memory and never touch the exact disk
+//! cache. A bare `--sample` uses the default configuration; a spec
 //! like `k=8,interval=1000` overrides it. Invalid specs are rejected
 //! with the valid format and exit code 2.
 //!
@@ -229,7 +231,12 @@ fn main() {
     let out = bsched_bench::render_grid(kernels, &configs, cli.csv, |k, c| grid.metrics(k, c));
     print!("{out}");
     if cli.csv {
-        bsched_bench::write_results("all_experiments.csv", &out);
+        let file = if grid.engine().config().sim_mode.is_sampled() {
+            "all_experiments_sampled.csv"
+        } else {
+            "all_experiments.csv"
+        };
+        bsched_bench::write_results(file, &out);
     }
     run_fuzz(&grid, &cli);
     finish(&grid, &cli);

@@ -281,6 +281,37 @@ fn sampled_runs_never_touch_the_exact_result_cache() {
     );
 }
 
+/// `--csv` writes its table under `results/` in the working directory.
+/// A sampled table holds estimates, so it must land in its own file and
+/// never overwrite the committed exact `results/all_experiments.csv`.
+#[test]
+fn sampled_csv_never_overwrites_the_exact_table() {
+    let cwd = std::env::temp_dir().join(format!("bsched-sampled-csv-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = all_experiments()
+        .args(["--sample", "--csv", "--kernels", "TRFD"])
+        .current_dir(&cwd)
+        .env("BSCHED_JOBS", "2")
+        .env("BSCHED_NO_CACHE", "1")
+        .env_remove("BSCHED_CACHE_DIR")
+        .output()
+        .unwrap();
+    let exact = cwd.join("results/all_experiments.csv").exists();
+    let sampled = std::fs::read(cwd.join("results/all_experiments_sampled.csv"));
+    std::fs::remove_dir_all(&cwd).ok();
+    assert!(
+        out.status.success(),
+        "sampled --csv run failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!exact, "a sampled run must not write results/all_experiments.csv");
+    assert_eq!(
+        sampled.expect("the sampled table lands in all_experiments_sampled.csv"),
+        out.stdout,
+        "the sampled CSV file holds the printed table"
+    );
+}
+
 /// The engine axis is execution-only: it is not part of any cache key,
 /// so a cache warmed under one engine must be answered entirely from
 /// disk under the other — and print the same bytes.

@@ -250,12 +250,11 @@ pub struct Engine {
     kernels: Vec<(String, Arc<Source>)>,
     index: HashMap<String, usize>,
     config: EngineConfig,
+    /// Results under the configured [`SimMode`], which is fixed for the
+    /// engine's lifetime. The mode axis is not metrics-invariant, so a
+    /// sampled engine never reads or writes the disk cache, which holds
+    /// exact results only.
     store: ResultStore,
-    /// Estimates from sampled runs. Kept apart from `store` because the
-    /// mode axis is not metrics-invariant: a sampled result must never
-    /// satisfy an exact lookup (or vice versa), and sampled results
-    /// never reach the disk cache at all.
-    sampled_store: ResultStore,
     disk: DiskCache,
     report: Mutex<RunReport>,
 }
@@ -302,7 +301,6 @@ impl Engine {
             index,
             config,
             store: ResultStore::new(),
-            sampled_store: ResultStore::new(),
             disk,
             report: Mutex::new(report),
         }
@@ -330,21 +328,12 @@ impl Engine {
         &self.config
     }
 
-    /// The in-memory memo layer (see [`crate::store`]).
-    /// `bsched-serve` reads its hit/miss counters for warm-cache stats.
-    /// Exact results only — sampled runs use a separate store.
+    /// The in-memory memo layer (see [`crate::store`]), holding results
+    /// under the configured [`SimMode`]. `bsched-serve` reads its
+    /// hit/miss counters for warm-cache stats.
     #[must_use]
     pub fn store(&self) -> &ResultStore {
         &self.store
-    }
-
-    /// The store the configured [`SimMode`] reads and writes.
-    fn active_store(&self) -> &ResultStore {
-        if self.config.sim_mode.is_sampled() {
-            &self.sampled_store
-        } else {
-            &self.store
-        }
     }
 
     /// The shared source of a kernel, as every cell of that kernel
@@ -401,10 +390,10 @@ impl Engine {
         // Layer 1/2: memory, then disk. A verifying run only accepts
         // cached results whose conformance suite passed at compute time;
         // anything else is recomputed (and re-verified) as a miss.
-        // Sampled mode reads and writes only its own memory store — the
-        // disk layer holds exact results exclusively.
+        // A sampled engine skips the disk layer, which holds exact
+        // results exclusively.
         let sampled = self.config.sim_mode.is_sampled();
-        let store = self.active_store();
+        let store = &self.store;
         let mut misses: Vec<&ExperimentCell> = Vec::new();
         let usable = |r: &CellResult| !verify || r.verified;
         for &cell in &unique {
@@ -477,11 +466,10 @@ impl Engine {
         failure.map_or(Ok(()), Err)
     }
 
-    /// The memoized result for a cell, if present (from the configured
-    /// mode's store).
+    /// The memoized result for a cell, if present.
     #[must_use]
     pub fn result(&self, cell: &ExperimentCell) -> Option<CellResult> {
-        self.active_store().get(cell)
+        self.store.get(cell)
     }
 
     /// The metrics for a cell, computing it (and anything it needs) on
@@ -491,12 +479,12 @@ impl Engine {
     ///
     /// Propagates [`HarnessError`]s from execution.
     pub fn metrics(&self, cell: &ExperimentCell) -> Result<SimMetrics, HarnessError> {
-        if let Some(r) = self.active_store().get(cell) {
+        if let Some(r) = self.store.get(cell) {
             return Ok(r.metrics);
         }
         self.run(std::slice::from_ref(cell))?;
         Ok(self
-            .active_store()
+            .store
             .get(cell)
             .expect("run() populated the store")
             .metrics)
@@ -508,12 +496,11 @@ impl Engine {
         self.report.lock().expect("report poisoned").clone()
     }
 
-    /// Drops the in-memory layers (exact and sampled), keeping the disk
-    /// cache — the cache round-trip tests use this to prove disk hits
-    /// alone reproduce the results.
+    /// Drops the in-memory layer, keeping the disk cache — the cache
+    /// round-trip tests use this to prove disk hits alone reproduce the
+    /// results.
     pub fn clear_memory(&self) {
         self.store.clear();
-        self.sampled_store.clear();
     }
 
     /// Folds a fuzzing campaign's iteration count into the run report

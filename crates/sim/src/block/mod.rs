@@ -121,7 +121,7 @@ struct RegSlot {
 #[derive(Debug)]
 pub(crate) struct Code<'p> {
     func: &'p Function,
-    config: SimConfig,
+    pub(crate) config: SimConfig,
     /// Decode with the block engine's proofs (see the module docs).
     proofs: bool,
     block_addr: Vec<u64>,

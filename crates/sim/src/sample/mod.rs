@@ -34,13 +34,15 @@
 //! Like the engine axis ([`crate::SimEngine`]), the mode axis is an
 //! execution detail, **not** an experiment knob: it must never enter
 //! `CompileOptions` or any exact-result cache key. Unlike the engine
-//! axis it is not metrics-invariant, so the harness keeps sampled
-//! results in a separate store.
+//! axis it is not metrics-invariant, so a sampled harness engine keeps
+//! its results in memory and never touches the exact-result disk cache.
 
 pub mod kmeans;
 mod profile;
 
+use crate::block::Code;
 use crate::config::SimConfig;
+use crate::engine::SimEngine;
 use crate::machine::SimResult;
 use crate::metrics::{InstCounts, SimMetrics};
 use bsched_ir::{ExecError, Program};
@@ -259,7 +261,9 @@ fn build_plan(
     config: &SimConfig,
     sample: SampleConfig,
 ) -> Result<SamplePlan, ExecError> {
-    let prof = profile::profile(program, config, sample.interval)?;
+    // Both passes share one decode: each block's skeleton is built once.
+    let mut code = Code::new(program, *config, SimEngine::default());
+    let prof = profile::profile(&mut code, program, sample.interval)?;
     let clustering = kmeans::cluster(
         &prof.bbvs,
         &prof.insts_per,
@@ -300,7 +304,7 @@ fn build_plan(
     let stratum_insts: Vec<u64> = picked.iter().map(|&(_, si, _)| si).collect();
     let rep_insts: Vec<u64> = picked.iter().map(|&(.., oi)| oi).collect();
 
-    let rep_metrics = profile::warm_replay(program, config, &prof, &intervals)?;
+    let rep_metrics = profile::warm_replay(&mut code, program, &prof, &intervals)?;
 
     let stats = SampleStats {
         intervals: prof.bbvs.len() as u64,

@@ -16,13 +16,13 @@
 //! interval is cycle-simulated in place on that exact warm state as
 //! execution reaches it, by the simulator's one timing loop
 //! (`crate::block::run_interval`; see DESIGN.md §13). Both passes run
-//! over the same decoded block skeletons as exact runs. The
+//! over one shared decode of the program (`crate::block::Code`), whose
+//! skeletons are the ones exact runs execute, so each block is decoded
+//! once per plan. The
 //! per-representative timing deltas are stored in the plan; sampled
 //! runs extrapolate from them without re-simulating.
 
 use crate::block::{self, Code, MachineState};
-use crate::config::SimConfig;
-use crate::engine::SimEngine;
 use crate::metrics::{InstCounts, SimMetrics};
 use bsched_ir::{BlockId, ExecError, Program};
 
@@ -49,24 +49,26 @@ pub(crate) struct IntervalProfile {
     pub total_insts: u64,
 }
 
-/// Executes `program` functionally and profiles per-interval BBVs.
+/// Executes `program` (decoded as `code`) functionally and profiles
+/// per-interval BBVs.
 ///
 /// # Errors
 ///
-/// [`ExecError::OutOfFuel`] past `config.fuel` retired instructions,
+/// [`ExecError::OutOfFuel`] past the configured fuel in retired
+/// instructions,
 /// [`ExecError::WildStore`] on a store outside the memory image — the
 /// same failures the exact engines report for the same program.
 pub(crate) fn profile(
+    code: &mut Code<'_>,
     program: &Program,
-    config: &SimConfig,
     interval_len: u64,
 ) -> Result<IntervalProfile, ExecError> {
     let func = program.main();
     let nb = func.blocks().len();
     let block_insts: Vec<u64> = func.blocks().iter().map(|b| b.insts.len() as u64).collect();
-    let mut code = Code::new(program, *config, SimEngine::default());
-    let mut st = MachineState::cold(program, &code);
-    let mut fuel = config.fuel;
+    let mut st = MachineState::cold(program, code);
+    let fuel_limit = code.config.fuel;
+    let mut fuel = fuel_limit;
     let mut visits = vec![0u64; nb];
 
     let mut out = IntervalProfile {
@@ -96,7 +98,7 @@ pub(crate) fn profile(
         }
         visits[cur.index()] += 1;
         cur_bbv[cur.index()] += 1;
-        let next = block::execute_block(&mut code, &mut st, cur, false, &mut fuel)?;
+        let next = block::execute_block(code, &mut st, cur, false, &mut fuel)?;
         ord += 1;
         cur_blocks += 1;
         cur_insts += block_insts[cur.index()];
@@ -132,7 +134,7 @@ pub(crate) fn profile(
 
     out.counts = code.counts(&visits);
     out.checksum = st.mem.checksum();
-    out.total_insts = config.fuel - fuel;
+    out.total_insts = fuel_limit - fuel;
     Ok(out)
 }
 
@@ -158,24 +160,23 @@ pub(crate) fn profile(
 /// Propagates execution errors; pass 1 already succeeded, so in
 /// practice this cannot fail.
 pub(crate) fn warm_replay(
+    code: &mut Code<'_>,
     program: &Program,
-    config: &SimConfig,
     prof: &IntervalProfile,
     rep_intervals: &[usize],
 ) -> Result<Vec<SimMetrics>, ExecError> {
-    let mut code = Code::new(program, *config, SimEngine::default());
-    let mut st = MachineState::cold(program, &code);
+    let mut st = MachineState::cold(program, code);
     let mut deltas = Vec::with_capacity(rep_intervals.len());
     let mut fuel = u64::MAX;
     let mut ord = 0u64;
     let mut cur = program.main().entry();
     for &iv in rep_intervals {
         for _ in ord..prof.start_ord[iv] {
-            cur = block::execute_block(&mut code, &mut st, cur, true, &mut fuel)?
+            cur = block::execute_block(code, &mut st, cur, true, &mut fuel)?
                 .expect("every representative starts before the final Ret");
         }
         debug_assert_eq!(cur, prof.start_block[iv]);
-        let replayed = block::run_interval(&mut code, &mut st, cur, prof.n_blocks[iv], &mut [])?;
+        let replayed = block::run_interval(code, &mut st, cur, prof.n_blocks[iv], &mut [])?;
         deltas.push(replayed.metrics);
         ord = prof.start_ord[iv] + prof.n_blocks[iv];
         match replayed.next {

@@ -80,10 +80,20 @@ fn gen_init(elems: u64, init: &ArrayInit) -> Vec<f64> {
             let mut rng = Prng::new(*seed);
             (0..n).map(|_| rng.next_f64() + f64::EPSILON).collect()
         }
-        ArrayInit::Values(v) => {
-            let mut out = v.clone();
-            out.resize(n, 0.0);
-            out
+        ArrayInit::Affine { mul, add } => {
+            // Stepped by `mul mod elems`, so no product can overflow.
+            let m = elems.max(1);
+            let (step, mut q) = (mul % m, add % m);
+            (0..n)
+                .map(|_| {
+                    let v = q as f64;
+                    q += step;
+                    if q >= elems {
+                        q -= elems;
+                    }
+                    v
+                })
+                .collect()
         }
     }
 }
@@ -497,11 +507,8 @@ mod tests {
         // idx[i] holds a permutation; out[i] = data[idx[i]].
         let mut k = Kernel::new("gather");
         let data = k.array("data", 8, ArrayInit::Ramp(10.0, 1.0));
-        let idx = k.array(
-            "idx",
-            8,
-            ArrayInit::Values(vec![7., 6., 5., 4., 3., 2., 1., 0.]),
-        );
+        // (7q + 7) mod 8 = 7 - q: the reversal permutation.
+        let idx = k.array("idx", 8, ArrayInit::Affine { mul: 7, add: 7 });
         let out = k.array("out", 8, ArrayInit::Zero);
         let i = k.int_var("i");
         let body = vec![k.store(

@@ -22,8 +22,14 @@ pub enum ArrayInit {
     Ramp(f64, f64),
     /// Deterministic pseudo-random values in (0, 1], seeded per array.
     Random(u64),
-    /// Explicit values (shorter than the array: tail is zero).
-    Values(Vec<f64>),
+    /// Element `q` holds `(mul·q + add) mod elems`: a successor table,
+    /// and a permutation when `mul` is coprime to the element count.
+    Affine {
+        /// Multiplier.
+        mul: u64,
+        /// Increment.
+        add: u64,
+    },
 }
 
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@
 //! decl      := "array" IDENT "[" INT "]" "=" init
 //!            | "var" IDENT ":" ("int" | "float")
 //! init      := "zero" | "ramp" "(" NUM "," NUM ")"
-//!            | "random" "(" INT ")" | "values" "(" NUM,* ")"
+//!            | "random" "(" INT ")" | "affine" "(" INT "," INT ")"
 //! stmt      := IDENT "=" expr                      (scalar assign)
 //!            | IDENT "[" index "]" "=" expr        (store)
 //!            | "for" IDENT "in" expr ".." expr ("step" INT)? block
@@ -16,15 +16,23 @@
 //! expr      := cmp (("<" | "<=" | "==") cmp)?
 //! cmp       := term (("+" | "-") term)*
 //! term      := factor (("*" | "/") factor)*
-//! factor    := NUM | IDENT | IDENT "[" index "]" | "(" expr ")"
+//! factor    := NUM | "-" NUM | "-" factor
+//!            | IDENT | IDENT "[" index "]" | "(" expr ")"
 //!            | "sqrt" "(" expr ")" | "float" "(" expr ")"
-//!            | "int" "(" expr ")" | "-" factor
+//!            | "int" "(" expr ")"
 //!            | "select" "(" expr "," expr "," expr ")"
 //! index     := expr        (classified as affine when possible,
 //!                           dynamic otherwise)
 //! ```
 //!
 //! Integer literals are `Int`, literals with a decimal point are `Float`.
+//! A `-` directly before a literal is part of the literal (`-2.5`); before
+//! anything else it is a float negation (`-x`, `-(2.5)`).
+//!
+//! The lexer and parser work on slices of the source text: tokens are
+//! `Copy` and borrow their identifiers, so parsing allocates little
+//! beyond the kernel it builds. Every suite kernel is parsed at process
+//! start.
 //!
 //! ```
 //! use bsched_workloads::lang::parse_kernel;
@@ -43,7 +51,6 @@
 
 use super::ast::{ArrId, BinOp, CmpOp, Expr, Index, ScalarTy, Stmt, VarId};
 use super::{ArrayInit, Kernel};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A parse failure with position information.
@@ -63,129 +70,121 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f64),
     Sym(&'static str),
 }
 
-struct Lexer {
-    toks: Vec<(usize, Tok)>,
-    pos: usize,
-}
-
-fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
-    let mut out = Vec::new();
+fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
+    let mut out = Vec::with_capacity(src.len() / 4);
     for (ln, raw) in src.lines().enumerate() {
         let line = ln + 1;
-        let text = raw.split('#').next().unwrap_or("");
-        let bytes: Vec<char> = text.chars().collect();
+        let text = raw.find('#').map_or(raw, |c| &raw[..c]);
+        let bytes = text.as_bytes();
+        let digit_at = |i: usize| bytes.get(i).is_some_and(u8::is_ascii_digit);
         let mut i = 0;
         while i < bytes.len() {
             let c = bytes[i];
-            if c.is_whitespace() {
+            if c.is_ascii_whitespace() {
                 i += 1;
                 continue;
             }
-            if c.is_ascii_alphabetic() || c == '_' {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+            let start = i;
+            if c.is_ascii_alphabetic() || c == b'_' {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                out.push((line, Tok::Ident(bytes[start..i].iter().collect())));
+                out.push((line, Tok::Ident(&text[start..i])));
                 continue;
             }
-            if c.is_ascii_digit()
-                || (c == '.' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit())
-            {
-                let start = i;
+            if c.is_ascii_digit() || (c == b'.' && digit_at(i + 1)) {
                 let mut is_float = false;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                while digit_at(i) {
                     i += 1;
                 }
                 // A '.' begins a fraction only when NOT part of "..".
-                if i + 1 < bytes.len() && bytes[i] == '.' && bytes[i + 1] != '.' {
+                if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1] != b'.' {
                     is_float = true;
                     i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    while digit_at(i) {
                         i += 1;
                     }
                 }
-                if i < bytes.len() && (bytes[i] == 'e' || bytes[i] == 'E') {
+                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
                     is_float = true;
                     i += 1;
-                    if i < bytes.len() && (bytes[i] == '+' || bytes[i] == '-') {
+                    if i < bytes.len() && (bytes[i] == b'+' || bytes[i] == b'-') {
                         i += 1;
                     }
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    while digit_at(i) {
                         i += 1;
                     }
                 }
-                let s: String = bytes[start..i].iter().collect();
+                let s = &text[start..i];
                 let tok = if is_float {
-                    Tok::Float(s.parse().map_err(|_| ParseError {
-                        line,
-                        message: format!("bad float literal `{s}`"),
-                    })?)
+                    s.parse().map(Tok::Float).map_err(|_| "float")
                 } else {
-                    Tok::Int(s.parse().map_err(|_| ParseError {
-                        line,
-                        message: format!("bad integer literal `{s}`"),
-                    })?)
+                    s.parse().map(Tok::Int).map_err(|_| "integer")
                 };
-                out.push((line, tok));
+                out.push((
+                    line,
+                    tok.map_err(|kind| ParseError {
+                        line,
+                        message: format!("bad {kind} literal `{s}`"),
+                    })?,
+                ));
                 continue;
             }
-            let two: String = bytes[i..(i + 2).min(bytes.len())].iter().collect();
-            let sym2 = ["..", "<=", "=="].iter().find(|s| **s == two);
-            if let Some(s) = sym2 {
-                out.push((line, Tok::Sym(s)));
-                i += 2;
-                continue;
-            }
-            let sym1 = match c {
-                '[' => "[",
-                ']' => "]",
-                '(' => "(",
-                ')' => ")",
-                '{' => "{",
-                '}' => "}",
-                ',' => ",",
-                ':' => ":",
-                '=' => "=",
-                '<' => "<",
-                '+' => "+",
-                '-' => "-",
-                '*' => "*",
-                '/' => "/",
+            let sym = match (c, bytes.get(i + 1)) {
+                (b'.', Some(b'.')) => "..",
+                (b'<', Some(b'=')) => "<=",
+                (b'=', Some(b'=')) => "==",
+                (b'[', _) => "[",
+                (b']', _) => "]",
+                (b'(', _) => "(",
+                (b')', _) => ")",
+                (b'{', _) => "{",
+                (b'}', _) => "}",
+                (b',', _) => ",",
+                (b':', _) => ":",
+                (b'=', _) => "=",
+                (b'<', _) => "<",
+                (b'+', _) => "+",
+                (b'-', _) => "-",
+                (b'*', _) => "*",
+                (b'/', _) => "/",
                 _ => {
+                    let ch = text[i..].chars().next().expect("i is a char boundary");
+                    if ch.is_whitespace() {
+                        i += ch.len_utf8();
+                        continue;
+                    }
                     return Err(ParseError {
                         line,
-                        message: format!("unexpected character `{c}`"),
-                    })
+                        message: format!("unexpected character `{ch}`"),
+                    });
                 }
             };
-            out.push((line, Tok::Sym(sym1)));
-            i += 1;
+            out.push((line, Tok::Sym(sym)));
+            i += sym.len();
         }
     }
     Ok(out)
 }
 
-struct Parser {
-    lexer: Lexer,
+struct Parser<'a> {
+    toks: Vec<(usize, Tok<'a>)>,
+    pos: usize,
     kernel: Kernel,
-    arrays: HashMap<String, ArrId>,
-    vars: HashMap<String, VarId>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn line(&self) -> usize {
-        self.lexer
-            .toks
-            .get(self.lexer.pos.min(self.lexer.toks.len().saturating_sub(1)))
+        self.toks
+            .get(self.pos.min(self.toks.len().saturating_sub(1)))
             .map_or(0, |(l, _)| *l)
     }
 
@@ -196,14 +195,14 @@ impl Parser {
         })
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.lexer.toks.get(self.lexer.pos).map(|(_, t)| t)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(_, t)| t)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.lexer.toks.get(self.lexer.pos).map(|(_, t)| t.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
-            self.lexer.pos += 1;
+            self.pos += 1;
         }
         t
     }
@@ -215,7 +214,7 @@ impl Parser {
         }
     }
 
-    fn eat_ident(&mut self) -> Result<String, ParseError> {
+    fn eat_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => self.err(format!("expected identifier, found {other:?}")),
@@ -229,18 +228,40 @@ impl Parser {
         }
     }
 
+    fn eat_int(&mut self, what: &str) -> Result<i64, ParseError> {
+        match self.next() {
+            Some(Tok::Int(n)) => Ok(n),
+            other => self.err(format!("expected {what}, found {other:?}")),
+        }
+    }
+
     fn peek_is_sym(&self, s: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Sym(got)) if *got == s)
+        matches!(self.peek(), Some(Tok::Sym(got)) if got == s)
     }
 
     fn peek_is_kw(&self, kw: &str) -> bool {
         matches!(self.peek(), Some(Tok::Ident(s)) if s == kw)
     }
 
+    // Kernels declare a handful of names, so a scan beats hashing; the
+    // last declaration of a name wins.
+    fn array_id(&self, name: &str) -> Result<ArrId, ParseError> {
+        match self.kernel.arrays.iter().rposition(|a| a.name == name) {
+            Some(id) => Ok(ArrId(id)),
+            None => self.err(format!("undeclared array `{name}`")),
+        }
+    }
+
+    fn var_id(&self, name: &str, what: &str) -> Result<VarId, ParseError> {
+        match self.kernel.scalars.iter().rposition(|(n, _)| n == name) {
+            Some(id) => Ok(VarId(id)),
+            None => self.err(format!("undeclared {what} `{name}`")),
+        }
+    }
+
     fn parse_kernel(mut self) -> Result<Kernel, ParseError> {
         self.eat_keyword("kernel")?;
-        let name = self.eat_ident()?;
-        self.kernel.name = name;
+        self.kernel.name = self.eat_ident()?.to_string();
         // Declarations.
         loop {
             if self.peek_is_kw("array") {
@@ -254,19 +275,16 @@ impl Parser {
                 self.eat_sym("]")?;
                 self.eat_sym("=")?;
                 let init = self.parse_init()?;
-                let id = self.kernel.array(name.clone(), elems, init);
-                self.arrays.insert(name, id);
+                self.kernel.array(name, elems, init);
             } else if self.peek_is_kw("var") {
                 self.next();
                 let name = self.eat_ident()?;
                 self.eat_sym(":")?;
-                let ty = self.eat_ident()?;
-                let id = match ty.as_str() {
-                    "int" => self.kernel.int_var(name.clone()),
-                    "float" => self.kernel.float_var(name.clone()),
+                match self.eat_ident()? {
+                    "int" => self.kernel.int_var(name),
+                    "float" => self.kernel.float_var(name),
                     other => return self.err(format!("unknown type `{other}`")),
                 };
-                self.vars.insert(name, id);
             } else {
                 break;
             }
@@ -281,43 +299,27 @@ impl Parser {
 
     fn parse_init(&mut self) -> Result<ArrayInit, ParseError> {
         let kind = self.eat_ident()?;
-        match kind.as_str() {
-            "zero" => Ok(ArrayInit::Zero),
+        if kind == "zero" {
+            return Ok(ArrayInit::Zero);
+        }
+        self.eat_sym("(")?;
+        let init = match kind {
             "ramp" => {
-                self.eat_sym("(")?;
                 let start = self.parse_number()?;
                 self.eat_sym(",")?;
-                let step = self.parse_number()?;
-                self.eat_sym(")")?;
-                Ok(ArrayInit::Ramp(start, step))
+                ArrayInit::Ramp(start, self.parse_number()?)
             }
-            "random" => {
-                self.eat_sym("(")?;
-                let seed = match self.next() {
-                    Some(Tok::Int(n)) => n as u64,
-                    other => return self.err(format!("expected seed, found {other:?}")),
-                };
-                self.eat_sym(")")?;
-                Ok(ArrayInit::Random(seed))
+            "random" => ArrayInit::Random(self.eat_int("seed")? as u64),
+            "affine" => {
+                let mul = self.eat_int("multiplier")? as u64;
+                self.eat_sym(",")?;
+                let add = self.eat_int("increment")? as u64;
+                ArrayInit::Affine { mul, add }
             }
-            "values" => {
-                self.eat_sym("(")?;
-                let mut vs = Vec::new();
-                if !self.peek_is_sym(")") {
-                    loop {
-                        vs.push(self.parse_number()?);
-                        if self.peek_is_sym(",") {
-                            self.next();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.eat_sym(")")?;
-                Ok(ArrayInit::Values(vs))
-            }
-            other => self.err(format!("unknown initializer `{other}`")),
-        }
+            other => return self.err(format!("unknown initializer `{other}`")),
+        };
+        self.eat_sym(")")?;
+        Ok(init)
     }
 
     fn parse_number(&mut self) -> Result<f64, ParseError> {
@@ -351,11 +353,8 @@ impl Parser {
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         if self.peek_is_kw("for") {
             self.next();
-            let var_name = self.eat_ident()?;
-            let var = *self.vars.get(&var_name).ok_or_else(|| ParseError {
-                line: self.line(),
-                message: format!("undeclared loop variable `{var_name}`"),
-            })?;
+            let var = self.eat_ident()?;
+            let var = self.var_id(var, "loop variable")?;
             self.eat_keyword("in")?;
             let lo = self.parse_expr()?;
             self.eat_sym("..")?;
@@ -393,10 +392,7 @@ impl Parser {
         // Assignment or store.
         let name = self.eat_ident()?;
         if self.peek_is_sym("[") {
-            let arr = *self.arrays.get(&name).ok_or_else(|| ParseError {
-                line: self.line(),
-                message: format!("undeclared array `{name}`"),
-            })?;
+            let arr = self.array_id(name)?;
             self.next(); // [
             let index = self.parse_index()?;
             self.eat_sym("]")?;
@@ -404,10 +400,7 @@ impl Parser {
             let value = self.parse_expr()?;
             return Ok(Stmt::Store { arr, index, value });
         }
-        let var = *self.vars.get(&name).ok_or_else(|| ParseError {
-            line: self.line(),
-            message: format!("undeclared variable `{name}`"),
-        })?;
+        let var = self.var_id(name, "variable")?;
         self.eat_sym("=")?;
         let value = self.parse_expr()?;
         Ok(Stmt::AssignVar { var, value })
@@ -423,21 +416,15 @@ impl Parser {
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.parse_addsub()?;
-        let op = if self.peek_is_sym("<") {
-            Some(CmpOp::Lt)
-        } else if self.peek_is_sym("<=") {
-            Some(CmpOp::Le)
-        } else if self.peek_is_sym("==") {
-            Some(CmpOp::Eq)
-        } else {
-            None
+        let op = match self.peek() {
+            Some(Tok::Sym("<")) => CmpOp::Lt,
+            Some(Tok::Sym("<=")) => CmpOp::Le,
+            Some(Tok::Sym("==")) => CmpOp::Eq,
+            _ => return Ok(lhs),
         };
-        if let Some(op) = op {
-            self.next();
-            let rhs = self.parse_addsub()?;
-            return Ok(Expr::cmp(op, lhs, rhs));
-        }
-        Ok(lhs)
+        self.next();
+        let rhs = self.parse_addsub()?;
+        Ok(Expr::cmp(op, lhs, rhs))
     }
 
     fn parse_addsub(&mut self) -> Result<Expr, ParseError> {
@@ -473,11 +460,18 @@ impl Parser {
     fn parse_factor(&mut self) -> Result<Expr, ParseError> {
         if self.peek_is_sym("-") {
             self.next();
-            let inner = self.parse_factor()?;
-            return Ok(match inner {
-                Expr::Int(v) => Expr::Int(-v),
-                Expr::Float(v) => Expr::Float(-v),
-                other => Expr::Neg(Box::new(other)),
+            // `-` glued to a literal is a negative literal; any other
+            // operand (a parenthesised literal included) is negated.
+            return Ok(match self.peek() {
+                Some(Tok::Int(v)) => {
+                    self.next();
+                    Expr::Int(-v)
+                }
+                Some(Tok::Float(v)) => {
+                    self.next();
+                    Expr::Float(-v)
+                }
+                _ => Expr::Neg(Box::new(self.parse_factor()?)),
             });
         }
         if self.peek_is_sym("(") {
@@ -489,46 +483,37 @@ impl Parser {
         match self.next() {
             Some(Tok::Int(v)) => Ok(Expr::Int(v)),
             Some(Tok::Float(v)) => Ok(Expr::Float(v)),
-            Some(Tok::Ident(name)) => match name.as_str() {
-                "sqrt" | "float" | "int" => {
-                    self.eat_sym("(")?;
-                    let e = self.parse_expr()?;
-                    self.eat_sym(")")?;
-                    Ok(match name.as_str() {
-                        "sqrt" => Expr::sqrt(e),
-                        "float" => Expr::IntToFloat(Box::new(e)),
-                        _ => Expr::FloatToInt(Box::new(e)),
-                    })
+            Some(Tok::Ident(name @ ("sqrt" | "float" | "int"))) => {
+                self.eat_sym("(")?;
+                let e = Box::new(self.parse_expr()?);
+                self.eat_sym(")")?;
+                Ok(match name {
+                    "sqrt" => Expr::Sqrt(e),
+                    "float" => Expr::IntToFloat(e),
+                    _ => Expr::FloatToInt(e),
+                })
+            }
+            Some(Tok::Ident("select")) => {
+                self.eat_sym("(")?;
+                let c = self.parse_expr()?;
+                self.eat_sym(",")?;
+                let a = self.parse_expr()?;
+                self.eat_sym(",")?;
+                let b = self.parse_expr()?;
+                self.eat_sym(")")?;
+                Ok(Expr::select(c, a, b))
+            }
+            Some(Tok::Ident(name)) => {
+                if self.peek_is_sym("[") {
+                    let arr = self.array_id(name)?;
+                    self.next(); // [
+                    let index = self.parse_index()?;
+                    self.eat_sym("]")?;
+                    Ok(Expr::Load(arr, index))
+                } else {
+                    Ok(Expr::Var(self.var_id(name, "variable")?))
                 }
-                "select" => {
-                    self.eat_sym("(")?;
-                    let c = self.parse_expr()?;
-                    self.eat_sym(",")?;
-                    let a = self.parse_expr()?;
-                    self.eat_sym(",")?;
-                    let b = self.parse_expr()?;
-                    self.eat_sym(")")?;
-                    Ok(Expr::select(c, a, b))
-                }
-                _ => {
-                    if self.peek_is_sym("[") {
-                        let arr = *self.arrays.get(&name).ok_or_else(|| ParseError {
-                            line: self.line(),
-                            message: format!("undeclared array `{name}`"),
-                        })?;
-                        self.next(); // [
-                        let index = self.parse_index()?;
-                        self.eat_sym("]")?;
-                        Ok(Expr::Load(arr, index))
-                    } else {
-                        let var = *self.vars.get(&name).ok_or_else(|| ParseError {
-                            line: self.line(),
-                            message: format!("undeclared variable `{name}`"),
-                        })?;
-                        Ok(Expr::Var(var))
-                    }
-                }
-            },
+            }
             other => self.err(format!("expected expression, found {other:?}")),
         }
     }
@@ -537,6 +522,13 @@ impl Parser {
 /// Tries to view an integer expression as an affine index
 /// `Σ coeff·int_var + offset`.
 fn to_affine(e: &Expr, k: &Kernel) -> Option<Index> {
+    /// Adds `c·v`, merging repeated variables.
+    fn add(terms: &mut Vec<(VarId, i64)>, v: VarId, c: i64) {
+        match terms.iter_mut().find(|(tv, _)| *tv == v) {
+            Some((_, tc)) => *tc += c,
+            None => terms.push((v, c)),
+        }
+    }
     fn walk(e: &Expr, k: &Kernel, sign: i64, terms: &mut Vec<(VarId, i64)>, off: &mut i64) -> bool {
         match e {
             Expr::Int(v) => {
@@ -544,7 +536,7 @@ fn to_affine(e: &Expr, k: &Kernel) -> Option<Index> {
                 true
             }
             Expr::Var(v) if k.scalars[v.0].1 == ScalarTy::Int => {
-                terms.push((*v, sign));
+                add(terms, *v, sign);
                 true
             }
             Expr::Bin(BinOp::Add, a, b) => {
@@ -557,7 +549,7 @@ fn to_affine(e: &Expr, k: &Kernel) -> Option<Index> {
                 (Expr::Int(c), Expr::Var(v)) | (Expr::Var(v), Expr::Int(c))
                     if k.scalars[v.0].1 == ScalarTy::Int =>
                 {
-                    terms.push((*v, sign * c));
+                    add(terms, *v, sign * c);
                     true
                 }
                 (Expr::Int(a_), Expr::Int(b_)) => {
@@ -574,19 +566,8 @@ fn to_affine(e: &Expr, k: &Kernel) -> Option<Index> {
     if !walk(e, k, 1, &mut terms, &mut off) {
         return None;
     }
-    // Merge duplicate variables.
-    let mut merged: Vec<(VarId, i64)> = Vec::new();
-    for (v, c) in terms {
-        match merged.iter_mut().find(|(mv, _)| *mv == v) {
-            Some((_, mc)) => *mc += c,
-            None => merged.push((v, c)),
-        }
-    }
-    merged.retain(|&(_, c)| c != 0);
-    Some(Index::Affine {
-        terms: merged,
-        offset: off,
-    })
+    terms.retain(|&(_, c)| c != 0);
+    Some(Index::Affine { terms, offset: off })
 }
 
 /// Parses a kernel from its textual form.
@@ -597,10 +578,9 @@ fn to_affine(e: &Expr, k: &Kernel) -> Option<Index> {
 pub fn parse_kernel(src: &str) -> Result<Kernel, ParseError> {
     let toks = lex(src)?;
     Parser {
-        lexer: Lexer { toks, pos: 0 },
+        toks,
+        pos: 0,
         kernel: Kernel::new("unnamed"),
-        arrays: HashMap::new(),
-        vars: HashMap::new(),
     }
     .parse_kernel()
 }
@@ -805,10 +785,11 @@ mod tests {
     }
 
     #[test]
-    fn values_initializer_round_trips() {
+    fn affine_initializer_fills_a_modular_sequence() {
+        // Element q holds (3q + 1) mod 4: 1, 0, 3, 2.
         let text = r#"
             kernel v
-            array a[4] = values(1.5, 2.5, 3.5)
+            array a[4] = affine(3, 1)
             var x: float
             x = a[0] + a[1] + a[2] + a[3]
             a[0] = x
@@ -816,10 +797,35 @@ mod tests {
         let p = parse_kernel(text).unwrap().lower();
         let out = Interp::new(&p).run().unwrap();
         let mut img = bsched_ir::MemImage::new(&p);
-        img.store(p.region_bases()[0], (7.5f64).to_bits()).unwrap();
-        img.store(p.region_bases()[0] + 8, (2.5f64).to_bits()).unwrap();
-        img.store(p.region_bases()[0] + 16, (3.5f64).to_bits()).unwrap();
+        let base = p.region_bases()[0];
+        for (q, v) in [6.0f64, 0.0, 3.0, 2.0].into_iter().enumerate() {
+            img.store(base + 8 * q as u64, v.to_bits()).unwrap();
+        }
         assert_eq!(out.checksum, img.checksum());
+    }
+
+    #[test]
+    fn minus_before_a_literal_is_a_literal_and_otherwise_a_negation() {
+        let text = r#"
+            kernel neg
+            array a[8] = zero
+            var x: float
+            x = -2.5
+            x = -x
+            x = -(2.5)
+        "#;
+        let k = parse_kernel(text).unwrap();
+        let values: Vec<&Expr> = k
+            .stmts
+            .iter()
+            .map(|s| match s {
+                Stmt::AssignVar { value, .. } => value,
+                other => panic!("unexpected statement {other:?}"),
+            })
+            .collect();
+        assert_eq!(values[0], &Expr::Float(-2.5));
+        assert!(matches!(values[1], Expr::Neg(inner) if matches!(**inner, Expr::Var(_))));
+        assert!(matches!(values[2], Expr::Neg(inner) if **inner == Expr::Float(2.5)));
     }
 
     #[test]
@@ -837,5 +843,4 @@ mod tests {
         img.store(p.region_bases()[0], (2.0f64).to_bits()).unwrap();
         assert_eq!(out.checksum, img.checksum(), "8/2/2 must be 2");
     }
-
 }

@@ -1,9 +1,9 @@
 //! Pretty-printing kernels back to the textual DSL of
 //! [`crate::lang::parse`].
 //!
-//! `parse(print(k))` lowers to a program with the same observable
-//! behaviour as `k` (verified by a round-trip property test), which makes
-//! the textual form a faithful interchange format for kernels.
+//! `parse(print(k))` lowers to exactly the program `k` lowers to
+//! (verified by round-trip tests), which makes the textual form a
+//! faithful interchange format for kernels.
 
 use super::ast::{BinOp, CmpOp, Expr, Index, ScalarTy, Stmt};
 use super::{ArrayInit, Kernel};
@@ -19,10 +19,7 @@ pub fn print_kernel(k: &Kernel) -> String {
             ArrayInit::Zero => "zero".to_string(),
             ArrayInit::Ramp(s, st) => format!("ramp({}, {})", float(*s), float(*st)),
             ArrayInit::Random(seed) => format!("random({seed})"),
-            ArrayInit::Values(vs) => {
-                let items: Vec<String> = vs.iter().map(|v| float(*v)).collect();
-                format!("values({})", items.join(", "))
-            }
+            ArrayInit::Affine { mul, add } => format!("affine({mul}, {add})"),
         };
         let _ = writeln!(out, "array {}[{}] = {}", a.name, a.elems, init);
     }
@@ -135,20 +132,9 @@ fn index_str(k: &Kernel, index: &Index) -> String {
 
 fn expr(k: &Kernel, e: &Expr) -> String {
     match e {
-        Expr::Int(v) => {
-            if *v < 0 {
-                format!("(0 - {})", -v)
-            } else {
-                v.to_string()
-            }
-        }
-        Expr::Float(v) => {
-            if *v < 0.0 {
-                format!("(0.0 - {})", float(-v))
-            } else {
-                float(*v)
-            }
-        }
+        // The parser reads `-` glued to a literal as part of it.
+        Expr::Int(v) => v.to_string(),
+        Expr::Float(v) => float(*v),
         Expr::Var(v) => k.scalars[v.0].0.clone(),
         Expr::Load(a, index) => format!("{}[{}]", k.arrays[a.0].name, index_str(k, index)),
         Expr::Bin(op, a, b) => {
@@ -179,7 +165,7 @@ fn expr(k: &Kernel, e: &Expr) -> String {
         Expr::IntToFloat(a) => format!("float({})", expr(k, a)),
         Expr::FloatToInt(a) => format!("int({})", expr(k, a)),
         Expr::Sqrt(a) => format!("sqrt({})", expr(k, a)),
-        Expr::Neg(a) => format!("(0.0 - {})", expr(k, a)),
+        Expr::Neg(a) => format!("-({})", expr(k, a)),
     }
 }
 
@@ -188,19 +174,54 @@ mod tests {
     use super::*;
     use crate::lang::parse_kernel;
     use crate::suite::all_kernels;
-    use bsched_ir::Interp;
+    use bsched_ir::MemImage;
+
+    /// `parse(print(k))` lowers to exactly `k`'s program and initial
+    /// memory.
+    fn assert_round_trips(name: &str, kernel: &Kernel) {
+        let text = print_kernel(kernel);
+        let reparsed = parse_kernel(&text)
+            .unwrap_or_else(|e| panic!("{name}: printed text fails to parse: {e}\n{text}"));
+        let (a, b) = (kernel.lower(), reparsed.lower());
+        assert_eq!(
+            a.to_string(),
+            b.to_string(),
+            "{name}: round-trip changed the lowered program"
+        );
+        assert_eq!(
+            MemImage::new(&a).checksum(),
+            MemImage::new(&b).checksum(),
+            "{name}: round-trip changed the initial memory"
+        );
+    }
 
     #[test]
     fn suite_kernels_round_trip_through_text() {
         for spec in all_kernels() {
-            let (name, kernel) = (spec.name, spec.source());
-            let text = print_kernel(&kernel);
-            let reparsed = parse_kernel(&text)
-                .unwrap_or_else(|e| panic!("{name}: printed text fails to parse: {e}\n{text}"));
-            let a = Interp::new(&kernel.lower()).run().unwrap().checksum;
-            let b = Interp::new(&reparsed.lower()).run().unwrap().checksum;
-            assert_eq!(a, b, "{name}: round-trip changed behaviour");
+            assert_round_trips(spec.name, &spec.source());
         }
+    }
+
+    #[test]
+    fn negations_and_negative_literals_round_trip() {
+        let k = parse_kernel(
+            r#"
+            kernel neg
+            array a[8] = affine(3, 1)
+            var i: int
+            var x: float
+            var y: float
+            x = -0.0
+            y = -x
+            y = -(2.5) * -1.5 - -y
+            i = -3
+            a[0 - i + -1] = y
+        "#,
+        )
+        .unwrap();
+        let text = print_kernel(&k);
+        assert!(text.contains("y = -(x)"), "{text}");
+        assert_round_trips("neg", &k);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! provides a compact structured loop language (arrays, affine indices,
 //! scalars, `for`, `if`) whose lowering produces exactly the canonical
 //! counted-loop IR shape the optimizations in `bsched-opt` consume, and
-//! [`suite`] defines one kernel per paper benchmark whose loop/branch/
+//! [`suite`] names one kernel per paper benchmark whose loop/branch/
 //! array structure matches the paper's per-benchmark descriptions (see
-//! DESIGN.md §2 for the substitution argument).
+//! DESIGN.md §2 for the substitution argument). Each suite kernel is
+//! written once, in the loop language's textual form: the repository's
+//! `kernels/*.bsk`, embedded at build time and parsed on use.
 //!
 //! ```
 //! use bsched_workloads::lang::{ArrayInit, Kernel};

@@ -3,17 +3,21 @@
 //! analysis attributes to each program (see DESIGN.md §2 for the
 //! substitution argument and EXPERIMENTS.md for the shape comparison).
 //!
+//! Each kernel is defined once, as DSL text in the repository's
+//! `kernels/<name>.bsk` (see [`crate::lang::parse`]), embedded here at
+//! build time; its comments carry the rationale for its shape.
+//! [`KernelSpec::source`] parses that text and [`KernelSpec::program`]
+//! lowers it.
+//!
 //! Problem sizes are scaled so the whole suite simulates in seconds;
 //! array footprints are chosen relative to the 8 KB L1 / 96 KB L2 / 2 MB
 //! board cache so each kernel reproduces its paper counterpart's memory
 //! character (e.g. `ora` lives in registers, `tomcatv` streams far beyond
-//! the L2).
+//! the L2). 2-D arrays are row-major with a column count that is a
+//! multiple of 4, so rows stay cache-line aligned (the alignment
+//! precondition of locality analysis, §3.3).
 
-mod perfect;
-mod spec92;
-
-use crate::lang::ast::{Index, VarId};
-use crate::lang::Kernel;
+use crate::lang::{parse_kernel, Kernel};
 use bsched_ir::Program;
 
 /// Which suite a benchmark came from in the paper.
@@ -38,50 +42,183 @@ pub struct KernelSpec {
     pub description: &'static str,
     /// The structural property our synthetic kernel reproduces.
     pub shape: &'static str,
-    kernel: fn() -> Kernel,
+    /// The kernel's DSL text, `kernels/<name>.bsk`.
+    text: &'static str,
 }
 
 impl KernelSpec {
-    /// Builds the kernel's un-lowered source (deterministic): what the
-    /// pretty-printer writes and the textual round-trip tests reparse.
+    /// Parses the kernel's DSL text into its un-lowered source
+    /// (deterministic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the embedded text does not parse; the suite's tests
+    /// parse every kernel.
     #[must_use]
     pub fn source(&self) -> Kernel {
-        (self.kernel)()
+        parse_kernel(self.text)
+            .unwrap_or_else(|e| panic!("kernels/{}.bsk: {e}", self.name.to_lowercase()))
     }
 
-    /// Builds and lowers the kernel's program (deterministic).
+    /// Parses and lowers the kernel's program (deterministic).
     #[must_use]
     pub fn program(&self) -> Program {
         self.source().lower()
     }
 }
 
+/// The suite, in the paper's Table 1 order.
+const SUITE: [KernelSpec; 17] = [
+    KernelSpec {
+        name: "ARC2D",
+        suite: Suite::PerfectClub,
+        lang: "Fortran",
+        description: "Two-dimensional fluid flow problem solver using Euler equations",
+        shape: "unrollable 2-D stencil sweeps with abundant independent loads",
+        text: include_str!("../../../../kernels/arc2d.bsk"),
+    },
+    KernelSpec {
+        name: "BDNA",
+        suite: Suite::PerfectClub,
+        lang: "Fortran",
+        description: "Simulation of hydration structure and dynamics of nucleic acids",
+        shape: "very large basic blocks; unrolling disabled by the size limit",
+        text: include_str!("../../../../kernels/bdna.bsk"),
+    },
+    KernelSpec {
+        name: "DYFESM",
+        suite: Suite::PerfectClub,
+        lang: "Fortran",
+        description: "Structural dynamics benchmark to solve displacements and stresses",
+        shape: "50/50 data-dependent branch with stores in both arms (few dominant paths)",
+        text: include_str!("../../../../kernels/dyfesm.bsk"),
+    },
+    KernelSpec {
+        name: "MDG",
+        suite: Suite::PerfectClub,
+        lang: "Fortran",
+        description: "Molecular dynamic simulation of flexible water molecules",
+        shape: "sqrt/divide chains plus a predicable cutoff",
+        text: include_str!("../../../../kernels/mdg.bsk"),
+    },
+    KernelSpec {
+        name: "QCD2",
+        suite: Suite::PerfectClub,
+        lang: "Fortran",
+        description: "Lattice-gauge QCD simulation",
+        shape: "many short loops with small basic blocks",
+        text: include_str!("../../../../kernels/qcd2.bsk"),
+    },
+    KernelSpec {
+        name: "TRFD",
+        suite: Suite::PerfectClub,
+        lang: "Fortran",
+        description: "Two-electron integral transformation",
+        shape: "multi-accumulator inner products; unroll-by-8 spills",
+        text: include_str!("../../../../kernels/trfd.bsk"),
+    },
+    KernelSpec {
+        name: "alvinn",
+        suite: Suite::Spec92,
+        lang: "C",
+        description: "Trains a neural network using back propagation",
+        shape: "serial dot-product accumulator chains",
+        text: include_str!("../../../../kernels/alvinn.bsk"),
+    },
+    KernelSpec {
+        name: "dnasa7",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description: "Matrix manipulation routines",
+        shape: "matrix multiply + wide independent element-wise streams",
+        text: include_str!("../../../../kernels/dnasa7.bsk"),
+    },
+    KernelSpec {
+        name: "doduc",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description: "Monte Carlo simulation of the time evolution of a nuclear reactor component",
+        shape: "multiple un-predicable conditionals per loop; divide heavy",
+        text: include_str!("../../../../kernels/doduc.bsk"),
+    },
+    KernelSpec {
+        name: "ear",
+        suite: Suite::Spec92,
+        lang: "C",
+        description: "Simulates the propagation of sound in the human cochlea",
+        shape: "serial IIR filter recurrences (fixed-latency bound)",
+        text: include_str!("../../../../kernels/ear.bsk"),
+    },
+    KernelSpec {
+        name: "hydro2d",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description: "Solves hydrodynamical Navier Stokes equations to compute galactical jets",
+        shape: "2-D sweeps over arrays larger than the L2",
+        text: include_str!("../../../../kernels/hydro2d.bsk"),
+    },
+    KernelSpec {
+        name: "mdljdp2",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description: "Chemical application program that solves equations of motion for atoms",
+        shape: "cutoff conditionals with stores; never unrolled",
+        text: include_str!("../../../../kernels/mdljdp2.bsk"),
+    },
+    KernelSpec {
+        name: "ora",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description:
+            "Traces rays through an optical system composed of spherical and planar surfaces",
+        shape: "one large loop-free scalar body; ~zero load interlocks",
+        text: include_str!("../../../../kernels/ora.bsk"),
+    },
+    KernelSpec {
+        name: "spice2g6",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description: "Circuit simulation package",
+        shape: "serially dependent dynamic-index loads through a 96 KB table",
+        text: include_str!("../../../../kernels/spice2g6.bsk"),
+    },
+    KernelSpec {
+        name: "su2cor",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description:
+            "Computes masses of elementary particles in the framework of the Quark-Gluon theory",
+        shape: "unit-stride SoA matrix-vector sweeps",
+        text: include_str!("../../../../kernels/su2cor.bsk"),
+    },
+    KernelSpec {
+        name: "swm256",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description: "Solves shallow water equations using finite difference equations",
+        shape: "stencil body just over the factor-4 unroll budget",
+        text: include_str!("../../../../kernels/swm256.bsk"),
+    },
+    KernelSpec {
+        name: "tomcatv",
+        suite: Suite::Spec92,
+        lang: "Fortran",
+        description: "Vectorized mesh generation program",
+        shape: "sequential sweeps over large read-only arrays (LA best case)",
+        text: include_str!("../../../../kernels/tomcatv.bsk"),
+    },
+];
+
 /// All 17 kernels, in the paper's Table 1 order.
 #[must_use]
 pub fn all_kernels() -> Vec<KernelSpec> {
-    let mut v = perfect::kernels();
-    v.extend(spec92::kernels());
-    v
+    SUITE.to_vec()
 }
 
 /// Looks a kernel up by its paper name.
 #[must_use]
 pub fn kernel_by_name(name: &str) -> Option<KernelSpec> {
-    all_kernels().into_iter().find(|k| k.name == name)
-}
-
-/// Row-major 2-D element index `A[i][j]` for an array with `ncols`
-/// columns. Keep `ncols` a multiple of 4 so rows stay cache-line aligned
-/// (the alignment precondition of locality analysis, §3.3).
-#[must_use]
-pub(crate) fn idx2(i: VarId, ncols: i64, j: VarId) -> Index {
-    Index::two(i, ncols, j, 1, 0)
-}
-
-/// `A[i][j + off]`.
-#[must_use]
-pub(crate) fn idx2_off(i: VarId, ncols: i64, j: VarId, off: i64) -> Index {
-    Index::two(i, ncols, j, 1, off)
+    SUITE.iter().find(|k| k.name == name).cloned()
 }
 
 #[cfg(test)]

@@ -288,4 +288,13 @@ wait "$SERVE_PID" || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: server exit sta
 grep -q "shutdown complete" "$SMOKE_CACHE/serve.err" \
     || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: no graceful drain"; exit 1; }
 
+echo "== gate: committed results and kernels untouched =="
+# No step above may rewrite a committed table or kernel definition
+# (kernels/*.bsk is the suite's only source). Skipped outside a git
+# checkout, e.g. in an exported source tree.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git diff --exit-code -- results/ kernels/ \
+        || { echo "FAIL: a CI step changed committed results/ or kernels/"; exit 1; }
+fi
+
 echo "CI OK"
