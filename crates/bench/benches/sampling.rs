@@ -209,7 +209,11 @@ fn measure_grid(mode: SimMode) -> Case {
                 .expect("cell builds")
                 .compile()
                 .expect("cell compiles");
-            cells.push((format!("{}/{}", k.name, options.label()), compiled.program, options.sim));
+            cells.push((
+                format!("{}/{}", k.name, options.label()),
+                compiled.program,
+                options.sim,
+            ));
         }
     }
 
@@ -361,12 +365,21 @@ fn main() {
     }
 
     if let Some(path) = &flags.json {
-        baseline::write(path, "sampling", &cases.iter().map(to_json).collect::<Vec<_>>());
+        baseline::write(
+            path,
+            "sampling",
+            &cases.iter().map(to_json).collect::<Vec<_>>(),
+        );
     }
     if let Some(path) = &flags.check {
         baseline::check(path, "sampling", &["speedup"], |name, base| {
             let c = cases.iter().find(|c| c.name == name)?;
-            Some(baseline::speedup_floor(base, c.speedup(), c.speedup_min(), flags.check_ratio))
+            Some(baseline::speedup_floor(
+                base,
+                c.speedup(),
+                c.speedup_min(),
+                flags.check_ratio,
+            ))
         });
     }
 }

@@ -148,7 +148,10 @@ fn main() {
     }
     for kernel in ["tomcatv", "su2cor"] {
         let insts = unroll8_region(kernel);
-        cases.push(measure(&format!("unroll8/{kernel}/{}", insts.len()), &insts));
+        cases.push(measure(
+            &format!("unroll8/{kernel}/{}", insts.len()),
+            &insts,
+        ));
     }
 
     if e2e {
@@ -201,7 +204,11 @@ fn main() {
     }
 
     if let Some(path) = &flags.json {
-        baseline::write(path, "weights", &cases.iter().map(to_json).collect::<Vec<_>>());
+        baseline::write(
+            path,
+            "weights",
+            &cases.iter().map(to_json).collect::<Vec<_>>(),
+        );
     }
     if let Some(path) = &flags.check {
         baseline::check(path, "weights", &["speedup"], |name, base| {
@@ -209,7 +216,12 @@ fn main() {
                 return None; // recorded, not gated
             }
             let c = cases.iter().find(|c| c.name == name)?;
-            Some(baseline::speedup_floor(base, c.speedup(), c.speedup_min(), flags.check_ratio))
+            Some(baseline::speedup_floor(
+                base,
+                c.speedup(),
+                c.speedup_min(),
+                flags.check_ratio,
+            ))
         });
     }
 }

@@ -103,7 +103,8 @@ impl Cli {
                 "--engine" => cli.engine = Some(cli::parse_engine(&args.value())),
                 "--sample" => {
                     let spec = args.optional_value();
-                    cli.sample = Some(spec.map_or_else(Default::default, |v| cli::parse_sample(&v)));
+                    cli.sample =
+                        Some(spec.map_or_else(Default::default, |v| cli::parse_sample(&v)));
                 }
                 "--machine" => cli.machine = Some(cli::parse_machine(&args.value())),
                 "--kernels" => cli.kernels = cli::parse_kernel_list(&args.value()),

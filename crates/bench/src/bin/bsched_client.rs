@@ -341,7 +341,10 @@ fn cmd_loadgen(endpoint: &Endpoint, args: &[String]) {
 
     println!("mix            {}", mix.name);
     println!("clients        {clients}");
-    println!("requests       {} completed / {requests} issued", lats.len());
+    println!(
+        "requests       {} completed / {requests} issued",
+        lats.len()
+    );
     println!("cells served   {served}");
     println!("wall           {wall:.3} s");
     println!("throughput     {throughput_req:.1} req/s, {throughput_cells:.1} cells/s");
@@ -420,7 +423,9 @@ fn main() {
         match args[i].as_str() {
             "--connect" => {
                 i += 1;
-                let v = args.get(i).unwrap_or_else(|| bail("--connect needs a value"));
+                let v = args
+                    .get(i)
+                    .unwrap_or_else(|| bail("--connect needs a value"));
                 endpoint = Some(Endpoint::parse(v).unwrap_or_else(|e| bail(&e)));
             }
             "--help" | "-h" => usage(),

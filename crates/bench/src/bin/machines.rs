@@ -89,7 +89,11 @@ struct Cli {
 
 /// `--machines SPEC,...` (exit 2 naming the valid machines).
 fn parse_machine_list(raw: &str) -> Vec<MachineSpec> {
-    let specs: Vec<&str> = raw.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+    let specs: Vec<&str> = raw
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
     if specs.is_empty() {
         eprintln!(
             "--machines requires at least one machine spec; valid machines: {}",
@@ -99,7 +103,10 @@ fn parse_machine_list(raw: &str) -> Vec<MachineSpec> {
     }
     specs
         .into_iter()
-        .map(|s| s.parse().unwrap_or_else(|e: String| bsched_util::spec::exit2("--machines", &e)))
+        .map(|s| {
+            s.parse()
+                .unwrap_or_else(|e: String| bsched_util::spec::exit2("--machines", &e))
+        })
         .collect()
 }
 
@@ -277,15 +284,18 @@ fn main() {
         // Cycle totals are deterministic: the gate is exact equality.
         baseline::check(path, "machines", &CYCLE_KEYS, |name, base| {
             let (_, t) = totals.iter().find(|(m, _)| m == name)?;
-            let fails = CYCLE_KEYS.iter().zip([t.ts, t.bs, t.ex]).filter_map(|(key, got)| {
-                let want = baseline::num(base, key);
-                (got as f64 != want).then(|| {
-                    format!(
-                        "{key} {got} != recorded {want} \
+            let fails = CYCLE_KEYS
+                .iter()
+                .zip([t.ts, t.bs, t.ex])
+                .filter_map(|(key, got)| {
+                    let want = baseline::num(base, key);
+                    (got as f64 != want).then(|| {
+                        format!(
+                            "{key} {got} != recorded {want} \
                          (cycles are deterministic; the gate is exact equality)"
-                    )
-                })
-            });
+                        )
+                    })
+                });
             Some(fails.collect())
         });
     }

@@ -167,7 +167,10 @@ fn audited_legal(
     for (ri, region) in audit.regions.iter().enumerate() {
         let violations = validate_region_schedule(region);
         if !violations.is_empty() {
-            eprintln!("{kernel}/{}: region {ri} illegal: {violations:?}", opts.label());
+            eprintln!(
+                "{kernel}/{}: region {ri} illegal: {violations:?}",
+                opts.label()
+            );
             std::process::exit(1);
         }
     }
@@ -216,7 +219,10 @@ fn main() {
                     .options(SchedulerKind::Exact)
                     .with_exact_budget(cli.budget);
                 let audit = audited_legal(kernel, opts);
-                per_kernel.entry(kernel.clone()).or_default().merge(&audit.exact);
+                per_kernel
+                    .entry(kernel.clone())
+                    .or_default()
+                    .merge(&audit.exact);
                 audit.exact
             });
             let heuristic = audited_legal(kernel, cfg.options());
@@ -315,25 +321,30 @@ fn main() {
 
     if let Some(path) = &cli.check {
         let ratio = cli.check_ratio;
-        baseline::check(path, "optimality", &["proven_frac", "nodes"], |name, base| {
-            let s = per_kernel.get(name)?;
-            let (frac, base_frac) = (proven_frac(s), baseline::num(base, "proven_frac"));
-            let (nodes, base_nodes) = (s.nodes as f64, baseline::num(base, "nodes"));
-            let mut fails = Vec::new();
-            if frac < base_frac * ratio {
-                fails.push(format!(
-                    "proven fraction {frac:.2} is more than {:.0}% below the recorded \
+        baseline::check(
+            path,
+            "optimality",
+            &["proven_frac", "nodes"],
+            |name, base| {
+                let s = per_kernel.get(name)?;
+                let (frac, base_frac) = (proven_frac(s), baseline::num(base, "proven_frac"));
+                let (nodes, base_nodes) = (s.nodes as f64, baseline::num(base, "nodes"));
+                let mut fails = Vec::new();
+                if frac < base_frac * ratio {
+                    fails.push(format!(
+                        "proven fraction {frac:.2} is more than {:.0}% below the recorded \
                      {base_frac:.2}",
-                    (1.0 - ratio) * 100.0
-                ));
-            }
-            if nodes > base_nodes / ratio {
-                fails.push(format!(
-                    "explored {nodes} nodes, more than 1/{ratio:.1} above the recorded \
+                        (1.0 - ratio) * 100.0
+                    ));
+                }
+                if nodes > base_nodes / ratio {
+                    fails.push(format!(
+                        "explored {nodes} nodes, more than 1/{ratio:.1} above the recorded \
                      {base_nodes}"
-                ));
-            }
-            Some(fails)
-        });
+                    ));
+                }
+                Some(fails)
+            },
+        );
     }
 }

@@ -16,7 +16,10 @@ fn main() {
     // the paper; we use our Perfect Club kernels with substantial FP
     // latencies, where the model difference matters most.
     let names = ["ARC2D", "MDG", "QCD2", "TRFD"];
-    let sims = [SimConfig::default().simple_model_1993(), SimConfig::default()];
+    let sims = [
+        SimConfig::default().simple_model_1993(),
+        SimConfig::default(),
+    ];
     let grid = Grid::new();
     let kernels: Vec<String> = grid
         .kernel_names()

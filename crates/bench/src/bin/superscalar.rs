@@ -73,11 +73,7 @@ fn main() {
     }
     for sim in sims {
         for scheduler in [SchedulerKind::Balanced, SchedulerKind::Traditional] {
-            opts.push(
-                CompileOptions::new(scheduler)
-                    .with_unroll(4)
-                    .with_sim(*sim),
-            );
+            opts.push(CompileOptions::new(scheduler).with_unroll(4).with_sim(*sim));
         }
     }
     grid.prefetch_options(&opts);
@@ -85,7 +81,10 @@ fn main() {
     let t = speedup_table(
         &grid,
         "Future work (paper §6): BS:TS speedup vs in-order issue width (with LU4)",
-        &widths.iter().map(|w| format!("width {w}")).collect::<Vec<_>>(),
+        &widths
+            .iter()
+            .map(|w| format!("width {w}"))
+            .collect::<Vec<_>>(),
         &width_sims,
     );
     println!("{t}");
@@ -93,7 +92,10 @@ fn main() {
         let t = speedup_table(
             &grid,
             "BS:TS speedup vs memory ports at issue width 4 (with LU4)",
-            &ports.iter().map(|p| format!("{p} ports")).collect::<Vec<_>>(),
+            &ports
+                .iter()
+                .map(|p| format!("{p} ports"))
+                .collect::<Vec<_>>(),
             &port_sims,
         );
         println!("{t}");

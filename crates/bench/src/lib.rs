@@ -156,9 +156,7 @@ impl Grid {
     /// Panics if the pipeline fails.
     pub fn metrics_for(&self, kernel: &str, opts: &CompileOptions) -> SimMetrics {
         let cell = ExperimentCell::new(kernel, self.resolve_options(opts));
-        self.engine
-            .metrics(&cell)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.engine.metrics(&cell).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Convenience: balanced-scheduling metrics for a configuration kind.

@@ -20,7 +20,11 @@ fn machines() -> Command {
 /// attempt would fail with exit 1 and `cannot connect`.
 fn client_grid() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bsched-client"));
-    cmd.args(["--connect", "unix:/nonexistent-bsched-dir/serve.sock", "grid"]);
+    cmd.args([
+        "--connect",
+        "unix:/nonexistent-bsched-dir/serve.sock",
+        "grid",
+    ]);
     cmd
 }
 
@@ -30,11 +34,11 @@ fn empty_kernels_value_is_rejected_with_the_valid_choices() {
         let out = all_experiments().arg(arg).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{arg:?}");
         let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("at least one kernel name"), "{arg:?}: {err}");
         assert!(
-            err.contains("at least one kernel name"),
-            "{arg:?}: {err}"
+            err.contains("TRFD"),
+            "{arg:?} must list valid kernels: {err}"
         );
-        assert!(err.contains("TRFD"), "{arg:?} must list valid kernels: {err}");
         assert!(out.stdout.is_empty(), "{arg:?} must not start the grid");
     }
     // Space-separated form with an empty value.
@@ -52,12 +56,18 @@ fn missing_kernels_value_is_rejected() {
 
 #[test]
 fn unknown_kernel_names_are_rejected() {
-    for args in [vec!["--kernels", "nonesuch"], vec!["--kernels=TRFD,nonesuch"]] {
+    for args in [
+        vec!["--kernels", "nonesuch"],
+        vec!["--kernels=TRFD,nonesuch"],
+    ] {
         let out = all_experiments().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("nonesuch"), "{args:?}: {err}");
-        assert!(err.contains("TRFD"), "{args:?} must list valid kernels: {err}");
+        assert!(
+            err.contains("TRFD"),
+            "{args:?} must list valid kernels: {err}"
+        );
     }
 }
 
@@ -194,11 +204,19 @@ fn invalid_bsched_sim_engine_fails_loudly_instead_of_degrading() {
 
 #[test]
 fn invalid_sample_specs_are_rejected_with_the_valid_format() {
-    for arg in ["--sample=bogus", "--sample=k=0", "--sample=interval=0", "--sample="] {
+    for arg in [
+        "--sample=bogus",
+        "--sample=k=0",
+        "--sample=interval=0",
+        "--sample=",
+    ] {
         let out = all_experiments().arg(arg).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{arg:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("--sample"), "{arg:?} must name the flag: {err}");
+        assert!(
+            err.contains("--sample"),
+            "{arg:?} must name the flag: {err}"
+        );
         assert!(
             err.contains("comma-separated k=") && err.contains("interval="),
             "{arg:?} must list the valid spec: {err}"
@@ -249,7 +267,11 @@ fn sampled_runs_never_touch_the_exact_result_cache() {
     let sampled = run(&["--sample"]);
     let exact_again = run(&[]);
     std::fs::remove_dir_all(&cache).ok();
-    for (name, out) in [("warm", &warm), ("sampled", &sampled), ("exact-again", &exact_again)] {
+    for (name, out) in [
+        ("warm", &warm),
+        ("sampled", &sampled),
+        ("exact-again", &exact_again),
+    ] {
         assert!(
             out.status.success(),
             "{name} run failed:\n{}",
@@ -261,8 +283,14 @@ fn sampled_runs_never_touch_the_exact_result_cache() {
         err.contains("0 memory hits, 0 disk hits, 15 executed from 15 compiles (0% cache hits)"),
         "the sampled run must not be answered from the exact-warmed cache: {err}"
     );
-    assert!(err.contains("sampling: "), "sampled report section missing: {err}");
-    assert!(err.contains("mode: sampled("), "sampled mode line missing: {err}");
+    assert!(
+        err.contains("sampling: "),
+        "sampled report section missing: {err}"
+    );
+    assert!(
+        err.contains("mode: sampled("),
+        "sampled mode line missing: {err}"
+    );
     // The sampled run left no droppings: the follow-up exact run is
     // answered entirely from the original warm entries and prints the
     // same bytes.
@@ -304,7 +332,10 @@ fn sampled_csv_never_overwrites_the_exact_table() {
         "sampled --csv run failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!exact, "a sampled run must not write results/all_experiments.csv");
+    assert!(
+        !exact,
+        "a sampled run must not write results/all_experiments.csv"
+    );
     assert_eq!(
         sampled.expect("the sampled table lands in all_experiments_sampled.csv"),
         out.stdout,
@@ -329,8 +360,16 @@ fn cache_warmed_under_one_engine_fully_hits_under_the_other() {
     let warm = run("interpret");
     let reuse = run("block");
     std::fs::remove_dir_all(&cache).ok();
-    assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
-    assert!(reuse.status.success(), "{}", String::from_utf8_lossy(&reuse.stderr));
+    assert!(
+        warm.status.success(),
+        "{}",
+        String::from_utf8_lossy(&warm.stderr)
+    );
+    assert!(
+        reuse.status.success(),
+        "{}",
+        String::from_utf8_lossy(&reuse.stderr)
+    );
     assert_eq!(
         warm.stdout, reuse.stdout,
         "engines must print byte-identical tables"
@@ -397,7 +436,10 @@ fn verified_cells_share_their_kernels_reference_run() {
         .split("},{")
         .filter(|e| e.contains("\"cat\":\"pipeline\"") && e.contains("\"name\":\"reference\""))
         .count();
-    assert_eq!(references, 1, "one reference run for TRFD's 15 verified cells");
+    assert_eq!(
+        references, 1,
+        "one reference run for TRFD's 15 verified cells"
+    );
 }
 
 #[test]
@@ -406,7 +448,10 @@ fn unknown_machine_specs_are_rejected_with_the_valid_choices() {
         let out = all_experiments().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("--machine"), "{args:?} must name the flag: {err}");
+        assert!(
+            err.contains("--machine"),
+            "{args:?} must name the flag: {err}"
+        );
         assert!(err.contains("nonesuch"), "{args:?}: {err}");
         assert!(
             err.contains("alpha21164") && err.contains("wide4"),
@@ -498,7 +543,10 @@ fn machine_flag_beats_the_environment_and_retargets_the_grid() {
         "wide4 must actually change the table"
     );
     let err = String::from_utf8_lossy(&flagged.stderr);
-    assert!(err.contains("machine: wide4"), "stderr must name the machine: {err}");
+    assert!(
+        err.contains("machine: wide4"),
+        "stderr must name the machine: {err}"
+    );
 }
 
 #[test]
@@ -533,11 +581,18 @@ fn machines_check_fails_on_missing_or_disjoint_baselines() {
 
 #[test]
 fn optimality_rejects_invalid_budgets_before_searching() {
-    for args in [vec!["--budget", "banana"], vec!["--budget=-5"], vec!["--budget=1.5"]] {
+    for args in [
+        vec!["--budget", "banana"],
+        vec!["--budget=-5"],
+        vec!["--budget=1.5"],
+    ] {
         let out = optimality().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("--budget"), "{args:?} must name the flag: {err}");
+        assert!(
+            err.contains("--budget"),
+            "{args:?} must name the flag: {err}"
+        );
         assert!(
             err.contains("search nodes"),
             "{args:?} must say what a valid value is: {err}"
@@ -551,7 +606,11 @@ fn optimality_rejects_invalid_budgets_before_searching() {
 
 #[test]
 fn optimality_rejects_unknown_schedulers_with_the_valid_choices() {
-    for args in [vec!["--schedulers", "bogus"], vec!["--schedulers=TS,bogus"], vec!["--schedulers="]] {
+    for args in [
+        vec!["--schedulers", "bogus"],
+        vec!["--schedulers=TS,bogus"],
+        vec!["--schedulers="],
+    ] {
         let out = optimality().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -565,7 +624,10 @@ fn optimality_rejects_unknown_schedulers_with_the_valid_choices() {
 
 #[test]
 fn optimality_rejects_unknown_kernels_and_flags() {
-    let out = optimality().args(["--kernels", "nonesuch"]).output().unwrap();
+    let out = optimality()
+        .args(["--kernels", "nonesuch"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("nonesuch"), "{err}");
@@ -585,14 +647,21 @@ fn temp_baseline(tag: &str, contents: &str) -> std::path::PathBuf {
 
 #[test]
 fn optimality_check_fails_when_the_baseline_has_no_overlapping_case() {
-    let empty = temp_baseline("empty-baseline", "{\"bench\": \"optimality\", \"cases\": []}");
+    let empty = temp_baseline(
+        "empty-baseline",
+        "{\"bench\": \"optimality\", \"cases\": []}",
+    );
     let out = optimality()
         .args(["--kernels", "TRFD", "--schedulers", "BS", "--check"])
         .arg(&empty)
         .output()
         .unwrap();
     std::fs::remove_file(&empty).ok();
-    assert_eq!(out.status.code(), Some(1), "an empty baseline verifies nothing");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an empty baseline verifies nothing"
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("nothing was verified"), "{err}");
 }
@@ -601,9 +670,11 @@ fn optimality_check_fails_when_the_baseline_has_no_overlapping_case() {
 /// `BENCH_pr10.json` with one key per line passes like the original.
 #[test]
 fn machines_check_reads_a_pretty_printed_baseline() {
-    let committed =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr10.json"))
-            .unwrap();
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_pr10.json"
+    ))
+    .unwrap();
     let pretty = committed
         .replace("{\"name\"", "{\n      \"name\"")
         .replace(", \"", ",\n      \"");
@@ -633,10 +704,16 @@ fn client_grid_rejects_bad_flags_and_kernels_before_connecting() {
         let out = client_grid().args(&args).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
-        assert!(!err.contains("cannot connect"), "{args:?} connected first: {err}");
+        assert!(
+            !err.contains("cannot connect"),
+            "{args:?} connected first: {err}"
+        );
         assert!(out.stdout.is_empty(), "{args:?}");
     }
-    let out = client_grid().args(["--kernels", "nonesuch"]).output().unwrap();
+    let out = client_grid()
+        .args(["--kernels", "nonesuch"])
+        .output()
+        .unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("nonesuch") && err.contains("TRFD"), "{err}");
 }

@@ -101,7 +101,9 @@ fn run_with(name: &str, exe: &str, root: &PathBuf, args: &[&str], envs: &[(&str,
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    let out = cmd.output().unwrap_or_else(|e| panic!("{name} failed to spawn: {e}"));
+    let out = cmd
+        .output()
+        .unwrap_or_else(|e| panic!("{name} failed to spawn: {e}"));
     assert!(
         out.status.success(),
         "{name} exited with {:?}:\n{}",
@@ -151,7 +153,10 @@ fn all_experiments_sampled() {
         &["--kernels", "TRFD,ARC2D"],
         &[("BSCHED_SAMPLE", "1")],
     );
-    assert_eq!(from_env, want, "BSCHED_SAMPLE=1 must match --sample byte for byte");
+    assert_eq!(
+        from_env, want,
+        "BSCHED_SAMPLE=1 must match --sample byte for byte"
+    );
     let interp = run_with(
         "all_experiments_sampled (interpret)",
         exe,
@@ -159,7 +164,10 @@ fn all_experiments_sampled() {
         &args,
         &[("BSCHED_SIM_ENGINE", "interpret")],
     );
-    assert_eq!(interp, want, "sampled stdout must not depend on the exact engine");
+    assert_eq!(
+        interp, want,
+        "sampled stdout must not depend on the exact engine"
+    );
 }
 
 /// The optimality table never simulates — its numbers come from the
@@ -188,7 +196,10 @@ fn optimality() {
             stdout.contains(line),
             "filtered row missing from the full table: {line}"
         );
-        assert!(line.contains(" BS "), "non-BS row under --schedulers BS: {line}");
+        assert!(
+            line.contains(" BS "),
+            "non-BS row under --schedulers BS: {line}"
+        );
     }
 }
 

@@ -179,10 +179,7 @@ fn schema_version_bump_fails_loudly_for_old_readers() {
     assert!(ParsedTrace::parse(&current).is_ok());
     let needle = format!("\"schema\":{TRACE_SCHEMA_VERSION}");
     assert!(current.contains(&needle), "export carries its version");
-    let bumped = current.replace(
-        &needle,
-        &format!("\"schema\":{}", TRACE_SCHEMA_VERSION + 1),
-    );
+    let bumped = current.replace(&needle, &format!("\"schema\":{}", TRACE_SCHEMA_VERSION + 1));
     match ParsedTrace::parse(&bumped) {
         Err(TraceReadError::SchemaMismatch { found, expected }) => {
             assert_eq!(found, u64::from(TRACE_SCHEMA_VERSION) + 1);
@@ -273,7 +270,10 @@ fn run_report_is_not_torn_under_parallel_jobs() {
             || l.starts_with("violations traced: ")
     };
     for line in err.lines() {
-        assert!(known(line), "unrecognized (torn?) stderr line: {line:?}\n{err}");
+        assert!(
+            known(line),
+            "unrecognized (torn?) stderr line: {line:?}\n{err}"
+        );
     }
 }
 
@@ -315,5 +315,8 @@ fn tracing_flags_leave_cache_keys_unchanged() {
         warm_stderr.contains("15 disk hits") && warm_stderr.contains("0 executed"),
         "traced warm run must hit the cache populated without tracing:\n{warm_stderr}"
     );
-    assert_eq!(cold_stdout, warm_stdout, "cache hits must reproduce the table");
+    assert_eq!(
+        cold_stdout, warm_stdout,
+        "cache hits must reproduce the table"
+    );
 }

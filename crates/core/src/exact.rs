@@ -430,7 +430,10 @@ mod tests {
         let insts = two_load_region();
         let (dag, weights, incumbent) = balanced_setup(&insts);
         let out = schedule_region_exact(&dag, &weights, 0, incumbent.clone());
-        assert_eq!(out.order, incumbent, "budget 0 must not perturb the schedule");
+        assert_eq!(
+            out.order, incumbent,
+            "budget 0 must not perturb the schedule"
+        );
         assert!(!out.proven);
         assert_eq!(out.nodes, 0);
     }

@@ -379,7 +379,10 @@ fn schedule_function_inner(
                     ("insts", insts.len() as u64),
                     ("loads", loads),
                     ("weight_sum", weights.iter().map(|&w| u64::from(w)).sum()),
-                    ("weight_max", weights.iter().copied().max().unwrap_or(0).into()),
+                    (
+                        "weight_max",
+                        weights.iter().copied().max().unwrap_or(0).into(),
+                    ),
                 ],
             );
             for (slot, (inst, &w)) in insts.iter().zip(&weights).enumerate() {
@@ -387,7 +390,11 @@ fn schedule_function_inner(
                     bsched_trace::instant(
                         bsched_trace::points::SCHED_LOAD_WEIGHT,
                         func.name(),
-                        &[("block", bi as u64), ("slot", slot as u64), ("weight", u64::from(w))],
+                        &[
+                            ("block", bi as u64),
+                            ("slot", slot as u64),
+                            ("weight", u64::from(w)),
+                        ],
                     );
                 }
             }

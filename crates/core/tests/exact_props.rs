@@ -151,12 +151,18 @@ fn exact_matches_the_brute_force_optimum_on_random_dags() {
         let (dag, weights, incumbent) = balanced_inputs(&insts);
         let oracle = brute_force_optimum(&dag, &weights);
         let out = schedule_region_exact(&dag, &weights, DEFAULT_EXACT_BUDGET, incumbent);
-        assert!(out.proven, "case {case}: {len} instructions must be provable");
+        assert!(
+            out.proven,
+            "case {case}: {len} instructions must be provable"
+        );
         assert_eq!(
             out.cost, oracle,
             "case {case}: exact cost diverged from exhaustive enumeration\n{insts:#?}"
         );
-        assert!(is_topological(&dag, &out.order), "case {case}: illegal order");
+        assert!(
+            is_topological(&dag, &out.order),
+            "case {case}: illegal order"
+        );
         assert_eq!(
             schedule_cost(&dag, &weights, &out.order),
             out.cost,
@@ -178,8 +184,7 @@ fn exact_is_never_beaten_by_a_heuristic() {
         let trad_weights =
             compute_weights(&insts, &dag, &WeightConfig::new(SchedulerKind::Traditional));
         let traditional = schedule_region(&insts, &dag, &trad_weights);
-        let out =
-            schedule_region_exact(&dag, &weights, DEFAULT_EXACT_BUDGET, balanced.clone());
+        let out = schedule_region_exact(&dag, &weights, DEFAULT_EXACT_BUDGET, balanced.clone());
         assert!(
             out.cost <= schedule_cost(&dag, &weights, &balanced),
             "case {case}: exact lost to the balanced heuristic"
@@ -212,13 +217,25 @@ fn outcomes_are_deterministic_across_threads() {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
         });
         for o in &outcomes[1..] {
-            assert_eq!(o.order, outcomes[0].order, "budget {budget}: order diverged");
+            assert_eq!(
+                o.order, outcomes[0].order,
+                "budget {budget}: order diverged"
+            );
             assert_eq!(o.cost, outcomes[0].cost, "budget {budget}: cost diverged");
-            assert_eq!(o.proven, outcomes[0].proven, "budget {budget}: proven diverged");
-            assert_eq!(o.nodes, outcomes[0].nodes, "budget {budget}: nodes diverged");
+            assert_eq!(
+                o.proven, outcomes[0].proven,
+                "budget {budget}: proven diverged"
+            );
+            assert_eq!(
+                o.nodes, outcomes[0].nodes,
+                "budget {budget}: nodes diverged"
+            );
         }
     }
 }

@@ -7,11 +7,33 @@ use bsched_util::Prng;
 
 #[derive(Debug, Clone)]
 enum GenInst {
-    Alu { dst: u8, a: u8, imm: i8 },
-    Fp { dst: u8, a: u8, b: u8 },
-    Div { dst: u8, a: u8, b: u8 },
-    Load { dst: u8, base: u8, disp: u8, region: u8 },
-    Store { val: u8, base: u8, disp: u8, region: u8 },
+    Alu {
+        dst: u8,
+        a: u8,
+        imm: i8,
+    },
+    Fp {
+        dst: u8,
+        a: u8,
+        b: u8,
+    },
+    Div {
+        dst: u8,
+        a: u8,
+        b: u8,
+    },
+    Load {
+        dst: u8,
+        base: u8,
+        disp: u8,
+        region: u8,
+    },
+    Store {
+        val: u8,
+        base: u8,
+        disp: u8,
+        region: u8,
+    },
 }
 
 fn gen_inst(rng: &mut Prng) -> GenInst {
@@ -107,7 +129,10 @@ fn schedules_are_valid_topological_permutations() {
         }
         for i in 0..insts.len() {
             for &(t, _) in dag.succs(i) {
-                assert!(pos[i] < pos[t as usize], "case {case}: edge {i} -> {t} inverted");
+                assert!(
+                    pos[i] < pos[t as usize],
+                    "case {case}: edge {i} -> {t} inverted"
+                );
             }
         }
     }
@@ -131,7 +156,10 @@ fn weight_invariants() {
                 assert!(bal[i] <= latency::MAX_LOAD, "case {case}: inst {i}");
                 assert!(bal[i] >= trad[i], "case {case}: inst {i}");
             } else {
-                assert_eq!(bal[i], trad[i], "case {case}: non-load {i} keeps fixed weight");
+                assert_eq!(
+                    bal[i], trad[i],
+                    "case {case}: non-load {i} keeps fixed weight"
+                );
             }
         }
     }
@@ -163,7 +191,10 @@ fn adding_an_independent_instruction_never_lowers_load_weights() {
         insts.push(Inst::op(
             Op::FAdd,
             Reg::virt(RegClass::Float, 60),
-            &[Reg::virt(RegClass::Float, 61), Reg::virt(RegClass::Float, 62)],
+            &[
+                Reg::virt(RegClass::Float, 61),
+                Reg::virt(RegClass::Float, 62),
+            ],
         ));
         let dag2 = Dag::new(&insts);
         let after = compute_weights(&insts, &dag2, &WeightConfig::new(SchedulerKind::Balanced));

@@ -75,7 +75,12 @@ fn random_region(rng: &mut Prng, len: usize) -> Vec<Inst> {
             }
             _ => {
                 let a = int_defs[rng.index(int_defs.len())];
-                insts.push(Inst::op_imm(Op::Add, r(next_int), r(a), rng.range_i64(8, 64)));
+                insts.push(Inst::op_imm(
+                    Op::Add,
+                    r(next_int),
+                    r(a),
+                    rng.range_i64(8, 64),
+                ));
                 int_defs.push(next_int);
                 next_int += 1;
             }
@@ -98,7 +103,8 @@ fn assert_kernel_matches_reference(seed: u64, cases: usize, max_len: usize) {
                 let fast = compute_weights(&insts, &dag, &config);
                 let naive = compute_weights_reference(&insts, &dag, &config);
                 assert_eq!(
-                    fast, naive,
+                    fast,
+                    naive,
                     "seed {seed:#x} case {case} ({len} insts): {} cap {cap} diverged",
                     kind.label()
                 );

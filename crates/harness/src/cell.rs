@@ -136,7 +136,11 @@ impl std::fmt::Display for ExperimentCell {
             .find(|m| MachineSpec::named(m.name).is_ok_and(|spec| spec.config() == sim));
         match registered {
             Some(m) => write!(f, "@{}", m.name),
-            None => write!(f, "@custom-{:08x}", Fnv1a::hash(format!("{sim:?}").as_bytes()) as u32),
+            None => write!(
+                f,
+                "@custom-{:08x}",
+                Fnv1a::hash(format!("{sim:?}").as_bytes()) as u32
+            ),
         }
     }
 }
@@ -179,44 +183,45 @@ mod tests {
     fn every_knob_changes_the_key() {
         let cell = |o: CompileOptions| ExperimentCell::new("k", o).canonical_key().to_string();
         let reference = cell(base());
-        let variants = [
-            cell(CompileOptions::new(SchedulerKind::Traditional)),
-            cell(base().with_unroll(4)),
-            cell(base().with_unroll(8)),
-            cell(base().with_trace()),
-            cell(base().with_locality()),
-            cell(base().without_predication()),
-            cell(base().with_weight_cap(10)),
-            cell(base().with_tie_break(TieBreak::ProgramOrder)),
-            cell(base().with_unroll_budget(32)),
-            cell(base().without_selective()),
-            cell(base().with_reference_weights()),
-            cell(CompileOptions::new(SchedulerKind::Exact)),
-            cell(base().with_exact_budget(7)),
-            cell(base().with_sim(SimConfig::default().with_issue(4, 2))),
-            cell(base().with_sim(SimConfig::default().with_issue(4, 4))),
-            cell(base().with_sim(SimConfig::default().with_mshrs(1))),
-            cell(base().with_sim(SimConfig::default().with_ifetch(false))),
-            cell(base().with_sim(SimConfig::default().simple_model_1993())),
-            cell(base().with_sim(
-                SimConfig::default().with_predictor(bsched_sim::PredictorKind::Gshare),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_predictor(bsched_sim::PredictorKind::TageLite),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_prefetch(bsched_mem::PrefetchKind::NextLine),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_prefetch(bsched_mem::PrefetchKind::Stride),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_mshr_policy(bsched_mem::MshrPolicy::NoMerge),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_mshr_policy(bsched_mem::MshrPolicy::Blocking),
-            )),
-        ];
+        let variants =
+            [
+                cell(CompileOptions::new(SchedulerKind::Traditional)),
+                cell(base().with_unroll(4)),
+                cell(base().with_unroll(8)),
+                cell(base().with_trace()),
+                cell(base().with_locality()),
+                cell(base().without_predication()),
+                cell(base().with_weight_cap(10)),
+                cell(base().with_tie_break(TieBreak::ProgramOrder)),
+                cell(base().with_unroll_budget(32)),
+                cell(base().without_selective()),
+                cell(base().with_reference_weights()),
+                cell(CompileOptions::new(SchedulerKind::Exact)),
+                cell(base().with_exact_budget(7)),
+                cell(base().with_sim(SimConfig::default().with_issue(4, 2))),
+                cell(base().with_sim(SimConfig::default().with_issue(4, 4))),
+                cell(base().with_sim(SimConfig::default().with_mshrs(1))),
+                cell(base().with_sim(SimConfig::default().with_ifetch(false))),
+                cell(base().with_sim(SimConfig::default().simple_model_1993())),
+                cell(base().with_sim(
+                    SimConfig::default().with_predictor(bsched_sim::PredictorKind::Gshare),
+                )),
+                cell(base().with_sim(
+                    SimConfig::default().with_predictor(bsched_sim::PredictorKind::TageLite),
+                )),
+                cell(base().with_sim(
+                    SimConfig::default().with_prefetch(bsched_mem::PrefetchKind::NextLine),
+                )),
+                cell(base().with_sim(
+                    SimConfig::default().with_prefetch(bsched_mem::PrefetchKind::Stride),
+                )),
+                cell(base().with_sim(
+                    SimConfig::default().with_mshr_policy(bsched_mem::MshrPolicy::NoMerge),
+                )),
+                cell(base().with_sim(
+                    SimConfig::default().with_mshr_policy(bsched_mem::MshrPolicy::Blocking),
+                )),
+            ];
         let mut all = vec![reference.clone()];
         all.extend(variants.iter().cloned());
         let distinct: std::collections::HashSet<&String> = all.iter().collect();
@@ -265,7 +270,9 @@ mod tests {
         assert_eq!(on(SimConfig::default()), "MDG/BS");
         let mut labels = Vec::new();
         for m in MachineSpec::registry() {
-            let sim = MachineSpec::named(m.name).expect("registry names parse").config();
+            let sim = MachineSpec::named(m.name)
+                .expect("registry names parse")
+                .config();
             let label = on(sim);
             if sim == SimConfig::default() {
                 assert_eq!(label, "MDG/BS", "{}", m.name);

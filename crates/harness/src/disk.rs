@@ -102,7 +102,10 @@ impl DiskCache {
             std::fs::rename(&tmp, &path)
         };
         if let Err(e) = write() {
-            eprintln!("bsched-harness: cache write to {} failed: {e}", path.display());
+            eprintln!(
+                "bsched-harness: cache write to {} failed: {e}",
+                path.display()
+            );
         }
     }
 }
@@ -210,10 +213,8 @@ mod tests {
     use bsched_pipeline::{CompileOptions, SchedulerKind};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "bsched-harness-disk-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bsched-harness-disk-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -124,9 +124,7 @@ fn disk_cache_round_trips_and_counts_hits() {
 
 #[test]
 fn duplicates_within_a_batch_are_deduplicated() {
-    let cfg = EngineConfig::default()
-        .with_jobs(2)
-        .with_disk_cache(false);
+    let cfg = EngineConfig::default().with_jobs(2).with_disk_cache(false);
     let engine = Engine::new(kernels(), cfg);
     let one = ExperimentCell::new("alpha", CompileOptions::new(SchedulerKind::Balanced));
     let batch = vec![one.clone(), one.clone(), one.clone()];
@@ -139,9 +137,7 @@ fn duplicates_within_a_batch_are_deduplicated() {
 
 #[test]
 fn same_label_different_options_are_distinct_cells() {
-    let cfg = EngineConfig::default()
-        .with_jobs(1)
-        .with_disk_cache(false);
+    let cfg = EngineConfig::default().with_jobs(1).with_disk_cache(false);
     let engine = Engine::new(kernels(), cfg);
     let plain = ExperimentCell::new("alpha", CompileOptions::new(SchedulerKind::Balanced));
     let capped = ExperimentCell::new(
@@ -235,7 +231,11 @@ fn verifying_run_recomputes_unverified_cache_entries() {
     // back on disk.
     let checking = Engine::new(kernels(), cfg(true));
     checking.run(&cells).expect("verifying run");
-    assert_eq!(checking.report().disk_hits, 0, "unverified entries are misses");
+    assert_eq!(
+        checking.report().disk_hits,
+        0,
+        "unverified entries are misses"
+    );
     assert_eq!(checking.report().executed, cells.len() as u64);
     assert_eq!(fingerprint(&checking, &cells), want);
     drop(checking);
@@ -244,7 +244,11 @@ fn verifying_run_recomputes_unverified_cache_entries() {
     for verify in [true, false] {
         let warm = Engine::new(kernels(), cfg(verify));
         warm.run(&cells).expect("warm run");
-        assert_eq!(warm.report().disk_hits, cells.len() as u64, "verify={verify}");
+        assert_eq!(
+            warm.report().disk_hits,
+            cells.len() as u64,
+            "verify={verify}"
+        );
         assert_eq!(warm.report().executed, 0, "verify={verify}");
     }
 

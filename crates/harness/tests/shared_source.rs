@@ -49,7 +49,11 @@ fn one_reference_span_per_kernel_across_its_cells() {
     result.expect("grid runs");
     assert_eq!(engine.report().executed, 15);
     let count = |id| events.iter().filter(|e| e.id == id).count();
-    assert_eq!(count(points::PIPELINE_REFERENCE), 1, "one reference run per kernel");
+    assert_eq!(
+        count(points::PIPELINE_REFERENCE),
+        1,
+        "one reference run per kernel"
+    );
     assert_eq!(count(points::PIPELINE_COMPILE), 15, "one compile per cell");
     let reference = events
         .iter()

@@ -479,9 +479,7 @@ mod tests {
         // 70 independent loads + one FP op: exercises the 2-word rows.
         let mut insts = Vec::new();
         for k in 0..70u32 {
-            insts.push(
-                Inst::load(f(k), r(k % 4), i64::from(k) * 8).with_region(RegionId::new(0)),
-            );
+            insts.push(Inst::load(f(k), r(k % 4), i64::from(k) * 8).with_region(RegionId::new(0)));
         }
         insts.push(Inst::op(Op::FAdd, f(100), &[f(101), f(102)]));
         let dag = Dag::new(&insts);

@@ -85,7 +85,10 @@ fn cse_and_cleanup_preserve_semantics() {
         local_cse(p.main_mut());
         copy_propagate(p.main_mut());
         dead_code_elim(p.main_mut());
-        assert!(bsched_ir::verify_program(&p).is_ok(), "case {case}: {plan:?}");
+        assert!(
+            bsched_ir::verify_program(&p).is_ok(),
+            "case {case}: {plan:?}"
+        );
         assert_eq!(checksum(&p), want, "case {case}: {plan:?}");
     }
 }
@@ -98,7 +101,10 @@ fn predication_preserves_semantics() {
         let mut p = build(&plan);
         let want = checksum(&p);
         predicate_function(p.main_mut());
-        assert!(bsched_ir::verify_program(&p).is_ok(), "case {case}: {plan:?}");
+        assert!(
+            bsched_ir::verify_program(&p).is_ok(),
+            "case {case}: {plan:?}"
+        );
         assert_eq!(checksum(&p), want, "case {case}: {plan:?}");
     }
 }
@@ -133,7 +139,10 @@ fn peel_preserves_semantics() {
         let want = checksum(&p);
         predicate_function(p.main_mut());
         let _ = peel_first_iteration(p.main_mut(), 0);
-        assert!(bsched_ir::verify_program(&p).is_ok(), "case {case}: {plan:?}");
+        assert!(
+            bsched_ir::verify_program(&p).is_ok(),
+            "case {case}: {plan:?}"
+        );
         assert_eq!(checksum(&p), want, "case {case}: {plan:?}");
     }
 }
@@ -147,7 +156,10 @@ fn trace_scheduling_preserves_semantics() {
         let want = checksum(&p);
         let profile = EdgeProfile::collect(&p).expect("profile");
         trace_schedule(p.main_mut(), &profile, &TraceOptions::default());
-        assert!(bsched_ir::verify_program(&p).is_ok(), "case {case}: {plan:?}");
+        assert!(
+            bsched_ir::verify_program(&p).is_ok(),
+            "case {case}: {plan:?}"
+        );
         assert_eq!(checksum(&p), want, "case {case}: {plan:?}");
     }
 }
@@ -170,7 +182,10 @@ fn full_stack_composition_preserves_semantics() {
         let profile = EdgeProfile::collect(&p).expect("profile");
         trace_schedule(p.main_mut(), &profile, &TraceOptions::default());
         dead_code_elim(p.main_mut());
-        assert!(bsched_ir::verify_program(&p).is_ok(), "case {case}: {plan:?}");
+        assert!(
+            bsched_ir::verify_program(&p).is_ok(),
+            "case {case}: {plan:?}"
+        );
         assert_eq!(checksum(&p), want, "case {case}: {plan:?}");
     }
 }

@@ -66,10 +66,17 @@ impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExperimentError::UnknownKernel { name, valid } => {
-                write!(f, "unknown kernel '{name}'; valid kernels: {}", valid.join(", "))
+                write!(
+                    f,
+                    "unknown kernel '{name}'; valid kernels: {}",
+                    valid.join(", ")
+                )
             }
             ExperimentError::MissingProgram => {
-                write!(f, "no program: call .kernel(name) or .program(name, program)")
+                write!(
+                    f,
+                    "no program: call .kernel(name) or .program(name, program)"
+                )
             }
         }
     }
@@ -506,7 +513,11 @@ mod tests {
 
     #[test]
     fn trace_axis_is_observability_only() {
-        let traced = Experiment::builder().kernel("TRFD").trace(true).build().unwrap();
+        let traced = Experiment::builder()
+            .kernel("TRFD")
+            .trace(true)
+            .build()
+            .unwrap();
         assert!(traced.traced());
         let plain = Experiment::builder().kernel("TRFD").build().unwrap();
         assert!(!plain.traced());

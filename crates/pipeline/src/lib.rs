@@ -55,10 +55,12 @@ pub mod source;
 pub mod table;
 
 pub use bsched_core::{SchedulerKind, TieBreak};
+pub use bsched_sim::{
+    MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode,
+};
 pub use compile::{CompileStats, Compiled, PipelineError};
 pub use experiment::{resolve_kernel, Experiment, ExperimentBuilder, ExperimentError, Session};
 pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};
-pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode};
 pub use options::CompileOptions;
 pub use run::{RunResult, Runs};
 pub use source::Source;

@@ -135,7 +135,10 @@ mod tests {
     fn unrolling_reduces_cycles() {
         let p = stream_kernel(1024);
         let base = run_one(&p, CompileOptions::new(SchedulerKind::Balanced));
-        let lu4 = run_one(&p, CompileOptions::new(SchedulerKind::Balanced).with_unroll(4));
+        let lu4 = run_one(
+            &p,
+            CompileOptions::new(SchedulerKind::Balanced).with_unroll(4),
+        );
         assert!(
             lu4.metrics.cycles < base.metrics.cycles,
             "LU4 must speed up a streaming loop: {} vs {}",
@@ -148,7 +151,10 @@ mod tests {
     #[test]
     fn locality_runs_and_stays_correct() {
         let p = stream_kernel(512);
-        let la = run_one(&p, CompileOptions::new(SchedulerKind::Balanced).with_locality());
+        let la = run_one(
+            &p,
+            CompileOptions::new(SchedulerKind::Balanced).with_locality(),
+        );
         assert!(la.checksum_ok);
         assert!(la.compile.locality.hits_marked > 0);
     }

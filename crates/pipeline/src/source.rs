@@ -49,7 +49,9 @@ impl Source {
     /// [`PipelineError::Exec`] when the interpreter cannot run it to
     /// completion. The same error is returned on every call.
     pub fn reference_checksum(&self) -> Result<u64, PipelineError> {
-        self.reference.get_or_init(|| self.compute_reference()).clone()
+        self.reference
+            .get_or_init(|| self.compute_reference())
+            .clone()
     }
 
     fn compute_reference(&self) -> Result<u64, PipelineError> {

@@ -56,7 +56,10 @@ fn fail_on_two_threads(source: &Arc<Source>) -> [PipelineError; 2] {
                 .expect("source supplied");
             session.compile().map(drop)
         });
-        [run.join().expect("no panic"), compile.join().expect("no panic")]
+        [
+            run.join().expect("no panic"),
+            compile.join().expect("no panic"),
+        ]
     });
     [
         a.expect_err("a run over a failing source must fail"),

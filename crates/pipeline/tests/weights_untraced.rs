@@ -44,6 +44,9 @@ fn compute_weights_records_no_trace_events() {
         events.first()
     );
     for ((region, ..), got) in regions.iter().zip(&weights) {
-        assert_eq!(&region.weights, got, "the captured kernel computed the scheduled weights");
+        assert_eq!(
+            &region.weights, got,
+            "the captured kernel computed the scheduled weights"
+        );
     }
 }

@@ -107,7 +107,11 @@ fn main() {
         "bsched-serve: engine ready ({} kernels, {} workers, disk cache {})",
         engine.kernel_names().len(),
         engine.jobs(),
-        if engine.config().disk_cache { "on" } else { "off" }
+        if engine.config().disk_cache {
+            "on"
+        } else {
+            "off"
+        }
     );
     let core = Arc::new(ServeCore::new(engine, serve_cfg));
     let dispatcher = {

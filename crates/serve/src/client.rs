@@ -111,22 +111,22 @@ impl Client {
     /// Connection failures, or a server speaking a different schema
     /// version.
     pub fn connect(endpoint: &Endpoint, timeout: Duration) -> Result<Client, ClientError> {
-        let (read_half, write_half): (Box<dyn Read + Send>, Box<dyn Write + Send>) =
-            match endpoint {
-                Endpoint::Unix(path) => {
-                    let s = UnixStream::connect(path)?;
-                    s.set_read_timeout(Some(timeout))?;
-                    s.set_write_timeout(Some(timeout))?;
-                    (Box::new(s.try_clone()?), Box::new(s))
-                }
-                Endpoint::Tcp(addr) => {
-                    let s = TcpStream::connect(addr.as_str())?;
-                    s.set_read_timeout(Some(timeout))?;
-                    s.set_write_timeout(Some(timeout))?;
-                    s.set_nodelay(true)?;
-                    (Box::new(s.try_clone()?), Box::new(s))
-                }
-            };
+        let (read_half, write_half): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match endpoint
+        {
+            Endpoint::Unix(path) => {
+                let s = UnixStream::connect(path)?;
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))?;
+                (Box::new(s.try_clone()?), Box::new(s))
+            }
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr.as_str())?;
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))?;
+                s.set_nodelay(true)?;
+                (Box::new(s.try_clone()?), Box::new(s))
+            }
+        };
         let mut client = Client {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(write_half),
@@ -165,7 +165,9 @@ impl Client {
         write_frame(&mut self.writer, &Request::Ping.to_json())?;
         match self.read_response()? {
             Response::Pong => Ok(()),
-            other => Err(ClientError::Protocol(format!("expected pong, got {other:?}"))),
+            other => Err(ClientError::Protocol(format!(
+                "expected pong, got {other:?}"
+            ))),
         }
     }
 

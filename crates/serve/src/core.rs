@@ -87,10 +87,7 @@ impl CellJob {
         while st.outcome.is_none() {
             st = self.done.wait(st).expect("job poisoned");
         }
-        (
-            st.outcome.clone().expect("checked above"),
-            st.trace.clone(),
-        )
+        (st.outcome.clone().expect("checked above"), st.trace.clone())
     }
 
     fn finish(&self, outcome: Result<CellResult, String>, trace: Vec<WireTraceEvent>) {
@@ -229,7 +226,9 @@ impl ServeCore {
             }
         }
         if st.queue.len() + new_keys.len() > self.cfg.queue_limit {
-            self.counters.rejected_submits.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .rejected_submits
+                .fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Overloaded {
                 queued: st.queue.len() as u64,
                 limit: self.cfg.queue_limit as u64,
@@ -266,7 +265,9 @@ impl ServeCore {
         self.counters
             .submitted_cells
             .fetch_add(cells.len() as u64, Ordering::Relaxed);
-        self.counters.joined_inflight.fetch_add(joined, Ordering::Relaxed);
+        self.counters
+            .joined_inflight
+            .fetch_add(joined, Ordering::Relaxed);
         self.work.notify_all();
         Ok(SubmitOutcome {
             jobs,
@@ -317,7 +318,8 @@ impl ServeCore {
             {
                 let mut st = self.state.lock().expect("core poisoned");
                 for job in &batch {
-                    st.inflight.remove(&ServeCore::job_key(&job.cell, job.verify));
+                    st.inflight
+                        .remove(&ServeCore::job_key(&job.cell, job.verify));
                 }
                 if st.queue.is_empty() && st.inflight.is_empty() {
                     self.idle.notify_all();
@@ -357,8 +359,12 @@ impl ServeCore {
                         .engine
                         .result(&job.cell)
                         .expect("run_where populated the store");
-                    let trace = trace_by_label.remove(&job.cell.to_string()).unwrap_or_default();
-                    self.counters.completed_cells.fetch_add(1, Ordering::Relaxed);
+                    let trace = trace_by_label
+                        .remove(&job.cell.to_string())
+                        .unwrap_or_default();
+                    self.counters
+                        .completed_cells
+                        .fetch_add(1, Ordering::Relaxed);
                     job.finish(Ok(result), trace);
                 }
             }
@@ -377,7 +383,10 @@ impl ServeCore {
                         })
                         .map_err(|e| e.to_string());
                     match &outcome {
-                        Ok(_) => self.counters.completed_cells.fetch_add(1, Ordering::Relaxed),
+                        Ok(_) => self
+                            .counters
+                            .completed_cells
+                            .fetch_add(1, Ordering::Relaxed),
                         Err(_) => self.counters.failed_cells.fetch_add(1, Ordering::Relaxed),
                     };
                     job.finish(outcome, Vec::new());
@@ -457,9 +466,7 @@ mod tests {
 
     fn small_engine() -> Engine {
         // No disk cache: core tests must not leak state between runs.
-        Engine::with_standard_kernels(
-            EngineConfig::default().with_jobs(2).with_disk_cache(false),
-        )
+        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false))
     }
 
     fn cells(n: usize) -> Vec<ExperimentCell> {
@@ -500,7 +507,10 @@ mod tests {
         // And the next one overflows (4 + 1 > 4).
         assert!(matches!(
             core.submit(&cells(5), false),
-            Err(SubmitError::Overloaded { queued: 4, limit: 4 })
+            Err(SubmitError::Overloaded {
+                queued: 4,
+                limit: 4
+            })
         ));
     }
 

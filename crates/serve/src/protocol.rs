@@ -192,9 +192,13 @@ fn mem_to_json(m: &MemConfig) -> Json {
         ("tlb_miss_penalty", Json::u64(u64::from(m.tlb_miss_penalty))),
         (
             "write_buffer",
-            m.write_buffer.map_or(Json::Null, |n| Json::u64(u64::from(n))),
+            m.write_buffer
+                .map_or(Json::Null, |n| Json::u64(u64::from(n))),
         ),
-        ("write_drain_cycles", Json::u64(u64::from(m.write_drain_cycles))),
+        (
+            "write_drain_cycles",
+            Json::u64(u64::from(m.write_drain_cycles)),
+        ),
         ("prefetch", Json::Str(m.prefetch.label().into())),
         ("mshr_policy", Json::Str(m.mshr_policy.label().into())),
     ])
@@ -261,7 +265,9 @@ fn sim_to_json(c: &SimConfig) -> Json {
 }
 
 fn sim_from_json(doc: &Json) -> Result<SimConfig, ProtoError> {
-    let branch = doc.get("branch").ok_or_else(|| err("missing field \"branch\""))?;
+    let branch = doc
+        .get("branch")
+        .ok_or_else(|| err("missing field \"branch\""))?;
     Ok(SimConfig {
         mem: mem_from_json(doc.get("mem").ok_or_else(|| err("missing field \"mem\""))?)?,
         branch: bsched_sim::BranchConfig {
@@ -294,7 +300,10 @@ pub fn options_to_json(o: &CompileOptions) -> Json {
         ("predicate", Json::Bool(o.predicate)),
         ("weight_cap", Json::u64(u64::from(o.weight_cap))),
         ("tie_break", Json::Str(tie_break_to_str(o.tie_break).into())),
-        ("unroll_budget", u64_or_null(o.unroll_budget.map(|b| b as u64))),
+        (
+            "unroll_budget",
+            u64_or_null(o.unroll_budget.map(|b| b as u64)),
+        ),
         ("selective", Json::Bool(o.selective)),
         ("reference_weights", Json::Bool(o.reference_weights)),
         ("exact_budget", Json::u64(o.exact_budget)),
@@ -377,7 +386,10 @@ pub fn cell_to_json(cell: &ExperimentCell) -> Json {
 pub fn cell_from_json(doc: &Json) -> Result<ExperimentCell, ProtoError> {
     let kernel = get_str(doc, "kernel")?;
     if bsched_workloads::suite::kernel_by_name(kernel).is_none() {
-        let valid: Vec<&str> = bsched_workloads::all_kernels().iter().map(|k| k.name).collect();
+        let valid: Vec<&str> = bsched_workloads::all_kernels()
+            .iter()
+            .map(|k| k.name)
+            .collect();
         return Err(err(format!(
             "unknown kernel {kernel:?} (valid kernels: {})",
             valid.join(", ")
@@ -551,10 +563,11 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             "submit" => {
                 let cells = match doc.get("cells") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(cell_from_json)
-                        .collect::<Result<Vec<_>, ProtoError>>()?,
+                    Some(Json::Arr(items)) => items.iter().map(cell_from_json).collect::<Result<
+                        Vec<_>,
+                        ProtoError,
+                    >>(
+                    )?,
                     _ => return Err(err("submit requires a \"cells\" array")),
                 };
                 if cells.is_empty() {
@@ -753,7 +766,12 @@ impl Response {
     /// A result frame for `cell`, deriving the display string and the
     /// canonical cache key from the cell itself.
     #[must_use]
-    pub fn cell_result(id: u64, index: u64, cell: &ExperimentCell, result: &CellResult) -> Response {
+    pub fn cell_result(
+        id: u64,
+        index: u64,
+        cell: &ExperimentCell,
+        result: &CellResult,
+    ) -> Response {
         Response::CellResult {
             id,
             index,
@@ -813,7 +831,12 @@ impl Response {
                 pairs.push(("verified", Json::Bool(result.verified)));
                 pairs.push(("metrics", encode_metrics(&result.metrics)));
             }
-            Response::CellError { id, index, cell, msg } => {
+            Response::CellError {
+                id,
+                index,
+                cell,
+                msg,
+            } => {
                 pairs.push(("type", Json::Str("cell_error".into())));
                 pairs.push(("id", Json::u64(*id)));
                 pairs.push(("index", Json::u64(*index)));
@@ -930,8 +953,7 @@ mod tests {
         // Every standard-grid configuration, plus ablation knobs, must
         // survive the wire codec with its cache key intact — that is
         // the whole equivalence story.
-        let mut all: Vec<CompileOptions> =
-            standard_grid().iter().map(|c| c.options()).collect();
+        let mut all: Vec<CompileOptions> = standard_grid().iter().map(|c| c.options()).collect();
         let mut exotic = CompileOptions::new(SchedulerKind::SelectiveBalanced)
             .with_unroll(8)
             .with_weight_cap(10)
@@ -972,7 +994,10 @@ mod tests {
         for cfg in standard_grid() {
             let doc = Json::obj(vec![
                 ("kernel", Json::Str("ARC2D".into())),
-                ("scheduler", Json::Str(scheduler_to_str(cfg.scheduler).into())),
+                (
+                    "scheduler",
+                    Json::Str(scheduler_to_str(cfg.scheduler).into()),
+                ),
                 ("config", Json::Str(cfg.kind.label())),
             ]);
             let cell = cell_from_json(&doc).expect("shorthand decodes");
@@ -981,7 +1006,10 @@ mod tests {
             // Compact (no-space) labels decode identically.
             let compact = Json::obj(vec![
                 ("kernel", Json::Str("ARC2D".into())),
-                ("scheduler", Json::Str(scheduler_to_str(cfg.scheduler).into())),
+                (
+                    "scheduler",
+                    Json::Str(scheduler_to_str(cfg.scheduler).into()),
+                ),
                 ("config", Json::Str(cfg.kind.label().replace(' ', ""))),
             ]);
             assert_eq!(
@@ -1013,7 +1041,10 @@ mod tests {
     fn requests_round_trip() {
         let cells = vec![
             ExperimentCell::new("TRFD", CompileOptions::new(SchedulerKind::Balanced)),
-            ExperimentCell::new("ARC2D", CompileOptions::new(SchedulerKind::Traditional).with_unroll(4)),
+            ExperimentCell::new(
+                "ARC2D",
+                CompileOptions::new(SchedulerKind::Traditional).with_unroll(4),
+            ),
         ];
         let req = Request::Submit(SubmitRequest {
             id: 42,
@@ -1033,12 +1064,14 @@ mod tests {
             }
             other => panic!("wrong request: {other:?}"),
         }
-        for req in [Request::Hello, Request::Ping, Request::Stats, Request::Shutdown] {
+        for req in [
+            Request::Hello,
+            Request::Ping,
+            Request::Stats,
+            Request::Shutdown,
+        ] {
             let back = Request::from_json(&req.to_json()).unwrap();
-            assert_eq!(
-                std::mem::discriminant(&back),
-                std::mem::discriminant(&req)
-            );
+            assert_eq!(std::mem::discriminant(&back), std::mem::discriminant(&req));
         }
     }
 

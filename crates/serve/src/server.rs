@@ -140,7 +140,11 @@ impl Conn {
 ///
 /// Bind/listen failures. Per-connection I/O errors are handled by
 /// dropping the connection, never returned.
-pub fn serve(core: &Arc<ServeCore>, endpoint: &Endpoint, cfg: &ServerConfig) -> std::io::Result<()> {
+pub fn serve(
+    core: &Arc<ServeCore>,
+    endpoint: &Endpoint,
+    cfg: &ServerConfig,
+) -> std::io::Result<()> {
     let listener = match endpoint {
         Endpoint::Unix(path) => {
             // A stale socket file from a crashed predecessor would make

@@ -4,9 +4,7 @@
 
 use bsched_harness::{encode_metrics, Engine, EngineConfig, ExperimentCell};
 use bsched_pipeline::standard_grid;
-use bsched_serve::{
-    serve, Client, Endpoint, ServeConfig, ServeCore, ServerConfig, SubmitReply,
-};
+use bsched_serve::{serve, Client, Endpoint, ServeConfig, ServeCore, ServerConfig, SubmitReply};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,7 +81,11 @@ impl TestServer {
 
     fn shutdown(mut self) {
         self.client().shutdown().expect("shutdown");
-        self.serve_thread.take().expect("running").join().expect("serve thread");
+        self.serve_thread
+            .take()
+            .expect("running")
+            .join()
+            .expect("serve thread");
         if let Some(d) = self.dispatcher.take() {
             d.join().expect("dispatcher");
         }
@@ -114,10 +116,9 @@ fn cheap_cells(n: usize) -> Vec<ExperimentCell> {
 
 fn cache_files(dir: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir.join(format!(
-        "v{}",
-        bsched_harness::CACHE_SCHEMA_VERSION
-    ))) else {
+    let Ok(entries) =
+        std::fs::read_dir(dir.join(format!("v{}", bsched_harness::CACHE_SCHEMA_VERSION)))
+    else {
         return files;
     };
     for entry in entries {
@@ -158,7 +159,10 @@ fn served_grid_matches_direct_run_cold_and_warm_including_cache_entries() {
     for round in ["cold", "warm"] {
         let mut client = server.client();
         let reply = client.submit(&cells, true, false).expect("submit");
-        let SubmitReply::Completed { cells: received, .. } = reply else {
+        let SubmitReply::Completed {
+            cells: received, ..
+        } = reply
+        else {
             panic!("{round}: unexpected overload");
         };
         assert_eq!(received.len(), cells.len());
@@ -200,9 +204,8 @@ fn served_grid_matches_direct_run_cold_and_warm_including_cache_entries() {
 
 #[test]
 fn full_queue_rejects_with_overloaded_and_recovers_after_drain() {
-    let engine = Engine::with_standard_kernels(
-        EngineConfig::default().with_jobs(2).with_disk_cache(false),
-    );
+    let engine =
+        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
     // Queue bounded at 4; dispatcher held back so the queue stays full.
     let mut server = TestServer::start(
         engine,
@@ -248,7 +251,11 @@ fn full_queue_rejects_with_overloaded_and_recovers_after_drain() {
         }
         SubmitReply::Completed { .. } => panic!("full queue must reject"),
     }
-    assert_eq!(server.core.stats().queue_depth, 4, "rejection queued nothing");
+    assert_eq!(
+        server.core.stats().queue_depth,
+        4,
+        "rejection queued nothing"
+    );
     assert_eq!(server.core.stats().rejected_submits, 1);
 
     // Recovery: once the dispatcher drains the queue, submits that fit
@@ -279,9 +286,8 @@ fn full_queue_rejects_with_overloaded_and_recovers_after_drain() {
 
 #[test]
 fn concurrent_clients_submitting_one_cold_grid_compute_each_cell_once() {
-    let engine = Engine::with_standard_kernels(
-        EngineConfig::default().with_jobs(2).with_disk_cache(false),
-    );
+    let engine =
+        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
     // Dispatcher held back until every client's submit is admitted, so
     // the later submits demonstrably join in-flight jobs rather than
     // hitting a warm cache.
@@ -335,9 +341,8 @@ fn concurrent_clients_submitting_one_cold_grid_compute_each_cell_once() {
 
 #[test]
 fn client_disconnect_mid_stream_does_not_leak_queue_slots() {
-    let engine = Engine::with_standard_kernels(
-        EngineConfig::default().with_jobs(2).with_disk_cache(false),
-    );
+    let engine =
+        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
     let server = TestServer::start(engine, ServeConfig::default(), "disconnect", true);
     let grid = cheap_cells(8);
 
@@ -383,6 +388,10 @@ fn client_disconnect_mid_stream_does_not_leak_queue_slots() {
         SubmitReply::Overloaded { .. } => panic!("must admit"),
     }
     let stats = server.client().stats().expect("stats");
-    assert_eq!(stats.executed, grid.len() as u64, "no recompute after disconnect");
+    assert_eq!(
+        stats.executed,
+        grid.len() as u64,
+        "no recompute after disconnect"
+    );
     server.shutdown();
 }

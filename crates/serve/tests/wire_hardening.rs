@@ -32,9 +32,8 @@ struct TestServer {
 }
 
 fn start_server(tag: &str) -> TestServer {
-    let engine = Engine::with_standard_kernels(
-        EngineConfig::default().with_jobs(2).with_disk_cache(false),
-    );
+    let engine =
+        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
     let core = Arc::new(ServeCore::new(engine, ServeConfig::default()));
     let endpoint = Endpoint::Unix(sock_path(tag));
     let dispatcher = {
@@ -79,7 +78,8 @@ fn raw_connect(endpoint: &Endpoint) -> UnixStream {
         unreachable!()
     };
     let s = UnixStream::connect(path).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     s
 }
 
@@ -122,7 +122,8 @@ fn hostile_frames_kill_the_connection_but_never_the_server() {
     {
         let mut s = raw_connect(&server.endpoint);
         let garbage = b"{this is not json";
-        s.write_all(&(garbage.len() as u32).to_be_bytes()).expect("write");
+        s.write_all(&(garbage.len() as u32).to_be_bytes())
+            .expect("write");
         s.write_all(garbage).expect("write");
         s.flush().expect("flush");
         expect_error_frame(&mut s);
@@ -139,7 +140,9 @@ fn hostile_frames_kill_the_connection_but_never_the_server() {
         write_frame(&mut s, &wrong).expect("write");
         expect_error_frame(&mut s);
         write_frame(&mut s, &Request::Ping.to_json()).expect("write");
-        let doc = read_frame(&mut s, MAX_FRAME_LEN).expect("read").expect("frame");
+        let doc = read_frame(&mut s, MAX_FRAME_LEN)
+            .expect("read")
+            .expect("frame");
         assert!(matches!(
             Response::from_json(&doc).expect("response"),
             Response::Pong
@@ -161,7 +164,10 @@ fn hostile_frames_kill_the_connection_but_never_the_server() {
     let mut client = Client::connect(&server.endpoint, Duration::from_secs(30)).expect("connect");
     client.ping().expect("server must still serve");
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.queue_depth, 0, "hostile input must not occupy the queue");
+    assert_eq!(
+        stats.queue_depth, 0,
+        "hostile input must not occupy the queue"
+    );
     stop_server(server);
 }
 

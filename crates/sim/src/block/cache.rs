@@ -66,11 +66,7 @@ impl BlockCache {
     /// expected to debug-assert the block's size against
     /// [`Skeleton::n_insts`] per visit to enforce the
     /// no-self-modifying-code invariant the cache relies on.
-    pub fn get_or_build(
-        &mut self,
-        index: usize,
-        build: impl FnOnce() -> Skeleton,
-    ) -> &Skeleton {
+    pub fn get_or_build(&mut self, index: usize, build: impl FnOnce() -> Skeleton) -> &Skeleton {
         if self.skeletons[index].is_none() {
             self.skeletons[index] = Some(build());
             self.builds += 1;

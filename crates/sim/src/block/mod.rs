@@ -278,8 +278,8 @@ fn run_with_stats(
     } else {
         Vec::new()
     };
-    let run_span = bsched_trace::span(bsched_trace::points::SIM_RUN)
-        .label_with(|| program.name().to_string());
+    let run_span =
+        bsched_trace::span(bsched_trace::points::SIM_RUN).label_with(|| program.name().to_string());
     let entry = program.main().entry();
     let iv = run_interval(&mut code, &mut st, entry, u64::MAX, &mut sites)?;
     if tracing {

@@ -338,10 +338,7 @@ mod tests {
             }
             // Gshare pays one cold miss per distinct history prefix
             // until its 10-bit history register saturates.
-            assert!(
-                wrong <= 12,
-                "{kind}: should converge quickly, got {wrong}"
-            );
+            assert!(wrong <= 12, "{kind}: should converge quickly, got {wrong}");
             assert_eq!(p.predictions(), 100);
             assert_eq!(p.mispredictions(), wrong);
         }

@@ -250,7 +250,10 @@ mod tests {
         ] {
             assert_eq!(kind.label().parse::<PredictorKind>().unwrap(), kind);
         }
-        assert_eq!("TAGE-Lite".parse::<PredictorKind>().unwrap(), PredictorKind::TageLite);
+        assert_eq!(
+            "TAGE-Lite".parse::<PredictorKind>().unwrap(),
+            PredictorKind::TageLite
+        );
         let err = "perceptron".parse::<PredictorKind>().unwrap_err();
         assert!(err.contains("bimodal") && err.contains("gshare") && err.contains("tage"));
     }

@@ -85,7 +85,10 @@ mod tests {
             assert_eq!(engine.label().parse::<SimEngine>(), Ok(engine));
             assert_eq!(engine.to_string(), engine.label());
         }
-        assert_eq!("block-compiled".parse::<SimEngine>(), Ok(SimEngine::BlockCompiled));
+        assert_eq!(
+            "block-compiled".parse::<SimEngine>(),
+            Ok(SimEngine::BlockCompiled)
+        );
     }
 
     #[test]

@@ -295,7 +295,6 @@ mod multi_issue_tests {
         Simulator::for_machine(p, &crate::machines::MachineSpec::custom(config))
     }
 
-
     /// Many independent integer ops: wider issue must shrink cycles.
     fn ilp_program() -> Program {
         let mut p = Program::new("ilp");
@@ -325,18 +324,12 @@ mod multi_issue_tests {
         let w1 = sim(&p, SimConfig::default().with_ifetch(false))
             .run()
             .unwrap();
-        let w2 = sim(
-            &p,
-            SimConfig::default().with_ifetch(false).with_issue(2, 1),
-        )
-        .run()
-        .unwrap();
-        let w4 = sim(
-            &p,
-            SimConfig::default().with_ifetch(false).with_issue(4, 2),
-        )
-        .run()
-        .unwrap();
+        let w2 = sim(&p, SimConfig::default().with_ifetch(false).with_issue(2, 1))
+            .run()
+            .unwrap();
+        let w4 = sim(&p, SimConfig::default().with_ifetch(false).with_issue(4, 2))
+            .run()
+            .unwrap();
         assert!(w2.metrics.cycles < w1.metrics.cycles);
         assert!(w4.metrics.cycles <= w2.metrics.cycles);
         assert_eq!(w1.checksum, w4.checksum);

@@ -353,7 +353,10 @@ mod tests {
     fn unknown_machine_lists_the_registry() {
         let e = "vax11".parse::<MachineSpec>().unwrap_err();
         assert!(e.contains("unknown machine"), "{e}");
-        assert!(e.contains("alpha21164") && e.contains("blocking21164"), "{e}");
+        assert!(
+            e.contains("alpha21164") && e.contains("blocking21164"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -375,7 +378,10 @@ mod tests {
     #[test]
     fn structural_validation_rejects_bad_shapes() {
         let e = "alpha21164+ports=2".parse::<MachineSpec>().unwrap_err();
-        assert!(e.contains("memory ports (2) must be between 1 and the issue width (1)"), "{e}");
+        assert!(
+            e.contains("memory ports (2) must be between 1 and the issue width (1)"),
+            "{e}"
+        );
         let e = "wide4+iw=2+ports=3".parse::<MachineSpec>().unwrap_err();
         assert!(e.contains("memory ports (3)"), "{e}");
         let e = "alpha21164+mshrs=0".parse::<MachineSpec>().unwrap_err();
@@ -411,7 +417,13 @@ mod tests {
     #[test]
     fn zoo_machines_differ_from_the_paper_machine() {
         let base = MachineSpec::alpha21164().config();
-        for name in ["simple1993", "wide2", "wide4", "alpha21264", "blocking21164"] {
+        for name in [
+            "simple1993",
+            "wide2",
+            "wide4",
+            "alpha21264",
+            "blocking21164",
+        ] {
             assert_ne!(
                 MachineSpec::named(name).unwrap().config(),
                 base,

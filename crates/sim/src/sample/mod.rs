@@ -132,8 +132,14 @@ impl FromStr for SampleConfig {
     /// error shape come from [`bsched_util::spec`], the contract shared
     /// with `--engine=` and `--machine=`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad =
-            |reason: &str| Err(spec::invalid("sampling", s, reason, SampleConfig::valid_spec()));
+        let bad = |reason: &str| {
+            Err(spec::invalid(
+                "sampling",
+                s,
+                reason,
+                SampleConfig::valid_spec(),
+            ))
+        };
         match s.trim() {
             "" => return bad("empty spec"),
             "1" | "on" | "true" | "default" => return Ok(SampleConfig::default()),
@@ -264,12 +270,7 @@ fn build_plan(
     // Both passes share one decode: each block's skeleton is built once.
     let mut code = Code::new(program, *config, SimEngine::default());
     let prof = profile::profile(&mut code, program, sample.interval)?;
-    let clustering = kmeans::cluster(
-        &prof.bbvs,
-        &prof.insts_per,
-        sample.k as usize,
-        sample.seed,
-    );
+    let clustering = kmeans::cluster(&prof.bbvs, &prof.insts_per, sample.k as usize, sample.seed);
 
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); clustering.k()];
     for (i, &c) in clustering.assignment.iter().enumerate() {

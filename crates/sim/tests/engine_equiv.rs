@@ -33,10 +33,7 @@ fn assert_engines_agree(p: &Program, cfg: SimConfig, what: &str) {
     let interp = run_engine(p, cfg, SimEngine::Interpret).unwrap();
     let block = run_engine(p, cfg, SimEngine::BlockCompiled).unwrap();
     assert_eq!(interp.metrics, block.metrics, "{what}: metrics diverged");
-    assert_eq!(
-        interp.checksum, block.checksum,
-        "{what}: checksum diverged"
-    );
+    assert_eq!(interp.checksum, block.checksum, "{what}: checksum diverged");
 }
 
 /// The machine-configuration axes the grid exercises, plus corners.

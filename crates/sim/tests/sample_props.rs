@@ -74,14 +74,24 @@ fn every_interval_is_assigned_to_a_live_cluster() {
         let c = cluster(&bbvs, &sizes, k, seed);
 
         assert_eq!(c.assignment.len(), n, "case {case}");
-        assert!(c.k() >= 1 && c.k() <= k.min(n), "case {case}: k() = {}", c.k());
+        assert!(
+            c.k() >= 1 && c.k() <= k.min(n),
+            "case {case}: k() = {}",
+            c.k()
+        );
         let mut member_count = vec![0usize; c.k()];
         for (i, &cl) in c.assignment.iter().enumerate() {
-            assert!(cl < c.k(), "case {case}: interval {i} assigned to dropped cluster {cl}");
+            assert!(
+                cl < c.k(),
+                "case {case}: interval {i} assigned to dropped cluster {cl}"
+            );
             member_count[cl] += 1;
         }
         for (cl, &count) in member_count.iter().enumerate() {
-            assert!(count > 0, "case {case}: cluster {cl} is empty but was not dropped");
+            assert!(
+                count > 0,
+                "case {case}: cluster {cl} is empty but was not dropped"
+            );
         }
         // Each representative is a member of the cluster it represents.
         for (cl, &rep) in c.reps.iter().enumerate() {
@@ -101,9 +111,16 @@ fn weights_are_positive_and_sum_to_one() {
         let (bbvs, sizes) = random_bbvs(&mut rng, n, dim);
         let c = cluster(&bbvs, &sizes, k, seed);
 
-        assert!(c.weights.iter().all(|&w| w > 0.0), "case {case}: {:?}", c.weights);
+        assert!(
+            c.weights.iter().all(|&w| w > 0.0),
+            "case {case}: {:?}",
+            c.weights
+        );
         let sum: f64 = c.weights.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9, "case {case}: weights sum to {sum}");
+        assert!(
+            (sum - 1.0).abs() < 1e-9,
+            "case {case}: weights sum to {sum}"
+        );
     }
 }
 
@@ -117,7 +134,11 @@ fn k_larger_than_n_degrades_to_one_cluster_per_interval() {
         for extra in [0, 1, 7, 1000] {
             let c = cluster(&bbvs, &sizes, n + extra, case as u64);
             assert_eq!(c.k(), n, "case {case} (+{extra})");
-            assert_eq!(c.assignment, (0..n).collect::<Vec<_>>(), "case {case} (+{extra})");
+            assert_eq!(
+                c.assignment,
+                (0..n).collect::<Vec<_>>(),
+                "case {case} (+{extra})"
+            );
             assert_eq!(c.reps, (0..n).collect::<Vec<_>>(), "case {case} (+{extra})");
         }
     }
@@ -157,9 +178,15 @@ fn sampled_runs_report_exact_functional_results() {
         // Instruction counts and the memory checksum come from the exact
         // functional profile — bit-equal to the exact engines, always.
         assert_eq!(sampled.checksum, exact.checksum, "case {case} ({sample})");
-        assert_eq!(sampled.metrics.insts, exact.metrics.insts, "case {case} ({sample})");
+        assert_eq!(
+            sampled.metrics.insts, exact.metrics.insts,
+            "case {case} ({sample})"
+        );
         let stats = sampled.sample.expect("sampled run reports stats");
-        assert!(stats.clusters >= 1 && stats.clusters <= stats.intervals, "case {case}");
+        assert!(
+            stats.clusters >= 1 && stats.clusters <= stats.intervals,
+            "case {case}"
+        );
         assert!(stats.sampled_insts <= stats.total_insts, "case {case}");
         assert!(sampled.metrics.cycles > 0, "case {case}");
     }

@@ -60,11 +60,7 @@ fn wider_issue_never_slows_down() {
         let p = stream(n, seed);
         let base = SimConfig::default().with_ifetch(false);
         let w1 = sim(&p, base).run().unwrap().metrics.cycles;
-        let w4 = sim(&p, base.with_issue(4, 2))
-            .run()
-            .unwrap()
-            .metrics
-            .cycles;
+        let w4 = sim(&p, base.with_issue(4, 2)).run().unwrap().metrics.cycles;
         assert!(w4 <= w1, "case {case}: width 4 {w4} vs width 1 {w1}");
     }
 }
@@ -77,16 +73,8 @@ fn more_mshrs_never_slow_down() {
         let seed = rng.range_u64(0, 100);
         let p = stream(n, seed);
         let base = SimConfig::default().with_ifetch(false);
-        let m1 = sim(&p, base.with_mshrs(1))
-            .run()
-            .unwrap()
-            .metrics
-            .cycles;
-        let m6 = sim(&p, base.with_mshrs(6))
-            .run()
-            .unwrap()
-            .metrics
-            .cycles;
+        let m1 = sim(&p, base.with_mshrs(1)).run().unwrap().metrics.cycles;
+        let m6 = sim(&p, base.with_mshrs(6)).run().unwrap().metrics.cycles;
         assert!(m6 <= m1, "case {case}: 6 MSHRs {m6} vs 1 MSHR {m1}");
     }
 }
@@ -99,10 +87,7 @@ fn cycle_accounting_is_complete() {
         let seed = rng.range_u64(0, 100);
         // Interlocks + penalties never exceed total cycles.
         let p = stream(n, seed);
-        let m = sim(&p, SimConfig::default())
-            .run()
-            .unwrap()
-            .metrics;
+        let m = sim(&p, SimConfig::default()).run().unwrap().metrics;
         let accounted = m.load_interlock
             + m.fixed_interlock
             + m.branch_penalty

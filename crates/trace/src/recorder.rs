@@ -285,7 +285,10 @@ mod tests {
         let inst = events.iter().find(|e| e.id == points::SIM_RUN).unwrap();
         assert_eq!(inst.kind, EventKind::Instant);
         assert_eq!(inst.arg("cycles"), Some(42));
-        let sp = events.iter().find(|e| e.id == points::PIPELINE_PASS).unwrap();
+        let sp = events
+            .iter()
+            .find(|e| e.id == points::PIPELINE_PASS)
+            .unwrap();
         assert_eq!(sp.kind, EventKind::Span);
         assert_eq!(sp.label, "dce");
         assert_eq!(sp.arg("before"), Some(10));

@@ -28,9 +28,8 @@ impl TraceReport {
     #[must_use]
     pub fn new(mut events: Vec<Event>) -> Self {
         events.sort_by(|a, b| {
-            (a.id, &a.label, &a.args, a.kind, a.ts_ns, a.dur_ns, a.tid).cmp(&(
-                b.id, &b.label, &b.args, b.kind, b.ts_ns, b.dur_ns, b.tid,
-            ))
+            (a.id, &a.label, &a.args, a.kind, a.ts_ns, a.dur_ns, a.tid)
+                .cmp(&(b.id, &b.label, &b.args, b.kind, b.ts_ns, b.dur_ns, b.tid))
         });
         TraceReport { events }
     }
@@ -92,11 +91,8 @@ impl TraceReport {
                     ("tid", Json::u64(e.tid)),
                     ("ts", Json::Num(e.ts_ns as f64 / 1000.0)),
                 ];
-                let mut args: Vec<(&str, Json)> = e
-                    .args
-                    .iter()
-                    .map(|&(k, v)| (k, Json::u64(v)))
-                    .collect();
+                let mut args: Vec<(&str, Json)> =
+                    e.args.iter().map(|&(k, v)| (k, Json::u64(v))).collect();
                 if !e.label.is_empty() {
                     args.push(("label", Json::Str(e.label.clone())));
                 }
@@ -124,7 +120,11 @@ impl TraceReport {
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        let _ = writeln!(s, "── bsched-trace summary ({} events) ──", self.events.len());
+        let _ = writeln!(
+            s,
+            "── bsched-trace summary ({} events) ──",
+            self.events.len()
+        );
 
         // Per-pass IR sizes, aggregated over compilations, in first-seen
         // order (phase order, since the report sorts ties by label).
@@ -175,7 +175,9 @@ impl TraceReport {
                 .map(|e| e.arg("interlock").unwrap_or(0) + e.arg("mshr_stall").unwrap_or(0))
                 .sum();
             sites.sort_by_key(|e| {
-                std::cmp::Reverse(e.arg("interlock").unwrap_or(0) + e.arg("mshr_stall").unwrap_or(0))
+                std::cmp::Reverse(
+                    e.arg("interlock").unwrap_or(0) + e.arg("mshr_stall").unwrap_or(0),
+                )
             });
             let _ = writeln!(
                 s,
@@ -247,7 +249,9 @@ pub enum TraceReadError {
 impl fmt::Display for TraceReadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceReadError::Json(e) => write!(f, "trace is not valid JSON: {} at byte {}", e.msg, e.at),
+            TraceReadError::Json(e) => {
+                write!(f, "trace is not valid JSON: {} at byte {}", e.msg, e.at)
+            }
             TraceReadError::SchemaMismatch { found, expected } => write!(
                 f,
                 "trace schema v{found} is not supported by this reader (expects v{expected}); \
@@ -315,7 +319,8 @@ impl ParsedTrace {
         let mut events = Vec::with_capacity(raw.len());
         for e in raw {
             let field = |k: &'static str| -> Result<&Json, TraceReadError> {
-                e.get(k).ok_or(TraceReadError::Malformed("event missing a field"))
+                e.get(k)
+                    .ok_or(TraceReadError::Malformed("event missing a field"))
             };
             let str_field = |k: &'static str| -> Result<String, TraceReadError> {
                 Ok(field(k)?
@@ -404,7 +409,12 @@ mod tests {
     use super::*;
     use crate::event::TraceId;
 
-    fn ev(cat: &'static str, name: &'static str, label: &str, args: &[(&'static str, u64)]) -> Event {
+    fn ev(
+        cat: &'static str,
+        name: &'static str,
+        label: &str,
+        args: &[(&'static str, u64)],
+    ) -> Event {
         Event {
             id: TraceId::new(cat, name),
             kind: EventKind::Instant,
@@ -483,13 +493,18 @@ mod tests {
     #[test]
     fn normalized_zeroes_wall_clock_fields() {
         let report = TraceReport::new(vec![ev("a", "b", "x", &[("v", 1)])]);
-        let parsed = ParsedTrace::parse(&report.to_json_string()).unwrap().normalized();
+        let parsed = ParsedTrace::parse(&report.to_json_string())
+            .unwrap()
+            .normalized();
         let e = &parsed.events()[0];
         assert_eq!((e.ts_ns, e.dur_ns, e.tid), (0, 0, 0));
         assert_eq!(e.args["v"], 1);
         let lines = parsed.to_lines();
         assert!(lines.starts_with("bsched-trace schema v"), "{lines}");
-        assert!(lines.contains("a.b instant label=\"x\" args{v=1}"), "{lines}");
+        assert!(
+            lines.contains("a.b instant label=\"x\" args{v=1}"),
+            "{lines}"
+        );
     }
 
     #[test]
@@ -503,7 +518,10 @@ mod tests {
             panic!("no traceEvents: {text}");
         };
         assert_eq!(events.len(), 2);
-        assert!(text.contains("\"ph\":\"X\"") && text.contains("\"ph\":\"i\""), "{text}");
+        assert!(
+            text.contains("\"ph\":\"X\"") && text.contains("\"ph\":\"i\""),
+            "{text}"
+        );
         assert!(text.contains("\"dur\":1.5"), "{text}");
     }
 
@@ -513,7 +531,12 @@ mod tests {
         cell.kind = EventKind::Span;
         let events = vec![
             ev("pipeline", "pass", "dce", &[("before", 10), ("after", 8)]),
-            ev("sched", "region", "main", &[("insts", 6), ("loads", 2), ("weight_max", 3)]),
+            ev(
+                "sched",
+                "region",
+                "main",
+                &[("insts", 6), ("loads", 2), ("weight_max", 3)],
+            ),
             ev(
                 "sim",
                 "load_site",

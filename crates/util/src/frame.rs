@@ -152,7 +152,9 @@ mod tests {
     #[test]
     fn clean_eof_is_none_but_truncation_is_an_error() {
         // Empty stream: clean end.
-        assert!(read_frame(&mut Cursor::new(Vec::new()), 64).unwrap().is_none());
+        assert!(read_frame(&mut Cursor::new(Vec::new()), 64)
+            .unwrap()
+            .is_none());
         // Every strict prefix of a valid frame must error, not hang or
         // panic.
         let mut full = Vec::new();

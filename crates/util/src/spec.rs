@@ -88,9 +88,15 @@ mod tests {
             pairs("k=8, interval = 1000", ',').unwrap(),
             vec![("k", "8"), ("interval", "1000")]
         );
-        assert_eq!(pairs("bp=gshare+iw=4", '+').unwrap(), vec![("bp", "gshare"), ("iw", "4")]);
+        assert_eq!(
+            pairs("bp=gshare+iw=4", '+').unwrap(),
+            vec![("bp", "gshare"), ("iw", "4")]
+        );
         let e = pairs("k=8,oops", ',').unwrap_err();
-        assert!(e.contains("expected key=value") && e.contains("\"oops\""), "{e}");
+        assert!(
+            e.contains("expected key=value") && e.contains("\"oops\""),
+            "{e}"
+        );
     }
 
     #[test]

@@ -25,7 +25,9 @@
 
 use bsched_core::{compute_weights, compute_weights_reference, ScheduleAudit};
 use bsched_ir::{Dag, ExecError, Interp, Program};
-use bsched_sim::{MachineSpec, SampleConfig, SimConfig, SimEngine, SimMetrics, SimMode, SimResult, Simulator};
+use bsched_sim::{
+    MachineSpec, SampleConfig, SimConfig, SimEngine, SimMetrics, SimMode, SimResult, Simulator,
+};
 use std::fmt;
 
 /// Per-cell tolerance on the sampled CPI (cycles) estimate, as a
@@ -480,9 +482,12 @@ mod tests {
     fn out_of_tolerance_estimates_are_reported() {
         let session = Experiment::builder().kernel("TRFD").build().unwrap();
         let compiled = session.compile().unwrap();
-        let exact = Simulator::for_machine(&compiled.program, &MachineSpec::custom(session.options().sim))
-            .run()
-            .unwrap();
+        let exact = Simulator::for_machine(
+            &compiled.program,
+            &MachineSpec::custom(session.options().sim),
+        )
+        .run()
+        .unwrap();
         // A fabricated estimate 10 % high on cycles and bit-wrong on the
         // checksum: both must surface, with the error in per-mille.
         let mut fake = exact.clone();

@@ -24,7 +24,9 @@ use bsched_pipeline::{
     CompileOptions, ConfigKind, Experiment, MachineSpec, SampleConfig, SimEngine, SimMode,
 };
 use bsched_util::Prng;
-use bsched_workloads::lang::{print_kernel, ArrId, ArrayInit, CmpOp, Expr, Index, Kernel, Stmt, VarId};
+use bsched_workloads::lang::{
+    print_kernel, ArrId, ArrayInit, CmpOp, Expr, Index, Kernel, Stmt, VarId,
+};
 use std::time::{Duration, Instant};
 
 /// Interpreter fuel for fuzz replays: generated kernels run a few
@@ -215,7 +217,11 @@ fn gen_expr(rng: &mut Prng, scope: &Scope, loop_vars: &[VarId], depth: u32) -> E
         // sqrt of a square is always defined.
         4 => Expr::sqrt(a.clone() * a),
         _ => Expr::select(
-            Expr::cmp(CmpOp::Lt, Expr::Float(0.5), Expr::Float(rng.range_f64(0.0, 1.0))),
+            Expr::cmp(
+                CmpOp::Lt,
+                Expr::Float(0.5),
+                Expr::Float(rng.range_f64(0.0, 1.0)),
+            ),
             a,
             b,
         ),
@@ -354,8 +360,8 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
     // unchanged. Uniform over the registry, so the default alpha21164
     // and every zoo machine all see traffic.
     let registry = MachineSpec::registry();
-    let machine = MachineSpec::named(registry[rng.index(registry.len())].name)
-        .expect("registry names parse");
+    let machine =
+        MachineSpec::named(registry[rng.index(registry.len())].name).expect("registry names parse");
     Case {
         decls,
         pinned,
@@ -642,7 +648,9 @@ mod tests {
 
     #[test]
     fn time_budget_stops_early() {
-        let cfg = FuzzConfig::new(1).with_iterations(u64::MAX).with_time_budget(Duration::ZERO);
+        let cfg = FuzzConfig::new(1)
+            .with_iterations(u64::MAX)
+            .with_time_budget(Duration::ZERO);
         let report = fuzz(&cfg);
         assert_eq!(report.iterations, 0);
         assert!(report.failures.is_empty());

@@ -110,7 +110,12 @@ impl fmt::Display for Violation {
                 "{kind:?} dependence {from} -> {to} issued backwards \
                  (positions {pos_from} -> {pos_to})"
             ),
-            Violation::LatencyViolated { from, to, need, got } => write!(
+            Violation::LatencyViolated {
+                from,
+                to,
+                need,
+                got,
+            } => write!(
                 f,
                 "latency of dependence {from} -> {to} violated: need {need} cycles, got {got}"
             ),
@@ -324,7 +329,10 @@ mod tests {
         let insts = region();
         let dag = Dag::new(&insts);
         let v = validate_region(&insts, &dag, &[0, 1]);
-        assert!(v.contains(&Violation::LengthMismatch { expected: 3, got: 2 }));
+        assert!(v.contains(&Violation::LengthMismatch {
+            expected: 3,
+            got: 2
+        }));
         let v = validate_region(&insts, &dag, &[0, 1, 1]);
         assert!(v.contains(&Violation::DuplicateIndex { index: 1 }));
         assert!(v.contains(&Violation::MissingIndex { index: 2 }));

@@ -88,7 +88,12 @@ pub fn verify_cell_sampled(
     options: &CompileOptions,
     sample: SampleConfig,
 ) -> CellVerification {
-    verify_cell_in(SimMode::Sampled(sample), source, options, &SimMetrics::default())
+    verify_cell_in(
+        SimMode::Sampled(sample),
+        source,
+        options,
+        &SimMetrics::default(),
+    )
 }
 
 /// The per-cell conformance suite. Whatever the mode, it recompiles the

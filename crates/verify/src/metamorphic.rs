@@ -106,7 +106,11 @@ impl fmt::Display for MetaViolation {
 /// Sum of every stall counter.
 #[must_use]
 pub fn stall_sum(m: &SimMetrics) -> u64 {
-    m.load_interlock + m.fixed_interlock + m.branch_penalty + m.store_stall + m.fetch_stall
+    m.load_interlock
+        + m.fixed_interlock
+        + m.branch_penalty
+        + m.store_stall
+        + m.fetch_stall
         + m.tlb_stall
 }
 
@@ -188,9 +192,7 @@ pub fn check_allhit_closeness(
     let run = |scheduler| -> Result<u64, PipelineError> {
         let session = Experiment::builder()
             .program("allhit", program.clone())
-            .compile_options(
-                CompileOptions::new(scheduler).with_sim(allhit_config()),
-            )
+            .compile_options(CompileOptions::new(scheduler).with_sim(allhit_config()))
             .build()
             .expect("program is supplied directly");
         Ok(session.run()?.metrics.cycles)
@@ -285,10 +287,7 @@ mod tests {
 
     #[test]
     fn real_simulated_runs_satisfy_the_invariants() {
-        let session = Experiment::builder()
-            .kernel("TRFD")
-            .build()
-            .unwrap();
+        let session = Experiment::builder().kernel("TRFD").build().unwrap();
         let run = session.run().unwrap();
         assert_eq!(check_metrics(&run.metrics), vec![]);
     }

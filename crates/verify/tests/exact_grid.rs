@@ -16,7 +16,11 @@ use bsched_verify::{check_weights, validate_region_schedule};
 /// budget-fallback paths on unrolled bodies.
 const TEST_BUDGET: u64 = 500;
 
-fn audited(name: &str, program: bsched_ir::Program, opts: CompileOptions) -> (bsched_pipeline::Compiled, bsched_core::ScheduleAudit) {
+fn audited(
+    name: &str,
+    program: bsched_ir::Program,
+    opts: CompileOptions,
+) -> (bsched_pipeline::Compiled, bsched_core::ScheduleAudit) {
     Experiment::builder()
         .program(name, program)
         .compile_options(opts)
@@ -43,9 +47,16 @@ fn exact_arm_is_legal_on_every_kernel() {
             );
         }
         if let Some(v) = check_weights(&audit).first() {
-            panic!("{}: weight audit failed under the exact arm: {v}", spec.name);
+            panic!(
+                "{}: weight audit failed under the exact arm: {v}",
+                spec.name
+            );
         }
-        assert!(audit.exact.regions > 0, "{}: exact arm searched nothing", spec.name);
+        assert!(
+            audit.exact.regions > 0,
+            "{}: exact arm searched nothing",
+            spec.name
+        );
         assert_eq!(
             audit.exact.regions,
             audit.exact.proven + audit.exact.fallbacks,

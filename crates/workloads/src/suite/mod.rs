@@ -357,6 +357,9 @@ mod shape_tests {
         let p = kernel_by_name("BDNA").expect("kernel exists").program();
         let f = p.main();
         let body_insts: usize = f.loops[0].body.iter().map(|b| f.block(*b).len()).sum();
-        assert!(body_insts > 40, "BDNA body is only {body_insts} instructions");
+        assert!(
+            body_insts > 40,
+            "BDNA body is only {body_insts} instructions"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! cargo run --release --example dsl_kernel -- examples/kernels/stencil.bsk
 //! ```
 
-use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 use balanced_scheduling::workloads::parse_kernel;
+use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 
 fn main() {
     let path = std::env::args().nth(1);

@@ -7,8 +7,8 @@
 //! ```
 
 use balanced_scheduling::opt::{analyze_locality, ReuseKind};
-use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 use balanced_scheduling::workloads::kernel_by_name;
+use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 
 fn main() {
     let spec = kernel_by_name("tomcatv").expect("tomcatv exists");

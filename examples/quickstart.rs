@@ -5,9 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 use balanced_scheduling::workloads::lang::ast::{Expr, Index};
 use balanced_scheduling::workloads::lang::{ArrayInit, Kernel};
+use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 
 fn main() {
     // A streaming kernel: c[i] = 3·a[i] + b[i] over 16 KB arrays, so most

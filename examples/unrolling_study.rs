@@ -6,8 +6,8 @@
 //! cargo run --release --example unrolling_study [kernel-name]
 //! ```
 
-use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 use balanced_scheduling::workloads::kernel_by_name;
+use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 
 fn main() {
     let name = std::env::args()

@@ -48,7 +48,11 @@ fn balanced_beats_traditional_on_average_at_every_level() {
         ConfigKind::TrsLu(8),
     ] {
         let s = mean(&grid_speedups(kind));
-        assert!(s > 1.0, "{}: average BS:TS speedup {s:.3} must exceed 1", kind.label());
+        assert!(
+            s > 1.0,
+            "{}: average BS:TS speedup {s:.3} must exceed 1",
+            kind.label()
+        );
     }
 }
 

@@ -89,7 +89,10 @@ fn scheduling_changes_order_not_results() {
 fn unrolling_reduces_dynamic_instructions_on_streamy_kernels() {
     for name in ["su2cor", "tomcatv", "hydro2d"] {
         let base = run_kernel(name, &CompileOptions::new(SchedulerKind::Balanced));
-        let lu4 = run_kernel(name, &CompileOptions::new(SchedulerKind::Balanced).with_unroll(4));
+        let lu4 = run_kernel(
+            name,
+            &CompileOptions::new(SchedulerKind::Balanced).with_unroll(4),
+        );
         assert!(
             lu4.metrics.insts.total() < base.metrics.insts.total(),
             "{name}: unrolling must remove loop overhead ({} -> {})",

@@ -8,9 +8,9 @@
 //! selects, reductions and 2-D accesses. Plans come from the
 //! workspace's seeded [`Prng`] so every run covers the same corpus.
 
-use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 use balanced_scheduling::workloads::lang::ast::{CmpOp, Expr, Index, Stmt};
 use balanced_scheduling::workloads::lang::{ArrayInit, Kernel};
+use balanced_scheduling::{CompileOptions, Experiment, SchedulerKind};
 use bsched_util::Prng;
 
 /// A compact, data-first description of a random kernel.
