@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 echo "== build (workspace, all targets) =="
 cargo build --release --workspace --all-targets
 
+echo "== format (rustfmt) =="
+# perfbench/ is a Cargo workspace of its own and is not checked here.
+cargo fmt --check
+
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy -q --all-targets -- -D warnings
 
@@ -287,6 +291,18 @@ served_verified="$(./target/release/bsched-client --connect "unix:$SERVE_SOCK" \
 wait "$SERVE_PID" || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: server exit status"; exit 1; }
 grep -q "shutdown complete" "$SMOKE_CACHE/serve.err" \
     || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: no graceful drain"; exit 1; }
+
+echo "== gate: results/ regenerated under each engine =="
+# Every file under results/ is rewritten from the binaries, uncached,
+# once per simulation engine; inside a git checkout the committed files
+# must come back byte-identical each time, so a stale table fails here.
+for eng in interpret block; do
+    BSCHED_SIM_ENGINE="$eng" scripts/regen.sh
+    if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+        git diff --exit-code -- results/ \
+            || { echo "FAIL: results/ is stale under the $eng engine; run scripts/regen.sh"; exit 1; }
+    fi
+done
 
 echo "== gate: committed results and kernels untouched =="
 # No step above may rewrite a committed table or kernel definition
