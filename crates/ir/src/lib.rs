@@ -64,7 +64,7 @@ pub use dag::{Dag, DagBuilder, DepKind};
 pub use dom::Dominators;
 pub use func::{Bound, CountedLoop, Function};
 pub use inst::{Inst, LocalityHint, MemAccess};
-pub use interp::{ExecError, Interp, MemImage, Outcome, Profile, RegFile};
+pub use interp::{ExecError, Interp, MemImage, Outcome, Profile};
 pub use liveness::Liveness;
 pub use loops::{LoopForest, NaturalLoop};
 pub use opcode::{Op, OpClass};

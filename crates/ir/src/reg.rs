@@ -106,6 +106,16 @@ impl Reg {
     pub fn virt_index(self) -> Option<u32> {
         self.index.checked_sub(Self::FIRST_VIRTUAL)
     }
+
+    /// Dense index of the register within its class: the physical
+    /// registers first, then the virtual ones in order.
+    #[must_use]
+    pub fn slot(self) -> u32 {
+        match self.virt_index() {
+            Some(v) => Self::NUM_PHYS + v,
+            None => self.index,
+        }
+    }
 }
 
 impl fmt::Debug for Reg {

@@ -1,5 +1,6 @@
-//! Run-time values and pure-operation evaluation, shared by the functional
-//! interpreter and the timing simulator.
+//! Run-time values and the reference semantics of pure operations. The
+//! functional interpreter and the timing simulator each execute their
+//! own decoded form; their tests hold every opcode to [`eval`].
 
 use crate::opcode::Op;
 use crate::reg::RegClass;
