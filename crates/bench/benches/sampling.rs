@@ -13,7 +13,7 @@
 //! `bsched_verify::SAMPLING_FLOOR_FRAC`), aggregated as mean and max.
 //! The committed bounds — mean CPI error ≤ `SAMPLING_CPI_MEAN_TOL`,
 //! max ≤ `SAMPLING_CPI_TOL` — are asserted outright, so the bench
-//! doubles as the release-mode error harness behind `BENCH_pr8.json`.
+//! doubles as the release-mode error harness `scripts/ci.sh` runs.
 //! Exact-by-construction observables (instruction counts, checksum) are
 //! asserted bit-identical on every cell.
 //!
@@ -25,18 +25,15 @@
 //! of host contention inflates both arms of one repetition instead of
 //! poisoning a single mode's numbers.
 //!
-//! Flags (same contract as `benches/simulator.rs`):
+//! Flags:
 //!
-//! * `--grid` — also measure the full-grid passes (slow; used to
-//!   produce the committed `BENCH_pr8.json`);
-//! * `--json PATH` — write the measurements as JSON;
-//! * `--check BASELINE` — gate the per-case exact:sampled speedups
-//!   against a recorded JSON (DESIGN.md, "Baseline gates");
-//! * `--check-ratio R` — the gate's floor (default `0.9`);
+//! * `--grid` — also measure the full-grid passes (slow);
 //! * `--sample SPEC` — the sampling configuration to measure (default
 //!   `SampleConfig::default()`).
+//!
+//! The speed ratios are wall-clock and gate nothing.
 
-use bsched_bench::{baseline, cli, microbench::bench};
+use bsched_bench::{cli, microbench::bench};
 use bsched_pipeline::{standard_grid, CompileOptions, Experiment, SchedulerKind};
 use bsched_sim::{MachineSpec, SampleConfig, SimConfig, SimEngine, SimMode, SimResult, Simulator};
 use bsched_verify::{
@@ -100,12 +97,6 @@ impl Case {
         self.exact_ns as f64 / self.sampled_ns.max(1) as f64
     }
 
-    /// Speedup from the fastest observed times — far less sensitive to
-    /// scheduling noise than medians (interference only adds time).
-    fn speedup_min(&self) -> f64 {
-        self.exact_min_ns as f64 / self.sampled_min_ns.max(1) as f64
-    }
-
     fn with_errs(mut self, errs: &[CellErr]) -> Case {
         let n = errs.len().max(1) as f64;
         self.cpi_mean_err = errs.iter().map(|e| e.cpi).sum::<f64>() / n;
@@ -158,7 +149,7 @@ fn print_case(case: &Case) {
     );
 }
 
-fn measure_cell(name: &str, program: &bsched_ir::Program, sim: SimConfig, mode: SimMode) -> Case {
+fn measure_cell(name: &str, program: &bsched_ir::Program, sim: SimConfig, mode: SimMode) {
     let exact_result = run(program, sim, SimMode::Exact);
     // Cold: builds the plan (profile + k-means + checkpoints).
     let cold = Instant::now();
@@ -190,14 +181,13 @@ fn measure_cell(name: &str, program: &bsched_ir::Program, sim: SimConfig, mode: 
     .with_errs(&errs);
     print_case(&case);
     case.assert_within_bounds();
-    case
 }
 
 /// Full simulation passes over the standard 255-cell grid, exact vs
 /// sampled. Every cell is compiled and its sampling plan built up front
 /// (the cold pass is reported as `plan_ns`); the timed passes run only
 /// the simulator.
-fn measure_grid(mode: SimMode) -> Case {
+fn measure_grid(mode: SimMode) {
     let mut cells = Vec::new();
     for k in bsched_workloads::all_kernels() {
         for cfg in standard_grid() {
@@ -294,38 +284,12 @@ fn measure_grid(mode: SimMode) -> Case {
         case.miss_max_err * 100.0,
     );
     case.assert_within_bounds();
-    case
-}
-
-fn to_json(c: &Case) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"cells\": {}, \"insts\": {}, \"sampled_insts\": {}, \
-         \"exact_ns\": {}, \"sampled_ns\": {}, \"speedup\": {:.2}, \
-         \"exact_min_ns\": {}, \"sampled_min_ns\": {}, \"speedup_min\": {:.2}, \
-         \"plan_ns\": {}, \"cpi_mean_err\": {:.5}, \"cpi_max_err\": {:.5}, \
-         \"interlock_max_err\": {:.5}, \"miss_max_err\": {:.5}}}",
-        c.name,
-        c.cells,
-        c.insts,
-        c.sampled_insts,
-        c.exact_ns,
-        c.sampled_ns,
-        c.speedup(),
-        c.exact_min_ns,
-        c.sampled_min_ns,
-        c.speedup_min(),
-        c.plan_ns,
-        c.cpi_mean_err,
-        c.cpi_max_err,
-        c.interlock_max_err,
-        c.miss_max_err,
-    )
 }
 
 fn main() {
     let mut grid = false;
     let mut sample = SampleConfig::default();
-    let flags = cli::BenchArgs::parse(|flag, args| match flag {
+    cli::bench_args(|flag, args| match flag {
         "--grid" => {
             grid = true;
             true
@@ -339,7 +303,6 @@ fn main() {
     let mode = SimMode::Sampled(sample);
 
     println!("sampling (exact block engine vs sampled mode, {mode:?}):");
-    let mut cases = Vec::new();
     for (kernel, options) in [
         ("su2cor", CompileOptions::new(SchedulerKind::Balanced)),
         (
@@ -356,30 +319,11 @@ fn main() {
             .expect("kernel exists")
             .compile()
             .expect("compiles");
-        cases.push(measure_cell(&name, &compiled.program, options.sim, mode));
+        measure_cell(&name, &compiled.program, options.sim, mode);
     }
 
     if grid {
         println!("full grid (simulation only, compile excluded):");
-        cases.push(measure_grid(mode));
-    }
-
-    if let Some(path) = &flags.json {
-        baseline::write(
-            path,
-            "sampling",
-            &cases.iter().map(to_json).collect::<Vec<_>>(),
-        );
-    }
-    if let Some(path) = &flags.check {
-        baseline::check(path, "sampling", &["speedup"], |name, base| {
-            let c = cases.iter().find(|c| c.name == name)?;
-            Some(baseline::speedup_floor(
-                base,
-                c.speedup(),
-                c.speedup_min(),
-                flags.check_ratio,
-            ))
-        });
+        measure_grid(mode);
     }
 }

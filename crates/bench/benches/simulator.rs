@@ -15,28 +15,23 @@
 //! its own decoded program form, and the interpreter decodes `main` on
 //! every run — so it is a point of comparison, not a floor to subtract:
 //! only the raw wall-clock times are reported. Grid passes interleave
-//! interpret → block → functional within each repetition and the ratio
-//! uses per-arm minima, so a burst of host contention inflates all
-//! three arms of one repetition instead of poisoning a single engine's
-//! numbers.
+//! interpret → block → functional within each repetition and the
+//! per-pass times printed are per-arm minima, so a burst of host
+//! contention inflates all three arms of one repetition instead of
+//! poisoning a single engine's numbers.
 //!
-//! Flags (same contract as `benches/weights.rs`):
+//! Flags:
 //!
-//! * `--grid` — also measure the full-grid passes (slow; used to
-//!   produce the committed `BENCH_pr7.json`);
-//! * `--json PATH` — write the measurements as JSON;
-//! * `--check BASELINE` — gate the per-case interp:block speedups
-//!   against a recorded JSON (DESIGN.md, "Baseline gates");
-//! * `--check-ratio R` — the gate's floor (default `0.9`). The ratios
-//!   are wall-clock and swing on a shared host, so `scripts/ci.sh` does
-//!   not run this gate; it pins the block engine's work counts exactly
-//!   instead (`block::tests::work_counts_match_the_recorded_table` in
-//!   `bsched-sim`).
+//! * `--grid` — also measure the full-grid passes (slow).
+//!
+//! The bench gates nothing: the ratios are wall-clock and swing on a
+//! shared host, so `scripts/ci.sh` pins the block engine's work counts
+//! exactly instead (`block::tests::work_counts_match_the_recorded_table`
+//! in `bsched-sim`).
 
-use bsched_bench::{baseline, cli::BenchArgs, microbench::bench};
+use bsched_bench::{cli, microbench::bench};
 use bsched_pipeline::{standard_grid, CompileOptions, Experiment, SchedulerKind};
 use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimResult, Simulator};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// One compiled cell (or cell sweep) measured under both engines.
@@ -46,22 +41,11 @@ struct Case {
     loads: u64,
     interp_ns: u128,
     block_ns: u128,
-    interp_min_ns: u128,
-    block_min_ns: u128,
-    /// Reference-interpreter pass times (grid case only).
-    func_ns: Option<u128>,
-    func_min_ns: Option<u128>,
 }
 
 impl Case {
     fn speedup(&self) -> f64 {
         self.interp_ns as f64 / self.block_ns.max(1) as f64
-    }
-
-    /// Speedup from the fastest observed times — far less sensitive to
-    /// scheduling noise than medians (interference only adds time).
-    fn speedup_min(&self) -> f64 {
-        self.interp_min_ns as f64 / self.block_min_ns.max(1) as f64
     }
 }
 
@@ -93,7 +77,7 @@ fn print_case(case: &Case) {
     );
 }
 
-fn measure_cell(name: &str, program: &bsched_ir::Program, sim: SimConfig) -> Case {
+fn measure_cell(name: &str, program: &bsched_ir::Program, sim: SimConfig) {
     let interp_result = run(program, sim, SimEngine::Interpret);
     let block_result = run(program, sim, SimEngine::BlockCompiled);
     assert_eq!(
@@ -108,25 +92,19 @@ fn measure_cell(name: &str, program: &bsched_ir::Program, sim: SimConfig) -> Cas
     let block = bench(&format!("sim/block/{name}"), || {
         run(program, sim, SimEngine::BlockCompiled)
     });
-    let case = Case {
+    print_case(&Case {
         name: name.to_string(),
         insts: interp_result.metrics.insts.total(),
         loads: interp_result.metrics.insts.loads,
         interp_ns: interp.median.as_nanos(),
         block_ns: block.median.as_nanos(),
-        interp_min_ns: interp.min.as_nanos(),
-        block_min_ns: block.min.as_nanos(),
-        func_ns: None,
-        func_min_ns: None,
-    };
-    print_case(&case);
-    case
+    });
 }
 
 /// Full simulation passes over the standard 255-cell grid, per engine.
 /// Every cell is compiled up front; the timed passes run only the
 /// simulator.
-fn measure_grid() -> Case {
+fn measure_grid() {
     let mut cells = Vec::new();
     for k in bsched_workloads::all_kernels() {
         for cfg in standard_grid() {
@@ -188,55 +166,25 @@ fn measure_grid() -> Case {
     interp.sort();
     block.sort();
     func.sort();
-    let case = Case {
+    print_case(&Case {
         name: format!("grid/all_experiments_{}", cells.len()),
         insts,
         loads,
         interp_ns: interp[passes / 2].as_nanos(),
         block_ns: block[passes / 2].as_nanos(),
-        interp_min_ns: interp[0].as_nanos(),
-        block_min_ns: block[0].as_nanos(),
-        func_ns: Some(func[passes / 2].as_nanos()),
-        func_min_ns: Some(func[0].as_nanos()),
-    };
-    print_case(&case);
+    });
     println!(
         "    interp {:.2}s/pass, block {:.2}s/pass, reference interpreter {:.2}s/pass \
          ({passes} passes each)",
-        case.interp_min_ns as f64 / 1e9,
-        case.block_min_ns as f64 / 1e9,
-        case.func_min_ns.unwrap_or(0) as f64 / 1e9,
+        interp[0].as_secs_f64(),
+        block[0].as_secs_f64(),
+        func[0].as_secs_f64(),
     );
-    case
-}
-
-fn to_json(c: &Case) -> String {
-    let mut reference = String::new();
-    if let (Some(f), Some(fm)) = (c.func_ns, c.func_min_ns) {
-        let _ = write!(
-            reference,
-            ", \"functional_ns\": {f}, \"functional_min_ns\": {fm}"
-        );
-    }
-    format!(
-        "{{\"name\": \"{}\", \"insts\": {}, \"loads\": {}, \
-         \"interp_ns\": {}, \"block_ns\": {}, \"speedup\": {:.2}, \
-         \"interp_min_ns\": {}, \"block_min_ns\": {}, \"speedup_min\": {:.2}{reference}}}",
-        c.name,
-        c.insts,
-        c.loads,
-        c.interp_ns,
-        c.block_ns,
-        c.speedup(),
-        c.interp_min_ns,
-        c.block_min_ns,
-        c.speedup_min()
-    )
 }
 
 fn main() {
     let mut grid = false;
-    let flags = BenchArgs::parse(|flag, _| match flag {
+    cli::bench_args(|flag, _| match flag {
         "--grid" => {
             grid = true;
             true
@@ -245,7 +193,6 @@ fn main() {
     });
 
     println!("simulator (interpreting engine vs block-compiled engine):");
-    let mut cases = Vec::new();
     for (kernel, options) in [
         ("su2cor", CompileOptions::new(SchedulerKind::Balanced)),
         (
@@ -256,30 +203,11 @@ fn main() {
     ] {
         let name = format!("{kernel}/{}", options.label());
         let (program, sim) = compile_cell(kernel, options);
-        cases.push(measure_cell(&name, &program, sim));
+        measure_cell(&name, &program, sim);
     }
 
     if grid {
         println!("full grid (simulation only, compile excluded):");
-        cases.push(measure_grid());
-    }
-
-    if let Some(path) = &flags.json {
-        baseline::write(
-            path,
-            "simulator",
-            &cases.iter().map(to_json).collect::<Vec<_>>(),
-        );
-    }
-    if let Some(path) = &flags.check {
-        baseline::check(path, "sim", &["speedup"], |name, base| {
-            let c = cases.iter().find(|c| c.name == name)?;
-            Some(baseline::speedup_floor(
-                base,
-                c.speedup(),
-                c.speedup_min(),
-                flags.check_ratio,
-            ))
-        });
+        measure_grid();
     }
 }

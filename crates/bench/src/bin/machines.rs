@@ -28,11 +28,8 @@
 //!   byte-identical output either way;
 //! * `--verify` — run the `bsched-verify` conformance suite on every
 //!   executed cell (`BSCHED_VERIFY=1` does the same);
-//! * `--csv` — also write `results/machines.csv`;
-//! * `--json PATH` — write per-machine cycle totals as JSON
-//!   (`BENCH_pr10.json` is the committed baseline);
-//! * `--check BASELINE` — gate against a recorded JSON (DESIGN.md,
-//!   "Baseline gates"); exit 1 on failure.
+//! * `--csv` — also write `results/machines.csv` (`scripts/regen.sh`
+//!   rewrites it and CI diffs it against the committed copy).
 //!
 //! Every flag also takes the `--flag=value` spelling; a missing value or
 //! an unknown flag exits 2 (`bsched_bench::cli`).
@@ -41,7 +38,7 @@
 //! the machine axis *is* the sweep.
 
 use bsched_bench::cli::{self, Args};
-use bsched_bench::{baseline, Grid};
+use bsched_bench::Grid;
 use bsched_harness::{Engine, EngineConfig, ExperimentCell};
 use bsched_pipeline::{CompileOptions, MachineSpec, SchedulerKind};
 use std::fmt::Write as _;
@@ -70,7 +67,6 @@ impl Row {
 /// Per-machine totals (summed over the kernel set).
 #[derive(Default)]
 struct Totals {
-    kernels: u64,
     ts: u64,
     bs: u64,
     ex: u64,
@@ -83,8 +79,6 @@ struct Cli {
     engine: Option<bsched_pipeline::SimEngine>,
     machines: Option<Vec<MachineSpec>>,
     kernels: Vec<String>,
-    json: Option<String>,
-    check: Option<String>,
 }
 
 /// `--machines SPEC,...` (exit 2 naming the valid machines).
@@ -125,17 +119,12 @@ impl Cli {
                 "--engine" => cli.engine = Some(cli::parse_engine(&args.value())),
                 "--machines" => cli.machines = Some(parse_machine_list(&args.value())),
                 "--kernels" => cli.kernels = cli::parse_kernel_list(&args.value()),
-                "--json" => cli.json = Some(args.value()),
-                "--check" => cli.check = Some(args.value()),
                 _ => args.unknown(),
             }
         }
         cli
     }
 }
-
-/// The baseline fields of the three arms' cycle totals.
-const CYCLE_KEYS: [&str; 3] = ["ts_cycles", "bs_cycles", "ex_cycles"];
 
 /// The three judged arms, at the paper's headline LU 4 level.
 const ARMS: [SchedulerKind; 3] = [
@@ -198,7 +187,6 @@ fn main() {
             totals.push((r.machine.clone(), Totals::default()));
         }
         let t = &mut totals.last_mut().expect("just pushed").1;
-        t.kernels += 1;
         t.ts += r.ts;
         t.bs += r.bs;
         t.ex += r.ex;
@@ -258,46 +246,6 @@ fn main() {
             );
         }
         print!("{out}");
-    }
-
-    if let Some(path) = &cli.json {
-        let cases: Vec<String> = totals
-            .iter()
-            .map(|(name, t)| {
-                format!(
-                    "{{\"name\": \"{name}\", \"kernels\": {}, \"ts_cycles\": {}, \
-                     \"bs_cycles\": {}, \"ex_cycles\": {}, \"bs_gain_pct\": {:.2}, \
-                     \"ex_gain_pct\": {:.2}}}",
-                    t.kernels,
-                    t.ts,
-                    t.bs,
-                    t.ex,
-                    100.0 * bsched_bench::pct_decrease(t.ts, t.bs),
-                    100.0 * bsched_bench::pct_decrease(t.ts, t.ex),
-                )
-            })
-            .collect();
-        baseline::write(path, "machines", &cases);
-    }
-
-    if let Some(path) = &cli.check {
-        // Cycle totals are deterministic: the gate is exact equality.
-        baseline::check(path, "machines", &CYCLE_KEYS, |name, base| {
-            let (_, t) = totals.iter().find(|(m, _)| m == name)?;
-            let fails = CYCLE_KEYS
-                .iter()
-                .zip([t.ts, t.bs, t.ex])
-                .filter_map(|(key, got)| {
-                    let want = baseline::num(base, key);
-                    (got as f64 != want).then(|| {
-                        format!(
-                            "{key} {got} != recorded {want} \
-                         (cycles are deterministic; the gate is exact equality)"
-                        )
-                    })
-                });
-            Some(fails.collect())
-        });
     }
 
     grid.report().emit();

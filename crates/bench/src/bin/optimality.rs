@@ -25,17 +25,12 @@
 //!   `bsched_core::DEFAULT_EXACT_BUDGET`; exit 2 on non-numbers);
 //! * `--schedulers LIST` — restrict the judged arms to a subset of
 //!   `TS,BS,BS+LA` (exit 2 with the valid choices on unknown names);
-//! * `--csv` — also write `results/optimality.csv`;
-//! * `--json PATH` — write per-kernel search-cost numbers (regions,
-//!   proven, nodes, costs) as JSON;
-//! * `--check BASELINE` — gate search cost against a recorded JSON at
-//!   `--check-ratio R` (default 0.9; DESIGN.md, "Baseline gates"); exit
-//!   1 on failure.
+//! * `--csv` — also write `results/optimality.csv` (`scripts/regen.sh`
+//!   rewrites it and CI diffs it against the committed copy).
 //!
 //! Every flag also takes the `--flag=value` spelling; a missing value or
 //! an unknown flag exits 2 (`bsched_bench::cli`).
 
-use bsched_bench::baseline;
 use bsched_bench::cli::{self, Args};
 use bsched_core::{compute_weights, schedule_cost, ExactStats, SchedulerKind, WeightConfig};
 use bsched_ir::Dag;
@@ -82,9 +77,6 @@ struct Cli {
     budget: u64,
     kernels: Vec<String>,
     arms: Option<Vec<String>>,
-    json: Option<String>,
-    check: Option<String>,
-    check_ratio: f64,
 }
 
 /// `--schedulers LIST` (exit 2 naming the valid arms).
@@ -113,7 +105,6 @@ impl Cli {
         let mut cli = Cli {
             budget: bsched_core::DEFAULT_EXACT_BUDGET,
             kernels: cli::all_kernel_names(),
-            check_ratio: 0.9,
             ..Cli::default()
         };
         let mut args = Args::from_env();
@@ -126,22 +117,10 @@ impl Cli {
                 }
                 "--kernels" => cli.kernels = cli::parse_kernel_list(&args.value()),
                 "--schedulers" => cli.arms = Some(parse_arm_list(&args.value())),
-                "--json" => cli.json = Some(args.value()),
-                "--check" => cli.check = Some(args.value()),
-                "--check-ratio" => cli.check_ratio = cli::parse_check_ratio(&args.value()),
                 _ => args.unknown(),
             }
         }
         cli
-    }
-}
-
-/// The share of regions whose exact search proved its bound.
-fn proven_frac(s: &ExactStats) -> f64 {
-    if s.regions == 0 {
-        1.0
-    } else {
-        s.proven as f64 / s.regions as f64
     }
 }
 
@@ -208,7 +187,6 @@ fn main() {
     // Exact bounds are per (kernel, optimization combo) — rows judging
     // different arms on the same combo share one search.
     let mut rows: Vec<Row> = Vec::new();
-    let mut per_kernel: BTreeMap<String, ExactStats> = BTreeMap::new();
     for kernel in kernels {
         let mut bounds: BTreeMap<String, ExactStats> = BTreeMap::new();
         for cfg in &grid {
@@ -218,12 +196,7 @@ fn main() {
                     .kind
                     .options(SchedulerKind::Exact)
                     .with_exact_budget(cli.budget);
-                let audit = audited_legal(kernel, opts);
-                per_kernel
-                    .entry(kernel.clone())
-                    .or_default()
-                    .merge(&audit.exact);
-                audit.exact
+                audited_legal(kernel, opts).exact
             });
             let heuristic = audited_legal(kernel, cfg.options());
             let cost = arm_cost(&heuristic);
@@ -293,58 +266,5 @@ fn main() {
             );
         }
         print!("{out}");
-    }
-
-    if let Some(path) = &cli.json {
-        let cases: Vec<String> = per_kernel
-            .iter()
-            .map(|(kernel, s)| {
-                format!(
-                    "{{\"name\": \"{kernel}\", \"budget\": {}, \"regions\": {}, \
-                     \"proven\": {}, \"proven_frac\": {:.4}, \"fallbacks\": {}, \
-                     \"nodes\": {}, \"heuristic_cost\": {}, \"exact_cost\": {}, \
-                     \"pct_of_optimal\": {:.2}}}",
-                    cli.budget,
-                    s.regions,
-                    s.proven,
-                    proven_frac(s),
-                    s.fallbacks,
-                    s.nodes,
-                    s.heuristic_cost,
-                    s.exact_cost,
-                    s.pct_of_optimal(),
-                )
-            })
-            .collect();
-        baseline::write(path, "optimality", &cases);
-    }
-
-    if let Some(path) = &cli.check {
-        let ratio = cli.check_ratio;
-        baseline::check(
-            path,
-            "optimality",
-            &["proven_frac", "nodes"],
-            |name, base| {
-                let s = per_kernel.get(name)?;
-                let (frac, base_frac) = (proven_frac(s), baseline::num(base, "proven_frac"));
-                let (nodes, base_nodes) = (s.nodes as f64, baseline::num(base, "nodes"));
-                let mut fails = Vec::new();
-                if frac < base_frac * ratio {
-                    fails.push(format!(
-                        "proven fraction {frac:.2} is more than {:.0}% below the recorded \
-                     {base_frac:.2}",
-                        (1.0 - ratio) * 100.0
-                    ));
-                }
-                if nodes > base_nodes / ratio {
-                    fails.push(format!(
-                        "explored {nodes} nodes, more than 1/{ratio:.1} above the recorded \
-                     {base_nodes}"
-                    ));
-                }
-                Some(fails)
-            },
-        );
     }
 }

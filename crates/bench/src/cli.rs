@@ -99,40 +99,17 @@ impl Args {
     }
 }
 
-/// The flags every microbench target shares — `--json PATH`,
-/// `--check BASELINE`, `--check-ratio R` (default 0.9) and the
-/// `--bench` switch `cargo bench` appends. The target's own flags go
-/// through `extra(flag, args)`, which returns `false` for flags it does
-/// not know.
-pub struct BenchArgs {
-    /// Where to write this run's measurements.
-    pub json: Option<String>,
-    /// The baseline to gate against.
-    pub check: Option<String>,
-    /// The gate's floor as a fraction of the recorded figure.
-    pub check_ratio: f64,
-}
-
-impl BenchArgs {
-    /// Walks the process's arguments.
-    pub fn parse(mut extra: impl FnMut(&str, &mut Args) -> bool) -> Self {
-        let mut b = BenchArgs {
-            json: None,
-            check: None,
-            check_ratio: 0.9,
-        };
-        let mut args = Args::from_env();
-        while let Some(flag) = args.next_flag() {
-            match flag.as_str() {
-                "--json" => b.json = Some(args.value()),
-                "--check" => b.check = Some(args.value()),
-                "--check-ratio" => b.check_ratio = parse_check_ratio(&args.value()),
-                "--bench" => {}
-                f if extra(f, &mut args) => {}
-                _ => args.unknown(),
-            }
+/// Walks a microbench target's arguments: the `--bench` switch `cargo
+/// bench` appends, then the target's own flags through `extra(flag,
+/// args)`, which returns `false` for flags it does not know (exit 2).
+pub fn bench_args(mut extra: impl FnMut(&str, &mut Args) -> bool) {
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--bench" => {}
+            f if extra(f, &mut args) => {}
+            _ => args.unknown(),
         }
-        b
     }
 }
 
@@ -199,18 +176,6 @@ pub fn parse_u64(flag: &str, raw: &str, what: &str) -> u64 {
         .unwrap_or_else(|| usage_error(&format!("{flag} requires {what}, got {raw:?}")))
 }
 
-/// `--check-ratio R`: a gate floor in `(0, 1]` (exit 2 otherwise).
-#[must_use]
-pub fn parse_check_ratio(raw: &str) -> f64 {
-    let r: f64 = raw.trim().parse().unwrap_or(f64::NAN);
-    if !(r > 0.0 && r <= 1.0) {
-        usage_error(&format!(
-            "--check-ratio requires a number in (0, 1], got {raw:?}"
-        ));
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,14 +204,14 @@ mod tests {
                 "--engine=block",
                 "--csv",
                 "--sample",
-                "--json=a=b"
+                "--trace-json=a=b"
             ]),
             vec![
                 ("--kernels".into(), s("TRFD")),
                 ("--engine".into(), s("block")),
                 ("--csv".into(), None),
                 ("--sample".into(), None),
-                ("--json".into(), s("a=b")),
+                ("--trace-json".into(), s("a=b")),
             ]
         );
         assert_eq!(
@@ -269,7 +234,5 @@ mod tests {
     fn numbers_accept_decimal_and_hex() {
         assert_eq!(parse_u64("--fuzz", " 300 ", "a number"), 300);
         assert_eq!(parse_u64("--fuzz-seed", "0xB5ED", "a number"), 0xB5ED);
-        assert!((parse_check_ratio("0.97") - 0.97).abs() < 1e-12);
-        assert!((parse_check_ratio("1") - 1.0).abs() < 1e-12);
     }
 }

@@ -9,16 +9,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Samples collected per benchmark — 11 unless overridden with
-/// `BENCH_SAMPLES` (3..=501). CI's weights gate runs with more samples
-/// so the min estimator converges despite scheduling noise.
-fn samples() -> usize {
-    std::env::var("BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|n| (3..=501).contains(n))
-        .unwrap_or(11)
-}
+/// Samples collected per benchmark.
+const SAMPLES: usize = 11;
 
 /// Target wall time per sample during calibration.
 const TARGET_SAMPLE: Duration = Duration::from_millis(20);
@@ -44,9 +36,8 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
     let once = t0.elapsed().max(Duration::from_nanos(1));
     let iters = (TARGET_SAMPLE.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
 
-    let n = samples();
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut samples = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
         let t0 = Instant::now();
         for _ in 0..iters {
             black_box(f());
@@ -55,7 +46,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
     }
     samples.sort();
     let m = Measurement {
-        median: samples[n / 2],
+        median: samples[SAMPLES / 2],
         min: samples[0],
         iters,
     };

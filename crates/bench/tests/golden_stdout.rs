@@ -4,14 +4,18 @@
 //! deterministic by construction (run reports and diagnostics go to
 //! stderr). These tests pin the exact bytes: any change — an intended
 //! formatting tweak or an accidental numeric drift — shows up as a
-//! diff against `tests/golden/<binary>.txt` at the workspace root.
+//! diff.
 //!
-//! Every binary runs twice, once per simulation engine
-//! (`BSCHED_SIM_ENGINE=interpret` and `=block`), with the cache
-//! disabled so both engines genuinely execute; both runs must match
-//! the same snapshot byte for byte.
+//! The paper-table binaries are checked against their committed output
+//! under `results/<binary>.txt`, once per simulation engine
+//! (`BSCHED_SIM_ENGINE=interpret` and `=block`) with the cache disabled
+//! so both engines genuinely execute. `scripts/regen.sh` is the one way
+//! to refresh those files.
 //!
-//! To refresh after an intentional change:
+//! The subset runs below (two kernels, a small search budget) have no
+//! file under `results/`; they are pinned by
+//! `tests/golden/<name>.txt` at the workspace root. To refresh those
+//! after an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p bsched-bench --test golden_stdout
@@ -27,56 +31,29 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root resolves")
 }
 
-fn run_under(name: &str, exe: &str, root: &PathBuf, engine: &str) -> String {
-    let out = Command::new(exe)
-        .current_dir(root)
-        .env("BSCHED_SIM_ENGINE", engine)
-        .env("BSCHED_NO_CACHE", "1")
-        .output()
-        .unwrap_or_else(|e| panic!("{name} failed to spawn: {e}"));
-    assert!(
-        out.status.success(),
-        "{name} under {engine} exited with {:?}:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("stdout is UTF-8")
-}
-
-fn check(name: &str, exe: &str) {
+/// Checks a binary's default stdout against `results/{name}.txt` under
+/// each simulation engine.
+fn check_results(name: &str, exe: &str) {
     let root = workspace_root();
-    let golden = root.join("tests/golden").join(format!("{name}.txt"));
-    let stdout = run_under(name, exe, &root, "interpret");
-    if std::env::var("UPDATE_GOLDEN").as_deref() == Ok("1") {
-        std::fs::create_dir_all(golden.parent().unwrap()).unwrap();
-        std::fs::write(&golden, &stdout).unwrap();
-        return;
+    let committed = root.join("results").join(format!("{name}.txt"));
+    let want = std::fs::read_to_string(&committed)
+        .unwrap_or_else(|e| panic!("{}: {e}; run scripts/regen.sh", committed.display()));
+    for engine in ["interpret", "block"] {
+        let label = format!("{name} ({engine})");
+        let stdout = run_with(&label, exe, &root, &[], &[("BSCHED_SIM_ENGINE", engine)]);
+        assert_eq!(
+            stdout, want,
+            "{name} stdout under the {engine} engine diverged from results/{name}.txt; \
+             if the change is intentional, rewrite results/ with scripts/regen.sh"
+        );
     }
-    let want = std::fs::read_to_string(&golden).unwrap_or_else(|_| {
-        panic!(
-            "missing golden file {}; capture it with UPDATE_GOLDEN=1 \
-             cargo test -p bsched-bench --test golden_stdout",
-            golden.display()
-        )
-    });
-    assert_eq!(
-        stdout, want,
-        "{name} stdout diverged from tests/golden/{name}.txt; if the \
-         change is intentional, refresh with UPDATE_GOLDEN=1"
-    );
-    let block = run_under(name, exe, &root, "block");
-    assert_eq!(
-        block, want,
-        "{name} under the block-compiled engine diverged from \
-         tests/golden/{name}.txt — the engines must be byte-identical"
-    );
 }
 
 macro_rules! golden {
     ($name:ident) => {
         #[test]
         fn $name() {
-            check(
+            check_results(
                 stringify!($name),
                 env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
             );
@@ -93,8 +70,7 @@ golden!(table9);
 golden!(sec55);
 golden!(superscalar);
 
-/// Like [`run_under`] with explicit extra args and env (for the
-/// sampled-mode snapshots below).
+/// Runs a binary uncached with extra args and env; its stdout.
 fn run_with(name: &str, exe: &str, root: &PathBuf, args: &[&str], envs: &[(&str, &str)]) -> String {
     let mut cmd = Command::new(exe);
     cmd.current_dir(root).args(args).env("BSCHED_NO_CACHE", "1");

@@ -64,4 +64,7 @@ pub use scheduler::{
     schedule_order, schedule_region, schedule_region_bounded, schedule_region_full,
     schedule_region_with_pressure, TieBreak, PRESSURE_LIMIT,
 };
-pub use weights::{compute_weights, compute_weights_reference, SchedulerKind, WeightConfig};
+pub use weights::{
+    compute_weights, compute_weights_counted, compute_weights_reference, SchedulerKind,
+    WeightConfig, WeightWork,
+};

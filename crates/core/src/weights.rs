@@ -85,11 +85,6 @@ pub struct WeightConfig {
     /// Cap on balanced load weights; the paper uses the 50-cycle maximum
     /// memory latency. Exposed for the `weight_cap` ablation bench.
     pub cap: u32,
-    /// Route [`compute_weights`] through the retained naive reference
-    /// implementation instead of the bitset kernel. The results are
-    /// identical; only the cost differs. Used by the perf-trajectory
-    /// benches to measure the end-to-end before/after in one process.
-    pub reference: bool,
     /// Node budget for the [`SchedulerKind::Exact`] branch-and-bound
     /// search, per region (ignored by the heuristic policies). A
     /// deterministic unit — results are machine-independent and
@@ -105,7 +100,6 @@ impl WeightConfig {
         WeightConfig {
             kind,
             cap: latency::MAX_LOAD,
-            reference: false,
             exact_budget: crate::exact::DEFAULT_EXACT_BUDGET,
         }
     }
@@ -114,13 +108,6 @@ impl WeightConfig {
     #[must_use]
     pub fn with_cap(mut self, cap: u32) -> Self {
         self.cap = cap;
-        self
-    }
-
-    /// Selects the naive reference implementation (benching only).
-    #[must_use]
-    pub fn with_reference(mut self, reference: bool) -> Self {
-        self.reference = reference;
         self
     }
 
@@ -171,6 +158,17 @@ fn cap_weight(credit: f64, cap: u32) -> u32 {
     (w.round() as u32).min(cap).max(latency::LOAD_HIT)
 }
 
+/// The work one [`compute_weights`] call does, counted as it runs: a
+/// deterministic measure of the kernel's cost that an exact-equality
+/// gate can pin on any host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WeightWork {
+    /// Contributor instructions scanned.
+    pub contributors: u64,
+    /// `u64` words read from the bitset independence rows.
+    pub row_words: u64,
+}
+
 /// Computes per-instruction scheduling weights for a straight-line region
 /// on the shared bitset DAG-analysis kernel.
 ///
@@ -182,15 +180,27 @@ fn cap_weight(credit: f64, cap: u32) -> u32 {
 /// Panics if `dag.len() != insts.len()`.
 #[must_use]
 pub fn compute_weights(insts: &[Inst], dag: &Dag, config: &WeightConfig) -> Vec<u32> {
+    compute_weights_counted(insts, dag, config).0
+}
+
+/// [`compute_weights`], also returning the [`WeightWork`] it did.
+///
+/// # Panics
+///
+/// Panics if `dag.len() != insts.len()`.
+#[must_use]
+pub fn compute_weights_counted(
+    insts: &[Inst],
+    dag: &Dag,
+    config: &WeightConfig,
+) -> (Vec<u32>, WeightWork) {
     assert_eq!(insts.len(), dag.len(), "DAG does not match region");
-    if config.reference {
-        return compute_weights_reference(insts, dag, config);
-    }
+    let mut work = WeightWork::default();
     let mut weights: Vec<u32> = insts.iter().map(|i| i.op.latency()).collect();
     if config.kind == SchedulerKind::Traditional
         || !insts.iter().any(|i| is_balanced_load(i, config.kind))
     {
-        return weights;
+        return (weights, work);
     }
 
     let analysis: &DagAnalysis = dag.analysis(insts);
@@ -215,6 +225,8 @@ pub fn compute_weights(insts: &[Inst], dag: &Dag, config: &WeightConfig) -> Vec<
             continue;
         }
         let row = analysis.independent_loads(i);
+        work.contributors += 1;
+        work.row_words += row.len() as u64;
         let mut any = 0u64;
         for w in 0..words {
             covered[w] = row[w] & bal_mask[w];
@@ -241,7 +253,7 @@ pub fn compute_weights(insts: &[Inst], dag: &Dag, config: &WeightConfig) -> Vec<
             weights[l as usize] = cap_weight(credit[s], config.cap);
         }
     }
-    weights
+    (weights, work)
 }
 
 /// The retained naive weight computation: per-contributor DAG
@@ -390,19 +402,6 @@ mod tests {
                 "kernel diverges from reference under {kind:?}"
             );
         }
-    }
-
-    #[test]
-    fn reference_flag_routes_to_the_naive_path() {
-        let insts = figure1();
-        let dag = Dag::new(&insts);
-        let fast = compute_weights(&insts, &dag, &WeightConfig::new(SchedulerKind::Balanced));
-        let naive = compute_weights(
-            &insts,
-            &dag,
-            &WeightConfig::new(SchedulerKind::Balanced).with_reference(true),
-        );
-        assert_eq!(fast, naive);
     }
 
     #[test]

@@ -129,15 +129,3 @@ fn kernel_matches_reference_on_unroll_sized_random_dags() {
     // 64-load word boundary so multi-word bitset rows are exercised.
     assert_kernel_matches_reference(0xB_5CED_0003, 6, 224);
 }
-
-#[test]
-fn reference_config_flag_agrees_with_direct_reference_call() {
-    let mut rng = Prng::new(0xB_5CED_0004);
-    let insts = random_region(&mut rng, 48);
-    let dag = Dag::new(&insts);
-    let config = WeightConfig::new(SchedulerKind::Balanced).with_reference(true);
-    assert_eq!(
-        compute_weights(&insts, &dag, &config),
-        compute_weights_reference(&insts, &dag, &config),
-    );
-}

@@ -29,11 +29,6 @@ pub struct CompileOptions {
     /// §3.3). Disabling isolates the transformation benefit from the
     /// scheduling benefit (the `selective` ablation).
     pub selective: bool,
-    /// Compute balanced weights with the retained naive reference
-    /// implementation instead of the bitset DAG-analysis kernel. The
-    /// results are identical; only the compile cost differs. Used by the
-    /// perf-trajectory benches to measure before/after in one binary.
-    pub reference_weights: bool,
     /// Per-region node budget for the [`SchedulerKind::Exact`]
     /// branch-and-bound search. Deterministic and metrics-relevant (a
     /// different budget can emit a different schedule), so it is part
@@ -57,7 +52,6 @@ impl CompileOptions {
             tie_break: TieBreak::Standard,
             unroll_budget: None,
             selective: true,
-            reference_weights: false,
             exact_budget: bsched_core::DEFAULT_EXACT_BUDGET,
             sim: SimConfig::default(),
         }
@@ -128,14 +122,6 @@ impl CompileOptions {
         self
     }
 
-    /// Routes balanced-weight computation through the naive reference
-    /// implementation (benching only; identical results).
-    #[must_use]
-    pub fn with_reference_weights(mut self) -> Self {
-        self.reference_weights = true;
-        self
-    }
-
     /// Overrides the exact-search node budget (exact scheduler only).
     #[must_use]
     pub fn with_exact_budget(mut self, budget: u64) -> Self {
@@ -170,7 +156,6 @@ impl CompileOptions {
         };
         WeightConfig::new(kind)
             .with_cap(self.weight_cap)
-            .with_reference(self.reference_weights)
             .with_exact_budget(self.exact_budget)
     }
 

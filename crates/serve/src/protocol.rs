@@ -50,7 +50,9 @@ use std::fmt;
 /// v3: the MachineSpec redesign — `branch` gained the required `kind`
 /// field (predictor family) and `mem` the required `prefetch` and
 /// `mshr_policy` fields.
-pub const WIRE_SCHEMA_VERSION: u32 = 3;
+///
+/// v4: `CompileOptions` lost the `reference_weights` field.
+pub const WIRE_SCHEMA_VERSION: u32 = 4;
 
 /// A protocol-level failure: the frame was valid JSON but not a valid
 /// message.
@@ -305,7 +307,6 @@ pub fn options_to_json(o: &CompileOptions) -> Json {
             u64_or_null(o.unroll_budget.map(|b| b as u64)),
         ),
         ("selective", Json::Bool(o.selective)),
-        ("reference_weights", Json::Bool(o.reference_weights)),
         ("exact_budget", Json::u64(o.exact_budget)),
         ("sim", sim_to_json(&o.sim)),
     ])
@@ -329,7 +330,6 @@ pub fn options_from_json(doc: &Json) -> Result<CompileOptions, ProtoError> {
     o.tie_break = tie_break_from_str(get_str(doc, "tie_break")?)?;
     o.unroll_budget = opt_u64(doc, "unroll_budget")?.map(|b| b as usize);
     o.selective = get_bool(doc, "selective")?;
-    o.reference_weights = get_bool(doc, "reference_weights")?;
     o.exact_budget = get_u64(doc, "exact_budget")?;
     o.sim = sim_from_json(doc.get("sim").ok_or_else(|| err("missing field \"sim\""))?)?;
     Ok(o)
@@ -958,8 +958,7 @@ mod tests {
             .with_unroll(8)
             .with_weight_cap(10)
             .with_tie_break(TieBreak::ProgramOrder)
-            .with_unroll_budget(96)
-            .with_reference_weights();
+            .with_unroll_budget(96);
         exotic.predicate = false;
         exotic.selective = false;
         exotic.sim = SimConfig::default().with_issue(4, 2).with_mshrs(1);

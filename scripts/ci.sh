@@ -150,20 +150,6 @@ disabled="$(BSCHED_SAMPLE=0 BSCHED_CACHE_DIR="$SMOKE_CACHE" \
 [ "$disabled" = "$cold" ] \
     || { echo "FAIL: BSCHED_SAMPLE=0 must leave exact stdout byte-identical"; exit 1; }
 
-echo "== smoke: exact scheduler arm vs recorded BENCH_pr9.json baseline =="
-# The optimality table on 2 kernels at the default node budget. The
-# binary itself is the gate: every audited region is legality-checked,
-# and each arm's cost is asserted >= the exact bound before a row
-# prints. --check then compares the search against the committed
-# baseline — the proven fraction must not fall below 90% of the
-# recorded value and the expanded node count must not grow by more
-# than 1/0.9 (search-quality regressions, not wall time, so the check
-# is machine-independent). The full 17-kernel table is recorded in the
-# committed BENCH_pr9.json and results/optimality.csv.
-./target/release/optimality --kernels TRFD,ARC2D \
-    --check "$PWD/BENCH_pr9.json" --check-ratio 0.9 >/dev/null \
-    || { echo "FAIL: exact-arm optimality check"; exit 1; }
-
 echo "== smoke: machine zoo (2 kernels x 3 machines, verified, dual-engine) =="
 # The machine-description axis end to end: the balanced-vs-traditional
 # gap table on a 2-kernel subset across three machines (the default
@@ -191,20 +177,11 @@ for eng in interpret block; do
     fi
 done
 
-echo "== gate: machine zoo vs recorded BENCH_pr10.json baseline =="
-# The full-zoo gap table against the committed baseline. Cycle counts
-# are deterministic (never wall clock), so the gate is exact equality —
-# any drift in any machine's total is a modeling regression, not noise.
-./target/release/machines --check "$PWD/BENCH_pr10.json" >/dev/null \
-    || { echo "FAIL: machines baseline check"; exit 1; }
-
-echo "== smoke: sampling microbench vs recorded BENCH_pr8.json baseline =="
-# Re-measures the per-kernel exact-vs-sampled cells (accuracy bounds
-# asserted inside the bench) and fails if any case's speedup ratio fell
-# below half the committed baseline. The full-grid headline case needs
-# --grid and is recorded in the committed BENCH_pr8.json.
-cargo bench -q -p bsched-bench --bench sampling -- \
-    --check "$PWD/BENCH_pr8.json" --check-ratio 0.5
+echo "== smoke: sampling microbench (accuracy bounds) =="
+# Re-measures the per-kernel exact-vs-sampled cells; the bench asserts
+# the committed accuracy bounds on every cell it touches. Its speed
+# ratios are printed, not gated.
+cargo bench -q -p bsched-bench --bench sampling
 
 echo "== gate: block-engine work counts (exact) =="
 # The block engine's work on every lowered suite kernel — skeletons
@@ -217,19 +194,12 @@ echo "== gate: block-engine work counts (exact) =="
 # (`cargo bench -p bsched-bench --bench simulator`), ungated.
 cargo test -q --release -p bsched-sim --lib work_counts_match_the_recorded_table
 
-echo "== smoke: weights microbench vs recorded BENCH_pr2.json baseline =="
-# Re-measures the naive-reference vs bitset-kernel arms, writes a fresh
-# BENCH_pr2.json next to the cache dir, and fails if any case's speedup
-# ratio fell more than 10% below the committed baseline (ratios, not
-# wall times, so the check is machine-independent).
-BENCH_SAMPLES=31 cargo bench -q -p bsched-bench --bench weights -- \
-    --json "$SMOKE_CACHE/BENCH_pr2.json" --check "$PWD/BENCH_pr2.json"
-
-echo "== gate: the weight kernel carries no trace points =="
-# Structural replacement for a wall-clock tracing-overhead ratio: with
-# the recorder on, compute_weights over every suite kernel's scheduled
-# regions must record zero events, so the kernel pays nothing for
-# tracing in either state. Deterministic on any host.
+echo "== gate: weight-kernel work counts and no trace points (exact) =="
+# compute_weights over every suite kernel's scheduled regions at unroll
+# 8: the contributors it scans and the bitset row words it reads must
+# equal a recorded table, and with the recorder on it must record zero
+# events. Deterministic on any host; a slide back to per-load DAG
+# probes moves the counts.
 cargo test -q --release -p bsched-pipeline --test weights_untraced
 
 echo "== smoke: traced run report + exports =="
@@ -296,6 +266,9 @@ echo "== gate: results/ regenerated under each engine =="
 # Every file under results/ is rewritten from the binaries, uncached,
 # once per simulation engine; inside a git checkout the committed files
 # must come back byte-identical each time, so a stale table fails here.
+# This is the exact baseline for every printed number: every field of
+# every row of machines.csv (the machine zoo's cycles) and
+# optimality.csv (the exact search's proven regions and nodes).
 for eng in interpret block; do
     BSCHED_SIM_ENGINE="$eng" scripts/regen.sh
     if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
