@@ -416,7 +416,15 @@ fn schedule_function_inner(
             // becomes regalloc spills, and the legality validator and
             // checksum oracle guard correctness.
             let heuristic_cost = schedule_cost(&dag, &weights, &order);
+            let span = bsched_trace::span(bsched_trace::points::SCHED_EXACT)
+                .label_with(|| func.name().to_string())
+                .arg("block", bi as u64)
+                .arg("insts", insts.len() as u64);
             let outcome = schedule_region_exact(&dag, &weights, config.exact_budget, order);
+            span.finish(&[
+                ("nodes", outcome.nodes),
+                ("proven", u64::from(outcome.proven)),
+            ]);
             stats.regions += 1;
             stats.nodes += outcome.nodes;
             stats.heuristic_cost += heuristic_cost;

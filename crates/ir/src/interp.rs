@@ -195,15 +195,40 @@ impl MemImage {
         }
     }
 
-    /// FNV-1a hash of the observable regions of the memory image.
+    /// FNV-1a hash of the observable regions of the memory image, fed
+    /// byte by byte in region order.
+    ///
+    /// A zero byte only multiplies the state by the FNV prime `P`, so
+    /// each all-zero 8-byte word is folded into one multiply by `P⁸`
+    /// (mod 2⁶⁴); the value is the byte-serial hash's exactly.
     #[must_use]
     pub fn checksum(&self) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        const PRIME_POW8: u64 = PRIME.wrapping_pow(8);
+        fn absorb(mut h: u64, bytes: &[u8]) -> u64 {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(PRIME);
+            }
+            h
+        }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &(base, size) in &self.observable {
-            for &b in &self.bytes[base as usize..(base + size) as usize] {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            let region = &self.bytes[base as usize..(base + size) as usize];
+            // Words start at image addresses that are multiples of 8,
+            // the width loads and stores use, so a zeroed word folds
+            // even in a region whose base is not.
+            let head = region.len().min((base as usize).wrapping_neg() % 8);
+            h = absorb(h, &region[..head]);
+            let mut words = region[head..].chunks_exact(8);
+            for word in &mut words {
+                h = if word == [0; 8] {
+                    h.wrapping_mul(PRIME_POW8)
+                } else {
+                    absorb(h, word)
+                };
             }
+            h = absorb(h, words.remainder());
         }
         h
     }
@@ -599,6 +624,44 @@ mod tests {
     use super::*;
     use crate::block::Block;
     use crate::value::{self, Value};
+
+    /// The checksum's zero-word folding equals the byte-serial FNV-1a
+    /// definition on zero runs, non-zero words, and regions whose base
+    /// or size is not a multiple of 8.
+    #[test]
+    fn checksum_matches_the_byte_serial_fnv() {
+        // Zero runs of every length up to 16 between non-zero bytes, then
+        // 64 zero bytes.
+        let mut bytes = vec![0u8; 224];
+        for (i, b) in bytes.iter_mut().enumerate().take(160) {
+            if i % 17 == 0 || i % 23 == 5 || (96..104).contains(&i) {
+                *b = i as u8 | 1;
+            }
+        }
+        let layouts: &[&[(u64, u64)]] = &[
+            &[],
+            &[(0, 160)],
+            &[(0, 0)],
+            &[(3, 5)],
+            &[(5, 3), (8, 8)],
+            &[(1, 63), (64, 32), (104, 56)],
+            &[(7, 90), (97, 13), (150, 10)],
+            &[(40, 24), (16, 8)],
+            &[(160, 64), (161, 62), (0, 224)],
+        ];
+        for &observable in layouts {
+            let image = MemImage {
+                bytes: bytes.clone(),
+                region_bases: Vec::new(),
+                observable: observable.to_vec(),
+            };
+            let mut serial = bsched_util::Fnv1a::new();
+            for &(base, size) in observable {
+                serial.write(&bytes[base as usize..(base + size) as usize]);
+            }
+            assert_eq!(image.checksum(), serial.finish(), "{observable:?}");
+        }
+    }
 
     /// sum the integers 0..10 into region "out".
     fn sum_program() -> Program {

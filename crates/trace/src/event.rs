@@ -46,6 +46,11 @@ pub mod points {
     /// load's index in the region's original order), `weight` (the
     /// policy's assigned latency weight).
     pub const SCHED_LOAD_WEIGHT: TraceId = TraceId::new("sched", "load_weight");
+    /// One exact branch-and-bound search over a region (span). Label:
+    /// function name. Args: `block`, `insts`, `nodes` (expanded) and
+    /// `proven` (1 when the search finished within its budget, 0 when
+    /// it fell back to its best-found schedule).
+    pub const SCHED_EXACT: TraceId = TraceId::new("sched", "exact");
     /// One exact-search budget exhaustion (instant): the branch-and-
     /// bound arm fell back to its best-found-so-far schedule. Label:
     /// function name. Args: `block`, `insts`, `nodes` (explored),

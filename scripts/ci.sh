@@ -194,6 +194,14 @@ echo "== gate: block-engine work counts (exact) =="
 # (`cargo bench -p bsched-bench --bench simulator`), ungated.
 cargo test -q --release -p bsched-sim --lib work_counts_match_the_recorded_table
 
+echo "== gate: exact-search trajectory (exact) =="
+# The branch-and-bound scheduler on 20 seeded random regions at node
+# budgets 0, 17, 1000 and the default: an FNV digest of every emitted
+# order, cost, proven flag and node count must equal a recorded table,
+# budget-exhausted searches included. A change that visits one node
+# more or less (branch order, bound, memo) fails here on any host.
+cargo test -q --release -p bsched-core --test exact_pins
+
 echo "== gate: weight-kernel work counts and no trace points (exact) =="
 # compute_weights over every suite kernel's scheduled regions at unroll
 # 8: the contributors it scans and the bitset row words it reads must
