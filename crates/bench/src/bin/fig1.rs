@@ -6,6 +6,7 @@ use bsched_core::{compute_weights, schedule_region, SchedulerKind, WeightConfig}
 use bsched_ir::{Dag, Inst, Op, Reg, RegClass, RegionId};
 
 fn main() {
+    bsched_bench::cli::no_flags();
     let r = |n| Reg::virt(RegClass::Int, n);
     let f = |n| Reg::virt(RegClass::Float, n);
     let insts = vec![

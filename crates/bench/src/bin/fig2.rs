@@ -7,6 +7,7 @@ use bsched_ir::{BrCond, FuncBuilder, Interp, Op, Program};
 use bsched_opt::{trace_schedule, EdgeProfile, TraceOptions};
 
 fn main() {
+    bsched_bench::cli::no_flags();
     // b1: split; b2 hot arm; b3 cold arm; b4 join; b5 tail.
     let mut p = Program::new("fig2");
     let data = p.add_region("data", 256);

@@ -8,6 +8,7 @@ use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
 
 fn main() {
+    bsched_bench::cli::no_flags();
     const N: i64 = 8;
     let mut k = Kernel::new("fig4");
     let a = k.array("A", (N * N) as u64, ArrayInit::Random(1));

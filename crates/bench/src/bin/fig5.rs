@@ -8,6 +8,7 @@ use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
 
 fn main() {
+    bsched_bench::cli::no_flags();
     const N: i64 = 12;
     let mut k = Kernel::new("fig5");
     let b_arr = k.array("B", N as u64, ArrayInit::Random(2));

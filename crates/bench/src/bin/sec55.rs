@@ -12,6 +12,7 @@ use bsched_pipeline::{CompileOptions, SchedulerKind, Table};
 use bsched_sim::SimConfig;
 
 fn main() {
+    bsched_bench::cli::no_flags();
     // The four Perfect Club programs the two studies share are unnamed in
     // the paper; we use our Perfect Club kernels with substantial FP
     // latencies, where the model difference matters most.

@@ -51,7 +51,14 @@ fn speedup_table(grid: &Grid, title: &str, columns: &[String], sims: &[SimConfig
 }
 
 fn main() {
-    let ports_sweep = std::env::args().skip(1).any(|a| a == "--ports");
+    let mut ports_sweep = false;
+    let mut args = bsched_bench::cli::Args::from_env();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--ports" => ports_sweep = true,
+            _ => args.unknown(),
+        }
+    }
     let widths = [1u32, 2, 4];
     let grid = Grid::new();
 

@@ -4,6 +4,7 @@ use bsched_pipeline::Table;
 use bsched_workloads::all_kernels;
 
 fn main() {
+    bsched_bench::cli::no_flags();
     let mut t = Table::new(
         "Table 1: The workload (synthetic kernels shaped after the paper's benchmarks)",
         &[

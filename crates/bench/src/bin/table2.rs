@@ -4,6 +4,7 @@ use bsched_mem::MemConfig;
 use bsched_pipeline::Table;
 
 fn main() {
+    bsched_bench::cli::no_flags();
     let c = MemConfig::alpha21164();
     let mut t = Table::new(
         "Table 2: Memory hierarchy parameters (Alpha 21164-like)",

@@ -4,6 +4,7 @@ use bsched_ir::opcode::latency;
 use bsched_pipeline::Table;
 
 fn main() {
+    bsched_bench::cli::no_flags();
     let mut t = Table::new(
         "Table 3: Processor latencies",
         &["Instruction type", "Latency (cycles)"],

@@ -8,6 +8,7 @@ use bsched_pipeline::table::{mean, pct, ratio};
 use bsched_pipeline::{ConfigKind, ExperimentConfig, SchedulerKind, Table};
 
 fn main() {
+    bsched_bench::cli::no_flags();
     let grid = Grid::new();
     let mut warm = Vec::new();
     for scheduler in [SchedulerKind::Traditional, SchedulerKind::Balanced] {

@@ -7,6 +7,7 @@ use bsched_pipeline::table::{mean, ratio};
 use bsched_pipeline::{ConfigKind, ExperimentConfig, SchedulerKind, Table};
 
 fn main() {
+    bsched_bench::cli::no_flags();
     let grid = Grid::new();
     grid.prefetch(
         &[

@@ -99,6 +99,15 @@ impl Args {
     }
 }
 
+/// Walks the arguments of a binary that takes no flags: any argument
+/// exits 2.
+pub fn no_flags() {
+    let mut args = Args::from_env();
+    if args.next_flag().is_some() {
+        args.unknown();
+    }
+}
+
 /// Walks a microbench target's arguments: the `--bench` switch `cargo
 /// bench` appends, then the target's own flags through `extra(flag,
 /// args)`, which returns `false` for flags it does not know (exit 2).

@@ -1,5 +1,5 @@
 //! `bsched-bench` — shared plumbing for the table/figure regeneration
-//! binaries and the std-only microbenches.
+//! binaries and the `sampling` microbench.
 //!
 //! The [`Grid`] wraps the [`bsched_harness::Engine`]: every lookup is
 //! answered from the engine's memoized store, and binaries call

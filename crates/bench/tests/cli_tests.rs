@@ -1,6 +1,7 @@
-//! CLI-contract tests for `all_experiments`, `optimality`, `machines`
-//! and `bsched-client`: argument validation must fail fast (exit code
-//! 2) with actionable messages, before any cell executes.
+//! CLI-contract tests for `all_experiments`, `optimality`, `machines`,
+//! `bsched-client` and the flagless table binaries: argument validation
+//! must fail fast (exit code 2) with actionable messages, before any
+//! cell executes.
 
 use std::process::Command;
 
@@ -656,4 +657,33 @@ fn client_grid_rejects_bad_flags_and_kernels_before_connecting() {
         .unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("nonesuch") && err.contains("TRFD"), "{err}");
+}
+
+#[test]
+fn flagless_binaries_reject_every_argument() {
+    for bin in [
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_ablations"),
+    ] {
+        for args in [vec!["--csv", "--bogus"], vec!["foo"], vec!["--csv=1"]] {
+            let out = Command::new(bin).args(&args).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {err}");
+            assert!(err.contains("unknown flag"), "{bin} {args:?}: {err}");
+            assert!(out.stdout.is_empty(), "{bin} {args:?} printed a table");
+        }
+    }
+}
+
+#[test]
+fn superscalar_rejects_mistyped_flags_instead_of_running_the_default_sweep() {
+    for args in [vec!["--port"], vec!["--ports=1"], vec!["--ports", "4"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_superscalar"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} started the sweep");
+    }
 }

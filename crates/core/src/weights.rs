@@ -26,8 +26,8 @@
 //! replayed for every contributor sharing it — on unrolled bodies most
 //! do. [`compute_weights_reference`] is the retained naive walk
 //! (per-contributor DAG probes + union-find); it is the executable
-//! specification that the property tests hold the kernel against, and
-//! the "before" half of the `weights` microbench. Both accumulate each
+//! specification that the property tests and `bsched-verify` hold the
+//! kernel against. Both accumulate each
 //! load's credits in the same (program) order with the same `1/k`
 //! values, so their results are bit-for-bit identical.
 

@@ -68,17 +68,39 @@ fn is_topological(dag: &Dag, order: &[usize]) -> bool {
     })
 }
 
+/// Regions of the oracle's seeded stream picked for search depth, on
+/// top of its first 20. Almost every random region this small is proven
+/// at the root (the balanced incumbent already meets the lower bound),
+/// so the stream is filtered by node count, as `exact_pins` filters its
+/// larger regions: each of these expands 2–38 nodes at the default
+/// budget, which drives the oracle through the branching, the bound and
+/// the dominance memo.
+const BRANCHING: [usize; 40] = [
+    36, 37, 57, 100, 106, 114, 132, 146, 152, 183, 197, 229, 254, 273, 277, 301, 303, 311, 346,
+    363, 370, 372, 374, 395, 410, 411, 432, 433, 460, 498, 503, 505, 526, 544, 550, 574, 589, 601,
+    613, 681,
+];
+
 /// The core oracle property: on regions small enough to enumerate, the
 /// branch-and-bound cost equals the exhaustive minimum over all legal
 /// schedules, the search proves it within the default budget, and the
-/// emitted order is legal and replays to the reported cost.
+/// emitted order is legal and replays to the reported cost. At least
+/// half of the cases must reach the search proper (more than one node).
 #[test]
 fn exact_matches_the_brute_force_optimum_on_random_dags() {
     let mut rng = Prng::new(0xEAC7_0001);
-    for case in 0..60 {
-        let len = rng.index(7) + 2; // 2..=8 instructions
-        let insts = gen_region(&mut rng.fork(), len);
-        let (dag, weights, incumbent) = balanced_inputs(&insts);
+    let regions: Vec<_> = (0..=BRANCHING[BRANCHING.len() - 1])
+        .map(|_| {
+            let len = rng.index(7) + 2; // 2..=8 instructions
+            gen_region(&mut rng.fork(), len)
+        })
+        .collect();
+    let cases: Vec<usize> = (0..20).chain(BRANCHING).collect();
+    let mut searched = 0;
+    for &case in &cases {
+        let insts = &regions[case];
+        let len = insts.len();
+        let (dag, weights, incumbent) = balanced_inputs(insts);
         let oracle = brute_force_optimum(&dag, &weights);
         let out = schedule_region_exact(&dag, &weights, DEFAULT_EXACT_BUDGET, incumbent);
         assert!(
@@ -98,7 +120,13 @@ fn exact_matches_the_brute_force_optimum_on_random_dags() {
             out.cost,
             "case {case}: reported cost does not replay"
         );
+        searched += usize::from(out.nodes > 1);
     }
+    assert!(
+        2 * searched >= cases.len(),
+        "only {searched} of {} cases expanded more than one node",
+        cases.len()
+    );
 }
 
 /// The exact arm never loses to any heuristic: both the balanced and

@@ -38,7 +38,11 @@ use std::sync::OnceLock;
 /// every v5 file is ignored.
 ///
 /// v7: `CompileOptions` lost `reference_weights`, which changes its `Debug`.
-pub const CACHE_SCHEMA_VERSION: u32 = 7;
+///
+/// v8: each document records its kernel program's digest
+/// ([`bsched_pipeline::Source::digest`]), so an edited kernel's old
+/// results are misses; v7 documents have no digest.
+pub const CACHE_SCHEMA_VERSION: u32 = 8;
 
 /// One deduplicated unit of experimental work: a kernel compiled under
 /// one full option set (the options embed the simulated machine).

@@ -10,7 +10,10 @@
 //! (so a bumped format never even reads old files) and inside each
 //! document (defence in depth). Each document also stores the full
 //! canonical key; a hash collision — astronomically unlikely but free to
-//! check — is detected by key mismatch and treated as a miss.
+//! check — is detected by key mismatch and treated as a miss. The key
+//! names the kernel, not its content, so each document also records the
+//! kernel program's [`Source::digest`]: after an edit to a kernel, its
+//! old documents are misses.
 //!
 //! Writes go through a temp file + rename so a crashed run can never
 //! leave a torn document behind; a rename that loses a race with a
@@ -19,6 +22,7 @@
 use crate::cell::{ExperimentCell, CACHE_SCHEMA_VERSION};
 use crate::engine::CellResult;
 use bsched_mem::MemStats;
+use bsched_pipeline::Source;
 use bsched_sim::{InstCounts, SimMetrics};
 use bsched_util::Json;
 use std::path::{Path, PathBuf};
@@ -54,11 +58,12 @@ impl DiskCache {
         self.dir.join(format!("{:016x}.json", cell.content_hash()))
     }
 
-    /// Attempts to load a cell's result. Any failure — missing file,
-    /// parse error, schema or key mismatch — is a cache miss, never an
+    /// Attempts to load a cell's result, computed from `source` (the
+    /// cell's kernel program). Any failure — missing file, parse error,
+    /// schema, key or program mismatch — is a cache miss, never an
     /// error: the cache is an accelerator, not a source of truth.
     #[must_use]
-    pub fn load(&self, cell: &ExperimentCell) -> Option<CellResult> {
+    pub fn load(&self, cell: &ExperimentCell, source: &Source) -> Option<CellResult> {
         if !self.enabled {
             return None;
         }
@@ -70,6 +75,9 @@ impl DiskCache {
         if doc.get("key")?.as_str()? != cell.canonical_key() {
             return None; // hash collision or stale generation
         }
+        if doc.get("program")?.as_str()? != program_digest(source) {
+            return None; // the kernel changed since the result was stored
+        }
         let checksum_ok = doc.get("checksum_ok")?.as_bool()?;
         let verified = doc.get("verified")?.as_bool()?;
         let metrics = decode_metrics(doc.get("metrics")?)?;
@@ -80,9 +88,10 @@ impl DiskCache {
         })
     }
 
-    /// Stores a cell's result. I/O failures are reported to stderr and
-    /// otherwise ignored — a read-only checkout must not break runs.
-    pub fn store(&self, cell: &ExperimentCell, result: &CellResult) {
+    /// Stores a cell's result, computed from `source`. I/O failures are
+    /// reported to stderr and otherwise ignored — a read-only checkout
+    /// must not break runs.
+    pub fn store(&self, cell: &ExperimentCell, source: &Source, result: &CellResult) {
         if !self.enabled {
             return;
         }
@@ -90,6 +99,7 @@ impl DiskCache {
         let doc = Json::obj(vec![
             ("schema", Json::u64(u64::from(CACHE_SCHEMA_VERSION))),
             ("key", Json::Str(cell.canonical_key().to_string())),
+            ("program", Json::Str(program_digest(source))),
             ("checksum_ok", Json::Bool(result.checksum_ok)),
             ("verified", Json::Bool(result.verified)),
             ("metrics", encode_metrics(&result.metrics)),
@@ -108,6 +118,12 @@ impl DiskCache {
             );
         }
     }
+}
+
+/// A source's digest as the document stores it: 16 hex digits, since a
+/// JSON number holds only 53 bits exactly.
+fn program_digest(source: &Source) -> String {
+    format!("{:016x}", source.digest())
 }
 
 /// Encodes simulator metrics as the flat JSON document both the disk
@@ -210,7 +226,12 @@ pub fn decode_metrics(doc: &Json) -> Option<SimMetrics> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsched_ir::Program;
     use bsched_pipeline::{CompileOptions, SchedulerKind};
+
+    fn source() -> Source {
+        Source::new(Program::new("k"))
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -239,10 +260,10 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let cache = DiskCache::new(&dir, true);
         let cell = ExperimentCell::new("tomcatv", CompileOptions::new(SchedulerKind::Balanced));
-        assert!(cache.load(&cell).is_none());
+        assert!(cache.load(&cell, &source()).is_none());
         let result = sample_result();
-        cache.store(&cell, &result);
-        let back = cache.load(&cell).expect("stored result loads");
+        cache.store(&cell, &source(), &result);
+        let back = cache.load(&cell, &source()).expect("stored result loads");
         assert_eq!(back.metrics.cycles, result.metrics.cycles);
         assert_eq!(back.metrics.insts.loads, 42);
         assert_eq!(back.metrics.mem.l1d_hits, 40);
@@ -255,8 +276,8 @@ mod tests {
         let dir = tmp_dir("disabled");
         let cache = DiskCache::new(&dir, false);
         let cell = ExperimentCell::new("k", CompileOptions::new(SchedulerKind::Balanced));
-        cache.store(&cell, &sample_result());
-        assert!(cache.load(&cell).is_none());
+        cache.store(&cell, &source(), &sample_result());
+        assert!(cache.load(&cell, &source()).is_none());
         assert!(!dir.exists(), "disabled cache must not touch the disk");
     }
 
@@ -265,18 +286,30 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let cache = DiskCache::new(&dir, true);
         let cell = ExperimentCell::new("k", CompileOptions::new(SchedulerKind::Balanced));
-        cache.store(&cell, &sample_result());
+        cache.store(&cell, &source(), &sample_result());
         let path = cache.path_for(&cell);
 
         // Torn/garbage file.
         std::fs::write(&path, b"{not json").unwrap();
-        assert!(cache.load(&cell).is_none());
+        assert!(cache.load(&cell, &source()).is_none());
 
         // Valid JSON, wrong key (as after a hash collision).
         let other = ExperimentCell::new("other", CompileOptions::new(SchedulerKind::Balanced));
-        cache.store(&other, &sample_result());
+        cache.store(&other, &source(), &sample_result());
         std::fs::copy(cache.path_for(&other), &path).unwrap();
-        assert!(cache.load(&cell).is_none(), "key mismatch must be a miss");
+        assert!(
+            cache.load(&cell, &source()).is_none(),
+            "key mismatch must be a miss"
+        );
+
+        // Right key, another program under the kernel's name.
+        cache.store(&cell, &source(), &sample_result());
+        let edited = Source::new(Program::new("k2"));
+        assert!(cache.load(&cell, &source()).is_some());
+        assert!(
+            cache.load(&cell, &edited).is_none(),
+            "program mismatch must be a miss"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -285,7 +318,7 @@ mod tests {
         let dir = tmp_dir("version");
         let cache = DiskCache::new(&dir, true);
         let cell = ExperimentCell::new("k", CompileOptions::new(SchedulerKind::Balanced));
-        cache.store(&cell, &sample_result());
+        cache.store(&cell, &source(), &sample_result());
         assert!(dir.join(format!("v{CACHE_SCHEMA_VERSION}")).is_dir());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -33,7 +33,7 @@ pub struct CellResult {
 }
 
 /// Engine failures.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum HarnessError {
     /// A cell referenced a kernel the engine does not know.
     UnknownKernel(String),
@@ -358,27 +358,37 @@ impl Engine {
     /// Fails on unknown kernels, pipeline errors, or an interpreter
     /// cross-check divergence (a simulator/compiler bug, not a
     /// measurement). The first failing cell in request order is
-    /// reported.
+    /// reported; every cell that succeeded is stored all the same.
     pub fn run(&self, cells: &[ExperimentCell]) -> Result<(), HarnessError> {
         self.run_where(cells, self.config.verify)
+            .into_iter()
+            .find_map(Result::err)
+            .map_or(Ok(()), Err)
     }
 
     /// [`Engine::run`] with an explicit per-batch verification switch,
-    /// overriding [`EngineConfig::verify`]. `bsched-serve` uses this to
-    /// honour a per-request `verify` flag against one shared engine.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::run`].
-    pub fn run_where(&self, cells: &[ExperimentCell], verify: bool) -> Result<(), HarnessError> {
-        // Deduplicate within the batch, preserving request order.
+    /// overriding [`EngineConfig::verify`], returning each requested
+    /// cell's own outcome in request order. Every success is stored, so
+    /// a failing cell costs its neighbours nothing. `bsched-serve` uses
+    /// this to honour a per-request `verify` flag against one shared
+    /// engine and to answer each client with its own cell's fate.
+    pub fn run_where(
+        &self,
+        cells: &[ExperimentCell],
+        verify: bool,
+    ) -> Vec<Result<CellResult, HarnessError>> {
+        // Deduplicate within the batch, preserving request order:
+        // `slot[i]` is cell i's index in `unique`.
         let mut unique: Vec<&ExperimentCell> = Vec::with_capacity(cells.len());
+        let mut slot: Vec<usize> = Vec::with_capacity(cells.len());
         {
-            let mut seen = std::collections::HashSet::with_capacity(cells.len());
+            let mut seen = HashMap::with_capacity(cells.len());
             for cell in cells {
-                if seen.insert(cell.canonical_key()) {
+                let u = *seen.entry(cell.canonical_key()).or_insert_with(|| {
                     unique.push(cell);
-                }
+                    unique.len() - 1
+                });
+                slot.push(u);
             }
         }
         let mut batch = RunReport {
@@ -386,6 +396,7 @@ impl Engine {
             deduplicated: (cells.len() - unique.len()) as u64,
             ..RunReport::default()
         };
+        let mut outcomes: Vec<Option<Result<CellResult, HarnessError>>> = vec![None; unique.len()];
 
         // Layer 1/2: memory, then disk. A verifying run only accepts
         // cached results whose conformance suite passed at compute time;
@@ -394,43 +405,50 @@ impl Engine {
         // results exclusively.
         let sampled = self.config.sim_mode.is_sampled();
         let store = &self.store;
-        let mut misses: Vec<&ExperimentCell> = Vec::new();
+        let mut misses: Vec<usize> = Vec::new();
         let usable = |r: &CellResult| !verify || r.verified;
-        for &cell in &unique {
-            let hit = if let Some(r) = store.get(cell) {
-                usable(&r) && {
-                    batch.memory_hits += 1;
-                    true
-                }
-            } else if let Some(r) = if sampled { None } else { self.disk.load(cell) } {
-                usable(&r) && {
-                    store.insert(cell, r);
-                    batch.disk_hits += 1;
-                    true
-                }
-            } else {
-                false
-            };
-            if hit {
-                batch.verified += u64::from(verify);
+        for (u, &cell) in unique.iter().enumerate() {
+            let Some(source) = self.source(cell.kernel()) else {
+                outcomes[u] = Some(Err(HarnessError::UnknownKernel(cell.kernel().to_string())));
                 continue;
+            };
+            let cached = if let Some(r) = store.get(cell) {
+                usable(&r).then(|| {
+                    batch.memory_hits += 1;
+                    r
+                })
+            } else if let Some(r) = if sampled {
+                None
+            } else {
+                self.disk.load(cell, source)
+            } {
+                usable(&r).then(|| {
+                    store.insert(cell, r.clone());
+                    batch.disk_hits += 1;
+                    r
+                })
+            } else {
+                None
+            };
+            match cached {
+                Some(r) => {
+                    batch.verified += u64::from(verify);
+                    outcomes[u] = Some(Ok(r));
+                }
+                None => misses.push(u),
             }
-            if !self.index.contains_key(cell.kernel()) {
-                return Err(HarnessError::UnknownKernel(cell.kernel().to_string()));
-            }
-            misses.push(cell);
         }
 
         // Layer 3: execute the misses in parallel, one pool job per
         // compile. Cells that differ only in the simulated machine share
         // a compile key; their job compiles once and simulates each
         // member on its own machine. Outcomes are scattered back by
-        // index, so the first failure in request order is reported.
-        let mut failure = None;
+        // index, and every success is stored.
         if !misses.is_empty() {
-            let groups = compile_groups(&misses);
-            let (outcomes, stats) = pool::run_jobs(self.config.jobs, groups.len(), |g| {
-                let members: Vec<&ExperimentCell> = groups[g].iter().map(|&i| misses[i]).collect();
+            let missed: Vec<&ExperimentCell> = misses.iter().map(|&u| unique[u]).collect();
+            let groups = compile_groups(&missed);
+            let (results, stats) = pool::run_jobs(self.config.jobs, groups.len(), |g| {
+                let members: Vec<&ExperimentCell> = groups[g].iter().map(|&i| missed[i]).collect();
                 self.execute_group(&members, verify)
             });
             batch.pool_wall = stats.wall;
@@ -439,31 +457,34 @@ impl Engine {
             let mut by_cell: Vec<_> = groups
                 .iter()
                 .flatten()
-                .zip(outcomes.into_iter().flatten())
+                .zip(results.into_iter().flatten())
                 .collect();
             by_cell.sort_unstable_by_key(|&(&i, _)| i);
-            for (cell, (_, (outcome, wall))) in misses.iter().zip(by_cell) {
+            for (&u, (_, (outcome, wall))) in misses.iter().zip(by_cell) {
+                let cell = unique[u];
                 batch.cell_timings.push(CellTiming {
                     cell: cell.to_string(),
                     wall,
                 });
-                match outcome {
-                    Ok(result) => {
-                        batch.verified += u64::from(result.verified);
-                        if !sampled {
-                            self.disk.store(cell, &result);
-                        }
-                        store.insert(cell, result);
+                if let Ok(result) = &outcome {
+                    batch.verified += u64::from(result.verified);
+                    if !sampled {
+                        self.disk
+                            .store(cell, &self.kernels[self.index[cell.kernel()]].1, result);
                     }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+                    store.insert(cell, result.clone());
                 }
+                outcomes[u] = Some(outcome);
             }
         }
         self.update_report(batch);
-        failure.map_or(Ok(()), Err)
+        slot.into_iter()
+            .map(|u| {
+                outcomes[u]
+                    .clone()
+                    .expect("every unique cell has an outcome")
+            })
+            .collect()
     }
 
     /// The memoized result for a cell, if present.
@@ -482,12 +503,10 @@ impl Engine {
         if let Some(r) = self.store.get(cell) {
             return Ok(r.metrics);
         }
-        self.run(std::slice::from_ref(cell))?;
-        Ok(self
-            .store
-            .get(cell)
-            .expect("run() populated the store")
-            .metrics)
+        self.run_where(std::slice::from_ref(cell), self.config.verify)
+            .pop()
+            .expect("one outcome per cell")
+            .map(|r| r.metrics)
     }
 
     /// A snapshot of the run report.

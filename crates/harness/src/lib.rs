@@ -22,8 +22,9 @@
 //! 3. **Memoization** — an in-memory [`store::ResultStore`] plus an
 //!    on-disk content-addressed cache ([`disk::DiskCache`]) under
 //!    `results/cache/`, keyed by an FNV-1a hash of the canonical cell
-//!    key. Warm re-runs are near-instant; `BSCHED_NO_CACHE=1` bypasses
-//!    the disk layer.
+//!    key; each document also records its kernel program's digest, so
+//!    an edited kernel misses. Warm re-runs are near-instant;
+//!    `BSCHED_NO_CACHE=1` bypasses the disk layer.
 //! 4. **Observability** — a structured [`report::RunReport`]: per-cell
 //!    wall times, worker utilization, cache hit/miss counts, slowest
 //!    cells.

@@ -191,6 +191,36 @@ fn corrupt_cache_documents_recompute_without_panicking() {
 }
 
 #[test]
+fn an_edited_kernel_misses_the_disk_cache_and_stores_its_own_result() {
+    let dir = tmp_dir("edited");
+    let cfg = || {
+        EngineConfig::default()
+            .with_jobs(1)
+            .with_cache_dir(dir.clone())
+    };
+    let cell = ExperimentCell::new("alpha", CompileOptions::new(SchedulerKind::Balanced));
+    let run = |program: (String, Program)| {
+        let engine = Engine::new(vec![program], cfg());
+        engine.run(std::slice::from_ref(&cell)).expect("runs");
+        let cycles = engine.result(&cell).expect("stored").metrics.cycles;
+        (engine.report(), cycles)
+    };
+
+    let (_, old) = run(tiny_kernel("alpha", 48, 3));
+    // Another program under the same kernel name: the warm document
+    // belongs to the old program, so it is a miss.
+    let (report, new) = run(tiny_kernel("alpha", 64, 11));
+    assert_eq!((report.disk_hits, report.executed), (0, 1));
+    assert_ne!(old, new, "the edited program simulates differently");
+    // The edited program's own result replaced the old document.
+    let (report, again) = run(tiny_kernel("alpha", 64, 11));
+    assert_eq!((report.disk_hits, report.executed), (1, 0));
+    assert_eq!(again, new);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn verifying_run_proves_every_cell_and_reports_it() {
     let cells = cells();
     let cfg = EngineConfig::default()

@@ -1,7 +1,8 @@
 //! A source program shared between sessions, with its reference result.
 
 use crate::compile::PipelineError;
-use bsched_ir::{Interp, Program};
+use bsched_ir::{Interp, MemImage, Program};
+use bsched_util::Fnv1a;
 use std::sync::OnceLock;
 
 /// A source program together with its reference result: the verdict of
@@ -22,6 +23,7 @@ use std::sync::OnceLock;
 pub struct Source {
     program: Program,
     reference: OnceLock<Result<u64, PipelineError>>,
+    digest: OnceLock<u64>,
 }
 
 impl Source {
@@ -32,6 +34,7 @@ impl Source {
         Source {
             program,
             reference: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -52,6 +55,21 @@ impl Source {
         self.reference
             .get_or_init(|| self.compute_reference())
             .clone()
+    }
+
+    /// A digest of the program's content, computed on first use: FNV-1a
+    /// over the program's `Display` text followed by the checksum of its
+    /// initial memory image. Two programs that lower to different
+    /// instructions, regions or initial data get different digests, so
+    /// a result computed for one is never served for the other.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = Fnv1a::new();
+            h.write(self.program.to_string().as_bytes());
+            h.write(&MemImage::new(&self.program).checksum().to_le_bytes());
+            h.finish()
+        })
     }
 
     fn compute_reference(&self) -> Result<u64, PipelineError> {

@@ -341,7 +341,7 @@ impl ServeCore {
         } else {
             None
         };
-        let batch_result = self.engine.run_where(&cells, verify);
+        let outcomes = self.engine.run_where(&cells, verify);
         drop(trace_guard);
         let mut trace_by_label: HashMap<String, Vec<WireTraceEvent>> = HashMap::new();
         if self.cfg.stream_traces {
@@ -352,46 +352,18 @@ impl ServeCore {
                     .push(WireTraceEvent::from_event(&event));
             }
         }
-        match batch_result {
-            Ok(()) => {
-                for job in batch {
-                    let result = self
-                        .engine
-                        .result(&job.cell)
-                        .expect("run_where populated the store");
-                    let trace = trace_by_label
-                        .remove(&job.cell.to_string())
-                        .unwrap_or_default();
-                    self.counters
-                        .completed_cells
-                        .fetch_add(1, Ordering::Relaxed);
-                    job.finish(Ok(result), trace);
-                }
-            }
-            Err(_) => {
-                // The batch failed as a unit; re-run cells one by one so
-                // each waiting client learns its own cell's fate instead
-                // of a neighbour's.
-                for job in batch {
-                    let outcome = self
-                        .engine
-                        .run_where(std::slice::from_ref(&job.cell), verify)
-                        .map(|()| {
-                            self.engine
-                                .result(&job.cell)
-                                .expect("run_where populated the store")
-                        })
-                        .map_err(|e| e.to_string());
-                    match &outcome {
-                        Ok(_) => self
-                            .counters
-                            .completed_cells
-                            .fetch_add(1, Ordering::Relaxed),
-                        Err(_) => self.counters.failed_cells.fetch_add(1, Ordering::Relaxed),
-                    };
-                    job.finish(outcome, Vec::new());
-                }
-            }
+        // Each job gets its own cell's outcome: a failing neighbour in
+        // the batch neither fails it nor makes it run again.
+        for (job, outcome) in batch.iter().zip(outcomes) {
+            let counter = match outcome {
+                Ok(_) => &self.counters.completed_cells,
+                Err(_) => &self.counters.failed_cells,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            let trace = trace_by_label
+                .remove(&job.cell.to_string())
+                .unwrap_or_default();
+            job.finish(outcome.map_err(|e| e.to_string()), trace);
         }
     }
 
@@ -584,6 +556,56 @@ mod tests {
             let (outcome, _) = job.wait();
             assert!(outcome.is_ok(), "queued work must finish during drain");
         }
+        dispatcher.join().unwrap();
+    }
+
+    /// An `add` that writes a float register: rejected by the IR
+    /// verifier, so every compile of it fails.
+    fn malformed() -> bsched_ir::Program {
+        use bsched_ir::{Function, Inst, Op, Program, RegClass};
+        let mut p = Program::new("bad");
+        let mut f = Function::new("main");
+        let i = f.new_reg(RegClass::Int);
+        let x = f.new_reg(RegClass::Float);
+        let e = f.entry();
+        let mut bad = Inst::op(Op::Add, i, &[i, i]);
+        bad.dst = Some(x);
+        f.block_mut(e).insts.push(bad);
+        p.set_main(f);
+        p
+    }
+
+    #[test]
+    fn a_failing_cell_fails_alone_and_nothing_runs_twice() {
+        let trfd = bsched_pipeline::resolve_kernel("TRFD").unwrap();
+        let engine = Engine::new(
+            vec![("TRFD".to_string(), trfd), ("bad".to_string(), malformed())],
+            EngineConfig::default().with_jobs(2).with_disk_cache(false),
+        );
+        let core = Arc::new(ServeCore::new(engine, ServeConfig::default()));
+        let good = cells(2);
+        let bad = ExperimentCell::new("bad", CompileOptions::new(SchedulerKind::Balanced));
+        // Queued before the dispatcher starts, so all three run as one
+        // engine batch.
+        let out = core
+            .submit(&[good[0].clone(), bad, good[1].clone()], false)
+            .unwrap();
+        let dispatcher = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.run_dispatcher())
+        };
+        let outcomes: Vec<_> = out.jobs.iter().map(|job| job.wait().0).collect();
+        assert!(outcomes[0].is_ok(), "{:?}", outcomes[0]);
+        assert!(
+            outcomes[1].as_ref().is_err_and(|e| e.contains("bad/BS")),
+            "{:?}",
+            outcomes[1]
+        );
+        assert!(outcomes[2].is_ok(), "{:?}", outcomes[2]);
+        assert_eq!(core.engine().report().executed, 3, "no cell re-ran");
+        let stats = core.stats();
+        assert_eq!((stats.completed_cells, stats.failed_cells), (2, 1));
+        core.drain();
         dispatcher.join().unwrap();
     }
 }

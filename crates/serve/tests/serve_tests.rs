@@ -145,7 +145,9 @@ fn served_grid_matches_direct_run_cold_and_warm_including_cache_entries() {
             .with_jobs(2)
             .with_cache_dir(direct_dir.clone()),
     );
-    direct.run_where(&cells, true).expect("direct run");
+    for outcome in direct.run_where(&cells, true) {
+        outcome.expect("direct run");
+    }
 
     // Served path: a second engine behind the wire protocol.
     let served_dir = tmp_dir("served");

@@ -189,9 +189,9 @@ echo "== gate: block-engine work counts (exact) =="
 # counted from its block cache at exit and compared by exact equality
 # with a recorded table. It catches the engine sliding back toward
 # per-instruction work (rebuilding skeletons on re-entry, fetching on
-# every instruction, scanning proven-ready operands) on any host; the
-# interp:block wall-clock ratios stay printed by the simulator bench
-# (`cargo bench -p bsched-bench --bench simulator`), ungated.
+# every instruction, scanning proven-ready operands) on any host.
+# Wall-clock simulator throughput is perfbench's `sim.minst_per_s`
+# row, ungated here.
 cargo test -q --release -p bsched-sim --lib work_counts_match_the_recorded_table
 
 echo "== gate: exact-search trajectory (exact) =="

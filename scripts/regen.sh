@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Rewrites every file under results/ from the current source, uncached:
 #
-# * results/<bin>.txt — the stdout of each table, figure and grid binary;
+# * results/<bin>.txt — the stdout of each table, figure, ablation and
+#   grid binary;
 # * results/all_experiments.csv, machines.csv and optimality.csv — the
 #   files those binaries write under --csv.
 #
@@ -29,7 +30,7 @@ run() {
 }
 
 for bin in table1 table2 table3 table4 table5 table6 table7 table8 table9 \
-    fig1 fig2 fig3 fig4 fig5 sec55 superscalar all_experiments; do
+    fig1 fig2 fig3 fig4 fig5 sec55 superscalar ablations all_experiments; do
     run "results/$bin.txt" "$bin"
 done
 run /dev/null all_experiments --csv
