@@ -1,21 +1,12 @@
 //! Ablations over the design choices DESIGN.md calls out. Each ablation
-//! prints the simulated-cycle outcome (the quantity of interest).
-//!
-//! Every cell runs under the simulation engine `BSCHED_SIM_ENGINE`
-//! names; the engines agree bit for bit, so `results/ablations.txt` is
-//! the same under both. Takes no flags.
+//! prints the simulated-cycle outcome (the quantity of interest). Takes
+//! no flags.
 
-use bsched_harness::EngineConfig;
-use bsched_pipeline::{CompileOptions, Experiment, ExperimentBuilder, SchedulerKind};
+use bsched_pipeline::{CompileOptions, Experiment, SchedulerKind};
 use bsched_sim::SimConfig;
 
-/// A session builder on the simulation engine `BSCHED_SIM_ENGINE` names.
-fn builder() -> ExperimentBuilder {
-    Experiment::builder().engine(EngineConfig::from_env().sim_engine)
-}
-
 fn cycles(name: &str, opts: &CompileOptions) -> u64 {
-    builder()
+    Experiment::builder()
         .kernel(name)
         .compile_options(*opts)
         .build()
@@ -80,7 +71,7 @@ fn main() {
         k.lower()
     };
     let run_cond = |opts: CompileOptions| {
-        builder()
+        Experiment::builder()
             .program("cond", prog.clone())
             .compile_options(opts)
             .build()

@@ -15,16 +15,11 @@
 //! Unknown names — and an empty list — are rejected with the list of
 //! valid choices and exit code 2.
 //!
-//! `--engine NAME` (or `--engine=NAME`, or `BSCHED_SIM_ENGINE=NAME`)
-//! selects the simulation engine — `interpret` or `block` — with
-//! byte-identical output either way; unknown names are rejected with
-//! the valid choices and exit code 2.
-//!
 //! `--sample` (or `--sample=SPEC`, or `BSCHED_SAMPLE=SPEC`) switches
 //! execution to sampled simulation: cycle-level metrics become
 //! estimates extrapolated from representative intervals (instruction
-//! counts and checksums stay exact; see DESIGN.md §13). Like the engine
-//! axis the mode is execution-only — it never enters a cache key — but
+//! counts and checksums stay exact; see DESIGN.md §13). Like tracing,
+//! the mode is execution-only — it never enters a cache key — but
 //! sampled results stay in memory and never touch the exact disk
 //! cache. A bare `--sample` uses the default configuration; a spec
 //! like `k=8,interval=1000` overrides it. Invalid specs are rejected
@@ -59,7 +54,6 @@ use std::fmt::Write as _;
 struct Cli {
     csv: bool,
     verify: bool,
-    engine: Option<bsched_pipeline::SimEngine>,
     sample: Option<bsched_pipeline::SampleConfig>,
     machine: Option<bsched_pipeline::MachineSpec>,
     kernels: Vec<String>,
@@ -100,7 +94,6 @@ impl Cli {
             match flag.as_str() {
                 "--csv" => cli.csv = true,
                 "--verify" => cli.verify = true,
-                "--engine" => cli.engine = Some(cli::parse_engine(&args.value())),
                 "--sample" => {
                     let spec = args.optional_value();
                     cli.sample =
@@ -200,9 +193,6 @@ fn main() {
 
     let mut engine_cfg = EngineConfig::from_env();
     engine_cfg.verify = engine_cfg.verify || cli.verify;
-    if let Some(engine) = cli.engine {
-        engine_cfg.sim_engine = engine; // the flag beats BSCHED_SIM_ENGINE
-    }
     if let Some(sample) = cli.sample {
         // The flag beats BSCHED_SAMPLE.
         engine_cfg.sim_mode = bsched_pipeline::SimMode::Sampled(sample);

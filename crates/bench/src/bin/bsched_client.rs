@@ -160,6 +160,11 @@ fn main() {
     let Some(start) = rest_start else { usage() };
     let command = args[start].as_str();
     let rest = &args[start + 1..];
+    if matches!(command, "stats" | "ping" | "shutdown") {
+        // These take no arguments: reject any before connecting, as
+        // grid rejects a bad flag.
+        Args::new(rest.iter().cloned()).none();
+    }
     match command {
         "grid" => cmd_grid(&endpoint, rest),
         "stats" => cmd_stats(&endpoint),

@@ -13,7 +13,7 @@
 //!
 //! Every cell runs through the harness engine, so the table is fully
 //! cached, parallel, and — because cycles are deterministic —
-//! byte-identical across runs, worker counts and simulation engines.
+//! byte-identical across runs and worker counts.
 //! The `alpha21164` rows are by construction identical to the default
 //! machine's numbers in `results/all_experiments.csv`.
 //!
@@ -24,8 +24,6 @@
 //!   valid choices on bad specs;
 //! * `--kernels NAME,...` — restrict to a kernel subset (exit 2 with
 //!   the valid choices on unknown names);
-//! * `--engine NAME` — simulation engine (`interpret` or `block`),
-//!   byte-identical output either way;
 //! * `--verify` — run the `bsched-verify` conformance suite on every
 //!   executed cell (`BSCHED_VERIFY=1` does the same);
 //! * `--csv` — also write `results/machines.csv` (`scripts/regen.sh`
@@ -76,7 +74,6 @@ struct Totals {
 struct Cli {
     csv: bool,
     verify: bool,
-    engine: Option<bsched_pipeline::SimEngine>,
     machines: Option<Vec<MachineSpec>>,
     kernels: Vec<String>,
 }
@@ -116,7 +113,6 @@ impl Cli {
             match flag.as_str() {
                 "--csv" => cli.csv = true,
                 "--verify" => cli.verify = true,
-                "--engine" => cli.engine = Some(cli::parse_engine(&args.value())),
                 "--machines" => cli.machines = Some(parse_machine_list(&args.value())),
                 "--kernels" => cli.kernels = cli::parse_kernel_list(&args.value()),
                 _ => args.unknown(),
@@ -144,9 +140,6 @@ fn main() {
 
     let mut engine_cfg = EngineConfig::from_env();
     engine_cfg.verify = engine_cfg.verify || cli.verify;
-    if let Some(engine) = cli.engine {
-        engine_cfg.sim_engine = engine; // the flag beats BSCHED_SIM_ENGINE
-    }
     let grid = Grid::with_engine(Engine::with_standard_kernels(engine_cfg));
 
     let machines: Vec<MachineSpec> = cli.machines.clone().unwrap_or_else(|| {

@@ -9,18 +9,18 @@
 //!
 //! ```no_run
 //! let mut csv = false;
-//! let mut engine = None;
+//! let mut machine = None;
 //! let mut args = bsched_bench::cli::Args::from_env();
 //! while let Some(flag) = args.next_flag() {
 //!     match flag.as_str() {
 //!         "--csv" => csv = true,
-//!         "--engine" => engine = Some(bsched_bench::cli::parse_engine(&args.value())),
+//!         "--machine" => machine = Some(bsched_bench::cli::parse_machine(&args.value())),
 //!         _ => args.unknown(),
 //!     }
 //! }
 //! ```
 
-use bsched_pipeline::{MachineSpec, SampleConfig, SimEngine};
+use bsched_pipeline::{MachineSpec, SampleConfig};
 use bsched_util::spec::exit2;
 
 fn usage_error(msg: &str) -> ! {
@@ -97,15 +97,19 @@ impl Args {
     pub fn unknown(&self) -> ! {
         usage_error(&format!("unknown flag {:?}", self.flag))
     }
+
+    /// Walks a line that must be empty: any argument exits 2.
+    pub fn none(mut self) {
+        if self.next_flag().is_some() {
+            self.unknown();
+        }
+    }
 }
 
 /// Walks the arguments of a binary that takes no flags: any argument
 /// exits 2.
 pub fn no_flags() {
-    let mut args = Args::from_env();
-    if args.next_flag().is_some() {
-        args.unknown();
-    }
+    Args::from_env().none();
 }
 
 /// Walks a microbench target's arguments: the `--bench` switch `cargo
@@ -152,13 +156,6 @@ pub fn parse_kernel_list(raw: &str) -> Vec<String> {
     all.into_iter()
         .filter(|k| want.contains(&k.as_str()))
         .collect()
-}
-
-/// `--engine NAME`: a simulation engine (exit 2 listing the valid
-/// engines).
-#[must_use]
-pub fn parse_engine(raw: &str) -> SimEngine {
-    raw.trim().parse().unwrap_or_else(|e| exit2("--engine", &e))
 }
 
 /// `--machine SPEC`: a machine description (exit 2 naming the valid
@@ -210,14 +207,14 @@ mod tests {
             walk(&[
                 "--kernels",
                 "TRFD",
-                "--engine=block",
+                "--machine=wide4",
                 "--csv",
                 "--sample",
                 "--trace-json=a=b"
             ]),
             vec![
                 ("--kernels".into(), s("TRFD")),
-                ("--engine".into(), s("block")),
+                ("--machine".into(), s("wide4")),
                 ("--csv".into(), None),
                 ("--sample".into(), None),
                 ("--trace-json".into(), s("a=b")),

@@ -17,14 +17,14 @@ fn machines() -> Command {
     Command::new(env!("CARGO_BIN_EXE_machines"))
 }
 
-/// `bsched-client` aimed at a socket that does not exist: a connection
-/// attempt would fail with exit 1 and `cannot connect`.
-fn client_grid() -> Command {
+/// `bsched-client COMMAND` aimed at a socket that does not exist: a
+/// connection attempt would fail with exit 1 and `cannot connect`.
+fn client(command: &str) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bsched-client"));
     cmd.args([
         "--connect",
         "unix:/nonexistent-bsched-dir/serve.sock",
-        "grid",
+        command,
     ]);
     cmd
 }
@@ -163,43 +163,16 @@ fn empty_bsched_cache_dir_fails_loudly_instead_of_caching_nowhere() {
 }
 
 #[test]
-fn unknown_engine_names_are_rejected_with_the_valid_choices() {
-    for args in [vec!["--engine", "bogus"], vec!["--engine=bogus"]] {
+fn all_experiments_rejects_unknown_flags_before_running() {
+    for args in [vec!["--engine", "block"], vec!["--frobnicate"]] {
         let out = all_experiments().args(&args).output().unwrap();
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("bogus"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(
-            err.contains("interpret") && err.contains("block"),
-            "{args:?} must list valid engines: {err}"
+            err.contains(&format!("unknown flag {:?}", args[0])),
+            "{args:?}: {err}"
         );
         assert!(out.stdout.is_empty(), "{args:?} must not start the grid");
-    }
-    let out = all_experiments().arg("--engine").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--engine"));
-}
-
-#[test]
-fn invalid_bsched_sim_engine_fails_loudly_instead_of_degrading() {
-    for bad in ["bogus", "interpreter9000", ""] {
-        let out = all_experiments()
-            .args(["--kernels", "TRFD"])
-            .env("BSCHED_SIM_ENGINE", bad)
-            .output()
-            .unwrap();
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "BSCHED_SIM_ENGINE={bad:?} must exit 2, not fall back silently"
-        );
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("invalid BSCHED_SIM_ENGINE"), "{bad:?}: {err}");
-        assert!(
-            err.contains("interpret") && err.contains("block"),
-            "{bad:?} must list valid engines: {err}"
-        );
-        assert!(out.stdout.is_empty(), "{bad:?} must not start the grid");
     }
 }
 
@@ -341,44 +314,6 @@ fn sampled_csv_never_overwrites_the_exact_table() {
         sampled.expect("the sampled table lands in all_experiments_sampled.csv"),
         out.stdout,
         "the sampled CSV file holds the printed table"
-    );
-}
-
-/// The engine axis is execution-only: it is not part of any cache key,
-/// so a cache warmed under one engine must be answered entirely from
-/// disk under the other — and print the same bytes.
-#[test]
-fn cache_warmed_under_one_engine_fully_hits_under_the_other() {
-    let cache = std::env::temp_dir().join(format!("bsched-engine-cache-{}", std::process::id()));
-    let run = |engine: &str| {
-        all_experiments()
-            .args(["--kernels", "TRFD", "--engine", engine])
-            .env("BSCHED_JOBS", "2")
-            .env("BSCHED_CACHE_DIR", &cache)
-            .output()
-            .unwrap()
-    };
-    let warm = run("interpret");
-    let reuse = run("block");
-    std::fs::remove_dir_all(&cache).ok();
-    assert!(
-        warm.status.success(),
-        "{}",
-        String::from_utf8_lossy(&warm.stderr)
-    );
-    assert!(
-        reuse.status.success(),
-        "{}",
-        String::from_utf8_lossy(&reuse.stderr)
-    );
-    assert_eq!(
-        warm.stdout, reuse.stdout,
-        "engines must print byte-identical tables"
-    );
-    let err = String::from_utf8_lossy(&reuse.stderr);
-    assert!(
-        err.contains(" 0 executed (100% cache hits)"),
-        "the block run must be answered entirely from the interpret-warmed cache: {err}"
     );
 }
 
@@ -557,7 +492,7 @@ fn machines_binary_rejects_bad_specs_kernels_and_flags() {
         (vec!["--machines=alpha21164+bp=bogus"], "valid predictors"),
         (vec!["--machines="], "at least one machine spec"),
         (vec!["--kernels", "nonesuch"], "TRFD"),
-        (vec!["--engine", "bogus"], "interpret"),
+        (vec!["--engine", "block"], "unknown flag \"--engine\""),
         (vec!["--frobnicate"], "--frobnicate"),
         (vec!["--check", "BENCH_pr10.json"], "--check"),
     ] {
@@ -642,7 +577,7 @@ fn client_grid_rejects_bad_flags_and_kernels_before_connecting() {
         vec!["--kernels", "nonesuch"],
         vec!["--kernels=TRFD,nonesuch"],
     ] {
-        let out = client_grid().args(&args).output().unwrap();
+        let out = client("grid").args(&args).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(
@@ -651,12 +586,28 @@ fn client_grid_rejects_bad_flags_and_kernels_before_connecting() {
         );
         assert!(out.stdout.is_empty(), "{args:?}");
     }
-    let out = client_grid()
+    let out = client("grid")
         .args(["--kernels", "nonesuch"])
         .output()
         .unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("nonesuch") && err.contains("TRFD"), "{err}");
+}
+
+#[test]
+fn client_stats_ping_and_shutdown_reject_arguments_before_connecting() {
+    for command in ["stats", "ping", "shutdown"] {
+        for args in [vec!["--bogus"], vec!["foo"]] {
+            let out = client(command).args(&args).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {args:?}: {err}");
+            assert!(
+                err.contains(&format!("unknown flag {:?}", args[0])),
+                "{command} {args:?}: {err}"
+            );
+            assert!(out.stdout.is_empty(), "{command} {args:?}");
+        }
+    }
 }
 
 #[test]

@@ -7,10 +7,9 @@
 //! diff.
 //!
 //! The paper-table binaries are checked against their committed output
-//! under `results/<binary>.txt`, once per simulation engine
-//! (`BSCHED_SIM_ENGINE=interpret` and `=block`) with the cache disabled
-//! so both engines genuinely execute. `scripts/regen.sh` is the one way
-//! to refresh those files.
+//! under `results/<binary>.txt`, run once with the cache disabled so
+//! every cell genuinely executes. `scripts/regen.sh` is the one way to
+//! refresh those files.
 //!
 //! The subset runs below (two kernels, a small search budget) have no
 //! file under `results/`; they are pinned by
@@ -31,22 +30,18 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root resolves")
 }
 
-/// Checks a binary's default stdout against `results/{name}.txt` under
-/// each simulation engine.
+/// Checks a binary's default stdout against `results/{name}.txt`.
 fn check_results(name: &str, exe: &str) {
     let root = workspace_root();
     let committed = root.join("results").join(format!("{name}.txt"));
     let want = std::fs::read_to_string(&committed)
         .unwrap_or_else(|e| panic!("{}: {e}; run scripts/regen.sh", committed.display()));
-    for engine in ["interpret", "block"] {
-        let label = format!("{name} ({engine})");
-        let stdout = run_with(&label, exe, &root, &[], &[("BSCHED_SIM_ENGINE", engine)]);
-        assert_eq!(
-            stdout, want,
-            "{name} stdout under the {engine} engine diverged from results/{name}.txt; \
-             if the change is intentional, rewrite results/ with scripts/regen.sh"
-        );
-    }
+    let stdout = run_with(name, exe, &root, &[], &[]);
+    assert_eq!(
+        stdout, want,
+        "{name} stdout diverged from results/{name}.txt; \
+         if the change is intentional, rewrite results/ with scripts/regen.sh"
+    );
 }
 
 macro_rules! golden {
@@ -114,7 +109,7 @@ fn check_against(name: &str, root: &Path, stdout: &str) -> String {
 /// Sampled estimates are deterministic (seeded clustering, deterministic
 /// replay), so sampled stdout is snapshot-able like everything else —
 /// and must not depend on whether the mode came from the flag or the
-/// environment, or on which exact engine backs the plan build.
+/// environment.
 #[test]
 fn all_experiments_sampled() {
     let root = workspace_root();
@@ -132,17 +127,6 @@ fn all_experiments_sampled() {
     assert_eq!(
         from_env, want,
         "BSCHED_SAMPLE=1 must match --sample byte for byte"
-    );
-    let interp = run_with(
-        "all_experiments_sampled (interpret)",
-        exe,
-        &root,
-        &args,
-        &[("BSCHED_SIM_ENGINE", "interpret")],
-    );
-    assert_eq!(
-        interp, want,
-        "sampled stdout must not depend on the exact engine"
     );
 }
 

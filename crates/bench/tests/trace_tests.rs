@@ -257,7 +257,6 @@ fn run_report_is_not_torn_under_parallel_jobs() {
             || l.starts_with("── ")
             || l.starts_with("cells: ")
             || l.starts_with("verification: ")
-            || l.starts_with("engine: ")
             || l.starts_with("pool: ")
             || l.starts_with("dag-analysis cache: ")
             || l == "slowest cells:"

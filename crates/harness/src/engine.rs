@@ -8,7 +8,7 @@ use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
 use bsched_ir::Program;
 use bsched_pipeline::{Experiment, RunResult, Source};
-use bsched_sim::{SampleConfig, SimEngine, SimMetrics, SimMode};
+use bsched_sim::{SampleConfig, SimMetrics, SimMode};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -71,16 +71,11 @@ pub struct EngineConfig {
     /// suite. Violations fail the run; cached results that were not
     /// verified when computed are recomputed.
     pub verify: bool,
-    /// Which simulation engine executes cells. Both engines produce
-    /// bit-identical results, so — like tracing — the choice is **not**
-    /// part of any cache key: a cache warmed under one engine is 100%
-    /// hits under the other.
-    pub sim_engine: SimEngine,
-    /// Whether cells run exactly or sampled ([`SimMode`]). Like the
-    /// engine axis this is an execution detail, never part of a cache
-    /// key — but unlike the engine axis it is *not* metrics-invariant,
-    /// so sampled results live in a separate in-memory store and never
-    /// touch the exact stores (memory or disk) in either direction.
+    /// Whether cells run exactly or sampled ([`SimMode`]). Like tracing
+    /// this is an execution detail, never part of a cache key — but
+    /// unlike tracing it is *not* metrics-invariant, so sampled results
+    /// live in a separate in-memory store and never touch the exact
+    /// stores (memory or disk) in either direction.
     pub sim_mode: SimMode,
 }
 
@@ -91,7 +86,6 @@ impl Default for EngineConfig {
             disk_cache: true,
             cache_dir: PathBuf::from("results/cache"),
             verify: false,
-            sim_engine: SimEngine::default(),
             sim_mode: SimMode::Exact,
         }
     }
@@ -112,8 +106,6 @@ impl EngineConfig {
     ///   `results/cache`),
     /// * `BSCHED_VERIFY=1` — run the conformance suite on every
     ///   executed cell,
-    /// * `BSCHED_SIM_ENGINE=<interpret|block>` — simulation engine
-    ///   (default `block`; results are bit-identical either way),
     /// * `BSCHED_SAMPLE=<spec>` — sampled execution mode; `1`/`on`/
     ///   `default` for the default [`SampleConfig`], or a spec like
     ///   `k=8,interval=1000` (`0`/`off`/`false` keep exact mode).
@@ -141,9 +133,8 @@ impl EngineConfig {
     /// # Errors
     ///
     /// `BSCHED_JOBS` that is not a positive integer, an empty
-    /// `BSCHED_CACHE_DIR`, a `BSCHED_SIM_ENGINE` naming no known
-    /// engine, or a `BSCHED_SAMPLE` that parses as neither a sampling
-    /// spec nor an off switch.
+    /// `BSCHED_CACHE_DIR`, or a `BSCHED_SAMPLE` that parses as neither
+    /// a sampling spec nor an off switch.
     pub fn try_from_env() -> Result<Self, String> {
         let mut cfg = EngineConfig::default();
         if let Ok(v) = std::env::var("BSCHED_JOBS") {
@@ -174,17 +165,6 @@ impl EngineConfig {
         if let Ok(v) = std::env::var("BSCHED_VERIFY") {
             if v == "1" || v.eq_ignore_ascii_case("true") {
                 cfg.verify = true;
-            }
-        }
-        if let Ok(v) = std::env::var("BSCHED_SIM_ENGINE") {
-            match v.trim().parse::<SimEngine>() {
-                Ok(engine) => cfg.sim_engine = engine,
-                Err(_) => {
-                    return Err(format!(
-                        "invalid BSCHED_SIM_ENGINE={v:?}: valid engines: {}",
-                        SimEngine::valid_choices()
-                    ))
-                }
             }
         }
         if let Ok(v) = std::env::var("BSCHED_SAMPLE") {
@@ -224,13 +204,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_verify(mut self, on: bool) -> Self {
         self.verify = on;
-        self
-    }
-
-    /// Overrides the simulation engine.
-    #[must_use]
-    pub fn with_sim_engine(mut self, engine: SimEngine) -> Self {
-        self.sim_engine = engine;
         self
     }
 
@@ -292,7 +265,6 @@ impl Engine {
         };
         let report = RunReport {
             workers: config.jobs,
-            sim_engine: config.sim_engine.label().to_string(),
             sim_mode,
             ..RunReport::default()
         };
@@ -543,7 +515,6 @@ impl Engine {
         let session = Experiment::builder()
             .source(first.kernel(), Arc::clone(source))
             .compile_options(*first.options())
-            .engine(self.config.sim_engine)
             .sim_mode(self.config.sim_mode)
             .build()
             .expect("a session over a supplied source always builds");

@@ -51,9 +51,6 @@ pub struct RunReport {
     pub fuzz_iterations: u64,
     /// Worker count used for parallel batches.
     pub workers: usize,
-    /// Label of the simulation engine executing cells (empty when the
-    /// engine was never configured, e.g. in unit tests).
-    pub sim_engine: String,
     /// Label of the simulation mode (`exact`, or `sampled(<spec>)`;
     /// empty when the engine was never configured).
     pub sim_mode: String,
@@ -175,9 +172,6 @@ impl RunReport {
             );
         }
         if self.executed > 0 {
-            if !self.sim_engine.is_empty() {
-                let _ = writeln!(s, "engine: {}", self.sim_engine);
-            }
             if !self.sim_mode.is_empty() && self.sim_mode != "exact" {
                 let _ = writeln!(s, "mode: {}", self.sim_mode);
             }

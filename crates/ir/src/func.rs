@@ -107,16 +107,6 @@ impl Function {
         self.entry
     }
 
-    /// Sets the entry block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` is out of range.
-    pub fn set_entry(&mut self, entry: BlockId) {
-        assert!(entry.index() < self.blocks.len());
-        self.entry = entry;
-    }
-
     /// Appends a new block and returns its id.
     pub fn add_block(&mut self, block: Block) -> BlockId {
         let id = BlockId::new(self.blocks.len());

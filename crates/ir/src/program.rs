@@ -88,22 +88,6 @@ impl Region {
         }
     }
 
-    /// Creates a region initialised from 64-bit integer values.
-    #[must_use]
-    pub fn from_i64s(name: impl Into<String>, values: &[i64]) -> Self {
-        let mut init = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            init.extend_from_slice(&v.to_le_bytes());
-        }
-        let size = init.len() as u64;
-        Region {
-            name: name.into(),
-            size,
-            init,
-            observable: true,
-        }
-    }
-
     /// The region's name.
     #[must_use]
     pub fn name(&self) -> &str {

@@ -42,7 +42,7 @@ use crate::run::{RunResult, Runs};
 use crate::source::Source;
 use bsched_core::SchedulerKind;
 use bsched_ir::Program;
-use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimMode};
+use bsched_sim::{MachineSpec, SimConfig, SimMode};
 use std::sync::Arc;
 
 /// Errors raised while building a [`Session`].
@@ -129,7 +129,6 @@ pub struct ExperimentBuilder {
     sim: SimConfig,
     options: Option<CompileOptions>,
     trace: bool,
-    engine: SimEngine,
     sim_mode: SimMode,
 }
 
@@ -216,27 +215,12 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Selects the simulation engine for this session's
-    /// [`run`](Session::run) calls (default:
-    /// [`SimEngine::BlockCompiled`]).
-    ///
-    /// Both engines produce bit-identical metrics, trace attribution,
-    /// and checksums — the choice is an execution detail like
-    /// [`trace`](Self::trace), deliberately *not* part of
-    /// [`CompileOptions`], so harness cache keys are unaffected and a
-    /// cache warmed under one engine is 100% hits under the other.
-    #[must_use]
-    pub fn engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Selects exact or sampled simulation for this session's
     /// [`run`](Session::run) calls (default: [`SimMode::Exact`]).
     ///
-    /// Like [`engine`](Self::engine) this is an execution axis,
+    /// Like [`trace`](Self::trace) this is an execution axis,
     /// deliberately *not* part of [`CompileOptions`], so harness cache
-    /// keys are unaffected — but unlike the engine axis it is **not**
+    /// keys are unaffected — but unlike tracing it is **not**
     /// metrics-invariant: sampled runs estimate cycle-level metrics from
     /// representative intervals (instruction counts and the checksum
     /// stay exact), so the harness must never let sampled results into
@@ -270,7 +254,6 @@ impl ExperimentBuilder {
             source,
             options,
             trace: self.trace,
-            engine: self.engine,
             sim_mode: self.sim_mode,
         })
     }
@@ -284,7 +267,6 @@ pub struct Session {
     source: Arc<Source>,
     options: CompileOptions,
     trace: bool,
-    engine: SimEngine,
     sim_mode: SimMode,
 }
 
@@ -318,13 +300,6 @@ impl Session {
     #[must_use]
     pub fn traced(&self) -> bool {
         self.trace
-    }
-
-    /// The simulation engine this session runs on (see
-    /// [`ExperimentBuilder::engine`]).
-    #[must_use]
-    pub fn engine(&self) -> SimEngine {
-        self.engine
     }
 
     /// The simulation mode this session runs in (see
@@ -370,7 +345,6 @@ impl Session {
         Runs {
             source: &self.source,
             opts: self.options,
-            engine: self.engine,
             mode: self.sim_mode,
             machines: machines.into_iter(),
             compiled: None,
@@ -527,33 +501,6 @@ mod tests {
             format!("{:?}", traced.options()),
             format!("{:?}", plain.options())
         );
-    }
-
-    #[test]
-    fn engine_axis_is_execution_only() {
-        let interp = Experiment::builder()
-            .kernel("TRFD")
-            .engine(SimEngine::Interpret)
-            .build()
-            .unwrap();
-        let block = Experiment::builder()
-            .kernel("TRFD")
-            .engine(SimEngine::BlockCompiled)
-            .build()
-            .unwrap();
-        assert_eq!(interp.engine(), SimEngine::Interpret);
-        assert_eq!(block.engine(), SimEngine::BlockCompiled);
-        // Like tracing, the engine is not a compile axis: resolved
-        // options (and hence every harness cache key) are identical,
-        // and so are the results.
-        assert_eq!(
-            format!("{:?}", interp.options()),
-            format!("{:?}", block.options())
-        );
-        let a = interp.run().unwrap();
-        let b = block.run().unwrap();
-        assert_eq!(a.metrics, b.metrics);
-        assert!(a.checksum_ok && b.checksum_ok);
     }
 
     #[test]

@@ -55,9 +55,7 @@ pub mod source;
 pub mod table;
 
 pub use bsched_core::{SchedulerKind, TieBreak};
-pub use bsched_sim::{
-    MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode,
-};
+pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimMode};
 pub use compile::{CompileStats, Compiled, PipelineError};
 pub use experiment::{resolve_kernel, Experiment, ExperimentBuilder, ExperimentError, Session};
 pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};

@@ -3,7 +3,7 @@
 use crate::compile::{compile_impl, CompileStats, Compiled, PipelineError};
 use crate::options::CompileOptions;
 use crate::source::Source;
-use bsched_sim::{MachineSpec, SampleStats, SimConfig, SimEngine, SimMetrics, SimMode, Simulator};
+use bsched_sim::{MachineSpec, SampleStats, SimConfig, SimMetrics, SimMode, Simulator};
 
 /// The result of one end-to-end run.
 #[derive(Debug, Clone)]
@@ -34,7 +34,6 @@ pub struct RunResult {
 pub struct Runs<'a, I> {
     pub(crate) source: &'a Source,
     pub(crate) opts: CompileOptions,
-    pub(crate) engine: SimEngine,
     pub(crate) mode: SimMode,
     pub(crate) machines: I,
     /// The compiled program and the source's reference checksum, once
@@ -54,9 +53,7 @@ impl<I: Iterator<Item = SimConfig>> Iterator for Runs<'_, I> {
             Ok((compiled, self.source.reference_checksum()?))
         });
         Some(match compiled {
-            Ok((compiled, reference)) => {
-                simulate(compiled, *reference, sim, self.engine, self.mode)
-            }
+            Ok((compiled, reference)) => simulate(compiled, *reference, sim, self.mode),
             Err(e) => Err(e.clone()),
         })
     }
@@ -68,11 +65,9 @@ fn simulate(
     compiled: &Compiled,
     reference: u64,
     sim: SimConfig,
-    engine: SimEngine,
     mode: SimMode,
 ) -> Result<RunResult, PipelineError> {
     let run = Simulator::for_machine(&compiled.program, &MachineSpec::custom(sim))
-        .with_engine(engine)
         .with_mode(mode)
         .run()?;
     Ok(RunResult {

@@ -345,11 +345,26 @@ impl ServeCore {
         drop(trace_guard);
         let mut trace_by_label: HashMap<String, Vec<WireTraceEvent>> = HashMap::new();
         if self.cfg.stream_traces {
-            for event in bsched_trace::drain() {
-                trace_by_label
-                    .entry(event.label.clone())
-                    .or_default()
-                    .push(WireTraceEvent::from_event(&event));
+            // An event belongs to the `harness.cell` span on its thread
+            // whose window contains it: pass, compile and sim events
+            // carry a pass, kernel or function label, not the cell's.
+            let events = bsched_trace::drain();
+            let cells: Vec<&bsched_trace::Event> = events
+                .iter()
+                .filter(|e| e.id == bsched_trace::points::HARNESS_CELL)
+                .collect();
+            for event in &events {
+                let owner = cells.iter().find(|c| {
+                    c.tid == event.tid
+                        && c.ts_ns <= event.ts_ns
+                        && event.ts_ns + event.dur_ns <= c.ts_ns + c.dur_ns
+                });
+                if let Some(cell) = owner {
+                    trace_by_label
+                        .entry(cell.label.clone())
+                        .or_default()
+                        .push(WireTraceEvent::from_event(event));
+                }
             }
         }
         // Each job gets its own cell's outcome: a failing neighbour in

@@ -9,9 +9,8 @@
 //!
 //! * **wire protocol** ([`protocol`]) — versioned, length-prefixed JSON
 //!   frames ([`bsched_util::frame`]) over TCP or Unix sockets; cells
-//!   travel either as paper-table shorthand (`kernel`/`scheduler`/
-//!   `config` label) or as exhaustive `CompileOptions` documents whose
-//!   round-trip reproduces the exact canonical cache key;
+//!   travel as exhaustive `CompileOptions` documents whose round-trip
+//!   reproduces the exact canonical cache key;
 //! * **serving core** ([`core`]) — bounded admission queue with
 //!   explicit `overloaded` rejection (backpressure a client can see and
 //!   retry, instead of unbounded buffering), deduplication of identical
@@ -26,8 +25,7 @@
 //!   killing the connection (never the server, never a queue slot), and
 //!   graceful drain on a wire-level `shutdown` request;
 //! * **client** ([`client`]) — the blocking client used by the
-//!   `bsched-client` binary (grid mode and load generator) and the
-//!   equivalence tests.
+//!   `bsched-client` binary and the equivalence tests.
 //!
 //! Per-request `verify` runs the `bsched-verify` conformance suite on
 //! served cells; per-request `trace` streams `bsched-trace` events for

@@ -18,16 +18,12 @@
 //! # Cell encoding
 //!
 //! A cell is `kernel × CompileOptions` (the options embed the full
-//! simulated machine). Two spellings are accepted:
-//!
-//! * **shorthand** — `{"kernel": "TRFD", "scheduler": "bal",
-//!   "config": "LA+LU 4"}` using the paper's table labels over the
-//!   standard machine; this is what the recorded request mixes use;
-//! * **full** — `{"kernel": "TRFD", "options": {...}}` with every
-//!   `CompileOptions` and `SimConfig` field spelled out, as produced by
-//!   [`options_to_json`]. The codec is exhaustive: a round-trip through
-//!   JSON reproduces the exact canonical cache key, which is what makes
-//!   served results and locally computed results interchangeable.
+//! simulated machine), spelled `{"kernel": "TRFD", "options": {...}}`
+//! with every `CompileOptions` and `SimConfig` field written out, as
+//! produced by [`options_to_json`]. The codec is exhaustive: a
+//! round-trip through JSON reproduces the exact canonical cache key,
+//! which is what makes served results and locally computed results
+//! interchangeable.
 //!
 //! Metrics travel in the same flat document the on-disk cache uses
 //! ([`bsched_harness::encode_metrics`]) — one codec, byte-identical
@@ -52,7 +48,10 @@ use std::fmt;
 /// `mshr_policy` fields.
 ///
 /// v4: `CompileOptions` lost the `reference_weights` field.
-pub const WIRE_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: a cell must carry its full `options`; the shorthand spelling
+/// (`scheduler` plus a paper-table `config` label) is gone.
+pub const WIRE_SCHEMA_VERSION: u32 = 5;
 
 /// A protocol-level failure: the frame was valid JSON but not a valid
 /// message.
@@ -375,14 +374,14 @@ pub fn cell_to_json(cell: &ExperimentCell) -> Json {
     ])
 }
 
-/// Decodes a cell in either spelling (shorthand `config` label or full
-/// `options`). Kernel names are validated against the workload suite so
-/// a typo is rejected at the protocol layer, before anything is queued.
+/// Decodes a cell from [`cell_to_json`]'s spelling. Kernel names are
+/// validated against the workload suite so a typo is rejected at the
+/// protocol layer, before anything is queued.
 ///
 /// # Errors
 ///
-/// [`ProtoError`] on unknown kernels, unknown labels, or a malformed
-/// options object.
+/// [`ProtoError`] on unknown kernels or a missing or malformed options
+/// object.
 pub fn cell_from_json(doc: &Json) -> Result<ExperimentCell, ProtoError> {
     let kernel = get_str(doc, "kernel")?;
     if bsched_workloads::suite::kernel_by_name(kernel).is_none() {
@@ -395,15 +394,10 @@ pub fn cell_from_json(doc: &Json) -> Result<ExperimentCell, ProtoError> {
             valid.join(", ")
         )));
     }
-    let options = match doc.get("options") {
-        Some(full) => options_from_json(full)?,
-        None => {
-            let kind = config_kind_from_label(get_str(doc, "config")?)?;
-            let scheduler = scheduler_from_str(get_str(doc, "scheduler")?)?;
-            kind.options(scheduler)
-        }
-    };
-    Ok(ExperimentCell::new(kernel, options))
+    let options = doc
+        .get("options")
+        .ok_or_else(|| err("missing field \"options\""))?;
+    Ok(ExperimentCell::new(kernel, options_from_json(options)?))
 }
 
 // ---------------------------------------------------------------------
@@ -989,51 +983,37 @@ mod tests {
     }
 
     #[test]
-    fn shorthand_cells_match_standard_grid_options() {
+    fn config_labels_parse_every_standard_grid_configuration() {
         for cfg in standard_grid() {
-            let doc = Json::obj(vec![
-                ("kernel", Json::Str("ARC2D".into())),
-                (
-                    "scheduler",
-                    Json::Str(scheduler_to_str(cfg.scheduler).into()),
-                ),
-                ("config", Json::Str(cfg.kind.label())),
-            ]);
-            let cell = cell_from_json(&doc).expect("shorthand decodes");
-            let want = ExperimentCell::new("ARC2D", cfg.options());
-            assert_eq!(cell.canonical_key(), want.canonical_key(), "{:?}", cfg.kind);
-            // Compact (no-space) labels decode identically.
-            let compact = Json::obj(vec![
-                ("kernel", Json::Str("ARC2D".into())),
-                (
-                    "scheduler",
-                    Json::Str(scheduler_to_str(cfg.scheduler).into()),
-                ),
-                ("config", Json::Str(cfg.kind.label().replace(' ', ""))),
-            ]);
-            assert_eq!(
-                cell_from_json(&compact).unwrap().canonical_key(),
-                want.canonical_key()
-            );
+            let label = cfg.kind.label();
+            for spelling in [label.clone(), label.replace(' ', "")] {
+                assert_eq!(
+                    config_kind_from_label(&spelling),
+                    Ok(cfg.kind),
+                    "{spelling:?}"
+                );
+            }
         }
+        assert!(config_kind_from_label("LU banana").is_err());
     }
 
     #[test]
-    fn unknown_kernels_and_labels_are_rejected() {
+    fn unknown_kernels_and_shorthand_cells_are_rejected() {
+        let options = options_to_json(&CompileOptions::new(SchedulerKind::Balanced));
         let bad_kernel = Json::obj(vec![
             ("kernel", Json::Str("nonesuch".into())),
-            ("scheduler", Json::Str("bal".into())),
-            ("config", Json::Str("none".into())),
+            ("options", options),
         ]);
         let e = cell_from_json(&bad_kernel).unwrap_err();
         assert!(e.0.contains("nonesuch") && e.0.contains("TRFD"), "{e}");
 
-        let bad_label = Json::obj(vec![
+        let shorthand = Json::obj(vec![
             ("kernel", Json::Str("TRFD".into())),
             ("scheduler", Json::Str("bal".into())),
-            ("config", Json::Str("LU banana".into())),
+            ("config", Json::Str("none".into())),
         ]);
-        assert!(cell_from_json(&bad_label).is_err());
+        let e = cell_from_json(&shorthand).unwrap_err();
+        assert!(e.0.contains("options"), "{e}");
     }
 
     #[test]

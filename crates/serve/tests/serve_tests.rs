@@ -342,6 +342,37 @@ fn concurrent_clients_submitting_one_cold_grid_compute_each_cell_once() {
 }
 
 #[test]
+fn streamed_traces_carry_each_cold_cells_own_events() {
+    let engine =
+        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
+    let cfg = ServeConfig {
+        stream_traces: true,
+        ..ServeConfig::default()
+    };
+    let server = TestServer::start(engine, cfg, "trace", true);
+    // Cells with distinct labels: each stream is keyed by its cell's.
+    let cells: Vec<ExperimentCell> = small_grid(&["TRFD"]).into_iter().take(3).collect();
+    let submit = || match server.client().submit(&cells, false, true).expect("submit") {
+        SubmitReply::Completed { cells, .. } => cells,
+        SubmitReply::Overloaded { .. } => panic!("default queue must admit"),
+    };
+
+    // Each cold cell's compile and simulation are labelled with the
+    // kernel or function, not the cell, yet they stream with the cell
+    // whose span contains them.
+    for rc in &submit() {
+        for (cat, name) in [("harness", "cell"), ("pipeline", "compile"), ("sim", "run")] {
+            let found = rc.trace.iter().any(|e| e.cat == cat && e.name == name);
+            assert!(found, "{}: no {cat}.{name} event", rc.cell);
+        }
+    }
+    // A warm cell executes nothing, so it streams nothing.
+    let warm = submit();
+    assert!(warm.iter().all(|rc| rc.trace.is_empty()), "{warm:?}");
+    server.shutdown();
+}
+
+#[test]
 fn client_disconnect_mid_stream_does_not_leak_queue_slots() {
     let engine =
         Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));

@@ -34,7 +34,7 @@ mod skeleton;
 
 use crate::branch::BranchPredictor;
 use crate::config::SimConfig;
-use crate::engine::SimEngine;
+use crate::machine::SimEngine;
 use crate::machine::SimResult;
 use crate::metrics::{InstCounts, SimMetrics};
 use bsched_ir::{BlockId, ExecError, Function, MemImage, Op, Program, Reg, RegClass};

@@ -21,8 +21,8 @@
 //! engines of the [`SimEngine`] axis differ only in what that decode
 //! proves: the block-compiled engine (the default) elides work its
 //! proofs show cannot change a result, and the interpreting engine
-//! decodes with every proof off, as the differential reference. They
-//! produce bit-identical results. Sampled runs replay their
+//! decodes with every proof off, as the oracle the conformance checks
+//! compare it against. They produce bit-identical results. Sampled runs replay their
 //! representative intervals through the same loop.
 //!
 //! ```
@@ -59,7 +59,6 @@
 mod block;
 pub mod branch;
 pub mod config;
-pub mod engine;
 pub mod machine;
 pub mod machines;
 pub mod metrics;
@@ -67,8 +66,7 @@ pub mod sample;
 
 pub use branch::BranchPredictor;
 pub use config::{BranchConfig, PredictorKind, SimConfig};
-pub use engine::SimEngine;
-pub use machine::{SimResult, Simulator};
+pub use machine::{SimEngine, SimResult, Simulator};
 pub use machines::{MachineInfo, MachineSpec};
 pub use metrics::{InstCounts, SimMetrics};
 pub use sample::{SampleConfig, SampleStats, SimMode};

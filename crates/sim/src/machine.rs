@@ -7,8 +7,35 @@
 //! (`crate::sample`).
 
 use crate::config::SimConfig;
-use crate::engine::SimEngine;
 use bsched_ir::{ExecError, Program};
+
+/// Which decode [`Simulator::run`] uses. Both run the *same* timing
+/// loop over the same pre-decoded block skeletons and produce
+/// bit-identical [`SimResult`]s and per-load-site trace attribution;
+/// they differ only in what the decode proves. Every run simulates on
+/// the default; the proof-free decode is the oracle that
+/// `bsched_verify::check_engines` compares it against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SimEngine {
+    /// The oracle: the timing loop over skeletons decoded with every
+    /// proof off — an I-cache fetch on every instruction slot, every
+    /// operand's interlock scanned, the full issue-group bookkeeping at
+    /// any width, fuel charged per instruction. It is the differential
+    /// reference for exactly what [`SimEngine::BlockCompiled`] elides.
+    Interpret,
+    /// The block-compiled engine: the same loop over skeletons decoded
+    /// with every proof on — one fetch per icache-line run, interlock
+    /// scans elided where single issue proves them stall-free, a
+    /// single-issue specialisation of the issue-group bookkeeping, and
+    /// fuel charged per block.
+    #[default]
+    BlockCompiled,
+}
+
+impl SimEngine {
+    /// Every engine, in a stable order.
+    pub const ALL: [SimEngine; 2] = [SimEngine::Interpret, SimEngine::BlockCompiled];
+}
 
 /// Result of a simulated run: timing metrics plus the functional outcome
 /// (memory checksum) used to cross-check against the reference
@@ -48,17 +75,12 @@ impl<'p> Simulator<'p> {
     }
 
     /// Selects the execution engine. Metrics-invariant: both engines
-    /// produce bit-identical [`SimResult`]s.
+    /// produce bit-identical [`SimResult`]s, so only the oracle checks
+    /// select [`SimEngine::Interpret`].
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The engine this simulator will run on.
-    #[must_use]
-    pub fn engine(&self) -> SimEngine {
-        self.engine
     }
 
     /// Selects exact or sampled execution. Unlike the engine axis,

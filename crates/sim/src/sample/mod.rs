@@ -31,18 +31,17 @@
 //! profile, so cross-checks against the reference interpreter still
 //! hold; only cycle-level metrics are estimates.
 //!
-//! Like the engine axis ([`crate::SimEngine`]), the mode axis is an
-//! execution detail, **not** an experiment knob: it must never enter
-//! `CompileOptions` or any exact-result cache key. Unlike the engine
-//! axis it is not metrics-invariant, so a sampled harness engine keeps
-//! its results in memory and never touches the exact-result disk cache.
+//! The mode axis is an execution detail, **not** an experiment knob: it
+//! must never enter `CompileOptions` or any exact-result cache key. It
+//! is not metrics-invariant, so a sampled harness engine keeps its
+//! results in memory and never touches the exact-result disk cache.
 
 pub mod kmeans;
 mod profile;
 
 use crate::block::Code;
 use crate::config::SimConfig;
-use crate::engine::SimEngine;
+use crate::machine::SimEngine;
 use crate::machine::SimResult;
 use crate::metrics::{InstCounts, SimMetrics};
 use bsched_ir::{ExecError, Program};
@@ -130,7 +129,7 @@ impl FromStr for SampleConfig {
     /// Parses a sampling spec as accepted by `--sample=` and
     /// `BSCHED_SAMPLE`: see [`SampleConfig::valid_spec`]. Grammar and
     /// error shape come from [`bsched_util::spec`], the contract shared
-    /// with `--engine=` and `--machine=`.
+    /// with `--machine=`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let bad = |reason: &str| {
             Err(spec::invalid(

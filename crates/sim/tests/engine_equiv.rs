@@ -259,7 +259,7 @@ fn engines_agree_on_fuel_exhaustion() {
                 run_engine(&p, cfg, engine),
                 Err(ExecError::OutOfFuel { fuel: 10 })
             ),
-            "{engine}: expected OutOfFuel {{ fuel: 10 }}"
+            "{engine:?}: expected OutOfFuel {{ fuel: 10 }}"
         );
     }
 }

@@ -11,8 +11,8 @@
 //!   integers, floats, bools, null) for the on-disk result cache,
 //! * [`frame`] — length-prefixed JSON framing for the `bsched-serve`
 //!   wire protocol,
-//! * [`spec`] — the shared key=value spec grammar behind `--sample=`,
-//!   `--engine=`, and `--machine=` (one parse/error/exit-2 contract).
+//! * [`spec`] — the shared key=value spec grammar behind `--sample=`
+//!   and `--machine=` (one parse/error/exit-2 contract).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

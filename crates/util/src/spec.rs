@@ -1,10 +1,10 @@
 //! One key=value spec grammar for every CLI/env knob.
 //!
-//! Three knob families parse small textual specs: `--sample=` /
-//! `BSCHED_SAMPLE` (comma-separated `k=8,interval=1000`), `--engine=` /
-//! `BSCHED_SIM_ENGINE` (a bare name), and `--machine=` /
-//! `BSCHED_MACHINE` (a named machine plus `+key=value` modifiers). They
-//! share one contract, implemented here so it cannot drift:
+//! Two knob families parse small textual specs: `--sample=` /
+//! `BSCHED_SAMPLE` (comma-separated `k=8,interval=1000`) and
+//! `--machine=` / `BSCHED_MACHINE` (a named machine plus `+key=value`
+//! modifiers). They share one contract, implemented here so it cannot
+//! drift:
 //!
 //! * integers accept decimal or `0x` hex ([`parse_u64`]),
 //! * pair lists split on a separator with per-pair shape errors

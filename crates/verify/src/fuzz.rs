@@ -1,13 +1,14 @@
 //! A seeded pipeline fuzzer.
 //!
 //! Each iteration generates a random loop-language kernel, picks a random
-//! (optimization level × scheduler × simulation engine × sampling
-//! config) point, and pushes the program through the whole stack: compile with a schedule audit,
-//! prove every region's schedule legal, cross-check the scheduler weights
-//! against both reference implementations, replay optimized vs
-//! unoptimized code through the interpreter under a fuel budget,
-//! cross-check the two simulation engines against each other, then
-//! simulate under the drawn engine and check the metamorphic invariants.
+//! (optimization level × scheduler × sampling config × exact budget ×
+//! machine) point, and pushes the program through the whole stack:
+//! compile with a schedule audit, prove every region's schedule legal,
+//! cross-check the scheduler weights against both reference
+//! implementations, replay optimized vs unoptimized code through the
+//! interpreter under a fuel budget, cross-check the simulator's decode
+//! against its proof-free oracle, then simulate and check the
+//! metamorphic invariants.
 //!
 //! Failures shrink greedily — statements are dropped and loop bounds
 //! halved while the failure persists — and the minimal reproducer is
@@ -20,9 +21,7 @@ use crate::differential::{check_checksum_with_fuel, check_engines, check_weights
 use crate::legality::validate_region_schedule;
 use crate::metamorphic::check_metrics;
 use bsched_core::SchedulerKind;
-use bsched_pipeline::{
-    CompileOptions, ConfigKind, Experiment, MachineSpec, SampleConfig, SimEngine, SimMode,
-};
+use bsched_pipeline::{CompileOptions, ConfigKind, Experiment, MachineSpec, SampleConfig, SimMode};
 use bsched_util::Prng;
 use bsched_workloads::lang::{
     print_kernel, ArrId, ArrayInit, CmpOp, Expr, Index, Kernel, Stmt, VarId,
@@ -126,7 +125,6 @@ struct Case {
     stmts: Vec<Stmt>,
     config: ConfigKind,
     scheduler: SchedulerKind,
-    engine: SimEngine,
     sample: Option<SampleConfig>,
     /// When set, the cell runs the exact branch-and-bound scheduler arm
     /// with this node budget instead of the drawn heuristic. Budget 0
@@ -328,9 +326,10 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
     }
     let config = CONFIGS[rng.index(CONFIGS.len())];
     let scheduler = SchedulerKind::ALL[rng.index(SchedulerKind::ALL.len())];
-    // Drawn last so adding the engine axis left every earlier draw — and
-    // hence every kernel a given seed generates — unchanged.
-    let engine = SimEngine::ALL[rng.index(SimEngine::ALL.len())];
+    // This draw once picked the simulation engine. Every run now
+    // simulates on the default decode, but the draw stays so every later
+    // draw — and hence every case a given seed generates — is unchanged.
+    let _ = rng.index(2);
     // The sampling axis is likewise drawn after everything that came
     // before it. Intervals are kept small so generated kernels (a few
     // thousand dynamic instructions) still produce several of them.
@@ -368,7 +367,6 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
         stmts,
         config,
         scheduler,
-        engine,
         sample,
         exact,
         machine,
@@ -380,14 +378,12 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
 fn check_kernel(
     kernel: &Kernel,
     options: &CompileOptions,
-    engine: SimEngine,
     sample: Option<SampleConfig>,
 ) -> Vec<String> {
     let mut messages = Vec::new();
     let builder = Experiment::builder()
         .program(kernel.name(), kernel.lower())
-        .compile_options(*options)
-        .engine(engine);
+        .compile_options(*options);
     let session = match builder.clone().build() {
         Ok(s) => s,
         Err(e) => return vec![format!("experiment build failed: {e}")],
@@ -556,28 +552,25 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         let mut case_rng = rng.fork();
         let case = gen_case(&mut case_rng, iteration);
         let options = case.options();
-        let messages = check_kernel(&case.kernel(), &options, case.engine, case.sample);
+        let messages = check_kernel(&case.kernel(), &options, case.sample);
         if !messages.is_empty() {
-            // Shrinking replays the checks under the case's own options,
-            // engine and sampling config, so an axis-specific failure
-            // stays reproducible while it shrinks.
+            // Shrinking replays the checks under the case's own options
+            // and sampling config, so an axis-specific failure stays
+            // reproducible while it shrinks.
             let minimal = shrink_stmts(case.stmts.clone(), &mut |stmts| {
-                !check_kernel(&case.kernel_with(stmts), &options, case.engine, case.sample)
-                    .is_empty()
+                !check_kernel(&case.kernel_with(stmts), &options, case.sample).is_empty()
             });
             let kernel = case.kernel_with(&minimal);
-            let messages = check_kernel(&kernel, &options, case.engine, case.sample);
+            let messages = check_kernel(&kernel, &options, case.sample);
             report.failures.push(FuzzFailure {
                 iteration,
                 label: options.label(),
                 messages,
                 reproducer: format!(
-                    "// seed {:#x} iteration {iteration}: {:?} x {:?} x {} engine{}{} \
-                     x machine {}\n{}",
+                    "// seed {:#x} iteration {iteration}: {:?} x {:?}{}{} x machine {}\n{}",
                     config.seed,
                     case.config,
                     case.scheduler,
-                    case.engine,
                     match case.sample {
                         Some(s) => format!(" x sample {s}"),
                         None => String::new(),
@@ -607,12 +600,27 @@ mod tests {
         assert_eq!(print_kernel(&k1.kernel()), print_kernel(&k2.kernel()));
         assert_eq!(k1.config, k2.config);
         assert_eq!(k1.scheduler, k2.scheduler);
-        assert_eq!(k1.engine, k2.engine);
         assert_eq!(k1.sample, k2.sample);
         assert_eq!(k1.exact, k2.exact);
         assert_eq!(k1.machine, k2.machine);
         let k3 = gen_case(&mut Prng::new(43), 7);
         assert_ne!(print_kernel(&k1.kernel()), print_kernel(&k3.kernel()));
+    }
+
+    /// The first 2,000 cases of seed `0xB5ED`, the seed of `ci.sh`'s
+    /// fuzz smoke, hash to a recorded digest of every draw: kernel
+    /// text, configuration, scheduler, sampling, exact budget, machine.
+    #[test]
+    fn the_ci_seed_generates_the_recorded_cases() {
+        let mut rng = Prng::new(0xB5ED);
+        let mut h = bsched_util::fnv::Fnv1a::new();
+        for i in 0..2000 {
+            let c = gen_case(&mut rng.fork(), i);
+            let (kernel, machine) = (print_kernel(&c.kernel()), c.machine.spec());
+            let draws = (c.config, c.scheduler, c.sample, c.exact);
+            h.write(format!("{kernel}|{draws:?}|{machine}\n").as_bytes());
+        }
+        assert_eq!(h.finish(), 0xeb2c_8dac_78e5_6789);
     }
 
     #[test]

@@ -28,6 +28,14 @@ echo "== tests (paper shape relations, full grid) =="
 # them silently.
 cargo test --release --test paper_shape -- --ignored
 
+echo "== tests (simulator decode vs its proof-free oracle, every simulated cell) =="
+# Every run simulates on the default decode. This #[ignore]d suite
+# compiles each kernel x options the binaries simulate once (the
+# standard grid, the machine zoo, the superscalar sweeps and the
+# ablation machines) and checks that the proof-free decode reproduces
+# every metric and checksum on every machine the cell runs on.
+cargo test --release -p bsched-verify --test engine_oracle -- --ignored
+
 echo "== tests (benchmark self-tests) =="
 # perfbench/ is a Cargo workspace of its own, so the workspace run
 # above does not reach its self-tests.
@@ -96,25 +104,6 @@ grep "verification:" "$VERIFY_ERR" || { echo "FAIL: no verification report"; exi
 grep -q "verification: .* 0 violations" "$VERIFY_ERR" \
     || { cat "$VERIFY_ERR"; echo "FAIL: violations found"; exit 1; }
 
-echo "== smoke: dual-engine verified run (interpret vs block), uncached =="
-# The engine knob end to end: the same verified 2-kernel subset under
-# each simulation engine with the cache disabled, so both engines
-# genuinely execute every cell. Stdout must be byte-identical to the
-# cached default-engine run above, zero violations, and the stderr run
-# report must name the engine that ran.
-for eng in interpret block; do
-    ENG_ERR="$SMOKE_CACHE/engine.$eng.err"
-    engined="$(BSCHED_NO_CACHE=1 BSCHED_SIM_ENGINE="$eng" \
-        ./target/release/all_experiments --verify --kernels ARC2D,TRFD 2>"$ENG_ERR")" \
-        || { cat "$ENG_ERR"; echo "FAIL: $eng engine run"; exit 1; }
-    [ "$engined" = "$cold" ] \
-        || { echo "FAIL: $eng engine changed stdout"; exit 1; }
-    grep -q "verification: .* 0 violations" "$ENG_ERR" \
-        || { cat "$ENG_ERR"; echo "FAIL: $eng engine violations"; exit 1; }
-    grep -q "engine: $eng" "$ENG_ERR" \
-        || { cat "$ENG_ERR"; echo "FAIL: run report must name engine $eng"; exit 1; }
-done
-
 echo "== smoke: sampled mode (estimates, cache separation, exact bytes) =="
 # SimPoint-style sampling end to end on the warm 2-kernel cache. The
 # sampled verified run must pass its conformance gate (instruction
@@ -150,32 +139,18 @@ disabled="$(BSCHED_SAMPLE=0 BSCHED_CACHE_DIR="$SMOKE_CACHE" \
 [ "$disabled" = "$cold" ] \
     || { echo "FAIL: BSCHED_SAMPLE=0 must leave exact stdout byte-identical"; exit 1; }
 
-echo "== smoke: machine zoo (2 kernels x 3 machines, verified, dual-engine) =="
+echo "== smoke: machine zoo (2 kernels x 3 machines, verified, uncached) =="
 # The machine-description axis end to end: the balanced-vs-traditional
 # gap table on a 2-kernel subset across three machines (the default
 # alpha21164, the 4-wide superscalar, and the blocking-cache control
-# that inverts the paper's result), every cell verified, under each
-# simulation engine with the cache disabled so both engines genuinely
-# execute every cell. Machine descriptions are engine-invariant, so
-# stdout must be byte-identical across engines, with zero violations.
-MACH_OUT=""
-for eng in interpret block; do
-    MACH_ERR="$SMOKE_CACHE/machines.$eng.err"
-    mach="$(BSCHED_NO_CACHE=1 BSCHED_SIM_ENGINE="$eng" \
-        ./target/release/machines --verify --kernels ARC2D,TRFD \
-            --machines alpha21164,wide4,blocking21164 2>"$MACH_ERR")" \
-        || { cat "$MACH_ERR"; echo "FAIL: machines $eng run"; exit 1; }
-    grep -q "verification: .* 0 violations" "$MACH_ERR" \
-        || { cat "$MACH_ERR"; echo "FAIL: machines $eng violations"; exit 1; }
-    grep -q "engine: $eng" "$MACH_ERR" \
-        || { cat "$MACH_ERR"; echo "FAIL: machines report must name engine $eng"; exit 1; }
-    if [ -z "$MACH_OUT" ]; then
-        MACH_OUT="$mach"
-    else
-        [ "$mach" = "$MACH_OUT" ] \
-            || { echo "FAIL: machine zoo differs between engines"; exit 1; }
-    fi
-done
+# that inverts the paper's result), every cell verified with the cache
+# disabled so every cell genuinely executes, with zero violations.
+MACH_ERR="$SMOKE_CACHE/machines.err"
+BSCHED_NO_CACHE=1 ./target/release/machines --verify --kernels ARC2D,TRFD \
+    --machines alpha21164,wide4,blocking21164 >/dev/null 2>"$MACH_ERR" \
+    || { cat "$MACH_ERR"; echo "FAIL: machines run"; exit 1; }
+grep -q "verification: .* 0 violations" "$MACH_ERR" \
+    || { cat "$MACH_ERR"; echo "FAIL: machines violations"; exit 1; }
 
 echo "== smoke: sampling microbench (accuracy bounds) =="
 # Re-measures the per-kernel exact-vs-sampled cells; the bench asserts
@@ -270,20 +245,18 @@ wait "$SERVE_PID" || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: server exit sta
 grep -q "shutdown complete" "$SMOKE_CACHE/serve.err" \
     || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: no graceful drain"; exit 1; }
 
-echo "== gate: results/ regenerated under each engine =="
-# Every file under results/ is rewritten from the binaries, uncached,
-# once per simulation engine; inside a git checkout the committed files
-# must come back byte-identical each time, so a stale table fails here.
-# This is the exact baseline for every printed number: every field of
-# every row of machines.csv (the machine zoo's cycles) and
-# optimality.csv (the exact search's proven regions and nodes).
-for eng in interpret block; do
-    BSCHED_SIM_ENGINE="$eng" scripts/regen.sh
-    if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-        git diff --exit-code -- results/ \
-            || { echo "FAIL: results/ is stale under the $eng engine; run scripts/regen.sh"; exit 1; }
-    fi
-done
+echo "== gate: results/ regenerated =="
+# Every file under results/ is rewritten from the binaries, uncached;
+# inside a git checkout the committed files must come back
+# byte-identical, so a stale table fails here. This is the exact
+# baseline for every printed number: every field of every row of
+# machines.csv (the machine zoo's cycles) and optimality.csv (the exact
+# search's proven regions and nodes).
+scripts/regen.sh
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git diff --exit-code -- results/ \
+        || { echo "FAIL: results/ is stale; run scripts/regen.sh"; exit 1; }
+fi
 
 echo "== gate: committed results and kernels untouched =="
 # No step above may rewrite a committed table or kernel definition

@@ -9,9 +9,7 @@
 #   scripts/regen.sh
 #
 # Works from any directory (it runs in the repository root) and builds
-# the binaries first. BSCHED_SIM_ENGINE passes through, so the tables
-# can be regenerated under either simulation engine; `git diff results/`
-# afterwards shows what moved.
+# the binaries first; `git diff results/` afterwards shows what moved.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,4 +34,4 @@ done
 run /dev/null all_experiments --csv
 run /dev/null machines --csv
 run /dev/null optimality --csv
-echo "regenerated results/ (engine: ${BSCHED_SIM_ENGINE:-default})"
+echo "regenerated results/"
