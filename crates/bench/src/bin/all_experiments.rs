@@ -3,7 +3,7 @@
 //!
 //! The whole deduplicated grid executes up front on the harness's
 //! work-stealing pool; results come back in deterministic kernel ×
-//! configuration order regardless of worker count or cache state. In
+//! configuration order regardless of worker count. In
 //! `--csv` mode the same bytes also land in `results/all_experiments.csv`
 //! (`results/all_experiments_sampled.csv` for a sampled run, so estimates
 //! never overwrite the exact table).
@@ -19,9 +19,8 @@
 //! execution to sampled simulation: cycle-level metrics become
 //! estimates extrapolated from representative intervals (instruction
 //! counts and checksums stay exact; see DESIGN.md §13). Like tracing,
-//! the mode is execution-only — it never enters a cache key — but
-//! sampled results stay in memory and never touch the exact disk
-//! cache. A bare `--sample` uses the default configuration; a spec
+//! the mode is execution-only — it never enters a cell key. A bare
+//! `--sample` uses the default configuration; a spec
 //! like `k=8,interval=1000` overrides it. Invalid specs are rejected
 //! with the valid format and exit code 2.
 //!

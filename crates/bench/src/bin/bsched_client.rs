@@ -124,7 +124,6 @@ fn cmd_stats(endpoint: &Endpoint) {
             println!("engine executed  {}", s.executed);
             println!("engine requested {}", s.requested);
             println!("memory_hits      {}", s.memory_hits);
-            println!("disk_hits        {}", s.disk_hits);
             println!("verified         {}", s.verified);
             println!("store hits/miss  {}/{}", s.store_hits, s.store_misses);
         }

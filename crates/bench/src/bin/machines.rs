@@ -11,8 +11,8 @@
 //! prefetchers, MSHR policies and issue widths the 1995 machine could
 //! not express.
 //!
-//! Every cell runs through the harness engine, so the table is fully
-//! cached, parallel, and — because cycles are deterministic —
+//! Every cell runs through the harness engine, so the table is
+//! deduplicated, parallel, and — because cycles are deterministic —
 //! byte-identical across runs and worker counts.
 //! The `alpha21164` rows are by construction identical to the default
 //! machine's numbers in `results/all_experiments.csv`.

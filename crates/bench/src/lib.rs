@@ -4,8 +4,7 @@
 //! The [`Grid`] wraps the [`bsched_harness::Engine`]: every lookup is
 //! answered from the engine's memoized store, and binaries call
 //! [`Grid::prefetch`] up front so the whole deduplicated cell set runs
-//! in parallel on the work-stealing pool (with the on-disk cache making
-//! warm re-runs nearly free).
+//! in parallel on the work-stealing pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +31,8 @@ impl Default for Grid {
 
 impl Grid {
     /// Lowers every kernel once and configures the engine from the
-    /// environment (`BSCHED_JOBS`, `BSCHED_NO_CACHE`, `BSCHED_CACHE_DIR`,
-    /// and `BSCHED_MACHINE` — see [`Grid::with_machine`]).
+    /// environment (`BSCHED_JOBS`, `BSCHED_VERIFY`, `BSCHED_SAMPLE`, and
+    /// `BSCHED_MACHINE` — see [`Grid::with_machine`]).
     ///
     /// A malformed `BSCHED_MACHINE` reports the shared spec-grammar
     /// error and exits with status 2, like every other env knob.
@@ -48,7 +47,7 @@ impl Grid {
     }
 
     /// A grid over an explicit engine (tests use this to control the
-    /// worker count and cache directory). No machine override.
+    /// worker count). No machine override.
     #[must_use]
     pub fn with_engine(engine: Engine) -> Self {
         Grid {
@@ -292,12 +291,9 @@ mod tests {
     use super::*;
 
     fn quiet_grid() -> Grid {
-        let config = EngineConfig {
-            jobs: 1,
-            disk_cache: false,
-            ..EngineConfig::default()
-        };
-        Grid::with_engine(Engine::with_standard_kernels(config))
+        Grid::with_engine(Engine::with_standard_kernels(
+            EngineConfig::default().with_jobs(1),
+        ))
     }
 
     #[test]

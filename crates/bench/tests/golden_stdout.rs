@@ -7,9 +7,9 @@
 //! diff.
 //!
 //! The paper-table binaries are checked against their committed output
-//! under `results/<binary>.txt`, run once with the cache disabled so
-//! every cell genuinely executes. `scripts/regen.sh` is the one way to
-//! refresh those files.
+//! under `results/<binary>.txt`, run once each; every process starts
+//! cold, so every cell genuinely executes. `scripts/regen.sh` is the
+//! one way to refresh those files.
 //!
 //! The subset runs below (two kernels, a small search budget) have no
 //! file under `results/`; they are pinned by
@@ -65,10 +65,10 @@ golden!(table9);
 golden!(sec55);
 golden!(superscalar);
 
-/// Runs a binary uncached with extra args and env; its stdout.
+/// Runs a binary with extra args and env; its stdout.
 fn run_with(name: &str, exe: &str, root: &PathBuf, args: &[&str], envs: &[(&str, &str)]) -> String {
     let mut cmd = Command::new(exe);
-    cmd.current_dir(root).args(args).env("BSCHED_NO_CACHE", "1");
+    cmd.current_dir(root).args(args);
     for (k, v) in envs {
         cmd.env(k, v);
     }

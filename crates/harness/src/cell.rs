@@ -1,48 +1,10 @@
-//! Experiment cells and their canonical, version-stamped cache keys.
+//! Experiment cells and their canonical keys.
 
 use bsched_pipeline::{CompileOptions, MachineSpec};
 use bsched_sim::SimConfig;
 use bsched_util::Fnv1a;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
-
-/// Version stamp of the canonical cell encoding *and* of the on-disk
-/// cache document format. Bump whenever either changes meaning — e.g. a
-/// new `CompileOptions` field, a simulator metric added, a latency
-/// constant recalibrated — so stale cache files are ignored rather than
-/// misread.
-///
-/// v2: `CompileOptions` gained `reference_weights` (naive-vs-kernel
-/// weight benching), serialized as `refweights=`.
-///
-/// v3: cached documents gained the `verified` flag recording that the
-/// `bsched-verify` conformance suite passed when the cell was computed;
-/// verifying runs treat unverified cached cells as misses.
-///
-/// v4: `CompileOptions` gained the exact scheduler arm and its
-/// `exact_budget` knob, serialized as `sched=exact` / `exact_budget=`.
-/// The budget is metrics-relevant — a larger budget can prove a better
-/// schedule for the same cell — so it must key the cache; its unit is
-/// deterministic search nodes, never wall clock, so budgeted results
-/// stay machine-independent and cacheable.
-///
-/// v5: the MachineSpec redesign added three metrics-relevant machine
-/// axes — the branch-predictor kind (`bp_kind=`), the L1D prefetcher
-/// (`prefetch=`), and the MSHR policy (`mshr_policy=`) — and the cached
-/// memory stats gained prefetch counters.
-///
-/// v6: the key is derived from the types — the kernel plus the options'
-/// derived `Debug` — instead of a hand-written field list, so a new
-/// field reaches the key by construction. The spelling changed, so
-/// every v5 file is ignored.
-///
-/// v7: `CompileOptions` lost `reference_weights`, which changes its `Debug`.
-///
-/// v8: each document records its kernel program's digest
-/// ([`bsched_pipeline::Source::digest`]), so an edited kernel's old
-/// results are misses; v7 documents have no digest.
-pub const CACHE_SCHEMA_VERSION: u32 = 8;
 
 /// One deduplicated unit of experimental work: a kernel compiled under
 /// one full option set (the options embed the simulated machine).
@@ -56,10 +18,6 @@ pub struct ExperimentCell {
     kernel: String,
     opts: CompileOptions,
     canon: String,
-    /// FNV-1a of `canon`, computed once, on first use: every store
-    /// lookup asks for it, and a grid builds all its cells before it
-    /// looks any up.
-    hash: OnceLock<u64>,
 }
 
 impl ExperimentCell {
@@ -71,7 +29,6 @@ impl ExperimentCell {
             kernel: kernel.to_string(),
             opts,
             canon,
-            hash: OnceLock::new(),
         }
     }
 
@@ -87,19 +44,12 @@ impl ExperimentCell {
         &self.opts
     }
 
-    /// The canonical key: `v{CACHE_SCHEMA_VERSION};kernel={kernel};`
-    /// followed by the options' derived `Debug`, which spells out every
-    /// field of the options and of the machine they embed.
+    /// The canonical key: `kernel={kernel};` followed by the options'
+    /// derived `Debug`, which spells out every field of the options and
+    /// of the machine they embed.
     #[must_use]
     pub fn canonical_key(&self) -> &str {
         &self.canon
-    }
-
-    /// Stable FNV-1a content hash of the canonical key — the address of
-    /// this cell in the on-disk cache.
-    #[must_use]
-    pub fn content_hash(&self) -> u64 {
-        *self.hash.get_or_init(|| Fnv1a::hash(self.canon.as_bytes()))
     }
 }
 
@@ -159,11 +109,10 @@ impl std::fmt::Display for ExperimentCell {
 /// including ablation knobs like `weight_cap` or the write-buffer
 /// depth — produce different keys, a new field cannot be forgotten, and
 /// label collisions (e.g. two configs that both print as `BS+LU4`)
-/// cannot alias. A toolchain that spelled `Debug` differently would
-/// only turn disk hits into misses: the disk document stores the full
-/// key and compares it on load.
+/// cannot alias. Keys are never persisted, so the spelling need only
+/// be stable within one build.
 fn canonical_key(kernel: &str, o: &CompileOptions) -> String {
-    format!("v{CACHE_SCHEMA_VERSION};kernel={kernel};{o:?}")
+    format!("kernel={kernel};{o:?}")
 }
 
 #[cfg(test)]
@@ -181,7 +130,6 @@ mod tests {
         let a = ExperimentCell::new("tomcatv", base().with_unroll(4));
         let b = ExperimentCell::new("tomcatv", base().with_unroll(4));
         assert_eq!(a, b);
-        assert_eq!(a.content_hash(), b.content_hash());
         assert_eq!(a.canonical_key(), b.canonical_key());
     }
 
@@ -245,14 +193,6 @@ mod tests {
         let c = ExperimentCell::new("tomcatv", base().with_weight_cap(10));
         assert_eq!(a.options().label(), c.options().label());
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn key_is_version_stamped() {
-        let a = ExperimentCell::new("k", base());
-        assert!(a
-            .canonical_key()
-            .starts_with(&format!("v{CACHE_SCHEMA_VERSION};")));
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The experiment-execution engine: deduplication, cache layering, and
+//! The experiment-execution engine: deduplication, memoization, and
 //! parallel dispatch.
 
 use crate::cell::ExperimentCell;
-use crate::disk::DiskCache;
 use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
@@ -15,9 +14,9 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The cached outcome of one cell: the simulator metrics plus the
+/// The memoized outcome of one cell: the simulator metrics plus the
 /// record that the interpreter cross-check passed when the cell was
-/// computed (cached cells do not re-run the check — they record it).
+/// computed (memoized cells do not re-run the check — they record it).
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// Timing metrics of the simulated run.
@@ -28,7 +27,7 @@ pub struct CellResult {
     /// Whether the `bsched-verify` conformance suite (schedule legality,
     /// weight cross-check, differential replay, metamorphic invariants)
     /// passed when this result was computed. A verifying run treats a
-    /// cached result with `verified == false` as a cache miss.
+    /// memoized result with `verified == false` as a miss.
     pub verified: bool,
 }
 
@@ -61,21 +60,17 @@ impl std::error::Error for HarnessError {}
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads for cache-missing cells.
+    /// Worker threads for cells that miss the memo store.
     pub jobs: usize,
-    /// Whether the on-disk cache layer is active.
-    pub disk_cache: bool,
-    /// Root of the on-disk cache (the `v<N>` subdirectory is appended).
-    pub cache_dir: PathBuf,
     /// Whether every executed cell runs the `bsched-verify` conformance
-    /// suite. Violations fail the run; cached results that were not
+    /// suite. Violations fail the run; memoized results that were not
     /// verified when computed are recomputed.
     pub verify: bool,
     /// Whether cells run exactly or sampled ([`SimMode`]). Like tracing
-    /// this is an execution detail, never part of a cache key — but
-    /// unlike tracing it is *not* metrics-invariant, so sampled results
-    /// live in a separate in-memory store and never touch the exact
-    /// stores (memory or disk) in either direction.
+    /// this is an execution detail, never part of a cell key — but
+    /// unlike tracing it is *not* metrics-invariant. The mode is fixed
+    /// for an engine's lifetime, so its store holds results of that
+    /// mode only.
     pub sim_mode: SimMode,
 }
 
@@ -83,8 +78,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             jobs: default_jobs(),
-            disk_cache: true,
-            cache_dir: PathBuf::from("results/cache"),
             verify: false,
             sim_mode: SimMode::Exact,
         }
@@ -100,10 +93,6 @@ impl EngineConfig {
     ///
     /// * `BSCHED_JOBS=<n>` — worker count (default:
     ///   `available_parallelism()`),
-    /// * `BSCHED_NO_CACHE=1` — bypass the disk cache (for benchmarking
-    ///   the engine itself),
-    /// * `BSCHED_CACHE_DIR=<path>` — cache root (default
-    ///   `results/cache`),
     /// * `BSCHED_VERIFY=1` — run the conformance suite on every
     ///   executed cell,
     /// * `BSCHED_SAMPLE=<spec>` — sampled execution mode; `1`/`on`/
@@ -132,9 +121,9 @@ impl EngineConfig {
     ///
     /// # Errors
     ///
-    /// `BSCHED_JOBS` that is not a positive integer, an empty
-    /// `BSCHED_CACHE_DIR`, or a `BSCHED_SAMPLE` that parses as neither
-    /// a sampling spec nor an off switch.
+    /// `BSCHED_JOBS` that is not a positive integer, or a
+    /// `BSCHED_SAMPLE` that parses as neither a sampling spec nor an off
+    /// switch.
     pub fn try_from_env() -> Result<Self, String> {
         let mut cfg = EngineConfig::default();
         if let Ok(v) = std::env::var("BSCHED_JOBS") {
@@ -146,21 +135,6 @@ impl EngineConfig {
                     ))
                 }
             }
-        }
-        if let Ok(v) = std::env::var("BSCHED_NO_CACHE") {
-            if v == "1" || v.eq_ignore_ascii_case("true") {
-                cfg.disk_cache = false;
-            }
-        }
-        if let Ok(v) = std::env::var("BSCHED_CACHE_DIR") {
-            if v.trim().is_empty() {
-                return Err(
-                    "invalid BSCHED_CACHE_DIR=\"\": expected a cache directory path \
-                     (unset the variable to use the default results/cache)"
-                        .to_string(),
-                );
-            }
-            cfg.cache_dir = PathBuf::from(v);
         }
         if let Ok(v) = std::env::var("BSCHED_VERIFY") {
             if v == "1" || v.eq_ignore_ascii_case("true") {
@@ -186,17 +160,19 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the cache root.
+    /// Does nothing: the engine has no disk cache. It accepts and
+    /// ignores `dir` so that older callers still compile; ROADMAP item 9
+    /// deletes it.
     #[must_use]
-    pub fn with_cache_dir(mut self, dir: PathBuf) -> Self {
-        self.cache_dir = dir;
+    pub fn with_cache_dir(self, _dir: PathBuf) -> Self {
         self
     }
 
-    /// Enables/disables the disk layer.
+    /// Does nothing: the engine has no disk cache. It accepts and
+    /// ignores `on` so that older callers still compile; ROADMAP item 9
+    /// deletes it.
     #[must_use]
-    pub fn with_disk_cache(mut self, on: bool) -> Self {
-        self.disk_cache = on;
+    pub fn with_disk_cache(self, _on: bool) -> Self {
         self
     }
 
@@ -215,7 +191,7 @@ impl EngineConfig {
     }
 }
 
-/// The engine: kernels, cache layers, pool, and report state.
+/// The engine: kernels, memo store, pool, and report state.
 pub struct Engine {
     /// One shared [`Source`] per kernel, so each kernel's reference
     /// checksum is computed once per engine, by the first cell that
@@ -224,11 +200,8 @@ pub struct Engine {
     index: HashMap<String, usize>,
     config: EngineConfig,
     /// Results under the configured [`SimMode`], which is fixed for the
-    /// engine's lifetime. The mode axis is not metrics-invariant, so a
-    /// sampled engine never reads or writes the disk cache, which holds
-    /// exact results only.
+    /// engine's lifetime.
     store: ResultStore,
-    disk: DiskCache,
     report: Mutex<RunReport>,
 }
 
@@ -258,7 +231,6 @@ impl Engine {
             .enumerate()
             .map(|(i, (name, _))| (name.clone(), i))
             .collect();
-        let disk = DiskCache::new(&config.cache_dir, config.disk_cache);
         let sim_mode = match config.sim_mode {
             SimMode::Exact => "exact".to_string(),
             SimMode::Sampled(s) => format!("sampled({s})"),
@@ -273,7 +245,6 @@ impl Engine {
             index,
             config,
             store: ResultStore::new(),
-            disk,
             report: Mutex::new(report),
         }
     }
@@ -322,7 +293,7 @@ impl Engine {
     }
 
     /// Ensures every requested cell has a result, executing the
-    /// deduplicated cache misses on the [`crate::pool`], one job per
+    /// deduplicated memo misses on the [`crate::pool`], one job per
     /// group of misses that differ only in the simulated machine.
     ///
     /// # Errors
@@ -370,40 +341,19 @@ impl Engine {
         };
         let mut outcomes: Vec<Option<Result<CellResult, HarnessError>>> = vec![None; unique.len()];
 
-        // Layer 1/2: memory, then disk. A verifying run only accepts
-        // cached results whose conformance suite passed at compute time;
+        // The memo store first. A verifying run only accepts memoized
+        // results whose conformance suite passed at compute time;
         // anything else is recomputed (and re-verified) as a miss.
-        // A sampled engine skips the disk layer, which holds exact
-        // results exclusively.
-        let sampled = self.config.sim_mode.is_sampled();
         let store = &self.store;
         let mut misses: Vec<usize> = Vec::new();
-        let usable = |r: &CellResult| !verify || r.verified;
         for (u, &cell) in unique.iter().enumerate() {
-            let Some(source) = self.source(cell.kernel()) else {
+            if self.source(cell.kernel()).is_none() {
                 outcomes[u] = Some(Err(HarnessError::UnknownKernel(cell.kernel().to_string())));
                 continue;
-            };
-            let cached = if let Some(r) = store.get(cell) {
-                usable(&r).then(|| {
-                    batch.memory_hits += 1;
-                    r
-                })
-            } else if let Some(r) = if sampled {
-                None
-            } else {
-                self.disk.load(cell, source)
-            } {
-                usable(&r).then(|| {
-                    store.insert(cell, r.clone());
-                    batch.disk_hits += 1;
-                    r
-                })
-            } else {
-                None
-            };
-            match cached {
+            }
+            match store.get(cell).filter(|r| !verify || r.verified) {
                 Some(r) => {
+                    batch.memory_hits += 1;
                     batch.verified += u64::from(verify);
                     outcomes[u] = Some(Ok(r));
                 }
@@ -411,7 +361,7 @@ impl Engine {
             }
         }
 
-        // Layer 3: execute the misses in parallel, one pool job per
+        // Then execute the misses in parallel, one pool job per
         // compile. Cells that differ only in the simulated machine share
         // a compile key; their job compiles once and simulates each
         // member on its own machine. Outcomes are scattered back by
@@ -440,10 +390,6 @@ impl Engine {
                 });
                 if let Ok(result) = &outcome {
                     batch.verified += u64::from(result.verified);
-                    if !sampled {
-                        self.disk
-                            .store(cell, &self.kernels[self.index[cell.kernel()]].1, result);
-                    }
                     store.insert(cell, result.clone());
                 }
                 outcomes[u] = Some(outcome);
@@ -485,13 +431,6 @@ impl Engine {
     #[must_use]
     pub fn report(&self) -> RunReport {
         self.report.lock().expect("report poisoned").clone()
-    }
-
-    /// Drops the in-memory layer, keeping the disk cache — the cache
-    /// round-trip tests use this to prove disk hits alone reproduce the
-    /// results.
-    pub fn clear_memory(&self) {
-        self.store.clear();
     }
 
     /// Folds a fuzzing campaign's iteration count into the run report
@@ -610,7 +549,6 @@ impl Engine {
         r.requested += batch.requested;
         r.deduplicated += batch.deduplicated;
         r.memory_hits += batch.memory_hits;
-        r.disk_hits += batch.disk_hits;
         r.verified += batch.verified;
         r.executed += batch.cell_timings.len() as u64;
         r.compiles += batch.compiles;

@@ -1,4 +1,4 @@
-//! `bsched-harness` — the parallel, content-cached experiment-execution
+//! `bsched-harness` — the parallel, memoizing experiment-execution
 //! engine behind every table/figure binary.
 //!
 //! The paper's data (Tables 4–9, §5.5, the superscalar sweep) is a grid
@@ -9,9 +9,9 @@
 //! first-class object:
 //!
 //! 1. **Enumeration & deduplication** — [`ExperimentCell`] derives a
-//!    canonical, version-stamped key ([`cell::CACHE_SCHEMA_VERSION`])
-//!    from every result-affecting field of the cell; equal cells are
-//!    executed once, no matter how many tables request them.
+//!    canonical key from every result-affecting field of the cell;
+//!    equal cells are executed once, no matter how many tables request
+//!    them.
 //! 2. **Parallel execution** — a std-only self-scheduling pool
 //!    ([`pool`]): scoped worker threads claim the next job from one
 //!    atomic counter, sized by `std::thread::available_parallelism()`
@@ -19,26 +19,24 @@
 //!    batch's misses that differ only in the simulated machine share
 //!    it (compilation reads no machine), and each is then simulated on
 //!    its own machine.
-//! 3. **Memoization** — an in-memory [`store::ResultStore`] plus an
-//!    on-disk content-addressed cache ([`disk::DiskCache`]) under
-//!    `results/cache/`, keyed by an FNV-1a hash of the canonical cell
-//!    key; each document also records its kernel program's digest, so
-//!    an edited kernel misses. Warm re-runs are near-instant;
-//!    `BSCHED_NO_CACHE=1` bypasses the disk layer.
+//! 3. **Memoization** — an in-memory [`store::ResultStore`], keyed by
+//!    the canonical cell key, answers every repeat request within one
+//!    process. An engine's kernel set is fixed when it is built, so a
+//!    kernel name always means the same program. Nothing is written to
+//!    disk: a run ends when its pool joins, and every process starts
+//!    cold.
 //! 4. **Observability** — a structured [`report::RunReport`]: per-cell
-//!    wall times, worker utilization, cache hit/miss counts, slowest
-//!    cells.
+//!    wall times, worker utilization, memo hit counts, slowest cells.
 //! 5. **Verification** — with [`EngineConfig::verify`] (CLI `--verify`,
 //!    env `BSCHED_VERIFY=1`), every executed cell runs the
 //!    `bsched-verify` conformance suite — schedule legality, weight
 //!    cross-check, differential replay, metamorphic invariants — and
-//!    violations fail the run. Results carry a `verified` flag through
-//!    both cache layers; a verifying run recomputes unverified entries.
+//!    violations fail the run. Results carry a `verified` flag; a
+//!    verifying run recomputes memoized results that were not verified.
 //!
 //! Output is deterministic by construction: results are keyed by cell
 //! and looked up in the caller's iteration order, so emitted tables and
-//! CSVs are byte-identical whether computed with 1 worker or N, cold or
-//! warm.
+//! CSVs are byte-identical whether computed with 1 worker or N.
 //!
 //! ```no_run
 //! use bsched_harness::{Engine, EngineConfig, ExperimentCell};
@@ -62,14 +60,14 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod disk;
+pub mod codec;
 pub mod engine;
 pub mod pool;
 pub mod report;
 pub mod store;
 
-pub use cell::{ExperimentCell, CACHE_SCHEMA_VERSION};
-pub use disk::{decode_metrics, encode_metrics};
+pub use cell::ExperimentCell;
+pub use codec::{decode_metrics, encode_metrics};
 pub use engine::{CellResult, Engine, EngineConfig, HarnessError};
 pub use report::{emit_stderr, RunReport};
 pub use store::ResultStore;

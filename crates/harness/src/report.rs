@@ -16,7 +16,7 @@ pub fn emit_stderr(text: &str) {
     let _ = locked.flush();
 }
 
-/// One executed (cache-missing) cell's timing.
+/// One executed (memo-missing) cell's timing.
 #[derive(Debug, Clone)]
 pub struct CellTiming {
     /// `kernel/label` of the cell.
@@ -34,15 +34,17 @@ pub struct RunReport {
     pub deduplicated: u64,
     /// Cells answered from the in-memory store.
     pub memory_hits: u64,
-    /// Cells answered from the on-disk cache.
+    /// Always 0: the engine has no disk cache. The field stays only so
+    /// that older readers still compile; ROADMAP item 9 deletes it.
     pub disk_hits: u64,
-    /// Cells actually executed (cache misses).
+    /// Cells actually executed (memo misses).
     pub executed: u64,
     /// Compiles run for the executed cells: one per group of cells that
     /// differ only in the simulated machine.
     pub compiles: u64,
     /// Cells whose conformance suite passed (executed under `--verify`,
-    /// or served from a cache entry that was verified when computed).
+    /// or answered from a memoized result that was verified when
+    /// computed).
     pub verified: u64,
     /// Conformance violations found (a nonzero count always accompanies
     /// a run failure — violations are errors, not warnings).
@@ -78,20 +80,14 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Cache hit count (memory + disk).
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.memory_hits + self.disk_hits
-    }
-
     /// Hit fraction over unique requested cells in `[0, 1]`.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let unique = self.hits() + self.executed;
+        let unique = self.memory_hits + self.executed;
         if unique == 0 {
             0.0
         } else {
-            self.hits() as f64 / unique as f64
+            self.memory_hits as f64 / unique as f64
         }
     }
 
@@ -126,11 +122,10 @@ impl RunReport {
         let _ = writeln!(s, "── bsched-harness run report ──");
         let _ = writeln!(
             s,
-            "cells: {} requested, {} deduplicated, {} memory hits, {} disk hits, {} executed{} ({:.0}% cache hits)",
+            "cells: {} requested, {} deduplicated, {} memory hits, {} executed{} ({:.0}% cache hits)",
             self.requested,
             self.deduplicated,
             self.memory_hits,
-            self.disk_hits,
             self.executed,
             match (self.executed, self.compiles) {
                 (0, _) => String::new(),
@@ -219,15 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_counts_both_cache_layers() {
+    fn hit_rate_is_over_unique_cells() {
         let r = RunReport {
             requested: 20,
-            memory_hits: 6,
-            disk_hits: 3,
+            memory_hits: 9,
             executed: 1,
             ..RunReport::default()
         };
-        assert_eq!(r.hits(), 9);
         assert!((r.hit_rate() - 0.9).abs() < 1e-12);
         assert_eq!(RunReport::default().hit_rate(), 0.0);
     }
@@ -271,7 +264,9 @@ mod tests {
             memory_hits: 4,
             ..RunReport::default()
         };
-        assert!(warm.render().contains(" 0 executed (100% cache hits)"));
+        assert!(warm.render().contains(
+            "cells: 4 requested, 0 deduplicated, 4 memory hits, 0 executed (100% cache hits)"
+        ));
         assert!(text.contains("slowest cells"));
         assert!(text.contains("k/BS"));
     }

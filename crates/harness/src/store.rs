@@ -89,13 +89,6 @@ impl ResultStore {
     pub fn miss_count(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Drops every memoized result (the cache round-trip tests use this
-    /// to force re-loading from disk). Counters are kept: they describe
-    /// traffic, not contents.
-    pub fn clear(&self) {
-        self.map.write().expect("store poisoned").clear();
-    }
 }
 
 #[cfg(test)]
@@ -131,8 +124,6 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.hit_count(), 1);
         assert_eq!(store.miss_count(), 1);
-        store.clear();
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -3,14 +3,12 @@
 //! it on every member's machine, and keeps every per-cell check and
 //! failure per cell.
 
-use bsched_harness::disk::DiskCache;
 use bsched_harness::{Engine, EngineConfig, ExperimentCell, HarnessError};
 use bsched_ir::{Function, Inst, Op, Program, RegClass};
 use bsched_pipeline::{CompileOptions, Experiment, MachineSpec, SchedulerKind};
 use bsched_trace::points;
 use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The trace recorder is process-global: a capture would also record
@@ -51,10 +49,7 @@ fn zoo_cells_compile_once_per_kernel_and_arm() {
             (k.to_string(), spec.program())
         })
         .collect();
-    let engine = Engine::new(
-        programs,
-        EngineConfig::default().with_jobs(2).with_disk_cache(false),
-    );
+    let engine = Engine::new(programs, EngineConfig::default().with_jobs(2));
     let mut cells = Vec::new();
     for m in &machines {
         for kernel in kernels {
@@ -135,12 +130,6 @@ fn malformed(name: &str) -> Program {
     p
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bsched-sharing-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The kernel and label of a failed cell.
 fn failed_cell(result: Result<(), HarnessError>) -> String {
     match result {
@@ -154,20 +143,17 @@ fn failed_cell(result: Result<(), HarnessError>) -> String {
 
 /// A failing compile fails every member of its group, the first
 /// failure in request order is the one reported, and none of the
-/// failed cells reaches the memo store or the disk cache.
+/// failed cells reaches the memo store.
 #[test]
 fn a_failed_compile_fails_every_member_and_stores_nothing() {
     let _lock = trace_lock();
-    let dir = tmp_dir("failure");
     let engine = Engine::new(
         vec![
             ("ok".to_string(), tiny("ok")),
             ("bad".to_string(), malformed("bad")),
             ("worse".to_string(), malformed("worse")),
         ],
-        EngineConfig::default()
-            .with_jobs(2)
-            .with_cache_dir(dir.clone()),
+        EngineConfig::default().with_jobs(2),
     );
     let opts = CompileOptions::new(SchedulerKind::Balanced);
     let on_machines = |kernel: &str| -> Vec<ExperimentCell> {
@@ -218,17 +204,11 @@ fn a_failed_compile_fails_every_member_and_stores_nothing() {
     );
     assert!(engine.result(&ok[1]).is_some(), "ok[1] stored");
 
-    let disk = DiskCache::new(&dir, true);
     for cell in bad.iter().chain([&worse]) {
         assert!(
             engine.result(cell).is_none(),
             "{cell} reached the memo store"
         );
-        assert!(
-            !disk.path_for(cell).exists(),
-            "{cell} reached the disk cache"
-        );
     }
     assert_eq!(engine.store().len(), 2, "only ok[0] and ok[1] were stored");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,11 @@
 //! Integration tests for the experiment engine: determinism across
-//! worker counts, disk-cache round trips, and cache accounting.
+//! worker counts, memo accounting, and verification upgrades.
 
 use bsched_harness::{Engine, EngineConfig, ExperimentCell, HarnessError};
 use bsched_ir::Program;
 use bsched_pipeline::{CompileOptions, SchedulerKind};
 use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
-use std::path::PathBuf;
 
 /// A small kernel so the whole grid runs in well under a second.
 fn tiny_kernel(name: &str, n: i64, seed: u64) -> (String, Program) {
@@ -44,12 +43,6 @@ fn cells() -> Vec<ExperimentCell> {
     cells
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bsched-engine-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Debug output covers every metric field, so equal strings mean equal
 /// metrics.
 fn fingerprint(engine: &Engine, cells: &[ExperimentCell]) -> Vec<String> {
@@ -68,15 +61,13 @@ fn results_are_identical_across_worker_counts() {
     let cells = cells();
     let mut baseline = None;
     for jobs in [1usize, 4] {
-        let cfg = EngineConfig::default()
-            .with_jobs(jobs)
-            .with_disk_cache(false);
+        let cfg = EngineConfig::default().with_jobs(jobs);
         let engine = Engine::new(kernels(), cfg);
         engine.run(&cells).expect("grid runs");
         let fp = fingerprint(&engine, &cells);
         let report = engine.report();
         assert_eq!(report.executed, cells.len() as u64, "{jobs} workers");
-        assert_eq!(report.hits(), 0, "{jobs} workers");
+        assert_eq!(report.memory_hits, 0, "{jobs} workers");
         match &baseline {
             None => baseline = Some(fp),
             Some(b) => assert_eq!(b, &fp, "worker count changed the results"),
@@ -85,46 +76,8 @@ fn results_are_identical_across_worker_counts() {
 }
 
 #[test]
-fn disk_cache_round_trips_and_counts_hits() {
-    let dir = tmp_dir("roundtrip");
-    let cells = cells();
-    let cfg = || {
-        EngineConfig::default()
-            .with_jobs(2)
-            .with_cache_dir(dir.clone())
-    };
-
-    // Cold run: everything executes, results land on disk.
-    let cold = Engine::new(kernels(), cfg());
-    cold.run(&cells).expect("cold run");
-    let want = fingerprint(&cold, &cells);
-    assert_eq!(cold.report().executed, cells.len() as u64);
-    drop(cold);
-
-    // Fresh engine, same directory: pure disk hits, nothing executes.
-    let warm = Engine::new(kernels(), cfg());
-    warm.run(&cells).expect("warm run");
-    assert_eq!(warm.report().disk_hits, cells.len() as u64);
-    assert_eq!(warm.report().executed, 0);
-    assert_eq!(fingerprint(&warm, &cells), want);
-
-    // Same engine again: now the memory layer answers.
-    warm.run(&cells).expect("memory run");
-    assert_eq!(warm.report().memory_hits, cells.len() as u64);
-
-    // Dropping memory forces the disk layer again, with equal results.
-    warm.clear_memory();
-    warm.run(&cells).expect("post-clear run");
-    assert_eq!(warm.report().disk_hits, 2 * cells.len() as u64);
-    assert_eq!(warm.report().executed, 0);
-    assert_eq!(fingerprint(&warm, &cells), want);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn duplicates_within_a_batch_are_deduplicated() {
-    let cfg = EngineConfig::default().with_jobs(2).with_disk_cache(false);
+    let cfg = EngineConfig::default().with_jobs(2);
     let engine = Engine::new(kernels(), cfg);
     let one = ExperimentCell::new("alpha", CompileOptions::new(SchedulerKind::Balanced));
     let batch = vec![one.clone(), one.clone(), one.clone()];
@@ -137,7 +90,7 @@ fn duplicates_within_a_batch_are_deduplicated() {
 
 #[test]
 fn same_label_different_options_are_distinct_cells() {
-    let cfg = EngineConfig::default().with_jobs(1).with_disk_cache(false);
+    let cfg = EngineConfig::default().with_jobs(1);
     let engine = Engine::new(kernels(), cfg);
     let plain = ExperimentCell::new("alpha", CompileOptions::new(SchedulerKind::Balanced));
     let capped = ExperimentCell::new(
@@ -150,83 +103,9 @@ fn same_label_different_options_are_distinct_cells() {
 }
 
 #[test]
-fn corrupt_cache_documents_recompute_without_panicking() {
-    use bsched_harness::disk::DiskCache;
-    let dir = tmp_dir("corruption");
-    let cells = cells();
-    let cfg = || {
-        EngineConfig::default()
-            .with_jobs(2)
-            .with_cache_dir(dir.clone())
-    };
-
-    let cold = Engine::new(kernels(), cfg());
-    cold.run(&cells).expect("cold run");
-    let want = fingerprint(&cold, &cells);
-    drop(cold);
-
-    // Damage three documents three different ways: truncation (torn
-    // write), garbage bytes, and a wrong schema stamp.
-    let disk = DiskCache::new(&dir, true);
-    let paths: Vec<PathBuf> = cells.iter().take(3).map(|c| disk.path_for(c)).collect();
-    let full = std::fs::read_to_string(&paths[0]).unwrap();
-    std::fs::write(&paths[0], &full[..full.len() / 2]).unwrap();
-    std::fs::write(&paths[1], b"\x00\xffnot json at all").unwrap();
-    std::fs::write(
-        &paths[2],
-        full.replacen("\"schema\":", "\"schema\":9999, \"x\":", 1),
-    )
-    .unwrap();
-
-    // A fresh engine treats all three as misses — recomputed, counted
-    // as executions, results unchanged.
-    let warm = Engine::new(kernels(), cfg());
-    warm.run(&cells).expect("corruption must not fail the run");
-    let report = warm.report();
-    assert_eq!(report.executed, 3, "each damaged document recomputes");
-    assert_eq!(report.disk_hits, cells.len() as u64 - 3);
-    assert_eq!(fingerprint(&warm, &cells), want);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn an_edited_kernel_misses_the_disk_cache_and_stores_its_own_result() {
-    let dir = tmp_dir("edited");
-    let cfg = || {
-        EngineConfig::default()
-            .with_jobs(1)
-            .with_cache_dir(dir.clone())
-    };
-    let cell = ExperimentCell::new("alpha", CompileOptions::new(SchedulerKind::Balanced));
-    let run = |program: (String, Program)| {
-        let engine = Engine::new(vec![program], cfg());
-        engine.run(std::slice::from_ref(&cell)).expect("runs");
-        let cycles = engine.result(&cell).expect("stored").metrics.cycles;
-        (engine.report(), cycles)
-    };
-
-    let (_, old) = run(tiny_kernel("alpha", 48, 3));
-    // Another program under the same kernel name: the warm document
-    // belongs to the old program, so it is a miss.
-    let (report, new) = run(tiny_kernel("alpha", 64, 11));
-    assert_eq!((report.disk_hits, report.executed), (0, 1));
-    assert_ne!(old, new, "the edited program simulates differently");
-    // The edited program's own result replaced the old document.
-    let (report, again) = run(tiny_kernel("alpha", 64, 11));
-    assert_eq!((report.disk_hits, report.executed), (1, 0));
-    assert_eq!(again, new);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn verifying_run_proves_every_cell_and_reports_it() {
     let cells = cells();
-    let cfg = EngineConfig::default()
-        .with_jobs(2)
-        .with_disk_cache(false)
-        .with_verify(true);
+    let cfg = EngineConfig::default().with_jobs(2).with_verify(true);
     let engine = Engine::new(kernels(), cfg);
     engine.run(&cells).expect("grid verifies");
     let report = engine.report();
@@ -241,53 +120,41 @@ fn verifying_run_proves_every_cell_and_reports_it() {
 
 #[test]
 fn verifying_run_recomputes_unverified_cache_entries() {
-    let dir = tmp_dir("verify-upgrade");
     let cells = cells();
-    let cfg = |verify: bool| {
-        EngineConfig::default()
-            .with_jobs(2)
-            .with_cache_dir(dir.clone())
-            .with_verify(verify)
-    };
+    let n = cells.len() as u64;
+    let engine = Engine::new(kernels(), EngineConfig::default().with_jobs(2));
 
-    // Plain run: results cached with verified == false.
-    let plain = Engine::new(kernels(), cfg(false));
-    plain.run(&cells).expect("plain run");
-    let want = fingerprint(&plain, &cells);
-    drop(plain);
-
-    // A verifying engine must not trust them: every cell re-executes
-    // (now under the conformance suite) and the upgraded entries land
-    // back on disk.
-    let checking = Engine::new(kernels(), cfg(true));
-    checking.run(&cells).expect("verifying run");
-    assert_eq!(
-        checking.report().disk_hits,
-        0,
-        "unverified entries are misses"
-    );
-    assert_eq!(checking.report().executed, cells.len() as u64);
-    assert_eq!(fingerprint(&checking, &cells), want);
-    drop(checking);
-
-    // Once verified, both verifying and plain engines take the hits.
-    for verify in [true, false] {
-        let warm = Engine::new(kernels(), cfg(verify));
-        warm.run(&cells).expect("warm run");
-        assert_eq!(
-            warm.report().disk_hits,
-            cells.len() as u64,
-            "verify={verify}"
-        );
-        assert_eq!(warm.report().executed, 0, "verify={verify}");
+    // Plain run: results memoized with verified == false.
+    for outcome in engine.run_where(&cells, false) {
+        assert!(!outcome.expect("plain run").verified);
     }
+    let want = fingerprint(&engine, &cells);
 
-    let _ = std::fs::remove_dir_all(&dir);
+    // A verifying batch in the same engine must not trust them: every
+    // cell re-executes under the conformance suite, with equal metrics.
+    for outcome in engine.run_where(&cells, true) {
+        assert!(outcome.expect("verifying run").verified);
+    }
+    let report = engine.report();
+    assert_eq!(report.memory_hits, 0, "unverified entries are misses");
+    assert_eq!(report.executed, 2 * n);
+    assert_eq!(report.verified, n);
+    assert_eq!(fingerprint(&engine, &cells), want);
+
+    // Once verified, both verifying and plain batches take the hits.
+    for verify in [true, false] {
+        for outcome in engine.run_where(&cells, verify) {
+            assert!(outcome.expect("warm run").verified, "verify={verify}");
+        }
+    }
+    let report = engine.report();
+    assert_eq!(report.memory_hits, 2 * n);
+    assert_eq!(report.executed, 2 * n, "nothing re-executed");
 }
 
 #[test]
 fn fuzz_iterations_reach_the_report() {
-    let engine = Engine::new(kernels(), EngineConfig::default().with_disk_cache(false));
+    let engine = Engine::new(kernels(), EngineConfig::default());
     engine.record_fuzz(1234);
     let report = engine.report();
     assert_eq!(report.fuzz_iterations, 1234);
@@ -296,8 +163,7 @@ fn fuzz_iterations_reach_the_report() {
 
 #[test]
 fn unknown_kernels_are_rejected() {
-    let cfg = EngineConfig::default().with_disk_cache(false);
-    let engine = Engine::new(kernels(), cfg);
+    let engine = Engine::new(kernels(), EngineConfig::default());
     let cell = ExperimentCell::new("nonesuch", CompileOptions::new(SchedulerKind::Balanced));
     match engine.run(std::slice::from_ref(&cell)) {
         Err(HarnessError::UnknownKernel(k)) => assert_eq!(k, "nonesuch"),

@@ -17,12 +17,6 @@ fn trace_lock() -> MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn uncached(jobs: usize) -> EngineConfig {
-    EngineConfig::default()
-        .with_jobs(jobs)
-        .with_disk_cache(false)
-}
-
 /// Everything a caller can see of a run, so equal strings mean equal
 /// results.
 fn fingerprint(run: &RunResult) -> String {
@@ -38,7 +32,10 @@ fn one_reference_span_per_kernel_across_its_cells() {
     let program = bsched_workloads::kernel_by_name("TRFD")
         .expect("TRFD is a suite kernel")
         .program();
-    let engine = Engine::new(vec![("TRFD".to_string(), program)], uncached(2));
+    let engine = Engine::new(
+        vec![("TRFD".to_string(), program)],
+        EngineConfig::default().with_jobs(2),
+    );
     let cells: Vec<ExperimentCell> = standard_grid()
         .iter()
         .map(|c| ExperimentCell::new("TRFD", c.options()))
@@ -65,7 +62,7 @@ fn one_reference_span_per_kernel_across_its_cells() {
 #[test]
 fn shared_source_matches_a_freshly_lowered_program() {
     let _lock = trace_lock();
-    let engine = Engine::with_standard_kernels(uncached(1));
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(1));
     let configs = [
         CompileOptions::new(SchedulerKind::Traditional),
         CompileOptions::new(SchedulerKind::Balanced).with_unroll(4),

@@ -6,9 +6,12 @@
 //! ```
 //!
 //! Engine settings come from the usual environment (`BSCHED_JOBS`,
-//! `BSCHED_NO_CACHE`, `BSCHED_CACHE_DIR`) with `--jobs`/`--no-cache`/
-//! `--cache-dir` overrides. Exit codes: 0 after a graceful wire-level
-//! shutdown, 2 on usage or configuration errors.
+//! `BSCHED_VERIFY`, `BSCHED_SAMPLE`), with a `--jobs` override. Results
+//! are memoized in memory for the server's lifetime; nothing is written
+//! to disk. `--cache-dir PATH` does nothing: it accepts a path and never
+//! touches it, so that older scripts still start, and ROADMAP item 9
+//! deletes it. Exit codes: 0 after a graceful wire-level shutdown, 2 on
+//! usage or configuration errors.
 
 use bsched_harness::{Engine, EngineConfig};
 use bsched_serve::{serve, Endpoint, ServeConfig, ServeCore, ServerConfig};
@@ -24,8 +27,6 @@ fn usage() -> ! {
          \x20 --batch-max N       max cells per engine batch (default 64)\n\
          \x20 --trace-stream      capture trace events for submits that ask\n\
          \x20 --jobs N            worker threads (overrides BSCHED_JOBS)\n\
-         \x20 --cache-dir PATH    disk cache root (overrides BSCHED_CACHE_DIR)\n\
-         \x20 --no-cache          disable the disk cache layer\n\
          \x20 --read-timeout-ms N per-connection read timeout (default 120000)"
     );
     std::process::exit(2);
@@ -85,9 +86,8 @@ fn main() {
                 }
             }
             "--cache-dir" => {
-                engine_cfg.cache_dir = next_value(&mut i, "--cache-dir").into();
+                next_value(&mut i, "--cache-dir");
             }
-            "--no-cache" => engine_cfg.disk_cache = false,
             "--read-timeout-ms" => {
                 let v = next_value(&mut i, "--read-timeout-ms");
                 let ms: u64 = v
@@ -104,14 +104,9 @@ fn main() {
 
     let engine = Engine::with_standard_kernels(engine_cfg);
     eprintln!(
-        "bsched-serve: engine ready ({} kernels, {} workers, disk cache {})",
+        "bsched-serve: engine ready ({} kernels, {} workers)",
         engine.kernel_names().len(),
-        engine.jobs(),
-        if engine.config().disk_cache {
-            "on"
-        } else {
-            "off"
-        }
+        engine.jobs()
     );
     let core = Arc::new(ServeCore::new(engine, serve_cfg));
     let dispatcher = {

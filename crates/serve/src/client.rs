@@ -57,7 +57,7 @@ pub struct ReceivedCell {
     pub index: u64,
     /// Human-readable `kernel/label`.
     pub cell: String,
-    /// The canonical cache key (empty for error frames).
+    /// The canonical cell key (empty for error frames).
     pub key: String,
     /// The result, or the server's error message.
     pub outcome: Result<CellResult, String>,

@@ -16,7 +16,7 @@
 //!   dedicated thread) drains the queue in batches and executes them
 //!   through [`Engine::run_where`], which fans the batch out on the
 //!   harness's self-scheduling pool and settles hits from the shared
-//!   memo store / disk cache;
+//!   memo store;
 //! * [`ServeCore::drain`] implements graceful shutdown: admission stops
 //!   ([`SubmitError::Draining`]), queued and running work finishes, and
 //!   the dispatcher exits.
@@ -160,8 +160,8 @@ pub struct ServeCore {
 }
 
 impl ServeCore {
-    /// A core over an engine (the engine brings kernels, cache layers,
-    /// and the worker pool).
+    /// A core over an engine (the engine brings kernels, the memo
+    /// store, and the worker pool).
     #[must_use]
     pub fn new(engine: Engine, cfg: ServeConfig) -> Self {
         ServeCore {
@@ -436,7 +436,7 @@ impl ServeCore {
             queue_limit: self.cfg.queue_limit as u64,
             executed: report.executed,
             memory_hits: report.memory_hits,
-            disk_hits: report.disk_hits,
+            disk_hits: 0,
             requested: report.requested,
             verified: report.verified,
             store_hits: self.engine.store().hit_count(),
@@ -452,8 +452,7 @@ mod tests {
     use bsched_pipeline::{CompileOptions, SchedulerKind};
 
     fn small_engine() -> Engine {
-        // No disk cache: core tests must not leak state between runs.
-        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false))
+        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2))
     }
 
     fn cells(n: usize) -> Vec<ExperimentCell> {
@@ -595,7 +594,7 @@ mod tests {
         let trfd = bsched_pipeline::resolve_kernel("TRFD").unwrap();
         let engine = Engine::new(
             vec![("TRFD".to_string(), trfd), ("bad".to_string(), malformed())],
-            EngineConfig::default().with_jobs(2).with_disk_cache(false),
+            EngineConfig::default().with_jobs(2),
         );
         let core = Arc::new(ServeCore::new(engine, ServeConfig::default()));
         let good = cells(2);

@@ -10,16 +10,16 @@
 //! * **wire protocol** ([`protocol`]) — versioned, length-prefixed JSON
 //!   frames ([`bsched_util::frame`]) over TCP or Unix sockets; cells
 //!   travel as exhaustive `CompileOptions` documents whose round-trip
-//!   reproduces the exact canonical cache key;
+//!   reproduces the exact canonical cell key;
 //! * **serving core** ([`core`]) — bounded admission queue with
 //!   explicit `overloaded` rejection (backpressure a client can see and
 //!   retry, instead of unbounded buffering), deduplication of identical
 //!   in-flight cells across connections (N clients submitting the same
 //!   cold grid compute each cell once), and a dispatcher that batches
 //!   admitted work into [`bsched_harness::Engine::run_where`] — the
-//!   same self-scheduling pool, memo store, and content-addressed
-//!   disk cache every batch binary uses, so a served result and a
-//!   locally computed one are byte-identical by construction;
+//!   same self-scheduling pool and memo store every batch binary uses,
+//!   so a served result and a locally computed one are byte-identical
+//!   by construction;
 //! * **front end** ([`server`]) — nonblocking accept loop, a handler
 //!   thread per connection with read/write timeouts, malformed frames
 //!   killing the connection (never the server, never a queue slot), and

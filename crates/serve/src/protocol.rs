@@ -6,8 +6,7 @@
 //! Every frame is a JSON object carrying `"v": WIRE_SCHEMA_VERSION` and
 //! a `"type"` discriminator. The server refuses any other version
 //! loudly (an `error` frame, then connection close) rather than
-//! misreading fields — the same policy as the result cache and the
-//! trace export.
+//! misreading fields — the same policy as the trace export.
 //!
 //! Client → server frames: `hello`, `ping`, `stats`, `shutdown`, and
 //! `submit` (a batch of experiment-grid cells plus `verify`/`trace`
@@ -21,13 +20,13 @@
 //! simulated machine), spelled `{"kernel": "TRFD", "options": {...}}`
 //! with every `CompileOptions` and `SimConfig` field written out, as
 //! produced by [`options_to_json`]. The codec is exhaustive: a
-//! round-trip through JSON reproduces the exact canonical cache key,
+//! round-trip through JSON reproduces the exact canonical cell key,
 //! which is what makes served results and locally computed results
 //! interchangeable.
 //!
-//! Metrics travel in the same flat document the on-disk cache uses
-//! ([`bsched_harness::encode_metrics`]) — one codec, byte-identical
-//! results on both paths.
+//! Metrics travel as the flat document of
+//! [`bsched_harness::encode_metrics`], which decodes to exactly the
+//! metrics the engine computed.
 
 use bsched_core::{SchedulerKind, TieBreak};
 use bsched_harness::{decode_metrics, encode_metrics, CellResult, ExperimentCell};
@@ -494,7 +493,7 @@ pub struct SubmitRequest {
     /// Client-chosen id echoed in every frame of the reply stream.
     pub id: u64,
     /// Run the `bsched-verify` conformance suite on every executed
-    /// cell (cached-but-unverified results are recomputed).
+    /// cell (memoized-but-unverified results are recomputed).
     pub verify: bool,
     /// Stream per-cell `trace_events` frames (only meaningful when the
     /// server was started with trace streaming enabled).
@@ -603,11 +602,12 @@ pub struct StatsSnapshot {
     pub queue_depth: u64,
     /// The admission queue limit.
     pub queue_limit: u64,
-    /// Engine: cells executed (cache misses actually computed).
+    /// Engine: cells executed (memo misses actually computed).
     pub executed: u64,
     /// Engine: in-memory store hits.
     pub memory_hits: u64,
-    /// Engine: on-disk cache hits.
+    /// Always 0: the engine has no disk cache. The wire field stays so
+    /// the schema is unchanged; ROADMAP item 9 deletes it.
     pub disk_hits: u64,
     /// Engine: cells requested across all batches.
     pub requested: u64,
@@ -706,7 +706,7 @@ pub enum Response {
         index: u64,
         /// Human-readable `kernel/label`.
         cell: String,
-        /// The canonical cache key (clients use it to cross-check
+        /// The canonical cell key (clients use it to cross-check
         /// equivalence with local runs).
         key: String,
         /// Metrics plus verification flags.
@@ -758,7 +758,7 @@ impl Response {
     }
 
     /// A result frame for `cell`, deriving the display string and the
-    /// canonical cache key from the cell itself.
+    /// canonical cell key from the cell itself.
     #[must_use]
     pub fn cell_result(
         id: u64,
@@ -945,7 +945,7 @@ mod tests {
     #[test]
     fn options_round_trip_preserves_canonical_keys() {
         // Every standard-grid configuration, plus ablation knobs, must
-        // survive the wire codec with its cache key intact — that is
+        // survive the wire codec with its cell key intact — that is
         // the whole equivalence story.
         let mut all: Vec<CompileOptions> = standard_grid().iter().map(|c| c.options()).collect();
         let mut exotic = CompileOptions::new(SchedulerKind::SelectiveBalanced)
@@ -1092,7 +1092,7 @@ mod tests {
                 id: 7,
                 index: 3,
                 cell: "TRFD/BS".into(),
-                key: "v3;kernel=TRFD;...".into(),
+                key: "kernel=TRFD;...".into(),
                 result: result.clone(),
             },
             Response::CellError {

@@ -7,18 +7,20 @@
 //! schema version, or a read timeout kills *that connection* with a
 //! best-effort `error` frame — never the server, and never a queue
 //! slot (jobs leave the admission queue only by completing, and results
-//! land in the shared cache whether or not their submitter is still
+//! land in the shared memo store whether or not their submitter is still
 //! around to read them).
 //!
 //! Shutdown is a wire request, not a signal: a `shutdown` frame flips a
 //! flag the accept loop polls, the listener stops accepting, the core
-//! drains (finishing queued and running work), and `serve` returns.
+//! drains (finishing queued and running work), every connection is shut
+//! down for reading (so an idle handler's blocked read ends at once),
+//! and `serve` returns once each handler has written its last reply.
 
 use crate::core::{ServeCore, SubmitError};
 use crate::protocol::{Request, Response, SubmitRequest};
 use bsched_util::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,7 +77,7 @@ impl std::fmt::Display for Endpoint {
 pub struct ServerConfig {
     /// Per-connection socket read timeout. A client that goes silent
     /// mid-frame is disconnected; its submitted work still completes
-    /// into the shared cache.
+    /// into the shared memo store.
     pub read_timeout: Duration,
     /// Per-connection socket write timeout (TCP only; Unix sockets
     /// block on a full peer buffer until the read timeout path fires).
@@ -116,16 +118,27 @@ impl Conn {
         }
     }
 
-    fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+    fn try_clone(&self) -> std::io::Result<Conn> {
         match self {
-            Conn::Unix(s) => {
-                let r = s.try_clone()?;
-                Ok((Box::new(r), Box::new(s)))
-            }
-            Conn::Tcp(s) => {
-                let r = s.try_clone()?;
-                Ok((Box::new(r), Box::new(s)))
-            }
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+        }
+    }
+
+    /// Shuts the socket down for every handle on it, clones included:
+    /// after `Read`, a read blocked on it returns EOF while writes still
+    /// go through.
+    fn shutdown(&self, how: Shutdown) {
+        let _ = match self {
+            Conn::Unix(s) => s.shutdown(how),
+            Conn::Tcp(s) => s.shutdown(how),
+        };
+    }
+
+    fn halves(&self) -> (Box<dyn Read + '_>, Box<dyn Write + '_>) {
+        match self {
+            Conn::Unix(s) => (Box::new(s), Box::new(s)),
+            Conn::Tcp(s) => (Box::new(s), Box::new(s)),
         }
     }
 }
@@ -163,7 +176,9 @@ pub fn serve(
     };
     eprintln!("bsched-serve: listening on {endpoint}");
 
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    // Each handler with a clone of its socket, so that draining can end
+    // the handler's read.
+    let mut handlers: Vec<(std::thread::JoinHandle<()>, Conn)> = Vec::new();
     let conn_ids = AtomicU64::new(0);
     while !core.shutdown_requested() {
         let conn = match &listener {
@@ -184,25 +199,33 @@ pub fn serve(
                 }
             },
         };
-        match conn {
-            Some(conn) => {
+        match conn.map(|c| c.try_clone().map(|closer| (c, closer))) {
+            Some(Ok((conn, closer))) => {
                 let core = Arc::clone(core);
                 let cfg = cfg.clone();
                 let id = conn_ids.fetch_add(1, Ordering::Relaxed);
-                handlers.push(std::thread::spawn(move || {
-                    if let Err(e) = handle_connection(&core, conn, &cfg) {
+                let handler = std::thread::spawn(move || {
+                    if let Err(e) = handle_connection(&core, &conn, &cfg) {
                         eprintln!("bsched-serve: connection {id} closed: {e}");
                     }
-                }));
-                handlers.retain(|h| !h.is_finished());
+                    // `closer` keeps the socket open: close it for the
+                    // peer now.
+                    conn.shutdown(Shutdown::Both);
+                });
+                handlers.push((handler, closer));
+                handlers.retain(|(h, _)| !h.is_finished());
             }
+            Some(Err(e)) => eprintln!("bsched-serve: cannot track connection: {e}"),
             None => std::thread::sleep(Duration::from_millis(15)),
         }
     }
 
     eprintln!("bsched-serve: draining for shutdown");
     core.drain();
-    for h in handlers {
+    // Every job is done, so a handler is either writing its last reply
+    // or waiting for a request that will never come: end that wait.
+    for (h, closer) in handlers {
+        closer.shutdown(Shutdown::Read);
         let _ = h.join();
     }
     if let Listener::Unix(_, path) = &listener {
@@ -217,11 +240,11 @@ pub fn serve(
 /// protocol-level failures.
 fn handle_connection(
     core: &Arc<ServeCore>,
-    conn: Conn,
+    conn: &Conn,
     cfg: &ServerConfig,
 ) -> Result<(), FrameError> {
     conn.apply_timeouts(cfg)?;
-    let (read_half, write_half) = conn.split()?;
+    let (read_half, write_half) = conn.halves();
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(write_half);
     loop {

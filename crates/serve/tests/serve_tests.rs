@@ -1,11 +1,12 @@
 //! End-to-end serving tests over real Unix sockets: serve-vs-direct
-//! equivalence (results and cache entries), bounded backpressure with
-//! recovery, and cross-client in-flight deduplication.
+//! equivalence, bounded backpressure with recovery, cross-client
+//! in-flight deduplication, prompt shutdown with idle clients
+//! connected, and a server that writes no file.
 
 use bsched_harness::{encode_metrics, Engine, EngineConfig, ExperimentCell};
 use bsched_pipeline::standard_grid;
 use bsched_serve::{serve, Client, Endpoint, ServeConfig, ServeCore, ServerConfig, SubmitReply};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,6 +39,16 @@ struct TestServer {
 
 impl TestServer {
     fn start(engine: Engine, cfg: ServeConfig, tag: &str, start_dispatcher: bool) -> TestServer {
+        TestServer::start_with(engine, cfg, &ServerConfig::default(), tag, start_dispatcher)
+    }
+
+    fn start_with(
+        engine: Engine,
+        cfg: ServeConfig,
+        server_cfg: &ServerConfig,
+        tag: &str,
+        start_dispatcher: bool,
+    ) -> TestServer {
         let core = Arc::new(ServeCore::new(engine, cfg));
         let endpoint = Endpoint::Unix(sock_path(tag));
         let dispatcher = start_dispatcher.then(|| {
@@ -47,8 +58,9 @@ impl TestServer {
         let serve_thread = {
             let core = Arc::clone(&core);
             let endpoint = endpoint.clone();
+            let server_cfg = server_cfg.clone();
             std::thread::spawn(move || {
-                serve(&core, &endpoint, &ServerConfig::default()).expect("serve");
+                serve(&core, &endpoint, &server_cfg).expect("serve");
             })
         };
         // Wait for the socket to exist before handing out the endpoint.
@@ -114,48 +126,20 @@ fn cheap_cells(n: usize) -> Vec<ExperimentCell> {
         .collect()
 }
 
-fn cache_files(dir: &Path) -> Vec<(String, String)> {
-    let mut files = Vec::new();
-    let Ok(entries) =
-        std::fs::read_dir(dir.join(format!("v{}", bsched_harness::CACHE_SCHEMA_VERSION)))
-    else {
-        return files;
-    };
-    for entry in entries {
-        let entry = entry.expect("dir entry");
-        files.push((
-            entry.file_name().to_string_lossy().to_string(),
-            std::fs::read_to_string(entry.path()).expect("cache file"),
-        ));
-    }
-    files.sort();
-    files
-}
-
 #[test]
-fn served_grid_matches_direct_run_cold_and_warm_including_cache_entries() {
+fn served_grid_matches_direct_run_cold_and_warm() {
     // A slice of the grid keeps the verified debug-build runtime sane;
     // the ci.sh serve smoke covers the full grid in release.
     let cells: Vec<ExperimentCell> = small_grid(&["TRFD"]).into_iter().take(4).collect();
 
-    // Direct path: its own engine, its own cache directory.
-    let direct_dir = tmp_dir("direct");
-    let direct = Engine::with_standard_kernels(
-        EngineConfig::default()
-            .with_jobs(2)
-            .with_cache_dir(direct_dir.clone()),
-    );
+    // Direct path: its own engine.
+    let direct = Engine::with_standard_kernels(EngineConfig::default().with_jobs(2));
     for outcome in direct.run_where(&cells, true) {
         outcome.expect("direct run");
     }
 
     // Served path: a second engine behind the wire protocol.
-    let served_dir = tmp_dir("served");
-    let engine = Engine::with_standard_kernels(
-        EngineConfig::default()
-            .with_jobs(2)
-            .with_cache_dir(served_dir.clone()),
-    );
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(2));
     let server = TestServer::start(engine, ServeConfig::default(), "equiv", true);
 
     for round in ["cold", "warm"] {
@@ -172,8 +156,7 @@ fn served_grid_matches_direct_run_cold_and_warm_including_cache_entries() {
             assert_eq!(rc.key, cell.canonical_key(), "{round}: key mismatch");
             let served = rc.outcome.as_ref().expect("cell ok");
             let direct_result = direct.result(cell).expect("direct result");
-            // Byte-identical through the shared codec — the exact bytes
-            // both the disk cache and the wire carry.
+            // Byte-identical through the wire codec.
             assert_eq!(
                 encode_metrics(&served.metrics).to_string_compact(),
                 encode_metrics(&direct_result.metrics).to_string_compact(),
@@ -191,23 +174,88 @@ fn served_grid_matches_direct_run_cold_and_warm_including_cache_entries() {
         "warm round must hit the memory layer, got {} hits",
         stats.memory_hits
     );
-
     server.shutdown();
+}
 
-    // Identical cache entries: same file names, same bytes.
-    let direct_files = cache_files(&direct_dir);
-    let served_files = cache_files(&served_dir);
-    assert_eq!(direct_files.len(), cells.len());
-    assert_eq!(direct_files, served_files, "cache entries diverge");
+/// A client that stays connected but idle leaves its handler blocked
+/// in a read; shutdown must end that read rather than wait out the
+/// server's read timeout.
+#[test]
+fn shutdown_ends_idle_connections_instead_of_waiting_out_the_read_timeout() {
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(1));
+    let server_cfg = ServerConfig {
+        read_timeout: Duration::from_secs(3600),
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start_with(engine, ServeConfig::default(), &server_cfg, "idle", true);
+    let mut idle = server.client();
+    idle.ping().expect("ping");
 
-    let _ = std::fs::remove_dir_all(&direct_dir);
-    let _ = std::fs::remove_dir_all(&served_dir);
+    let (done, returned) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve must return soon after a wire shutdown, not after the read timeout");
+    stopper.join().expect("shutdown thread");
+    drop(idle);
+}
+
+/// `--cache-dir` is accepted and ignored: a server given one computes
+/// in memory, creates no such directory, and leaves its working
+/// directory as it found it.
+#[test]
+fn a_server_given_a_cache_dir_never_creates_it() {
+    let dir = tmp_dir("cache-dir");
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    let sock = dir.join("s.sock");
+    let cache = dir.join("cache");
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_bsched-serve"));
+    cmd.arg("--unix")
+        .arg(&sock)
+        .arg("--cache-dir")
+        .arg(&cache)
+        .args(["--jobs", "1"])
+        .current_dir(&dir)
+        .stderr(std::process::Stdio::null());
+    for (k, _) in std::env::vars().filter(|(k, _)| k.starts_with("BSCHED_")) {
+        cmd.env_remove(k);
+    }
+    let mut child = cmd.spawn().expect("start bsched-serve");
+    for _ in 0..500 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut client = Client::connect(&Endpoint::Unix(sock), Duration::from_secs(120))
+        .expect("connect to bsched-serve");
+    let cells = cheap_cells(2);
+    match client.submit(&cells, false, false).expect("submit") {
+        SubmitReply::Completed { cells: got, .. } => {
+            assert_eq!(got.len(), cells.len());
+            assert!(got.iter().all(|c| c.outcome.is_ok()), "{got:?}");
+        }
+        SubmitReply::Overloaded { .. } => panic!("default queue must admit"),
+    }
+    client.shutdown().expect("shutdown");
+    let status = child.wait().expect("bsched-serve exits");
+    let created = cache.exists();
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read the working directory")
+        .map(|e| e.expect("directory entry").file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(status.success(), "bsched-serve exited with {status}");
+    assert!(!created, "--cache-dir created {}", cache.display());
+    assert!(left.is_empty(), "the server left {left:?} behind");
 }
 
 #[test]
 fn full_queue_rejects_with_overloaded_and_recovers_after_drain() {
-    let engine =
-        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(2));
     // Queue bounded at 4; dispatcher held back so the queue stays full.
     let mut server = TestServer::start(
         engine,
@@ -288,11 +336,10 @@ fn full_queue_rejects_with_overloaded_and_recovers_after_drain() {
 
 #[test]
 fn concurrent_clients_submitting_one_cold_grid_compute_each_cell_once() {
-    let engine =
-        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(2));
     // Dispatcher held back until every client's submit is admitted, so
     // the later submits demonstrably join in-flight jobs rather than
-    // hitting a warm cache.
+    // hitting the warm store.
     let mut server = TestServer::start(engine, ServeConfig::default(), "dedup", false);
     let grid = cheap_cells(12);
 
@@ -343,8 +390,7 @@ fn concurrent_clients_submitting_one_cold_grid_compute_each_cell_once() {
 
 #[test]
 fn streamed_traces_carry_each_cold_cells_own_events() {
-    let engine =
-        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(2));
     let cfg = ServeConfig {
         stream_traces: true,
         ..ServeConfig::default()
@@ -374,8 +420,7 @@ fn streamed_traces_carry_each_cold_cells_own_events() {
 
 #[test]
 fn client_disconnect_mid_stream_does_not_leak_queue_slots() {
-    let engine =
-        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(2));
     let server = TestServer::start(engine, ServeConfig::default(), "disconnect", true);
     let grid = cheap_cells(8);
 
@@ -401,7 +446,7 @@ fn client_disconnect_mid_stream_does_not_leak_queue_slots() {
         // Dropping the stream here closes the connection mid-stream.
     }
 
-    // The work still completes into the shared cache, and the queue
+    // The work still completes into the shared memo store, and the queue
     // drains to empty — the abandoned submit leaked nothing.
     for _ in 0..1000 {
         let s = server.core.stats();
@@ -414,7 +459,7 @@ fn client_disconnect_mid_stream_does_not_leak_queue_slots() {
     assert_eq!(stats.queue_depth, 0, "abandoned jobs must drain");
     assert_eq!(stats.completed_cells, grid.len() as u64);
 
-    // A follow-up client gets the abandoned work from the warm cache.
+    // A follow-up client gets the abandoned work from the warm store.
     let mut client = server.client();
     match client.submit(&grid, false, false).expect("submit") {
         SubmitReply::Completed { cells, .. } => assert_eq!(cells.len(), grid.len()),

@@ -32,8 +32,7 @@ struct TestServer {
 }
 
 fn start_server(tag: &str) -> TestServer {
-    let engine =
-        Engine::with_standard_kernels(EngineConfig::default().with_jobs(2).with_disk_cache(false));
+    let engine = Engine::with_standard_kernels(EngineConfig::default().with_jobs(2));
     let core = Arc::new(ServeCore::new(engine, ServeConfig::default()));
     let endpoint = Endpoint::Unix(sock_path(tag));
     let dispatcher = {

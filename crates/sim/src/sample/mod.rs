@@ -32,9 +32,9 @@
 //! hold; only cycle-level metrics are estimates.
 //!
 //! The mode axis is an execution detail, **not** an experiment knob: it
-//! must never enter `CompileOptions` or any exact-result cache key. It
-//! is not metrics-invariant, so a sampled harness engine keeps its
-//! results in memory and never touches the exact-result disk cache.
+//! must never enter `CompileOptions` or any cell key. It is not
+//! metrics-invariant, so a harness engine runs in one mode for its
+//! whole lifetime and its memo store holds that mode's results only.
 
 pub mod kmeans;
 mod profile;

@@ -9,8 +9,7 @@ use std::fmt;
 
 /// Version of the JSON export schema. Bump on any incompatible change
 /// to the document shape; [`ParsedTrace::parse`] refuses documents with
-/// any other version instead of misreading them — the same policy as
-/// the harness result cache's `CACHE_SCHEMA_VERSION`.
+/// any other version instead of misreading them.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
 /// A finalized set of events, deterministically ordered, ready for

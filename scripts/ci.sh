@@ -41,38 +41,37 @@ echo "== tests (benchmark self-tests) =="
 # above does not reach its self-tests.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "== smoke: all_experiments on 2 kernels, cold vs warm cache =="
-SMOKE_CACHE="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_CACHE"' EXIT
+echo "== smoke: all_experiments on 2 kernels, 2 vs 1 workers =="
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
 run_smoke() {
-    BSCHED_JOBS="$1" BSCHED_CACHE_DIR="$SMOKE_CACHE" \
-        ./target/release/all_experiments --kernels ARC2D,TRFD
+    BSCHED_JOBS="$1" ./target/release/all_experiments --kernels ARC2D,TRFD
 }
 cold="$(run_smoke 2)"
-warm="$(run_smoke 1)"
-[ "$cold" = "$warm" ] || { echo "FAIL: cold/warm or 2-vs-1-worker output differs"; exit 1; }
+single="$(run_smoke 1)"
+[ "$cold" = "$single" ] || { echo "FAIL: 2-vs-1-worker output differs"; exit 1; }
 # Header + 2 kernels x 15 configurations.
 lines="$(printf '%s\n' "$cold" | wc -l)"
 [ "$lines" -eq 31 ] || { echo "FAIL: expected 31 output lines, got $lines"; exit 1; }
 
-echo "== gate: one source reference run per kernel, uncached =="
+echo "== gate: one source reference run per kernel =="
 # Each kernel's reference checksum (verify + interpret the unoptimized
 # source) is computed once per process and shared by all its cells. A
 # cold traced run over 2 kernels x 15 configurations must record
 # exactly 2 pipeline.reference spans: a deterministic count, so a slide
 # back to per-cell interpretation fails on any host. Tracing must not
 # change stdout.
-REF_TRACE="$SMOKE_CACHE/reference.trace.json"
-refrun="$(BSCHED_NO_CACHE=1 ./target/release/all_experiments --kernels ARC2D,TRFD \
-    --trace-json "$REF_TRACE" 2>"$SMOKE_CACHE/reference.err")" \
-    || { cat "$SMOKE_CACHE/reference.err"; echo "FAIL: traced cold run"; exit 1; }
+REF_TRACE="$SMOKE_DIR/reference.trace.json"
+refrun="$(./target/release/all_experiments --kernels ARC2D,TRFD \
+    --trace-json "$REF_TRACE" 2>"$SMOKE_DIR/reference.err")" \
+    || { cat "$SMOKE_DIR/reference.err"; echo "FAIL: traced cold run"; exit 1; }
 [ "$refrun" = "$cold" ] || { echo "FAIL: traced cold run changed stdout"; exit 1; }
 refs="$(grep -o '"cat":"pipeline","dur_ns":[0-9]*,"kind":"span","label":"[^"]*","name":"reference"' \
     "$REF_TRACE" | wc -l)"
 [ "$refs" -eq 2 ] \
     || { echo "FAIL: expected 2 pipeline.reference spans (one per kernel), got $refs"; exit 1; }
 
-echo "== gate: one compile per kernel x options across machines, uncached =="
+echo "== gate: one compile per kernel x options across machines =="
 # Compilation reads no machine, so the engine compiles the cells of a
 # batch that differ only in the simulated machine once and simulates
 # each on its own machine. ARC2D and TRFD x {TS, BS, EX}@LU4 x the 6
@@ -88,15 +87,12 @@ echo "== verify gate: conformance suite on 2 kernels + fuzz smoke =="
 # proven legal, weights cross-checked against the reference
 # implementation, the compiled code replayed through the interpreter,
 # and the simulator metrics checked against the metamorphic
-# invariants. The cold smoke above cached the cells *unverified*, so
-# this also exercises the recompute-on-unverified path. Then a
-# 2,000-iteration seeded fuzz campaign (time-budgeted so slow machines
-# stop early rather than time out) drives random kernels through the
-# full pipeline. Any violation or fuzz failure exits nonzero; the
+# invariants. Then a 2,000-iteration seeded fuzz campaign
+# (time-budgeted so slow machines stop early rather than time out)
+# drives random kernels through the full pipeline. Any violation or fuzz failure exits nonzero; the
 # verified output must be byte-identical to the unverified run.
-VERIFY_ERR="$SMOKE_CACHE/verify.err"
-verified="$(BSCHED_CACHE_DIR="$SMOKE_CACHE" \
-    ./target/release/all_experiments --verify --kernels ARC2D,TRFD \
+VERIFY_ERR="$SMOKE_DIR/verify.err"
+verified="$(./target/release/all_experiments --verify --kernels ARC2D,TRFD \
         --fuzz 2000 --fuzz-seconds 120 2>"$VERIFY_ERR")" \
     || { cat "$VERIFY_ERR"; echo "FAIL: verify gate"; exit 1; }
 [ "$verified" = "$cold" ] || { echo "FAIL: --verify changed stdout"; exit 1; }
@@ -104,19 +100,16 @@ grep "verification:" "$VERIFY_ERR" || { echo "FAIL: no verification report"; exi
 grep -q "verification: .* 0 violations" "$VERIFY_ERR" \
     || { cat "$VERIFY_ERR"; echo "FAIL: violations found"; exit 1; }
 
-echo "== smoke: sampled mode (estimates, cache separation, exact bytes) =="
-# SimPoint-style sampling end to end on the warm 2-kernel cache. The
-# sampled verified run must pass its conformance gate (instruction
-# counts and checksum exact by construction, estimates within the
-# committed tolerances vs a fresh exact run) while *executing* every
-# cell: the mode axis is cache-key-blind but not metrics-invariant, so
-# sampled results must never be answered from — or written into — the
-# exact-result cache. Afterwards the exact grid must still be answered
-# fully from the warm cache with byte-identical stdout, and disabling
-# sampling via the environment must be a no-op.
-SAMPLE_ERR="$SMOKE_CACHE/sample.err"
-sampled="$(BSCHED_CACHE_DIR="$SMOKE_CACHE" \
-    ./target/release/all_experiments --sample --verify --kernels ARC2D,TRFD 2>"$SAMPLE_ERR")" \
+echo "== smoke: sampled mode (estimates, exact bytes) =="
+# SimPoint-style sampling end to end on 2 kernels. The sampled verified
+# run must pass its conformance gate (instruction counts and checksum
+# exact by construction, estimates within the committed tolerances vs a
+# fresh exact run) while executing every cell, and its table must differ
+# from the exact one. Disabling sampling via the environment must be a
+# no-op.
+SAMPLE_ERR="$SMOKE_DIR/sample.err"
+sampled="$(./target/release/all_experiments --sample --verify --kernels ARC2D,TRFD \
+    2>"$SAMPLE_ERR")" \
     || { cat "$SAMPLE_ERR"; echo "FAIL: sampled verified run"; exit 1; }
 grep -q "verification: .* 0 violations" "$SAMPLE_ERR" \
     || { cat "$SAMPLE_ERR"; echo "FAIL: sampled verification"; exit 1; }
@@ -124,29 +117,22 @@ grep -q "mode: sampled(" "$SAMPLE_ERR" \
     || { cat "$SAMPLE_ERR"; echo "FAIL: run report must name the sampled mode"; exit 1; }
 grep -q "sampling: .* insts cycle-simulated" "$SAMPLE_ERR" \
     || { cat "$SAMPLE_ERR"; echo "FAIL: no sampling report section"; exit 1; }
-grep -q "0 memory hits, 0 disk hits, 30 executed from 30 compiles (0% cache hits)" "$SAMPLE_ERR" \
-    || { cat "$SAMPLE_ERR"; echo "FAIL: sampled run must not hit the exact cache"; exit 1; }
+grep -q "0 memory hits, 30 executed from 30 compiles (0% cache hits)" "$SAMPLE_ERR" \
+    || { cat "$SAMPLE_ERR"; echo "FAIL: sampled run must execute every cell"; exit 1; }
 [ "$sampled" != "$cold" ] \
-    || { echo "FAIL: sampled table should be an estimate, not a cache readback"; exit 1; }
-after="$(BSCHED_CACHE_DIR="$SMOKE_CACHE" \
-    ./target/release/all_experiments --kernels ARC2D,TRFD 2>"$SMOKE_CACHE/after.err")"
-[ "$after" = "$cold" ] || { echo "FAIL: sampled run altered cached exact results"; exit 1; }
-grep -q " 0 executed (100% cache hits)" "$SMOKE_CACHE/after.err" \
-    || { cat "$SMOKE_CACHE/after.err"; \
-         echo "FAIL: exact cache no longer warm after the sampled run"; exit 1; }
-disabled="$(BSCHED_SAMPLE=0 BSCHED_CACHE_DIR="$SMOKE_CACHE" \
-    ./target/release/all_experiments --kernels ARC2D,TRFD)"
+    || { echo "FAIL: sampled table should be an estimate, not the exact table"; exit 1; }
+disabled="$(BSCHED_SAMPLE=0 ./target/release/all_experiments --kernels ARC2D,TRFD)"
 [ "$disabled" = "$cold" ] \
     || { echo "FAIL: BSCHED_SAMPLE=0 must leave exact stdout byte-identical"; exit 1; }
 
-echo "== smoke: machine zoo (2 kernels x 3 machines, verified, uncached) =="
+echo "== smoke: machine zoo (2 kernels x 3 machines, verified) =="
 # The machine-description axis end to end: the balanced-vs-traditional
 # gap table on a 2-kernel subset across three machines (the default
 # alpha21164, the 4-wide superscalar, and the blocking-cache control
-# that inverts the paper's result), every cell verified with the cache
-# disabled so every cell genuinely executes, with zero violations.
-MACH_ERR="$SMOKE_CACHE/machines.err"
-BSCHED_NO_CACHE=1 ./target/release/machines --verify --kernels ARC2D,TRFD \
+# that inverts the paper's result), every cell verified, with zero
+# violations.
+MACH_ERR="$SMOKE_DIR/machines.err"
+./target/release/machines --verify --kernels ARC2D,TRFD \
     --machines alpha21164,wide4,blocking21164 >/dev/null 2>"$MACH_ERR" \
     || { cat "$MACH_ERR"; echo "FAIL: machines run"; exit 1; }
 grep -q "verification: .* 0 violations" "$MACH_ERR" \
@@ -186,53 +172,50 @@ echo "== gate: weight-kernel work counts and no trace points (exact) =="
 cargo test -q --release -p bsched-pipeline --test weights_untraced
 
 echo "== smoke: traced run report + exports =="
-# One traced warm-cache run: the trace flags must not change stdout
-# (cache keys are tracing-blind) and both sinks must be written.
-traced="$(BSCHED_CACHE_DIR="$SMOKE_CACHE" \
-    ./target/release/all_experiments --kernels ARC2D,TRFD \
-        --trace-summary --trace-json "$SMOKE_CACHE/trace.json" \
-        --trace-chrome "$SMOKE_CACHE/trace.chrome.json" 2>"$SMOKE_CACHE/trace.err")" \
-    || { cat "$SMOKE_CACHE/trace.err"; echo "FAIL: traced run"; exit 1; }
+# One traced run: the trace flags must not change stdout and both sinks
+# must be written.
+traced="$(./target/release/all_experiments --kernels ARC2D,TRFD \
+        --trace-summary --trace-json "$SMOKE_DIR/trace.json" \
+        --trace-chrome "$SMOKE_DIR/trace.chrome.json" 2>"$SMOKE_DIR/trace.err")" \
+    || { cat "$SMOKE_DIR/trace.err"; echo "FAIL: traced run"; exit 1; }
 [ "$traced" = "$cold" ] || { echo "FAIL: tracing flags changed stdout"; exit 1; }
-grep -q "bsched-trace summary" "$SMOKE_CACHE/trace.err" \
-    || { cat "$SMOKE_CACHE/trace.err"; echo "FAIL: no trace summary"; exit 1; }
-[ -s "$SMOKE_CACHE/trace.json" ] || { echo "FAIL: no trace.json"; exit 1; }
-[ -s "$SMOKE_CACHE/trace.chrome.json" ] || { echo "FAIL: no chrome trace"; exit 1; }
+grep -q "bsched-trace summary" "$SMOKE_DIR/trace.err" \
+    || { cat "$SMOKE_DIR/trace.err"; echo "FAIL: no trace summary"; exit 1; }
+[ -s "$SMOKE_DIR/trace.json" ] || { echo "FAIL: no trace.json"; exit 1; }
+[ -s "$SMOKE_DIR/trace.chrome.json" ] || { echo "FAIL: no chrome trace"; exit 1; }
 
 echo "== smoke: bsched-serve over a unix socket =="
-# A resident server on a cold cache. Three concurrent clients submit the
+# A resident server, started cold. Three concurrent clients submit the
 # identical 2-kernel grid: in-flight dedup plus the shared sharded store
 # must compute each of the 30 cells exactly once. Then a verified grid
 # through the server must be byte-identical to the direct
 # all_experiments output, and a wire-level shutdown must drain
 # gracefully (exit 0).
-SERVE_SOCK="$SMOKE_CACHE/serve.sock"
-SERVE_CACHE="$SMOKE_CACHE/serve-cache"
-BSCHED_CACHE_DIR="$SERVE_CACHE" ./target/release/bsched-serve \
-    --unix "$SERVE_SOCK" --jobs 2 2>"$SMOKE_CACHE/serve.err" &
+SERVE_SOCK="$SMOKE_DIR/serve.sock"
+./target/release/bsched-serve --unix "$SERVE_SOCK" --jobs 2 2>"$SMOKE_DIR/serve.err" &
 SERVE_PID=$!
 tries=0
 while [ ! -S "$SERVE_SOCK" ] && [ "$tries" -lt 100 ]; do
     sleep 0.1; tries=$((tries + 1))
 done
-[ -S "$SERVE_SOCK" ] || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: server did not come up"; exit 1; }
+[ -S "$SERVE_SOCK" ] || { cat "$SMOKE_DIR/serve.err"; echo "FAIL: server did not come up"; exit 1; }
 ./target/release/bsched-client --connect "unix:$SERVE_SOCK" ping \
     || { echo "FAIL: serve ping"; exit 1; }
 for n in 1 2 3; do
     ./target/release/bsched-client --connect "unix:$SERVE_SOCK" \
-        grid --kernels ARC2D,TRFD >"$SMOKE_CACHE/served.$n" 2>/dev/null &
+        grid --kernels ARC2D,TRFD >"$SMOKE_DIR/served.$n" 2>/dev/null &
     eval "CLIENT_$n=\$!"
 done
 wait "$CLIENT_1" "$CLIENT_2" "$CLIENT_3" \
     || { echo "FAIL: concurrent serve clients"; exit 1; }
 for n in 1 2 3; do
-    [ "$(cat "$SMOKE_CACHE/served.$n")" = "$cold" ] \
+    [ "$(cat "$SMOKE_DIR/served.$n")" = "$cold" ] \
         || { echo "FAIL: served grid $n differs from direct output"; exit 1; }
 done
 ./target/release/bsched-client --connect "unix:$SERVE_SOCK" stats \
-    >"$SMOKE_CACHE/serve.stats" 2>/dev/null
-grep -q "engine executed  30$" "$SMOKE_CACHE/serve.stats" \
-    || { cat "$SMOKE_CACHE/serve.stats"; \
+    >"$SMOKE_DIR/serve.stats" 2>/dev/null
+grep -q "engine executed  30$" "$SMOKE_DIR/serve.stats" \
+    || { cat "$SMOKE_DIR/serve.stats"; \
          echo "FAIL: 3 clients x 30 cells must execute exactly 30"; exit 1; }
 served_verified="$(./target/release/bsched-client --connect "unix:$SERVE_SOCK" \
     grid --kernels ARC2D,TRFD --verify 2>/dev/null)" \
@@ -241,12 +224,12 @@ served_verified="$(./target/release/bsched-client --connect "unix:$SERVE_SOCK" \
     || { echo "FAIL: verified served grid differs from direct output"; exit 1; }
 ./target/release/bsched-client --connect "unix:$SERVE_SOCK" shutdown 2>/dev/null \
     || { echo "FAIL: serve shutdown request"; exit 1; }
-wait "$SERVE_PID" || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: server exit status"; exit 1; }
-grep -q "shutdown complete" "$SMOKE_CACHE/serve.err" \
-    || { cat "$SMOKE_CACHE/serve.err"; echo "FAIL: no graceful drain"; exit 1; }
+wait "$SERVE_PID" || { cat "$SMOKE_DIR/serve.err"; echo "FAIL: server exit status"; exit 1; }
+grep -q "shutdown complete" "$SMOKE_DIR/serve.err" \
+    || { cat "$SMOKE_DIR/serve.err"; echo "FAIL: no graceful drain"; exit 1; }
 
 echo "== gate: results/ regenerated =="
-# Every file under results/ is rewritten from the binaries, uncached;
+# Every file under results/ is rewritten from the binaries;
 # inside a git checkout the committed files must come back
 # byte-identical, so a stale table fails here. This is the exact
 # baseline for every printed number: every field of every row of

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Rewrites every file under results/ from the current source, uncached:
+# Rewrites every file under results/ from the current source:
 #
 # * results/<bin>.txt — the stdout of each table, figure, ablation and
 #   grid binary;
@@ -16,7 +16,6 @@ cd "$(dirname "$0")/.."
 
 cargo build --release -q -p bsched-bench
 
-export BSCHED_NO_CACHE=1
 ERR="$(mktemp)"
 trap 'rm -f "$ERR"' EXIT
 
