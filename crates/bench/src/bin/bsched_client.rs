@@ -92,7 +92,7 @@ fn cmd_grid(endpoint: &Endpoint, args: &[String]) {
         let rc = served.next().expect("one result per cell");
         match &rc.outcome {
             Ok(result) => result.metrics.clone(),
-            Err(msg) => run_fail(&format!("cell {} failed: {msg}", rc.cell)),
+            Err(msg) => run_fail(msg),
         }
     });
     print!("{table}");

@@ -35,10 +35,21 @@ fn all_experiments() -> Command {
     Command::new(env!("CARGO_BIN_EXE_all_experiments"))
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bsched-trace-tests-{}", std::process::id()));
+/// One test's scratch directory for trace files, removed when dropped
+/// (also when the test fails).
+struct TempDir(PathBuf);
+
+fn temp_dir(test: &str) -> TempDir {
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("bsched-trace-tests-{pid}-{test}"));
     std::fs::create_dir_all(&dir).expect("temp dir creates");
-    dir.join(name)
+    TempDir(dir)
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Tracing is observability, not an optimization axis: with the trace
@@ -133,7 +144,8 @@ fn load_interlock_attribution_is_conserved_across_the_grid() {
 #[test]
 fn trace_json_export_matches_golden_snapshot() {
     let root = workspace_root();
-    let trace_path = temp_path("golden_probe.json");
+    let tmp = temp_dir("golden");
+    let trace_path = tmp.0.join("golden_probe.json");
     let out = all_experiments()
         .args(["--kernels", "TRFD", "--trace-json"])
         .arg(&trace_path)
@@ -214,7 +226,8 @@ fn tracing_flags_leave_table_stdout_byte_identical() {
         out.stdout
     };
     let plain = run(&[]);
-    let json_path = temp_path("stdout_probe.json");
+    let tmp = temp_dir("stdout");
+    let json_path = tmp.0.join("stdout_probe.json");
     let traced = run(&[
         "--trace-summary",
         "--trace-json",

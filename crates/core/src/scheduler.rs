@@ -62,7 +62,7 @@ pub fn schedule_region_with_pressure(
 /// Order of the tie-break heuristics after priority (paper §4.2 uses
 /// pressure → exposed successors → original order; the alternatives feed
 /// the `heuristics` ablation bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TieBreak {
     /// Paper order: register pressure, exposed successors, program order.
     #[default]

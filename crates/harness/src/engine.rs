@@ -6,7 +6,7 @@ use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
 use bsched_ir::Program;
-use bsched_pipeline::{Experiment, RunResult, Source};
+use bsched_pipeline::{CompileOptions, Experiment, RunResult, Source};
 use bsched_sim::{SampleConfig, SimMetrics, SimMode};
 use std::collections::HashMap;
 use std::fmt;
@@ -327,10 +327,12 @@ impl Engine {
         {
             let mut seen = HashMap::with_capacity(cells.len());
             for cell in cells {
-                let u = *seen.entry(cell.canonical_key()).or_insert_with(|| {
-                    unique.push(cell);
-                    unique.len() - 1
-                });
+                let u = *seen
+                    .entry((cell.kernel(), cell.options()))
+                    .or_insert_with(|| {
+                        unique.push(cell);
+                        unique.len() - 1
+                    });
                 slot.push(u);
             }
         }
@@ -574,13 +576,11 @@ fn cell_error(cell: &ExperimentCell, msg: String) -> HarnessError {
 /// Groups cells by kernel and [`CompileOptions::compile_key`]: indices
 /// into `cells`, groups in order of their first member, members in
 /// request order.
-///
-/// [`CompileOptions::compile_key`]: bsched_pipeline::CompileOptions::compile_key
 fn compile_groups(cells: &[&ExperimentCell]) -> Vec<Vec<usize>> {
-    let mut index: HashMap<(&str, String), usize> = HashMap::with_capacity(cells.len());
+    let mut index: HashMap<(&str, CompileOptions), usize> = HashMap::with_capacity(cells.len());
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
-        let key = (cell.kernel(), format!("{:?}", cell.options().compile_key()));
+        let key = (cell.kernel(), cell.options().compile_key());
         let g = *index.entry(key).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1

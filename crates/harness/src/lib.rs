@@ -8,10 +8,10 @@
 //! everything Tables 5–7 already computed. This crate makes that grid a
 //! first-class object:
 //!
-//! 1. **Enumeration & deduplication** — [`ExperimentCell`] derives a
-//!    canonical key from every result-affecting field of the cell;
-//!    equal cells are executed once, no matter how many tables request
-//!    them.
+//! 1. **Enumeration & deduplication** — an [`ExperimentCell`] is the
+//!    typed `(kernel, CompileOptions)` value, compared and hashed on
+//!    every field; equal cells are executed once, no matter how many
+//!    tables request them. [`codec`] is its one JSON spelling.
 //! 2. **Parallel execution** — a std-only self-scheduling pool
 //!    ([`pool`]): scoped worker threads claim the next job from one
 //!    atomic counter, sized by `std::thread::available_parallelism()`
@@ -20,7 +20,7 @@
 //!    it (compilation reads no machine), and each is then simulated on
 //!    its own machine.
 //! 3. **Memoization** — an in-memory [`store::ResultStore`], keyed by
-//!    the canonical cell key, answers every repeat request within one
+//!    the cell itself, answers every repeat request within one
 //!    process. An engine's kernel set is fixed when it is built, so a
 //!    kernel name always means the same program. Nothing is written to
 //!    disk: a run ends when its pool joins, and every process starts
@@ -67,7 +67,7 @@ pub mod report;
 pub mod store;
 
 pub use cell::ExperimentCell;
-pub use codec::{decode_metrics, encode_metrics};
+pub use codec::{cell_from_json, cell_to_json, decode_metrics, encode_metrics, CodecError};
 pub use engine::{CellResult, Engine, EngineConfig, HarnessError};
 pub use report::{emit_stderr, RunReport};
 pub use store::ResultStore;

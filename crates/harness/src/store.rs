@@ -1,6 +1,6 @@
 //! The in-memory result store: one process-wide memo of executed cells.
 //!
-//! A single `RwLock<HashMap>` keyed by the cell's canonical key. Only
+//! A single `RwLock<HashMap>` keyed by the cell itself. Only
 //! the thread that calls [`crate::Engine::run_where`] or
 //! [`crate::Engine::result`] touches it — the caller in the batch
 //! binaries, the single dispatcher in `bsched-serve` — while pool
@@ -17,10 +17,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-/// A thread-safe map from canonical cell key to result.
+/// A thread-safe map from cell to result.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    map: RwLock<HashMap<String, CellResult>>,
+    map: RwLock<HashMap<ExperimentCell, CellResult>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -35,26 +35,12 @@ impl ResultStore {
     /// Looks up a cell (read lock only).
     #[must_use]
     pub fn get(&self, cell: &ExperimentCell) -> Option<CellResult> {
-        let found = self
-            .map
-            .read()
-            .expect("store poisoned")
-            .get(cell.canonical_key())
-            .cloned();
+        let found = self.map.read().expect("store poisoned").get(cell).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         found
-    }
-
-    /// Whether the cell is present (does not touch the hit counters).
-    #[must_use]
-    pub fn contains(&self, cell: &ExperimentCell) -> bool {
-        self.map
-            .read()
-            .expect("store poisoned")
-            .contains_key(cell.canonical_key())
     }
 
     /// Inserts (or overwrites — results are deterministic, so a race
@@ -63,7 +49,7 @@ impl ResultStore {
         self.map
             .write()
             .expect("store poisoned")
-            .insert(cell.canonical_key().to_string(), result);
+            .insert(cell.clone(), result);
     }
 
     /// Number of memoized cells.
@@ -143,7 +129,7 @@ mod tests {
         });
         assert_eq!(store.len(), 64);
         for c in &cells {
-            assert!(store.contains(c));
+            assert!(store.get(c).is_some());
         }
     }
 }

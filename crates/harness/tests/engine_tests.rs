@@ -33,8 +33,8 @@ fn cells() -> Vec<ExperimentCell> {
             CompileOptions::new(SchedulerKind::Balanced),
             CompileOptions::new(SchedulerKind::Traditional),
             CompileOptions::new(SchedulerKind::Balanced).with_unroll(4),
-            // Same display label as plain balanced — only the canonical
-            // key separates them.
+            // Same table label as plain balanced; only the weight cap
+            // separates them.
             CompileOptions::new(SchedulerKind::Balanced).with_weight_cap(10),
         ] {
             cells.push(ExperimentCell::new(kernel, opts));
@@ -97,7 +97,12 @@ fn same_label_different_options_are_distinct_cells() {
         "alpha",
         CompileOptions::new(SchedulerKind::Balanced).with_weight_cap(4),
     );
-    assert_eq!(plain.to_string(), capped.to_string(), "labels alias");
+    assert_eq!(
+        plain.options().label(),
+        capped.options().label(),
+        "table labels alias"
+    );
+    assert_ne!(plain.to_string(), capped.to_string(), "cell labels do not");
     engine.run(&[plain.clone(), capped.clone()]).expect("runs");
     assert_eq!(engine.report().executed, 2, "cells must not collapse");
 }

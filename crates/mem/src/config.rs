@@ -125,7 +125,7 @@ impl FromStr for MshrPolicy {
 }
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: u64,
@@ -153,7 +153,7 @@ impl CacheConfig {
 }
 
 /// Full memory-system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemConfig {
     /// First-level data cache (lockup-free).
     pub l1d: CacheConfig,

@@ -206,7 +206,7 @@ impl ExperimentBuilder {
     ///
     /// Observability only — results are byte-identical either way, and
     /// the flag is deliberately *not* part of [`CompileOptions`], so
-    /// harness cache keys are unaffected. (Trace *scheduling*, the
+    /// harness cells are unaffected. (Trace *scheduling*, the
     /// compiler optimization, is selected through
     /// [`config`](Self::config) instead.)
     #[must_use]
@@ -426,7 +426,7 @@ mod tests {
             .build()
             .unwrap();
         let manual = ConfigKind::LaTrsLu(8).options(SchedulerKind::Balanced);
-        assert_eq!(format!("{:?}", s.options()), format!("{manual:?}"));
+        assert_eq!(*s.options(), manual);
     }
 
     #[test]
@@ -496,11 +496,8 @@ mod tests {
         let plain = Experiment::builder().kernel("TRFD").build().unwrap();
         assert!(!plain.traced());
         // Tracing is not a compile axis: the resolved options (and hence
-        // every harness cache key) are identical either way.
-        assert_eq!(
-            format!("{:?}", traced.options()),
-            format!("{:?}", plain.options())
-        );
+        // every harness cell) are identical either way.
+        assert_eq!(traced.options(), plain.options());
     }
 
     #[test]
@@ -515,11 +512,8 @@ mod tests {
         assert_eq!(exact.sim_mode(), SimMode::Exact);
         assert!(sampled.sim_mode().is_sampled());
         // The mode is not a compile axis: resolved options (and hence
-        // every harness cache key) are identical either way.
-        assert_eq!(
-            format!("{:?}", exact.options()),
-            format!("{:?}", sampled.options())
-        );
+        // every harness cell) are identical either way.
+        assert_eq!(exact.options(), sampled.options());
         // The functional outcome stays exact in sampled mode: counts and
         // checksum match, and the run records its sampling summary.
         let e = exact.run().unwrap();

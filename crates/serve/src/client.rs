@@ -4,13 +4,12 @@
 //! request/reply exchanges. [`Client::submit`] streams the server's
 //! per-cell frames back in request order and returns them collected;
 //! backpressure surfaces as [`SubmitReply::Overloaded`], which the
-//! caller retries (the load generator measures exactly this).
+//! caller retries.
 
-use crate::protocol::{
-    Request, Response, StatsSnapshot, SubmitRequest, WireTraceEvent, WIRE_SCHEMA_VERSION,
-};
+use crate::protocol::{Request, Response, StatsSnapshot, SubmitRequest, WIRE_SCHEMA_VERSION};
 use crate::server::Endpoint;
 use bsched_harness::{CellResult, ExperimentCell};
+use bsched_trace::ParsedEvent;
 use bsched_util::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
@@ -55,15 +54,11 @@ impl From<std::io::Error> for ClientError {
 pub struct ReceivedCell {
     /// Index into the submitted cell list.
     pub index: u64,
-    /// Human-readable `kernel/label`.
-    pub cell: String,
-    /// The canonical cell key (empty for error frames).
-    pub key: String,
     /// The result, or the server's error message.
     pub outcome: Result<CellResult, String>,
     /// Trace events the server attributed to this cell (empty unless
     /// the submit asked for tracing and the cell was a cold compute).
-    pub trace: Vec<WireTraceEvent>,
+    pub trace: Vec<ParsedEvent>,
 }
 
 /// What a submit came back as.
@@ -244,27 +239,16 @@ impl Client {
             }
         };
         let mut received: Vec<ReceivedCell> = Vec::with_capacity(cells.len());
-        let mut pending_trace: Option<(u64, Vec<WireTraceEvent>)> = None;
         loop {
             match self.read_response()? {
                 Response::CellResult {
                     id: rid,
                     index,
-                    cell,
-                    key,
                     result,
+                    trace,
                 } if rid == id => {
-                    let trace = match pending_trace.take() {
-                        Some((tidx, events)) if tidx == index => events,
-                        other => {
-                            pending_trace = other;
-                            Vec::new()
-                        }
-                    };
                     received.push(ReceivedCell {
                         index,
-                        cell,
-                        key,
                         outcome: Ok(result),
                         trace,
                     });
@@ -272,23 +256,13 @@ impl Client {
                 Response::CellError {
                     id: rid,
                     index,
-                    cell,
                     msg,
                 } if rid == id => {
                     received.push(ReceivedCell {
                         index,
-                        cell,
-                        key: String::new(),
                         outcome: Err(msg),
                         trace: Vec::new(),
                     });
-                }
-                Response::TraceEvents {
-                    id: rid,
-                    index,
-                    events,
-                } if rid == id => {
-                    pending_trace = Some((index, events));
                 }
                 Response::Done { id: rid } if rid == id => {
                     return Ok(SubmitReply::Completed {

@@ -24,8 +24,9 @@
 //! Completion is broadcast per job via a `Mutex`+`Condvar` pair, so any
 //! number of connection handlers can wait on the same cell.
 
-use crate::protocol::{StatsSnapshot, WireTraceEvent};
+use crate::protocol::StatsSnapshot;
 use bsched_harness::{CellResult, Engine, ExperimentCell};
+use bsched_trace::ParsedEvent;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,23 +67,17 @@ pub struct CellJob {
 #[derive(Debug, Default)]
 struct JobState {
     outcome: Option<Result<CellResult, String>>,
-    trace: Vec<WireTraceEvent>,
+    trace: Vec<ParsedEvent>,
 }
 
 impl CellJob {
-    /// The cell this job computes.
-    #[must_use]
-    pub fn cell(&self) -> &ExperimentCell {
-        &self.cell
-    }
-
     /// Blocks until the job completes; returns the outcome and any
     /// captured trace events.
     ///
     /// # Panics
     ///
     /// Panics if the job mutex is poisoned (a dispatcher panic).
-    pub fn wait(&self) -> (Result<CellResult, String>, Vec<WireTraceEvent>) {
+    pub fn wait(&self) -> (Result<CellResult, String>, Vec<ParsedEvent>) {
         let mut st = self.state.lock().expect("job poisoned");
         while st.outcome.is_none() {
             st = self.done.wait(st).expect("job poisoned");
@@ -90,7 +85,7 @@ impl CellJob {
         (st.outcome.clone().expect("checked above"), st.trace.clone())
     }
 
-    fn finish(&self, outcome: Result<CellResult, String>, trace: Vec<WireTraceEvent>) {
+    fn finish(&self, outcome: Result<CellResult, String>, trace: Vec<ParsedEvent>) {
         let mut st = self.state.lock().expect("job poisoned");
         st.outcome = Some(outcome);
         st.trace = trace;
@@ -128,10 +123,13 @@ pub struct SubmitOutcome {
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<Arc<CellJob>>,
-    /// Queued *and* running jobs, keyed by `canonical_key#verify`.
+    /// Queued *and* running jobs, keyed by cell and verify flag.
     /// Entries leave only when the job finishes, so any concurrent
     /// request for the same cell joins rather than recomputes.
-    inflight: HashMap<String, Arc<CellJob>>,
+    /// Verified and unverified requests for one cell are distinct jobs:
+    /// a verifying client must not be handed a result whose conformance
+    /// suite never ran.
+    inflight: HashMap<(ExperimentCell, bool), Arc<CellJob>>,
     dispatcher_parked: bool,
 }
 
@@ -182,19 +180,6 @@ impl ServeCore {
         &self.engine
     }
 
-    /// The serving configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    fn job_key(cell: &ExperimentCell, verify: bool) -> String {
-        // Verified and unverified requests for the same cell are
-        // distinct jobs: a verifying client must not be handed a result
-        // whose conformance suite never ran.
-        format!("{}#v{}", cell.canonical_key(), u8::from(verify))
-    }
-
     /// Admits a batch of cells, deduplicating against in-flight work.
     ///
     /// # Errors
@@ -218,14 +203,13 @@ impl ServeCore {
         // First pass: how many genuinely new jobs would this submit
         // queue? Rejecting *before* creating anything keeps "overloaded"
         // side-effect-free.
-        let mut new_keys: Vec<String> = Vec::new();
+        let mut new_cells: Vec<&ExperimentCell> = Vec::new();
         for cell in cells {
-            let key = ServeCore::job_key(cell, verify);
-            if !st.inflight.contains_key(&key) && !new_keys.contains(&key) {
-                new_keys.push(key);
+            if !st.inflight.contains_key(&(cell.clone(), verify)) && !new_cells.contains(&cell) {
+                new_cells.push(cell);
             }
         }
-        if st.queue.len() + new_keys.len() > self.cfg.queue_limit {
+        if st.queue.len() + new_cells.len() > self.cfg.queue_limit {
             self.counters
                 .rejected_submits
                 .fetch_add(1, Ordering::Relaxed);
@@ -238,7 +222,7 @@ impl ServeCore {
         let mut new_jobs = 0u64;
         let mut joined = 0u64;
         for cell in cells {
-            let key = ServeCore::job_key(cell, verify);
+            let key = (cell.clone(), verify);
             if let Some(job) = st.inflight.get(&key) {
                 // Already queued or running. Count a join only when the
                 // job came from an *earlier* submit (jobs this request
@@ -318,8 +302,7 @@ impl ServeCore {
             {
                 let mut st = self.state.lock().expect("core poisoned");
                 for job in &batch {
-                    st.inflight
-                        .remove(&ServeCore::job_key(&job.cell, job.verify));
+                    st.inflight.remove(&(job.cell.clone(), job.verify));
                 }
                 if st.queue.is_empty() && st.inflight.is_empty() {
                     self.idle.notify_all();
@@ -343,7 +326,7 @@ impl ServeCore {
         };
         let outcomes = self.engine.run_where(&cells, verify);
         drop(trace_guard);
-        let mut trace_by_label: HashMap<String, Vec<WireTraceEvent>> = HashMap::new();
+        let mut trace_by_label: HashMap<String, Vec<ParsedEvent>> = HashMap::new();
         if self.cfg.stream_traces {
             // An event belongs to the `harness.cell` span on its thread
             // whose window contains it: pass, compile and sim events
@@ -363,7 +346,7 @@ impl ServeCore {
                     trace_by_label
                         .entry(cell.label.clone())
                         .or_default()
-                        .push(WireTraceEvent::from_event(event));
+                        .push(ParsedEvent::from(event));
                 }
             }
         }
@@ -375,9 +358,14 @@ impl ServeCore {
                 Err(_) => &self.counters.failed_cells,
             };
             counter.fetch_add(1, Ordering::Relaxed);
-            let trace = trace_by_label
-                .remove(&job.cell.to_string())
-                .unwrap_or_default();
+            let trace = if trace_by_label.is_empty() {
+                Vec::new()
+            } else {
+                // `Display` names one cell each, so the label finds it.
+                trace_by_label
+                    .remove(&job.cell.to_string())
+                    .unwrap_or_default()
+            };
             job.finish(outcome.map_err(|e| e.to_string()), trace);
         }
     }

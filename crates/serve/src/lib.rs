@@ -9,8 +9,8 @@
 //!
 //! * **wire protocol** ([`protocol`]) — versioned, length-prefixed JSON
 //!   frames ([`bsched_util::frame`]) over TCP or Unix sockets; cells
-//!   travel as exhaustive `CompileOptions` documents whose round-trip
-//!   reproduces the exact canonical cell key;
+//!   travel in [`bsched_harness::codec`]'s spelling, which decodes to a
+//!   cell equal to the one encoded;
 //! * **serving core** ([`core`]) — bounded admission queue with
 //!   explicit `overloaded` rejection (backpressure a client can see and
 //!   retry, instead of unbounded buffering), deduplication of identical
@@ -28,8 +28,8 @@
 //!   `bsched-client` binary and the equivalence tests.
 //!
 //! Per-request `verify` runs the `bsched-verify` conformance suite on
-//! served cells; per-request `trace` streams `bsched-trace` events for
-//! cold-computed cells back to the submitter.
+//! served cells; per-request `trace` returns each cold-computed cell's
+//! `bsched-trace` events inside its `result` frame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,8 +41,5 @@ pub mod server;
 
 pub use client::{Client, ClientError, ReceivedCell, SubmitReply};
 pub use core::{CellJob, ServeConfig, ServeCore, SubmitError, SubmitOutcome};
-pub use protocol::{
-    cell_from_json, cell_to_json, Request, Response, StatsSnapshot, SubmitRequest, WireTraceEvent,
-    WIRE_SCHEMA_VERSION,
-};
+pub use protocol::{Request, Response, StatsSnapshot, SubmitRequest, WIRE_SCHEMA_VERSION};
 pub use server::{serve, Endpoint, ServerConfig};

@@ -355,20 +355,15 @@ fn handle_submit(
         let index = index as u64;
         match result {
             Ok(result) => {
-                if submit.trace && !trace.is_empty() {
-                    write_frame(
-                        writer,
-                        &Response::TraceEvents {
-                            id: submit.id,
-                            index,
-                            events: trace,
-                        }
-                        .to_json(),
-                    )?;
-                }
                 write_frame(
                     writer,
-                    &Response::cell_result(submit.id, index, job.cell(), &result).to_json(),
+                    &Response::CellResult {
+                        id: submit.id,
+                        index,
+                        result,
+                        trace: if submit.trace { trace } else { Vec::new() },
+                    }
+                    .to_json(),
                 )?;
             }
             Err(msg) => {
@@ -377,7 +372,6 @@ fn handle_submit(
                     &Response::CellError {
                         id: submit.id,
                         index,
-                        cell: job.cell().to_string(),
                         msg,
                     }
                     .to_json(),

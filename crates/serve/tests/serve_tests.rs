@@ -152,8 +152,8 @@ fn served_grid_matches_direct_run_cold_and_warm() {
             panic!("{round}: unexpected overload");
         };
         assert_eq!(received.len(), cells.len());
-        for (cell, rc) in cells.iter().zip(&received) {
-            assert_eq!(rc.key, cell.canonical_key(), "{round}: key mismatch");
+        for (i, (cell, rc)) in cells.iter().zip(&received).enumerate() {
+            assert_eq!(rc.index, i as u64, "{round}: out of order");
             let served = rc.outcome.as_ref().expect("cell ok");
             let direct_result = direct.result(cell).expect("direct result");
             // Byte-identical through the wire codec.
@@ -396,8 +396,8 @@ fn streamed_traces_carry_each_cold_cells_own_events() {
         ..ServeConfig::default()
     };
     let server = TestServer::start(engine, cfg, "trace", true);
-    // Cells with distinct labels: each stream is keyed by its cell's.
-    let cells: Vec<ExperimentCell> = small_grid(&["TRFD"]).into_iter().take(3).collect();
+    // Three TRFD/BS cells that differ only in `weight_cap`.
+    let cells = cheap_cells(3);
     let submit = || match server.client().submit(&cells, false, true).expect("submit") {
         SubmitReply::Completed { cells, .. } => cells,
         SubmitReply::Overloaded { .. } => panic!("default queue must admit"),
@@ -406,11 +406,17 @@ fn streamed_traces_carry_each_cold_cells_own_events() {
     // Each cold cell's compile and simulation are labelled with the
     // kernel or function, not the cell, yet they stream with the cell
     // whose span contains them.
-    for rc in &submit() {
+    for (cell, rc) in cells.iter().zip(&submit()) {
+        let label = cell.to_string();
         for (cat, name) in [("harness", "cell"), ("pipeline", "compile"), ("sim", "run")] {
-            let found = rc.trace.iter().any(|e| e.cat == cat && e.name == name);
-            assert!(found, "{}: no {cat}.{name} event", rc.cell);
+            let found = rc.trace.iter().filter(|e| e.cat == cat && e.name == name);
+            assert_eq!(found.count(), 1, "{label}: {cat}.{name} events");
         }
+        let span = rc
+            .trace
+            .iter()
+            .find(|e| (e.cat.as_str(), e.name.as_str()) == ("harness", "cell"));
+        assert_eq!(span.map(|e| e.label.as_str()), Some(label.as_str()));
     }
     // A warm cell executes nothing, so it streams nothing.
     let warm = submit();

@@ -65,7 +65,7 @@ impl FromStr for PredictorKind {
 }
 
 /// Branch predictor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchConfig {
     /// The prediction algorithm.
     pub kind: PredictorKind,
@@ -89,7 +89,7 @@ impl Default for BranchConfig {
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// The memory hierarchy.
     pub mem: MemConfig,

@@ -47,8 +47,10 @@ use crate::metrics::{InstCounts, SimMetrics};
 use bsched_ir::{ExecError, Program};
 use bsched_mem::MemStats;
 use bsched_util::spec;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -341,19 +343,15 @@ const PLAN_CACHE_CAP: usize = 64 << 20;
 
 static PLAN_CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
 
-/// FNV-1a over the program text and both configs: the plan identity.
+/// A hash of the program text and both configs: the plan identity.
+/// Plans live in this process only, so the hash need not be stable
+/// across builds.
 fn plan_key(program: &Program, config: &SimConfig, sample: SampleConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&program.to_string());
-    eat(&format!("{config:?}"));
-    eat(&format!("{sample:?}"));
-    h
+    let mut h = DefaultHasher::new();
+    program.to_string().hash(&mut h);
+    config.hash(&mut h);
+    sample.hash(&mut h);
+    h.finish()
 }
 
 /// Fetches or builds the plan for this triple.

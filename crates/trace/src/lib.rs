@@ -25,7 +25,7 @@
 //! * **Versioned schema.** The JSON export carries
 //!   [`TRACE_SCHEMA_VERSION`], and [`ParsedTrace::parse`] refuses any
 //!   other version loudly rather than misreading fields — the same
-//!   policy as the harness result cache.
+//!   policy as the `bsched-serve` wire.
 //!
 //! # Recording
 //!
@@ -64,4 +64,4 @@ pub use recorder::{
     capture, clear, drain, enable_scope, enabled, flush_thread, instant, set_enabled, span,
     EnableGuard, Span,
 };
-pub use report::{ParsedTrace, TraceReadError, TraceReport, TRACE_SCHEMA_VERSION};
+pub use report::{ParsedEvent, ParsedTrace, TraceReadError, TraceReport, TRACE_SCHEMA_VERSION};

@@ -46,21 +46,7 @@ impl TraceReport {
         let events = self
             .events
             .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("cat", Json::Str(e.id.cat.to_string())),
-                    ("name", Json::Str(e.id.name.to_string())),
-                    ("kind", Json::Str(e.kind.label().to_string())),
-                    ("ts_ns", Json::u64(e.ts_ns)),
-                    ("dur_ns", Json::u64(e.dur_ns)),
-                    ("tid", Json::u64(e.tid)),
-                    ("label", Json::Str(e.label.clone())),
-                    (
-                        "args",
-                        Json::obj(e.args.iter().map(|&(k, v)| (k, Json::u64(v))).collect()),
-                    ),
-                ])
-            })
+            .map(|e| ParsedEvent::from(e).to_json())
             .collect();
         Json::obj(vec![
             ("schema", Json::u64(u64::from(TRACE_SCHEMA_VERSION))),
@@ -263,8 +249,8 @@ impl fmt::Display for TraceReadError {
 
 impl std::error::Error for TraceReadError {}
 
-/// One event read back from a JSON export: the owned-string twin of
-/// [`Event`].
+/// An event in owned form: the one per-event JSON codec, used by the
+/// export, by [`ParsedTrace::parse`] and by the `bsched-serve` wire.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ParsedEvent {
     /// Subsystem category.
@@ -283,6 +269,95 @@ pub struct ParsedEvent {
     pub dur_ns: u64,
     /// Recording thread id.
     pub tid: u64,
+}
+
+impl From<&Event> for ParsedEvent {
+    fn from(e: &Event) -> Self {
+        ParsedEvent {
+            cat: e.id.cat.to_string(),
+            name: e.id.name.to_string(),
+            kind: e.kind.label().to_string(),
+            label: e.label.clone(),
+            args: e.args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            ts_ns: e.ts_ns,
+            dur_ns: e.dur_ns,
+            tid: e.tid,
+        }
+    }
+}
+
+impl ParsedEvent {
+    /// `{cat, name, kind, ts_ns, dur_ns, tid, label, args}`, with `args`
+    /// an object of integers.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("cat", Json::Str(self.cat.clone())),
+            ("name", Json::Str(self.name.clone())),
+            ("kind", Json::Str(self.kind.clone())),
+            ("ts_ns", Json::u64(self.ts_ns)),
+            ("dur_ns", Json::u64(self.dur_ns)),
+            ("tid", Json::u64(self.tid)),
+            ("label", Json::Str(self.label.clone())),
+            (
+                "args",
+                Json::Obj(
+                    self.args
+                        .iter()
+                        .map(|(k, &v)| (k.clone(), Json::u64(v)))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    /// Reads one [`ParsedEvent::to_json`] document.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceReadError::Malformed`] on a missing or mistyped field or
+    /// an unknown event kind.
+    pub fn from_json(e: &Json) -> Result<Self, TraceReadError> {
+        let field = |k: &'static str| -> Result<&Json, TraceReadError> {
+            e.get(k)
+                .ok_or(TraceReadError::Malformed("event missing a field"))
+        };
+        let str_field = |k: &'static str| -> Result<String, TraceReadError> {
+            Ok(field(k)?
+                .as_str()
+                .ok_or(TraceReadError::Malformed("event field has the wrong type"))?
+                .to_string())
+        };
+        let num_field = |k: &'static str| -> Result<u64, TraceReadError> {
+            field(k)?
+                .as_u64()
+                .ok_or(TraceReadError::Malformed("event field has the wrong type"))
+        };
+        let kind = str_field("kind")?;
+        if kind != "span" && kind != "instant" {
+            return Err(TraceReadError::Malformed("unknown event kind"));
+        }
+        let Json::Obj(raw_args) = field("args")? else {
+            return Err(TraceReadError::Malformed("event args is not an object"));
+        };
+        let mut args = BTreeMap::new();
+        for (k, v) in raw_args {
+            let v = v
+                .as_u64()
+                .ok_or(TraceReadError::Malformed("arg value is not a u64"))?;
+            args.insert(k.clone(), v);
+        }
+        Ok(ParsedEvent {
+            cat: str_field("cat")?,
+            name: str_field("name")?,
+            kind,
+            label: str_field("label")?,
+            args,
+            ts_ns: num_field("ts_ns")?,
+            dur_ns: num_field("dur_ns")?,
+            tid: num_field("tid")?,
+        })
+    }
 }
 
 /// A trace document read back from its JSON export, schema-checked.
@@ -315,48 +390,10 @@ impl ParsedTrace {
         let Some(Json::Arr(raw)) = doc.get("events") else {
             return Err(TraceReadError::Malformed("missing events array"));
         };
-        let mut events = Vec::with_capacity(raw.len());
-        for e in raw {
-            let field = |k: &'static str| -> Result<&Json, TraceReadError> {
-                e.get(k)
-                    .ok_or(TraceReadError::Malformed("event missing a field"))
-            };
-            let str_field = |k: &'static str| -> Result<String, TraceReadError> {
-                Ok(field(k)?
-                    .as_str()
-                    .ok_or(TraceReadError::Malformed("event field has the wrong type"))?
-                    .to_string())
-            };
-            let num_field = |k: &'static str| -> Result<u64, TraceReadError> {
-                field(k)?
-                    .as_u64()
-                    .ok_or(TraceReadError::Malformed("event field has the wrong type"))
-            };
-            let kind = str_field("kind")?;
-            if kind != "span" && kind != "instant" {
-                return Err(TraceReadError::Malformed("unknown event kind"));
-            }
-            let Json::Obj(raw_args) = field("args")? else {
-                return Err(TraceReadError::Malformed("event args is not an object"));
-            };
-            let mut args = BTreeMap::new();
-            for (k, v) in raw_args {
-                let v = v
-                    .as_u64()
-                    .ok_or(TraceReadError::Malformed("arg value is not a u64"))?;
-                args.insert(k.clone(), v);
-            }
-            events.push(ParsedEvent {
-                cat: str_field("cat")?,
-                name: str_field("name")?,
-                kind,
-                label: str_field("label")?,
-                args,
-                ts_ns: num_field("ts_ns")?,
-                dur_ns: num_field("dur_ns")?,
-                tid: num_field("tid")?,
-            });
-        }
+        let events = raw
+            .iter()
+            .map(ParsedEvent::from_json)
+            .collect::<Result<_, _>>()?;
         Ok(ParsedTrace { events })
     }
 

@@ -1,11 +1,9 @@
 //! FNV-1a 64-bit hashing.
 //!
-//! The experiment cache addresses results by a stable content hash of
-//! the cell's canonical serialization. FNV-1a is tiny, has no seed or
-//! platform dependence (unlike `std`'s `DefaultHasher`, whose output is
-//! explicitly unstable across releases), and is collision-resistant
-//! enough for a keyspace of a few thousand cells — and the cache layer
-//! double-checks the full canonical key on every hit anyway.
+//! A stable content hash for program digests and pinned test digests.
+//! FNV-1a is tiny and has no seed or platform dependence (unlike
+//! `std`'s `DefaultHasher`, whose output is explicitly unstable across
+//! releases), so a digest pinned in a test stays valid.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -6,9 +6,10 @@
 //!
 //! * [`rng`] — a deterministic SplitMix64 generator used for workload
 //!   array initialisation and the randomized property tests,
-//! * [`fnv`] — FNV-1a 64-bit hashing for content-addressed cache keys,
+//! * [`fnv`] — FNV-1a 64-bit hashing for stable content digests,
 //! * [`json`] — a minimal JSON reader/writer (objects, arrays, strings,
-//!   integers, floats, bools, null) for the on-disk result cache,
+//!   integers, floats, bools, null) for the wire protocol and the trace
+//!   export,
 //! * [`frame`] — length-prefixed JSON framing for the `bsched-serve`
 //!   wire protocol,
 //! * [`spec`] — the shared key=value spec grammar behind `--sample=`

@@ -10,94 +10,31 @@
 //! run it with
 //! `cargo test --release -p bsched-verify --test engine_oracle -- --ignored`.
 
-use bsched_core::SchedulerKind::{self, Balanced, Exact, Traditional};
-use bsched_pipeline::{standard_grid, CompileOptions, Experiment, MachineSpec, TieBreak};
+#[path = "support/simulated_cells.rs"]
+mod simulated_cells;
+
+use bsched_pipeline::{CompileOptions, Experiment};
 use bsched_sim::SimConfig;
 use bsched_verify::check_engines;
-use std::collections::BTreeMap;
-
-/// The suite-kernel cells of `ablations`, each on the machine it
-/// simulates.
-fn ablation_cells() -> Vec<(&'static str, CompileOptions)> {
-    let bs = || CompileOptions::new(Balanced);
-    let mut cells = vec![
-        ("tomcatv", bs().with_locality()),
-        ("tomcatv", bs().with_locality().without_selective()),
-        ("swm256", bs().with_unroll(4)),
-        ("ARC2D", bs()),
-        (
-            "ARC2D",
-            bs().with_sim(SimConfig::default().with_ifetch(false)),
-        ),
-    ];
-    for cap in [2u32, 4, 10, 50] {
-        cells.push(("hydro2d", bs().with_weight_cap(cap)));
-    }
-    for mshrs in [1usize, 2, 6] {
-        let sim = SimConfig::default().with_mshrs(mshrs);
-        cells.push(("dnasa7", bs().with_sim(sim)));
-        cells.push(("dnasa7", CompileOptions::new(Traditional).with_sim(sim)));
-    }
-    for tb in [
-        TieBreak::Standard,
-        TieBreak::ExposedFirst,
-        TieBreak::ProgramOrder,
-    ] {
-        cells.push(("dnasa7", bs().with_unroll(4).with_tie_break(tb)));
-    }
-    for budget in [32usize, 64, 128, 256] {
-        cells.push(("tomcatv", bs().with_unroll(4).with_unroll_budget(budget)));
-    }
-    for entries in [1u32, 2, 6] {
-        let mut sim = SimConfig::default();
-        sim.mem = sim.mem.with_write_buffer(entries);
-        cells.push(("swm256", bs().with_unroll(4).with_sim(sim)));
-    }
-    cells
-}
+use std::collections::HashMap;
 
 #[test]
 #[ignore = "compiles every simulated kernel x options; use --release -- --ignored"]
 fn every_simulated_cell_matches_the_proof_free_oracle() {
-    let kernels: Vec<&str> = bsched_workloads::all_kernels()
-        .iter()
-        .map(|k| k.name)
-        .collect();
-    let lu4 = |arm: SchedulerKind, sim| CompileOptions::new(arm).with_unroll(4).with_sim(sim);
-    // `all_experiments` and the table binaries: the standard grid.
-    let mut cells = Vec::new();
-    for &k in &kernels {
-        cells.extend(standard_grid().iter().map(|c| (k, c.options())));
-    }
-    assert_eq!(cells.len(), 255, "17 kernels x 15 configurations");
-    // `machines`: the three judged arms at LU 4 on every registry machine.
-    for info in MachineSpec::registry() {
-        let sim = MachineSpec::named(info.name)
-            .expect("registry names parse")
-            .config();
-        for &k in &kernels {
-            cells.extend([Traditional, Balanced, Exact].map(|arm| (k, lu4(arm, sim))));
-        }
-    }
-    assert_eq!(cells.len(), 255 + 306, "17 kernels x 3 arms x 6 machines");
-    // `superscalar`: issue widths 1, 2 and 4, then 1-4 memory ports at
-    // width 4, under both heuristics.
-    let widths = [1u32, 2, 4].map(|w| SimConfig::default().with_issue(w, (w / 2).max(1)));
-    let ports = [1u32, 2, 3, 4].map(|p| SimConfig::default().with_issue(4, p));
-    for sim in widths.into_iter().chain(ports) {
-        for &k in &kernels {
-            cells.extend([Balanced, Traditional].map(|arm| (k, lu4(arm, sim))));
-        }
-    }
-    cells.extend(ablation_cells());
-
+    let cells = simulated_cells::simulated_cells();
     // Compilation reads no machine (`CompileOptions::compile_key`), so
     // the cells group into one compile per kernel x options, each
     // carrying the distinct machines it runs on.
-    let mut groups: BTreeMap<(&str, String), (CompileOptions, Vec<SimConfig>)> = BTreeMap::new();
-    for (kernel, options) in &cells {
-        let key = (*kernel, format!("{:?}", options.compile_key()));
-        let (_, machines) = groups.entry(key).or_insert((*options, Vec::new()));
+    let mut index: HashMap<(&str, CompileOptions), usize> = HashMap::new();
+    let mut groups: Vec<(&str, CompileOptions, Vec<SimConfig>)> = Vec::new();
+    for &(kernel, options) in &cells {
+        let g = *index
+            .entry((kernel, options.compile_key()))
+            .or_insert_with(|| {
+                groups.push((kernel, options, Vec::new()));
+                groups.len() - 1
+            });
+        let machines = &mut groups[g].2;
         if !machines.contains(&options.sim) {
             machines.push(options.sim);
         }
@@ -105,7 +42,7 @@ fn every_simulated_cell_matches_the_proof_free_oracle() {
 
     let mut checked = 0;
     let mut failures = Vec::new();
-    for ((kernel, _), (options, machines)) in &groups {
+    for (kernel, options, machines) in &groups {
         let label = options.label();
         let compiled = Experiment::builder()
             .kernel(*kernel)

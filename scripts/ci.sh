@@ -186,19 +186,22 @@ grep -q "bsched-trace summary" "$SMOKE_DIR/trace.err" \
 
 echo "== smoke: bsched-serve over a unix socket =="
 # A resident server, started cold. Three concurrent clients submit the
-# identical 2-kernel grid: in-flight dedup plus the shared sharded store
+# identical 2-kernel grid: in-flight dedup plus the shared memo store
 # must compute each of the 30 cells exactly once. Then a verified grid
 # through the server must be byte-identical to the direct
 # all_experiments output, and a wire-level shutdown must drain
 # gracefully (exit 0).
+wait_for_socket() { # SOCK ERR
+    tries=0
+    while [ ! -S "$1" ] && [ "$tries" -lt 100 ]; do
+        sleep 0.1; tries=$((tries + 1))
+    done
+    [ -S "$1" ] || { cat "$2"; echo "FAIL: server did not come up"; exit 1; }
+}
 SERVE_SOCK="$SMOKE_DIR/serve.sock"
 ./target/release/bsched-serve --unix "$SERVE_SOCK" --jobs 2 2>"$SMOKE_DIR/serve.err" &
 SERVE_PID=$!
-tries=0
-while [ ! -S "$SERVE_SOCK" ] && [ "$tries" -lt 100 ]; do
-    sleep 0.1; tries=$((tries + 1))
-done
-[ -S "$SERVE_SOCK" ] || { cat "$SMOKE_DIR/serve.err"; echo "FAIL: server did not come up"; exit 1; }
+wait_for_socket "$SERVE_SOCK" "$SMOKE_DIR/serve.err"
 ./target/release/bsched-client --connect "unix:$SERVE_SOCK" ping \
     || { echo "FAIL: serve ping"; exit 1; }
 for n in 1 2 3; do
@@ -227,6 +230,28 @@ served_verified="$(./target/release/bsched-client --connect "unix:$SERVE_SOCK" \
 wait "$SERVE_PID" || { cat "$SMOKE_DIR/serve.err"; echo "FAIL: server exit status"; exit 1; }
 grep -q "shutdown complete" "$SMOKE_DIR/serve.err" \
     || { cat "$SMOKE_DIR/serve.err"; echo "FAIL: no graceful drain"; exit 1; }
+# A --trace-stream server answers a traced TRFD grid with the direct
+# table and, inside each cold cell's result frame, every event of that
+# cell: 761 for the 15 cells (each harness.cell span plus the
+# reference, pass, compile and sim events inside it).
+TRACE_SOCK="$SMOKE_DIR/trace-serve.sock"
+./target/release/bsched-serve --unix "$TRACE_SOCK" --jobs 2 --trace-stream \
+    2>"$SMOKE_DIR/trace-serve.err" &
+TRACE_SERVE_PID=$!
+wait_for_socket "$TRACE_SOCK" "$SMOKE_DIR/trace-serve.err"
+direct_trfd="$(./target/release/all_experiments --kernels TRFD 2>/dev/null)"
+served_traced="$(./target/release/bsched-client --connect "unix:$TRACE_SOCK" \
+    grid --kernels TRFD --trace 2>"$SMOKE_DIR/trace-client.err")" \
+    || { cat "$SMOKE_DIR/trace-client.err"; echo "FAIL: traced served grid"; exit 1; }
+[ "$served_traced" = "$direct_trfd" ] \
+    || { echo "FAIL: traced served grid differs from direct output"; exit 1; }
+grep -q "15 cells served by .*, 761 trace events$" "$SMOKE_DIR/trace-client.err" \
+    || { cat "$SMOKE_DIR/trace-client.err"; \
+         echo "FAIL: traced served grid must stream 761 events"; exit 1; }
+./target/release/bsched-client --connect "unix:$TRACE_SOCK" shutdown 2>/dev/null \
+    || { echo "FAIL: trace server shutdown request"; exit 1; }
+wait "$TRACE_SERVE_PID" \
+    || { cat "$SMOKE_DIR/trace-serve.err"; echo "FAIL: trace server exit status"; exit 1; }
 
 echo "== gate: results/ regenerated =="
 # Every file under results/ is rewritten from the binaries;
