@@ -139,6 +139,46 @@ fn invalid_bsched_jobs_fails_loudly_instead_of_degrading() {
 }
 
 #[test]
+fn bsched_verify_takes_a_switch_and_rejects_anything_else() {
+    for bad in ["yes", "2", "verify"] {
+        let out = all_experiments()
+            .args(["--kernels", "TRFD"])
+            .env("BSCHED_VERIFY", bad)
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "BSCHED_VERIFY={bad:?} must exit 2, not run unverified silently"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("invalid BSCHED_VERIFY"), "{bad:?}: {err}");
+        assert!(out.stdout.is_empty(), "{bad:?} must not start the grid");
+    }
+    for (value, verified) in [
+        ("on", true),
+        ("true", true),
+        ("TRUE", true),
+        ("off", false),
+        ("", false),
+    ] {
+        let out = all_experiments()
+            .args(["--kernels", "TRFD"])
+            .env("BSCHED_VERIFY", value)
+            .env("BSCHED_JOBS", "2")
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "BSCHED_VERIFY={value:?}: {err}");
+        assert_eq!(
+            err.contains("verification: 15 cells verified, 0 violations"),
+            verified,
+            "BSCHED_VERIFY={value:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn all_experiments_rejects_unknown_flags_before_running() {
     for args in [vec!["--engine", "block"], vec!["--frobnicate"]] {
         let out = all_experiments().args(&args).output().unwrap();
@@ -294,13 +334,14 @@ fn trace_summary_composes_with_verify_and_kernels() {
     );
 }
 
-/// `--verify` recompiles every cell from the kernel's shared source, so
+/// `--verify` judges each cell's own compile and run: a traced run of
+/// TRFD's 15 cells records 15 `pipeline.compile` spans and 30
+/// `sim.run` spans (each cell's run plus its proof-free oracle), and
 /// the unoptimized source is verified and interpreted for its
-/// reference checksum once per process, not once more per verified
-/// cell: a traced run records exactly one
+/// reference checksum once per process: exactly one
 /// `pipeline.reference` span.
 #[test]
-fn verified_cells_share_their_kernels_reference_run() {
+fn verified_cells_compile_once_and_share_their_kernels_reference_run() {
     let trace = std::env::temp_dir().join(format!(
         "bsched-verify-reference-{}.json",
         std::process::id()
@@ -319,14 +360,19 @@ fn verified_cells_share_their_kernels_reference_run() {
         "verified traced run failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let references = json
-        .split("},{")
-        .filter(|e| e.contains("\"cat\":\"pipeline\"") && e.contains("\"name\":\"reference\""))
-        .count();
+    let spans = |cat: &str, name: &str| {
+        let (cat, name) = (format!("\"cat\":\"{cat}\""), format!("\"name\":\"{name}\""));
+        json.split("},{")
+            .filter(|e| e.contains(&cat) && e.contains(&name) && e.contains("\"kind\":\"span\""))
+            .count()
+    };
     assert_eq!(
-        references, 1,
+        spans("pipeline", "reference"),
+        1,
         "one reference run for TRFD's 15 verified cells"
     );
+    assert_eq!(spans("pipeline", "compile"), 15, "one compile per cell");
+    assert_eq!(spans("sim", "run"), 30, "one run and one oracle per cell");
 }
 
 #[test]

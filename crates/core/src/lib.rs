@@ -18,7 +18,7 @@
 //!   parallelism for the remaining (miss/unknown) loads, which are
 //!   balanced.
 //!
-//! The scheduler itself ([`schedule_order`], [`schedule_function`]) uses
+//! The scheduler itself ([`schedule_region`], [`schedule_function`]) uses
 //! the priority function and tie-break heuristics of the paper's §4.2:
 //! priority = weight + max successor priority; ties broken by (1) largest
 //! consumed-minus-defined register count, (2) most newly exposed DAG
@@ -60,9 +60,8 @@ pub use exact::{
 };
 pub use priority::compute_priorities;
 pub use scheduler::{
-    schedule_function, schedule_function_audited, schedule_function_stats, schedule_function_with,
-    schedule_order, schedule_region, schedule_region_bounded, schedule_region_full,
-    schedule_region_with_pressure, TieBreak, PRESSURE_LIMIT,
+    schedule_function, schedule_function_audited, schedule_function_stats, schedule_region,
+    schedule_region_full, schedule_region_with_pressure, TieBreak, PRESSURE_LIMIT,
 };
 pub use weights::{
     compute_weights, compute_weights_counted, compute_weights_reference, SchedulerKind,

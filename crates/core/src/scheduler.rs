@@ -40,8 +40,9 @@ pub fn schedule_region(insts: &[Inst], dag: &Dag, weights: &[u32]) -> Vec<usize>
 /// values during scheduling).
 pub const PRESSURE_LIMIT: u32 = 26;
 
-/// [`schedule_region`] with an explicit live-value ceiling (`None`
-/// disables pressure gating; used by the `pressure_gate` ablation bench).
+/// [`schedule_region`] with an explicit live-value ceiling. Trace
+/// scheduling passes half of [`PRESSURE_LIMIT`]; `None` disables
+/// pressure gating, which only this module's tests do.
 #[must_use]
 pub fn schedule_region_with_pressure(
     insts: &[Inst],
@@ -49,19 +50,20 @@ pub fn schedule_region_with_pressure(
     weights: &[u32],
     pressure_limit: Option<u32>,
 ) -> Vec<usize> {
-    schedule_region_bounded(
+    schedule_region_full(
         insts,
         dag,
         weights,
         pressure_limit,
         &Default::default(),
         &Default::default(),
+        TieBreak::Standard,
     )
 }
 
 /// Order of the tie-break heuristics after priority (paper §4.2 uses
-/// pressure → exposed successors → original order; the alternatives feed
-/// the `heuristics` ablation bench).
+/// pressure → exposed successors → original order; `--bin ablations`
+/// prints the alternatives' tie-break rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TieBreak {
     /// Paper order: register pressure, exposed successors, program order.
@@ -73,33 +75,12 @@ pub enum TieBreak {
     ProgramOrder,
 }
 
-/// [`schedule_region_with_pressure`] with block-boundary liveness: regs in
-/// `live_in` occupy registers from the start, and regs in `live_out` are
-/// never freed by their last in-region use. Without this, a block whose
-/// predecessors already hold many values live-through would be scheduled
-/// up to the full ceiling and overflow the register file.
-#[must_use]
-pub fn schedule_region_bounded(
-    insts: &[Inst],
-    dag: &Dag,
-    weights: &[u32],
-    pressure_limit: Option<u32>,
-    live_in: &std::collections::HashSet<bsched_ir::Reg>,
-    live_out: &std::collections::HashSet<bsched_ir::Reg>,
-) -> Vec<usize> {
-    schedule_region_full(
-        insts,
-        dag,
-        weights,
-        pressure_limit,
-        live_in,
-        live_out,
-        TieBreak::Standard,
-    )
-}
-
-/// The fully parameterised scheduler entry point (pressure ceiling,
-/// boundary liveness, tie-break order).
+/// The fully parameterised scheduler entry point: a live-value ceiling,
+/// block-boundary liveness and a tie-break order. Regs in `live_in`
+/// occupy registers from the start, and regs in `live_out` are never
+/// freed by their last in-region use. Without this, a block whose
+/// predecessors already hold many values live-through would be
+/// scheduled up to the full ceiling and overflow the register file.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_region_full(
@@ -302,26 +283,14 @@ pub fn schedule_region_full(
     order
 }
 
-/// Builds the DAG and weights for a straight-line region and schedules it.
-#[must_use]
-pub fn schedule_order(insts: &[Inst], config: &WeightConfig) -> Vec<usize> {
-    let dag = Dag::new(insts);
-    let weights = compute_weights(insts, &dag, config);
-    schedule_region(insts, &dag, &weights)
-}
-
 /// Schedules every basic block of `func` in place, with each block's
 /// boundary liveness feeding the pressure gate.
 pub fn schedule_function(func: &mut Function, config: &WeightConfig) {
-    schedule_function_with(func, config, TieBreak::Standard);
+    let _ = schedule_function_stats(func, config, TieBreak::Standard);
 }
 
-/// [`schedule_function`] with an explicit tie-break order (ablations).
-pub fn schedule_function_with(func: &mut Function, config: &WeightConfig, tie_break: TieBreak) {
-    let _ = schedule_function_stats(func, config, tie_break);
-}
-
-/// [`schedule_function_with`] that additionally returns the aggregated
+/// [`schedule_function`] with an explicit tie-break order that
+/// additionally returns the aggregated
 /// exact-search statistics (all zeros under the heuristic policies) —
 /// the hook the pipeline uses to surface budget-exhaustion fallbacks in
 /// run reports without paying for an audit.
@@ -333,7 +302,7 @@ pub fn schedule_function_stats(
     schedule_function_inner(func, config, tie_break, None)
 }
 
-/// [`schedule_function_with`] that additionally records, per block, the
+/// [`schedule_function_stats`] that additionally records, per block, the
 /// pre-schedule instruction list, the weights, and the emitted order —
 /// the evidence the `bsched-verify` legality validator replays.
 #[must_use]
@@ -500,6 +469,14 @@ mod tests {
                 assert!(pos[i] < pos[t as usize], "dependence {i} -> {t} violated");
             }
         }
+    }
+
+    /// Builds the DAG and weights for a straight-line region and
+    /// schedules it.
+    fn schedule_order(insts: &[Inst], config: &WeightConfig) -> Vec<usize> {
+        let dag = Dag::new(insts);
+        let weights = compute_weights(insts, &dag, config);
+        schedule_region(insts, &dag, &weights)
     }
 
     /// Two load/consumer pairs plus one independent FP op.
@@ -707,7 +684,15 @@ mod pressure_tests {
         let w = compute_weights(&insts, &dag, &WeightConfig::new(SchedulerKind::Balanced));
         // Pretend 10 extra float values are live through this block.
         let live_in: HashSet<Reg> = (100..110).map(f).collect();
-        let bounded = schedule_region_bounded(&insts, &dag, &w, Some(12), &live_in, &live_in);
+        let bounded = schedule_region_full(
+            &insts,
+            &dag,
+            &w,
+            Some(12),
+            &live_in,
+            &live_in,
+            TieBreak::Standard,
+        );
         let live = max_live_float(&insts, &bounded);
         assert!(
             live <= 3,

@@ -83,7 +83,7 @@ pub struct WeightConfig {
     /// The load-weight policy.
     pub kind: SchedulerKind,
     /// Cap on balanced load weights; the paper uses the 50-cycle maximum
-    /// memory latency. Exposed for the `weight_cap` ablation bench.
+    /// memory latency. `--bin ablations` sweeps it on hydro2d.
     pub cap: u32,
     /// Node budget for the [`SchedulerKind::Exact`] branch-and-bound
     /// search, per region (ignored by the heuristic policies). A

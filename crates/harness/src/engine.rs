@@ -5,8 +5,9 @@ use crate::cell::ExperimentCell;
 use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
-use bsched_ir::Program;
-use bsched_pipeline::{CompileOptions, Experiment, RunResult, Source};
+use bsched_core::ScheduleAudit;
+use bsched_ir::{Interp, Program};
+use bsched_pipeline::{CompileOptions, Compiled, Experiment, RunResult, Source};
 use bsched_sim::{SampleConfig, SimMetrics, SimMode};
 use std::collections::HashMap;
 use std::fmt;
@@ -93,8 +94,9 @@ impl EngineConfig {
     ///
     /// * `BSCHED_JOBS=<n>` — worker count (default:
     ///   `available_parallelism()`),
-    /// * `BSCHED_VERIFY=1` — run the conformance suite on every
-    ///   executed cell,
+    /// * `BSCHED_VERIFY=<switch>` — `1`/`true`/`on` runs the
+    ///   conformance suite on every executed cell; `0`/`false`/`off` or
+    ///   empty leaves it off (case-insensitive),
     /// * `BSCHED_SAMPLE=<spec>` — sampled execution mode; `1`/`on`/
     ///   `default` for the default [`SampleConfig`], or a spec like
     ///   `k=8,interval=1000` (`0`/`off`/`false` keep exact mode).
@@ -121,9 +123,9 @@ impl EngineConfig {
     ///
     /// # Errors
     ///
-    /// `BSCHED_JOBS` that is not a positive integer, or a
-    /// `BSCHED_SAMPLE` that parses as neither a sampling spec nor an off
-    /// switch.
+    /// `BSCHED_JOBS` that is not a positive integer, a `BSCHED_VERIFY`
+    /// that is not one of its switch values, or a `BSCHED_SAMPLE` that
+    /// parses as neither a sampling spec nor an off switch.
     pub fn try_from_env() -> Result<Self, String> {
         let mut cfg = EngineConfig::default();
         if let Ok(v) = std::env::var("BSCHED_JOBS") {
@@ -137,9 +139,15 @@ impl EngineConfig {
             }
         }
         if let Ok(v) = std::env::var("BSCHED_VERIFY") {
-            if v == "1" || v.eq_ignore_ascii_case("true") {
-                cfg.verify = true;
-            }
+            cfg.verify = match v.trim().to_ascii_lowercase().as_str() {
+                "1" | "true" | "on" => true,
+                "" | "0" | "false" | "off" => false,
+                _ => {
+                    return Err(format!(
+                        "invalid BSCHED_VERIFY={v:?}: expected 1/true/on or 0/false/off"
+                    ))
+                }
+            };
         }
         if let Ok(v) = std::env::var("BSCHED_SAMPLE") {
             match v.trim() {
@@ -445,7 +453,9 @@ impl Engine {
     /// Runs one compile group: compiles the first member's options once
     /// and simulates every member on its own machine, each under its own
     /// `harness.cell` span and timing (the first member's includes the
-    /// compile). The compiled program is dropped when this returns.
+    /// compile). A verifying group compiles with a schedule audit, and
+    /// each member's suite judges that compile and the member's own run.
+    /// The compiled program is dropped when this returns.
     fn execute_group(
         &self,
         cells: &[&ExperimentCell],
@@ -459,26 +469,36 @@ impl Engine {
             .sim_mode(self.config.sim_mode)
             .build()
             .expect("a session over a supplied source always builds");
-        let mut runs = session.run_on(cells.iter().map(|c| c.options().sim));
+        let mut compiled = None;
         cells
             .iter()
-            .enumerate()
-            .map(|(k, &cell)| {
+            .map(|&cell| {
                 let t0 = Instant::now();
                 let span = bsched_trace::span(bsched_trace::points::HARNESS_CELL)
                     .label_with(|| cell.to_string());
-                let run = runs.next().expect("one run per member");
-                // Every member carries the compile's statistics; the
-                // report counts its exact search once.
-                if let (0, Ok(run)) = (k, &run) {
-                    if run.compile.exact.regions > 0 {
-                        let mut r = self.report.lock().expect("report poisoned");
-                        r.exact.merge(&run.compile.exact);
+                let compiled = compiled.get_or_insert_with(|| {
+                    let compiled = if verify {
+                        session.compile_audited().map(|(c, audit)| (c, Some(audit)))
+                    } else {
+                        session.compile().map(|c| (c, None))
+                    };
+                    // Every member shares the compile; the report counts
+                    // its exact search once.
+                    if let Ok((c, _)) = &compiled {
+                        if c.stats.exact.regions > 0 {
+                            let mut r = self.report.lock().expect("report poisoned");
+                            r.exact.merge(&c.stats.exact);
+                        }
                     }
-                }
-                let outcome = run
-                    .map_err(|e| cell_error(cell, e.to_string()))
-                    .and_then(|run| self.check(cell, run, verify));
+                    compiled
+                });
+                let outcome = match compiled {
+                    Ok((compiled, audit)) => session
+                        .simulate(compiled, cell.options().sim)
+                        .map_err(|e| cell_error(cell, e.to_string()))
+                        .and_then(|run| self.check(cell, compiled, audit.as_ref(), run)),
+                    Err(e) => Err(cell_error(cell, e.to_string())),
+                };
                 span.finish(&[]);
                 // Workers flush per cell so a drain on the coordinating
                 // thread sees every event even while the pool is alive.
@@ -489,13 +509,15 @@ impl Engine {
     }
 
     /// One member's checks after its run: the simulator-vs-reference
-    /// checksum, the sampling tallies and, when `verify`, the
-    /// conformance suite.
+    /// checksum, the sampling tallies and, when the group compiled with
+    /// an `audit`, the conformance suite on the group's compile and this
+    /// member's run.
     fn check(
         &self,
         cell: &ExperimentCell,
+        compiled: &Compiled,
+        audit: Option<&ScheduleAudit>,
         run: RunResult,
-        verify: bool,
     ) -> Result<CellResult, HarnessError> {
         if !run.checksum_ok {
             return Err(cell_error(
@@ -510,15 +532,14 @@ impl Engine {
             r.sampled_insts += stats.sampled_insts;
             r.sample_total_insts += stats.total_insts;
         }
-        let verified = if verify {
-            // A sampled cell's estimates cannot be judged against exact
-            // metamorphic identities; its suite instead replays the cell
-            // exactly and bounds the estimation error.
-            let v = bsched_verify::verify_cell_in(
-                self.config.sim_mode,
-                &self.kernels[self.index[cell.kernel()]].1,
-                cell.options(),
-                &run.metrics,
+        if let Some(audit) = audit {
+            let v = bsched_verify::verify_cell(
+                self.kernels[self.index[cell.kernel()]].1.program(),
+                compiled,
+                audit,
+                &run,
+                cell.options().sim,
+                Interp::DEFAULT_FUEL,
             );
             if !v.is_clean() {
                 let mut r = self.report.lock().expect("report poisoned");
@@ -533,14 +554,11 @@ impl Engine {
                     ),
                 ));
             }
-            true
-        } else {
-            false
-        };
+        }
         Ok(CellResult {
             metrics: run.metrics,
             checksum_ok: true,
-            verified,
+            verified: audit.is_some(),
         })
     }
 

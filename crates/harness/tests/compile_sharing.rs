@@ -33,12 +33,10 @@ const ARMS: [SchedulerKind; 3] = [
     SchedulerKind::Exact,
 ];
 
-/// The deterministic gate on compile sharing: ARC2D and TRFD × the
-/// three arms at LU 4 × the six registry machines is 36 cells from 6
-/// compiles, and every cell equals its own `Session::run`.
-#[test]
-fn zoo_cells_compile_once_per_kernel_and_arm() {
-    let _lock = trace_lock();
+/// ARC2D and TRFD × the three arms at LU 4 × the six registry
+/// machines: 36 cells that need 6 compiles, and an engine over the two
+/// kernels.
+fn zoo(config: EngineConfig) -> (Engine, Vec<ExperimentCell>) {
     let kernels = ["ARC2D", "TRFD"];
     let machines = registry_machines();
     assert_eq!(machines.len(), 6);
@@ -49,7 +47,7 @@ fn zoo_cells_compile_once_per_kernel_and_arm() {
             (k.to_string(), spec.program())
         })
         .collect();
-    let engine = Engine::new(programs, EngineConfig::default().with_jobs(2));
+    let engine = Engine::new(programs, config.with_jobs(2));
     let mut cells = Vec::new();
     for m in &machines {
         for kernel in kernels {
@@ -60,6 +58,15 @@ fn zoo_cells_compile_once_per_kernel_and_arm() {
         }
     }
     assert_eq!(cells.len(), 36);
+    (engine, cells)
+}
+
+/// The deterministic gate on compile sharing: the zoo's 36 cells come
+/// from 6 compiles, and every cell equals its own `Session::run`.
+#[test]
+fn zoo_cells_compile_once_per_kernel_and_arm() {
+    let _lock = trace_lock();
+    let (engine, cells) = zoo(EngineConfig::default());
 
     let (result, events) = bsched_trace::capture(|| engine.run(&cells));
     result.expect("zoo cells run");
@@ -98,6 +105,31 @@ fn zoo_cells_compile_once_per_kernel_and_arm() {
         );
         assert_eq!(got.checksum_ok, want.checksum_ok, "{cell}");
     }
+}
+
+/// Verification judges each cell's own compile and run: the verified
+/// zoo still records 6 compiles, and 72 simulations (each cell's run
+/// plus its proof-free oracle), with every cell verified clean.
+#[test]
+fn verified_zoo_cells_compile_once_and_simulate_twice() {
+    let _lock = trace_lock();
+    let (engine, cells) = zoo(EngineConfig::default().with_verify(true));
+    let (result, events) = bsched_trace::capture(|| engine.run(&cells));
+    result.expect("verified zoo cells run");
+    let count = |id| events.iter().filter(|e| e.id == id).count();
+    assert_eq!(
+        count(points::PIPELINE_COMPILE),
+        6,
+        "one compile per kernel × arm"
+    );
+    assert_eq!(
+        count(points::SIM_RUN),
+        72,
+        "one run and one oracle per cell"
+    );
+    let report = engine.report();
+    assert_eq!((report.executed, report.compiles), (36, 6));
+    assert_eq!((report.verified, report.violations), (36, 0));
 }
 
 /// A small streaming kernel that compiles and runs.

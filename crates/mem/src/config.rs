@@ -239,7 +239,7 @@ impl MemConfig {
     }
 
     /// Returns the configuration with a finite `n`-entry write buffer
-    /// (the 21164 has six; the ablation benches sweep it).
+    /// (the 21164 has six; `--bin ablations` sweeps it).
     #[must_use]
     pub fn with_write_buffer(mut self, n: u32) -> Self {
         self.write_buffer = Some(n.max(1));

@@ -25,9 +25,9 @@
 //! [`CompileOptions`].
 //! [`Session`] is the frozen, validated configuration; [`Session::run`]
 //! compiles, simulates, and cross-checks against the reference
-//! interpreter, and [`Session::compile`] stops after code generation.
-//! [`Session::run_on`] compiles once and simulates the program on each
-//! of several machines; `run` is its one-machine case.
+//! interpreter. It is [`Session::compile`] followed by
+//! [`Session::simulate`], and a caller that simulates one compiled
+//! program on several machines calls the two steps itself.
 //!
 //! A session reads its program from an `Arc<`[`Source`]`>`, which
 //! computes the source's reference checksum once for every session
@@ -38,11 +38,11 @@
 use crate::compile::{compile_impl, Compiled, PipelineError};
 use crate::experiments::ConfigKind;
 use crate::options::CompileOptions;
-use crate::run::{RunResult, Runs};
+use crate::run::RunResult;
 use crate::source::Source;
 use bsched_core::SchedulerKind;
 use bsched_ir::Program;
-use bsched_sim::{MachineSpec, SimConfig, SimMode};
+use bsched_sim::{MachineSpec, SimConfig, SimMode, Simulator};
 use std::sync::Arc;
 
 /// Errors raised while building a [`Session`].
@@ -200,7 +200,8 @@ impl ExperimentBuilder {
     }
 
     /// Enables `bsched-trace` observability for this session's
-    /// [`run`](Session::run) / [`compile`](Session::compile) calls:
+    /// [`run`](Session::run), [`compile`](Session::compile) and
+    /// [`simulate`](Session::simulate) calls:
     /// per-pass spans, scheduler region stats, and per-load interlock
     /// attribution, collectible with `bsched_trace::drain`.
     ///
@@ -216,7 +217,8 @@ impl ExperimentBuilder {
     }
 
     /// Selects exact or sampled simulation for this session's
-    /// [`run`](Session::run) calls (default: [`SimMode::Exact`]).
+    /// [`run`](Session::run) and [`simulate`](Session::simulate) calls
+    /// (default: [`SimMode::Exact`]).
     ///
     /// Like [`trace`](Self::trace) this is an execution axis,
     /// deliberately *not* part of [`CompileOptions`], so harness cache
@@ -315,41 +317,46 @@ impl Session {
     }
 
     /// Compiles and simulates on the session's machine, cross-checking
-    /// the simulator's memory against the reference interpreter: the
-    /// one-machine case of [`Session::run_on`].
+    /// the simulator's memory against the reference interpreter:
+    /// [`Session::compile`] followed by [`Session::simulate`].
     ///
     /// # Errors
     ///
     /// Propagates [`PipelineError`]s from compilation and simulation.
     pub fn run(&self) -> Result<RunResult, PipelineError> {
-        self.run_on([self.options.sim])
-            .next()
-            .expect("one machine yields one run")
+        let compiled = self.compile()?;
+        self.simulate(&compiled, self.options.sim)
     }
 
-    /// Compiles once and simulates the program on each of `machines`
-    /// in turn, yielding one [`RunResult`] per machine, lazily: the
-    /// first item pays for the compile, each item for its own
-    /// simulation and cross-check. The session's own machine
-    /// (`options().sim`) is not simulated unless it is listed. Every
-    /// item equals what [`Session::run`] returns for the session with
-    /// that machine, because compilation reads no machine
-    /// ([`CompileOptions::compile_key`]).
+    /// Simulates `compiled` on the machine `sim` in the session's
+    /// [`SimMode`] and cross-checks its final memory against the
+    /// source's reference checksum. The session's own machine
+    /// (`options().sim`) plays no part, so one compiled program can be
+    /// simulated on each of several machines: compilation reads no
+    /// machine ([`CompileOptions::compile_key`]), and each result equals
+    /// what [`Session::run`] returns for the session with that machine.
     ///
-    /// A failed compile is every item's error. Tracing, when the session
-    /// enables it, stays on until the iterator is dropped.
-    pub fn run_on<I>(&self, machines: I) -> Runs<'_, I::IntoIter>
-    where
-        I: IntoIterator<Item = SimConfig>,
-    {
-        Runs {
-            source: &self.source,
-            opts: self.options,
-            mode: self.sim_mode,
-            machines: machines.into_iter(),
-            compiled: None,
-            _trace: self.trace_scope(),
-        }
+    /// # Errors
+    ///
+    /// [`PipelineError`] when the source's reference run fails or the
+    /// simulator cannot run the program.
+    pub fn simulate(
+        &self,
+        compiled: &Compiled,
+        sim: SimConfig,
+    ) -> Result<RunResult, PipelineError> {
+        let _trace = self.trace_scope();
+        let reference = self.source.reference_checksum()?;
+        let run = Simulator::for_machine(&compiled.program, &MachineSpec::custom(sim))
+            .with_mode(self.sim_mode)
+            .run()?;
+        Ok(RunResult {
+            metrics: run.metrics,
+            compile: compiled.stats.clone(),
+            checksum_ok: run.checksum == reference,
+            checksum: run.checksum,
+            sample: run.sample,
+        })
     }
 
     /// Compiles only (no simulation): the full phase order through
@@ -456,17 +463,17 @@ mod tests {
     }
 
     #[test]
-    fn run_on_yields_each_machines_own_run() {
+    fn simulate_runs_one_compile_on_each_machine() {
         let machines: Vec<MachineSpec> = ["alpha21164", "wide4", "blocking21164"]
             .iter()
             .map(|m| m.parse().unwrap())
             .collect();
         let session = Experiment::builder().kernel("TRFD").build().unwrap();
-        let runs: Vec<RunResult> = session
-            .run_on(machines.iter().map(MachineSpec::config))
-            .map(Result::unwrap)
+        let compiled = session.compile().unwrap();
+        let runs: Vec<RunResult> = machines
+            .iter()
+            .map(|m| session.simulate(&compiled, m.config()).unwrap())
             .collect();
-        assert_eq!(runs.len(), machines.len());
         for (m, shared) in machines.iter().zip(&runs) {
             let own = Experiment::builder()
                 .kernel("TRFD")
@@ -481,6 +488,7 @@ mod tests {
                 format!("{:?}", own.compile)
             );
             assert!(shared.checksum_ok);
+            assert_eq!(shared.checksum, own.checksum);
         }
         assert_ne!(runs[0].metrics, runs[2].metrics, "the machines differ");
     }

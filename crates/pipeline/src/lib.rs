@@ -60,6 +60,6 @@ pub use compile::{CompileStats, Compiled, PipelineError};
 pub use experiment::{resolve_kernel, Experiment, ExperimentBuilder, ExperimentError, Session};
 pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};
 pub use options::CompileOptions;
-pub use run::{RunResult, Runs};
+pub use run::RunResult;
 pub use source::Source;
 pub use table::Table;

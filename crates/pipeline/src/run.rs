@@ -1,15 +1,14 @@
-//! Compile-and-simulate entry point.
+//! The result of one compile-and-simulate run.
 
-use crate::compile::{compile_impl, CompileStats, Compiled, PipelineError};
-use crate::options::CompileOptions;
-use crate::source::Source;
-use bsched_sim::{MachineSpec, SampleStats, SimConfig, SimMetrics, SimMode, Simulator};
+use crate::compile::CompileStats;
+use bsched_sim::{SampleStats, SimMetrics};
 
 /// The result of one end-to-end run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Timing metrics from the 21164-like simulator (estimates under
-    /// [`SimMode::Sampled`]; instruction counts are always exact).
+    /// [`bsched_sim::SimMode::Sampled`]; instruction counts are always
+    /// exact).
     pub metrics: SimMetrics,
     /// Compilation statistics.
     pub compile: CompileStats,
@@ -18,70 +17,18 @@ pub struct RunResult {
     /// Sampled runs derive their checksum from an exact functional pass,
     /// so the cross-check holds there too.
     pub checksum_ok: bool,
+    /// FNV-1a checksum of the simulator's final memory image, the value
+    /// `checksum_ok` compared against the reference.
+    pub checksum: u64,
     /// Sampling summary when the run was sampled; `None` for exact runs.
     pub sample: Option<SampleStats>,
-}
-
-/// One compiled program run on a sequence of machines — the iterator
-/// behind [`crate::Session::run_on`] (and so [`crate::Session::run`]).
-///
-/// Compilation reads no machine ([`CompileOptions::compile_key`]), so
-/// the first call to `next` compiles once and every call simulates the
-/// compiled program on the next [`SimConfig`]. A failed compile, or a
-/// source whose reference run fails, is the result of every item. The
-/// compiled program lives as long as the iterator.
-#[derive(Debug)]
-pub struct Runs<'a, I> {
-    pub(crate) source: &'a Source,
-    pub(crate) opts: CompileOptions,
-    pub(crate) mode: SimMode,
-    pub(crate) machines: I,
-    /// The compiled program and the source's reference checksum, once
-    /// the first item asked for them.
-    pub(crate) compiled: Option<Result<(Compiled, u64), PipelineError>>,
-    /// Keeps a traced session's tracing on while the runs last.
-    pub(crate) _trace: Option<bsched_trace::EnableGuard>,
-}
-
-impl<I: Iterator<Item = SimConfig>> Iterator for Runs<'_, I> {
-    type Item = Result<RunResult, PipelineError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let sim = self.machines.next()?;
-        let compiled = self.compiled.get_or_insert_with(|| {
-            let compiled = compile_impl(self.source, &self.opts)?;
-            Ok((compiled, self.source.reference_checksum()?))
-        });
-        Some(match compiled {
-            Ok((compiled, reference)) => simulate(compiled, *reference, sim, self.mode),
-            Err(e) => Err(e.clone()),
-        })
-    }
-}
-
-/// Simulates a compiled program on one machine and cross-checks its
-/// final memory against the source's reference checksum.
-fn simulate(
-    compiled: &Compiled,
-    reference: u64,
-    sim: SimConfig,
-    mode: SimMode,
-) -> Result<RunResult, PipelineError> {
-    let run = Simulator::for_machine(&compiled.program, &MachineSpec::custom(sim))
-        .with_mode(mode)
-        .run()?;
-    Ok(RunResult {
-        metrics: run.metrics,
-        compile: compiled.stats.clone(),
-        checksum_ok: run.checksum == reference,
-        sample: run.sample,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::Experiment;
+    use crate::options::CompileOptions;
     use bsched_core::SchedulerKind;
     use bsched_ir::Program;
     use bsched_workloads::lang::ast::{Expr, Index};

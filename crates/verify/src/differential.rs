@@ -1,33 +1,32 @@
 //! The differential oracle: compare the optimized pipeline's observable
 //! behaviour against independent reference implementations.
 //!
-//! Two diffs run per cell:
+//! Four diffs, each judging the compiled program or the run it is
+//! handed:
 //!
 //! * **Checksum** — the compiled (optimized, scheduled, allocated)
 //!   program is replayed through `ir::interp` and its memory-image
-//!   checksum compared against the *unoptimized* source program's. This
-//!   repeats, from outside, the cross-check the pipeline performs
-//!   internally — an independent replay that a pipeline bug cannot
-//!   silently skip.
+//!   checksum compared against a fresh interpretation of the
+//!   *unoptimized* source program. This repeats, from outside, the
+//!   cross-check the pipeline performs internally — an independent
+//!   replay that a pipeline bug cannot silently skip.
 //! * **Weights** — every audited region's weight vector is recomputed
 //!   with both the bitset kernel ([`bsched_core::compute_weights`]) and
 //!   the retained naive reference
 //!   ([`bsched_core::compute_weights_reference`]); all three must agree
 //!   bit for bit.
-//! * **Engines** — the compiled program is simulated under both
-//!   [`SimEngine`]s; metrics and checksum must be bit-identical
+//! * **Engines** — the compiled program is simulated under the
+//!   proof-free decode ([`SimEngine::Interpret`]), whose metrics and
+//!   checksum must equal the judged default-decode run bit for bit
 //!   ([`check_engines`]).
-//! * **Sampling** — the compiled program is simulated exactly and under
-//!   [`SimMode::Sampled`]; the exact-by-construction observables
-//!   (instruction counts, checksum) must match bit for bit and the
-//!   estimated cycle-level metrics must land within committed relative
-//!   tolerances of the exact oracle ([`check_sampling`]).
+//! * **Sampling** — a sampled run's exact-by-construction observables
+//!   (instruction counts, checksum) must match an exact run bit for bit
+//!   and its estimated cycle-level metrics must land within committed
+//!   relative tolerances of the exact ones ([`sampling_violations`]).
 
 use bsched_core::{compute_weights, compute_weights_reference, ScheduleAudit};
 use bsched_ir::{Dag, ExecError, Interp, Program};
-use bsched_sim::{
-    MachineSpec, SampleConfig, SimConfig, SimEngine, SimMetrics, SimMode, SimResult, Simulator,
-};
+use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimMetrics, SimResult, Simulator};
 use std::fmt;
 
 /// Per-cell tolerance on the sampled CPI (cycles) estimate, as a
@@ -175,21 +174,10 @@ impl fmt::Display for DiffViolation {
     }
 }
 
-/// Replays both programs through the reference interpreter and compares
-/// final memory checksums.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`]s if either program fails to execute.
-pub fn check_checksum(
-    baseline: &Program,
-    compiled: &Program,
-) -> Result<Vec<DiffViolation>, ExecError> {
-    check_checksum_with_fuel(baseline, compiled, Interp::DEFAULT_FUEL)
-}
-
-/// [`check_checksum`] under an explicit instruction budget — the fuzzer
-/// uses a tight budget so a runaway generated program fails fast.
+/// Replays both programs through the reference interpreter, each under
+/// an instruction budget of `fuel`, and compares final memory
+/// checksums. The fuzzer uses a tight budget so a runaway generated
+/// program fails fast.
 ///
 /// # Errors
 ///
@@ -212,100 +200,50 @@ pub fn check_checksum_with_fuel(
     Ok(violations)
 }
 
-/// Simulates `compiled` under both engines and reports any observable
-/// divergence. The engines must agree bit for bit on every metric and
-/// on the final memory checksum; the first differing field is reported
-/// (one violation keeps reports readable — the engines either agree
-/// everywhere or have a structural bug).
-///
-/// # Errors
-///
-/// Propagates [`ExecError`]s if either engine fails to execute. An
-/// *asymmetric* failure (one engine errors, the other does not) is
-/// itself a divergence, reported as a violation rather than an error.
-pub fn check_engines(
-    compiled: &Program,
-    config: SimConfig,
-) -> Result<Vec<DiffViolation>, ExecError> {
-    let machine = MachineSpec::custom(config);
-    let run = |engine| {
-        Simulator::for_machine(compiled, &machine)
-            .with_engine(engine)
-            .run()
-    };
-    let (interp, block) = match (run(SimEngine::Interpret), run(SimEngine::BlockCompiled)) {
-        (Ok(i), Ok(b)) => (i, b),
-        (Err(e), Err(b)) if e == b => return Err(e),
-        (i, b) => {
-            let render = |r: &Result<_, ExecError>| match r {
-                Ok(_) => "success".to_string(),
-                Err(e) => format!("error ({e})"),
-            };
-            return Ok(vec![DiffViolation::EngineDiverged {
+/// Simulates `compiled` under the proof-free decode
+/// ([`SimEngine::Interpret`]) on `config` and compares it with `run`,
+/// the default-decode run being judged: every metric and the final
+/// memory checksum must agree bit for bit. The first differing field is
+/// reported (one violation keeps reports readable — the decodes either
+/// agree everywhere or have a structural bug). An oracle that fails
+/// where `run` succeeded is itself a divergence.
+#[must_use]
+pub fn check_engines(compiled: &Program, config: SimConfig, run: &SimResult) -> Vec<DiffViolation> {
+    let oracle = match Simulator::for_machine(compiled, &MachineSpec::custom(config))
+        .with_engine(SimEngine::Interpret)
+        .run()
+    {
+        Ok(oracle) => oracle,
+        Err(e) => {
+            return vec![DiffViolation::EngineDiverged {
                 field: "outcome",
-                interpret: render(&i),
-                block: render(&b),
-            }]);
+                interpret: format!("error ({e})"),
+                block: "success".to_string(),
+            }]
         }
     };
     let mut violations = Vec::new();
-    if let Some((field, iv, bv)) = first_metric_diff(&interp.metrics, &block.metrics) {
+    if let Some((field, iv, bv)) = first_metric_diff(&oracle.metrics, &run.metrics) {
         violations.push(DiffViolation::EngineDiverged {
             field,
             interpret: iv,
             block: bv,
         });
-    } else if interp.checksum != block.checksum {
+    } else if oracle.checksum != run.checksum {
         violations.push(DiffViolation::EngineDiverged {
             field: "checksum",
-            interpret: format!("{:#018x}", interp.checksum),
-            block: format!("{:#018x}", block.checksum),
+            interpret: format!("{:#018x}", oracle.checksum),
+            block: format!("{:#018x}", run.checksum),
         });
     }
-    Ok(violations)
+    violations
 }
 
-/// Simulates `compiled` exactly (block engine) and under
-/// [`SimMode::Sampled`] and reports any divergence: the
+/// Compares a sampled run with an exact run of the same program: the
 /// exact-by-construction observables (instruction counts, checksum)
 /// must be bit-identical, and each estimated metric must land within
 /// its committed tolerance ([`SAMPLING_CPI_TOL`],
-/// [`SAMPLING_STALL_TOL`], [`SAMPLING_MISS_TOL`]) of the exact oracle.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`]s if the exact run fails. A *sampled-only*
-/// failure (exact succeeds, the estimator errors — e.g.
-/// [`ExecError::NonFiniteEstimate`]) is itself a divergence, reported
-/// as a violation rather than an error.
-pub fn check_sampling(
-    compiled: &Program,
-    config: SimConfig,
-    sample: SampleConfig,
-) -> Result<Vec<DiffViolation>, ExecError> {
-    let machine = MachineSpec::custom(config);
-    let run = |mode| {
-        Simulator::for_machine(compiled, &machine)
-            .with_engine(SimEngine::BlockCompiled)
-            .with_mode(mode)
-            .run()
-    };
-    let exact = run(SimMode::Exact)?;
-    let sampled = match run(SimMode::Sampled(sample)) {
-        Ok(s) => s,
-        Err(e) => {
-            return Ok(vec![DiffViolation::SamplingExactnessDiverged {
-                field: "outcome",
-                exact: "success".to_string(),
-                sampled: format!("error ({e})"),
-            }])
-        }
-    };
-    Ok(sampling_violations(&exact, &sampled))
-}
-
-/// The comparison behind [`check_sampling`], on runs the caller already
-/// has (the error-bound suite reuses its oracle runs).
+/// [`SAMPLING_STALL_TOL`], [`SAMPLING_MISS_TOL`]) of the exact one.
 #[must_use]
 pub fn sampling_violations(exact: &SimResult, sampled: &SimResult) -> Vec<DiffViolation> {
     let mut violations = Vec::new();
@@ -428,7 +366,8 @@ mod tests {
     fn identical_programs_have_no_checksum_diff() {
         let session = Experiment::builder().kernel("TRFD").build().unwrap();
         let compiled = session.compile().unwrap();
-        let v = check_checksum(session.source(), &compiled.program).unwrap();
+        let v = check_checksum_with_fuel(session.source(), &compiled.program, Interp::DEFAULT_FUEL)
+            .unwrap();
         assert_eq!(v, vec![]);
     }
 
@@ -436,13 +375,25 @@ mod tests {
     fn engines_agree_on_a_real_cell() {
         let session = Experiment::builder().kernel("TRFD").build().unwrap();
         let compiled = session.compile().unwrap();
-        let v = check_engines(&compiled.program, session.options().sim).unwrap();
-        assert_eq!(v, vec![]);
+        let sim = session.options().sim;
+        let run = Simulator::for_machine(&compiled.program, &MachineSpec::custom(sim))
+            .run()
+            .unwrap();
+        assert_eq!(check_engines(&compiled.program, sim, &run), vec![]);
+        let mut wrong = run.clone();
+        wrong.checksum ^= 1;
+        assert!(matches!(
+            check_engines(&compiled.program, sim, &wrong).as_slice(),
+            [DiffViolation::EngineDiverged {
+                field: "checksum",
+                ..
+            }]
+        ));
     }
 
-    /// The engines must also fail alike: when the fuel budget runs out
+    /// The decodes must also fail alike: when the fuel budget runs out
     /// in the same block as an earlier wild store, the store's error
-    /// wins under both, however the block engine batches its fuel.
+    /// wins under both, however the default decode batches its fuel.
     #[test]
     fn engines_agree_on_which_error_stops_a_run() {
         let mut p = Program::new("wild");
@@ -459,23 +410,17 @@ mod tests {
             fuel: 3,
             ..SimConfig::default()
         };
-        assert!(matches!(
-            check_engines(&p, config),
-            Err(ExecError::WildStore { .. })
-        ));
-    }
-
-    #[test]
-    fn sampling_within_tolerance_on_a_real_cell() {
-        let session = Experiment::builder().kernel("TRFD").build().unwrap();
-        let compiled = session.compile().unwrap();
-        let v = check_sampling(
-            &compiled.program,
-            session.options().sim,
-            SampleConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(v, vec![]);
+        let [interp, block] = [SimEngine::Interpret, SimEngine::BlockCompiled].map(|engine| {
+            Simulator::for_machine(&p, &MachineSpec::custom(config))
+                .with_engine(engine)
+                .run()
+                .err()
+        });
+        assert_eq!(interp, block);
+        assert!(
+            matches!(interp, Some(ExecError::WildStore { .. })),
+            "{interp:?}"
+        );
     }
 
     #[test]

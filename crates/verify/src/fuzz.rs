@@ -2,13 +2,11 @@
 //!
 //! Each iteration generates a random loop-language kernel, picks a random
 //! (optimization level × scheduler × sampling config × exact budget ×
-//! machine) point, and pushes the program through the whole stack:
-//! compile with a schedule audit, prove every region's schedule legal,
-//! cross-check the scheduler weights against both reference
-//! implementations, replay optimized vs unoptimized code through the
-//! interpreter under a fuel budget, cross-check the simulator's decode
-//! against its proof-free oracle, then simulate and check the
-//! metamorphic invariants.
+//! machine) point, and pushes the program through the whole stack: one
+//! compile with a schedule audit and one simulation, judged by the
+//! conformance suite ([`verify_cell`]) with the interpreter replays
+//! under a fuel budget ([`FUZZ_FUEL`]). A case that drew a sampling
+//! config also simulates the same compiled program sampled.
 //!
 //! Failures shrink greedily — statements are dropped and loop bounds
 //! halved while the failure persists — and the minimal reproducer is
@@ -17,9 +15,8 @@
 //! seed always generates the same kernels, the same grid points, and the
 //! same reproducer.
 
-use crate::differential::{check_checksum_with_fuel, check_engines, check_weights};
-use crate::legality::validate_region_schedule;
-use crate::metamorphic::check_metrics;
+use crate::differential::{sampling_violations, DiffViolation};
+use crate::{sim_result, verify_cell};
 use bsched_core::SchedulerKind;
 use bsched_pipeline::{CompileOptions, ConfigKind, Experiment, MachineSpec, SampleConfig, SimMode};
 use bsched_util::Prng;
@@ -373,59 +370,32 @@ fn gen_case(rng: &mut Prng, iteration: u64) -> Case {
     }
 }
 
-/// Runs every conformance check on one kernel at one grid point,
-/// returning human-readable messages for whatever fails.
+/// Compiles one kernel once at one grid point, simulates it, and runs
+/// the conformance suite ([`verify_cell`]) on that compile and run,
+/// returning human-readable messages for whatever fails. When the case
+/// drew a sampling config, the same compiled program is also simulated
+/// sampled.
 fn check_kernel(
     kernel: &Kernel,
     options: &CompileOptions,
     sample: Option<SampleConfig>,
 ) -> Vec<String> {
-    let mut messages = Vec::new();
     let builder = Experiment::builder()
         .program(kernel.name(), kernel.lower())
         .compile_options(*options);
-    let session = match builder.clone().build() {
-        Ok(s) => s,
-        Err(e) => return vec![format!("experiment build failed: {e}")],
+    let session = builder.clone().build().expect("the program is supplied");
+    let (compiled, audit) = match session.compile_audited() {
+        Ok(compiled) => compiled,
+        Err(e) => return vec![format!("compile failed: {e}")],
     };
-    let compiled = match session.compile_audited() {
-        Ok((compiled, audit)) => {
-            for (ri, region) in audit.regions.iter().enumerate() {
-                for v in validate_region_schedule(region) {
-                    messages.push(format!("region {ri}: {v}"));
-                }
-            }
-            for v in check_weights(&audit) {
-                messages.push(v.to_string());
-            }
-            Some(compiled)
-        }
-        Err(e) => {
-            messages.push(format!("compile failed: {e}"));
-            None
-        }
+    let sim = options.sim;
+    let run = match session.simulate(&compiled, sim) {
+        Ok(run) => run,
+        Err(e) => return vec![format!("simulated run failed: {e}")],
     };
-    if let Some(compiled) = compiled {
-        match check_checksum_with_fuel(session.source(), &compiled.program, FUZZ_FUEL) {
-            Ok(vs) => messages.extend(vs.iter().map(ToString::to_string)),
-            Err(e) => messages.push(format!("interpreter error: {e}")),
-        }
-        match check_engines(&compiled.program, session.options().sim) {
-            Ok(vs) => messages.extend(vs.iter().map(ToString::to_string)),
-            Err(e) => messages.push(format!("simulator error: {e}")),
-        }
-    }
-    let exact_run = match session.run() {
-        Ok(run) => {
-            messages.extend(check_metrics(&run.metrics).iter().map(ToString::to_string));
-            Some(run)
-        }
-        Err(e) => {
-            messages.push(format!("simulated run failed: {e}"));
-            None
-        }
-    };
-    if let (Some(sample), Some(baseline)) = (sample, exact_run) {
+    let mut messages =
+        verify_cell(session.source(), &compiled, &audit, &run, sim, FUZZ_FUEL).violations;
+    if let Some(sample) = sample {
         // The sampled mode must run wherever the exact mode did, and its
         // functional outcome (instruction counts, checksum) is exact by
         // construction — any divergence is a sampling bug, as is a
@@ -433,31 +403,24 @@ fn check_kernel(
         // coverage. Timing *estimates* are not judged here: tolerance
         // bounds belong to the grid regression suite, not to arbitrary
         // generated kernels.
-        let sampled_session = builder
+        let sampled = builder
             .sim_mode(SimMode::Sampled(sample))
             .build()
-            .expect("exact build above succeeded");
-        match sampled_session.run() {
-            Ok(run) => {
-                if run.metrics.insts != baseline.metrics.insts {
-                    messages.push(format!(
-                        "sampled instruction counts diverged: exact {:?}, sampled {:?}",
-                        baseline.metrics.insts, run.metrics.insts
-                    ));
-                }
-                if !run.checksum_ok {
-                    messages.push("sampled checksum diverged from the interpreter".to_string());
-                }
-                match run.sample {
-                    None => messages.push("sampled run reported no sample stats".to_string()),
-                    Some(stats) => {
-                        if stats.clusters == 0
-                            || stats.clusters > stats.intervals
-                            || stats.sampled_insts > stats.total_insts
-                        {
-                            messages.push(format!("nonsensical sample stats: {stats:?}"));
-                        }
-                    }
+            .expect("the program is supplied")
+            .simulate(&compiled, sim);
+        match sampled {
+            Ok(sampled) => {
+                messages.extend(
+                    sampling_violations(&sim_result(&run), &sim_result(&sampled))
+                        .iter()
+                        .filter(|v| !matches!(v, DiffViolation::SamplingOutOfTolerance { .. }))
+                        .map(ToString::to_string),
+                );
+                let sane = sampled.sample.is_some_and(|s| {
+                    (1..=s.intervals).contains(&s.clusters) && s.sampled_insts <= s.total_insts
+                });
+                if !sane {
+                    messages.push(format!("nonsensical sample stats: {:?}", sampled.sample));
                 }
             }
             Err(e) => messages.push(format!("sampled run failed: {e}")),
@@ -652,6 +615,33 @@ mod tests {
             "unexpected failures: {:#?}",
             report.failures
         );
+    }
+
+    /// A case compiles once, with or without the sampling axis: the
+    /// suite and the sampled check both take the one compiled program.
+    /// Compile spans are matched on the case's own kernel name, because
+    /// tests beside this one may compile while the recorder is on.
+    #[test]
+    fn a_case_compiles_once() {
+        let mut drew = [false; 2];
+        for seed in 0.. {
+            let iteration = 90_000 + seed;
+            let case = gen_case(&mut Prng::new(seed), iteration);
+            let name = format!("fuzz_{iteration}");
+            let options = case.options();
+            let (messages, events) =
+                bsched_trace::capture(|| check_kernel(&case.kernel(), &options, case.sample));
+            assert!(messages.is_empty(), "seed {seed}: {messages:#?}");
+            let compiles = events
+                .iter()
+                .filter(|e| e.id == bsched_trace::points::PIPELINE_COMPILE && e.label == name)
+                .count();
+            assert_eq!(compiles, 1, "seed {seed}, sample {:?}", case.sample);
+            drew[usize::from(case.sample.is_some())] = true;
+            if drew == [true; 2] {
+                break;
+            }
+        }
     }
 
     #[test]

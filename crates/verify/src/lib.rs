@@ -11,8 +11,8 @@
 //!   through the reference interpreter against the unoptimized baseline,
 //!   recomputes scheduler weights with both the bitset kernel and
 //!   the retained naive implementation, and simulates the compiled
-//!   program under both engines (interpreting and block-compiled),
-//!   which must agree bit for bit.
+//!   program under the proof-free decode, which must reproduce the
+//!   judged run bit for bit.
 //! * [`metamorphic`] — invariants every simulated run must satisfy:
 //!   cycle accounting, cache-stats conservation, and all-hit
 //!   balanced/traditional closeness.
@@ -20,9 +20,13 @@
 //!   loop-language kernels, drives them through the full stack under a
 //!   fuel budget, and shrinks failures to minimal reproducers.
 //!
-//! The harness (`bsched-harness`) calls [`verify_cell_in`] on every
-//! executed grid cell when verification is requested (`--verify` /
-//! `BSCHED_VERIFY=1`); violations fail the run.
+//! [`verify_cell`] is the one conformance suite. It judges a compiled
+//! program, its schedule audit and a run of it that the caller already
+//! has; it compiles nothing and re-runs nothing the caller ran. The
+//! harness (`bsched-harness`) calls it on every executed grid cell when
+//! verification is requested (`--verify` / `BSCHED_VERIFY=1`), handing
+//! it the cell's own compile and run; violations fail the run. The
+//! fuzzer calls it on every generated case.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +37,9 @@ pub mod legality;
 pub mod metamorphic;
 
 pub use differential::{
-    check_checksum, check_checksum_with_fuel, check_engines, check_sampling, check_weights,
-    sampling_rel_err, sampling_violations, DiffViolation, SAMPLING_CPI_MEAN_TOL, SAMPLING_CPI_TOL,
-    SAMPLING_FLOOR_FRAC, SAMPLING_MISS_TOL, SAMPLING_STALL_TOL,
+    check_checksum_with_fuel, check_engines, check_weights, sampling_rel_err, sampling_violations,
+    DiffViolation, SAMPLING_CPI_MEAN_TOL, SAMPLING_CPI_TOL, SAMPLING_FLOOR_FRAC, SAMPLING_MISS_TOL,
+    SAMPLING_STALL_TOL,
 };
 pub use fuzz::{fuzz, FuzzConfig, FuzzFailure, FuzzReport};
 pub use legality::{
@@ -46,9 +50,10 @@ pub use metamorphic::{
     allhit_config, check_allhit_closeness, check_metrics, stall_sum, MetaViolation,
 };
 
-use bsched_pipeline::{CompileOptions, Experiment, Source};
-use bsched_sim::{SampleConfig, SimMetrics, SimMode};
-use std::sync::Arc;
+use bsched_core::ScheduleAudit;
+use bsched_ir::Program;
+use bsched_pipeline::{Compiled, RunResult};
+use bsched_sim::{MachineSpec, SimConfig, SimResult, Simulator};
 
 /// The verdict on one grid cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,99 +73,72 @@ impl CellVerification {
     }
 }
 
-/// Runs the full per-cell conformance suite on one (source × options)
-/// point simulated exactly: [`verify_cell_in`] under [`SimMode::Exact`],
-/// with `metrics` the simulated run the caller already has.
+/// The per-cell conformance suite. It judges `compiled` (compiled from
+/// `source` with the schedule `audit`) and `run`, the caller's own
+/// simulation of it on the machine `sim`:
+///
+/// * every region's schedule is proven legal over the audit;
+/// * the audit's weights are recomputed with both weight
+///   implementations;
+/// * the compiled program and a fresh interpretation of `source` are
+///   replayed through the interpreter, each under `fuel`, and their
+///   checksums compared;
+/// * `run` must match the source's reference checksum.
+///
+/// Then the simulator checks depend on the run. An exact run is
+/// compared bit for bit with the proof-free decode ([`check_engines`])
+/// and its metrics are checked against the metamorphic invariants. A
+/// sampled run (`run.sample` is set) is compared with one exact run
+/// ([`sampling_violations`]): exact-by-construction observables bit for
+/// bit, estimates within the committed tolerances. The metamorphic
+/// checks are skipped there: they are exact-accounting identities
+/// (cycle accounting, cache conservation) that independently-scaled
+/// cluster estimates need not satisfy.
 #[must_use]
 pub fn verify_cell(
-    source: &Arc<Source>,
-    options: &CompileOptions,
-    metrics: &SimMetrics,
+    source: &Program,
+    compiled: &Compiled,
+    audit: &ScheduleAudit,
+    run: &RunResult,
+    sim: SimConfig,
+    fuel: u64,
 ) -> CellVerification {
-    verify_cell_in(SimMode::Exact, source, options, metrics)
-}
-
-/// The conformance suite for a cell simulated under `sample`:
-/// [`verify_cell_in`] under [`SimMode::Sampled`].
-#[must_use]
-pub fn verify_cell_sampled(
-    source: &Arc<Source>,
-    options: &CompileOptions,
-    sample: SampleConfig,
-) -> CellVerification {
-    verify_cell_in(
-        SimMode::Sampled(sample),
-        source,
-        options,
-        &SimMetrics::default(),
-    )
-}
-
-/// The per-cell conformance suite. Whatever the mode, it recompiles the
-/// cell from `source` with a schedule audit (sharing the source's
-/// reference checksum with every other session on it), proves every region's schedule legal,
-/// cross-checks the weights against both reference implementations and
-/// replays optimized vs unoptimized code through the interpreter. Then
-/// the mode picks the simulator checks:
-///
-/// * [`SimMode::Exact`] simulates the compiled program under both
-///   engines, which must agree bit for bit, and checks the metamorphic
-///   invariants on `metrics` (the simulated run the caller already has).
-/// * [`SimMode::Sampled`] runs the sampling diff ([`check_sampling`]):
-///   exact-by-construction observables must match bit for bit, and
-///   estimates must land within the committed tolerances. `metrics` is
-///   not read. The metamorphic checks are deliberately skipped: they
-///   are exact-accounting identities (cycle accounting, cache
-///   conservation) that independently-scaled cluster estimates need
-///   not satisfy.
-#[must_use]
-pub fn verify_cell_in(
-    mode: SimMode,
-    source: &Arc<Source>,
-    options: &CompileOptions,
-    metrics: &SimMetrics,
-) -> CellVerification {
-    let mut regions = 0;
+    let regions = audit.regions.len();
     let mut violations = Vec::new();
-    let session = Experiment::builder()
-        .source("cell", Arc::clone(source))
-        .compile_options(*options)
-        .build()
-        .expect("program is supplied directly");
-    match session.compile_audited() {
-        Ok((compiled, audit)) => {
-            regions = audit.regions.len();
-            for (ri, region) in audit.regions.iter().enumerate() {
-                for v in legality::validate_region_schedule(region) {
-                    violations.push(format!("region {ri}: {v}"));
-                }
-            }
-            for v in differential::check_weights(&audit) {
-                violations.push(v.to_string());
-            }
-            match differential::check_checksum(session.source(), &compiled.program) {
-                Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
-                Err(e) => violations.push(format!("interpreter error: {e}")),
-            }
-            let simulated = match mode {
-                SimMode::Exact => differential::check_engines(&compiled.program, options.sim),
-                SimMode::Sampled(sample) => {
-                    differential::check_sampling(&compiled.program, options.sim, sample)
-                }
-            };
-            match simulated {
-                Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
-                Err(e) => violations.push(format!("simulator error: {e}")),
-            }
+    for (ri, region) in audit.regions.iter().enumerate() {
+        for v in legality::validate_region_schedule(region) {
+            violations.push(format!("region {ri}: {v}"));
         }
-        Err(e) => violations.push(format!("audited recompile failed: {e}")),
     }
-    if mode == SimMode::Exact {
+    violations.extend(
+        differential::check_weights(audit)
+            .iter()
+            .map(ToString::to_string),
+    );
+    match differential::check_checksum_with_fuel(source, &compiled.program, fuel) {
+        Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
+        Err(e) => violations.push(format!("interpreter error: {e}")),
+    }
+    if !run.checksum_ok {
+        violations.push("simulator diverged from the reference interpreter".to_string());
+    }
+    let judged = sim_result(run);
+    if run.sample.is_some() {
+        match Simulator::for_machine(&compiled.program, &MachineSpec::custom(sim)).run() {
+            Ok(exact) => violations.extend(
+                sampling_violations(&exact, &judged)
+                    .iter()
+                    .map(ToString::to_string),
+            ),
+            Err(e) => violations.push(format!("simulator error: {e}")),
+        }
+    } else {
         violations.extend(
-            metamorphic::check_metrics(metrics)
+            check_engines(&compiled.program, sim, &judged)
                 .iter()
                 .map(ToString::to_string),
         );
+        violations.extend(check_metrics(&run.metrics).iter().map(ToString::to_string));
     }
     // Violations carry trace context: one event per message, so a
     // `--trace-json` export pairs every failure with the pass spans and
@@ -180,51 +158,93 @@ pub fn verify_cell_in(
     }
 }
 
+/// The simulator's result inside a pipeline run, for the checks that
+/// compare simulator results.
+fn sim_result(run: &RunResult) -> SimResult {
+    SimResult {
+        metrics: run.metrics.clone(),
+        checksum: run.checksum,
+        sample: run.sample,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bsched_core::SchedulerKind;
-    use bsched_pipeline::resolve_kernel;
+    use bsched_ir::Interp;
+    use bsched_pipeline::{CompileOptions, Experiment, SampleConfig, Session, SimMode};
 
-    fn trfd() -> Arc<Source> {
-        Arc::new(Source::new(resolve_kernel("TRFD").unwrap()))
+    fn trfd(scheduler: SchedulerKind, mode: SimMode) -> Session {
+        Experiment::builder()
+            .kernel("TRFD")
+            .compile_options(CompileOptions::new(scheduler).with_unroll(4))
+            .sim_mode(mode)
+            .build()
+            .unwrap()
+    }
+
+    /// Compiles `session` once with an audit, simulates it once, and
+    /// hands both to the suite, as the harness does.
+    fn verify(session: &Session, tamper: impl FnOnce(&mut RunResult)) -> CellVerification {
+        let (compiled, audit) = session.compile_audited().unwrap();
+        let sim = session.options().sim;
+        let mut run = session.simulate(&compiled, sim).unwrap();
+        tamper(&mut run);
+        verify_cell(
+            session.source(),
+            &compiled,
+            &audit,
+            &run,
+            sim,
+            Interp::DEFAULT_FUEL,
+        )
     }
 
     #[test]
     fn a_real_cell_verifies_clean() {
-        let source = trfd();
-        let options = CompileOptions::new(SchedulerKind::Balanced);
-        let session = Experiment::builder()
-            .source("TRFD", Arc::clone(&source))
-            .compile_options(options)
-            .build()
-            .unwrap();
-        let run = session.run().unwrap();
-        let v = verify_cell(&source, &options, &run.metrics);
+        let v = verify(&trfd(SchedulerKind::Balanced, SimMode::Exact), |_| {});
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
 
     #[test]
     fn a_real_cell_verifies_clean_under_sampling() {
-        let options = CompileOptions::new(SchedulerKind::Balanced);
-        let v = verify_cell_sampled(&trfd(), &options, SampleConfig::default());
+        let sampled = SimMode::Sampled(SampleConfig::default());
+        let v = verify(&trfd(SchedulerKind::Balanced, sampled), |run| {
+            assert!(run.sample.is_some(), "the suite judges a sampled run");
+        });
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
 
     #[test]
     fn corrupted_metrics_fail_the_cell() {
-        let source = trfd();
-        let options = CompileOptions::new(SchedulerKind::Balanced);
-        let session = Experiment::builder()
-            .source("TRFD", Arc::clone(&source))
-            .compile_options(options)
-            .build()
-            .unwrap();
-        let mut metrics = session.run().unwrap().metrics;
-        metrics.cycles = 1; // below any plausible accounting floor
-        let v = verify_cell(&source, &options, &metrics);
+        let v = verify(&trfd(SchedulerKind::Balanced, SimMode::Exact), |run| {
+            run.metrics.cycles = 1; // below any plausible accounting floor
+        });
         assert!(!v.is_clean());
+    }
+
+    /// The suite judges the run it is handed, not a rerun of its own:
+    /// the TS+LU4 cell's run handed over with the BS+LU4 compiled
+    /// program is a divergence from the proof-free decode of that
+    /// program.
+    #[test]
+    fn a_run_of_another_compile_is_an_engine_divergence() {
+        let ts = trfd(SchedulerKind::Traditional, SimMode::Exact)
+            .run()
+            .unwrap();
+        let v = verify(&trfd(SchedulerKind::Balanced, SimMode::Exact), |run| {
+            assert_ne!(run.metrics, ts.metrics, "the arms must differ");
+            *run = ts;
+        });
+        assert!(
+            v.violations
+                .iter()
+                .any(|m| m.starts_with("simulation engines diverged")),
+            "violations: {:#?}",
+            v.violations
+        );
     }
 }

@@ -4,17 +4,17 @@
 //! Every run simulates on the default decode, which elides work its
 //! decode proofs show cannot change a result; `SimEngine::Interpret` is
 //! the same timing loop with every proof off. This suite compiles each
-//! kernel × options once and runs [`check_engines`] on the compiled
-//! program for every machine a binary simulates it on. Any differing
-//! metric or checksum fails it. It is `#[ignore]`d in the default run;
-//! run it with
+//! kernel × options once, simulates the compiled program on every
+//! machine a binary simulates it on, and runs [`check_engines`] on each
+//! run. Any differing metric or checksum fails it. It is `#[ignore]`d
+//! in the default run; run it with
 //! `cargo test --release -p bsched-verify --test engine_oracle -- --ignored`.
 
 #[path = "support/simulated_cells.rs"]
 mod simulated_cells;
 
 use bsched_pipeline::{CompileOptions, Experiment};
-use bsched_sim::SimConfig;
+use bsched_sim::{MachineSpec, SimConfig, Simulator};
 use bsched_verify::check_engines;
 use std::collections::HashMap;
 
@@ -54,8 +54,12 @@ fn every_simulated_cell_matches_the_proof_free_oracle() {
         for sim in machines {
             checked += 1;
             let cell = format!("{kernel}/{label} on {sim:?}");
-            match check_engines(&compiled.program, *sim) {
-                Ok(vs) => failures.extend(vs.iter().map(|v| format!("{cell}: {v}"))),
+            match Simulator::for_machine(&compiled.program, &MachineSpec::custom(*sim)).run() {
+                Ok(run) => failures.extend(
+                    check_engines(&compiled.program, *sim, &run)
+                        .iter()
+                        .map(|v| format!("{cell}: {v}")),
+                ),
                 Err(e) => failures.push(format!("{cell}: simulation failed: {e}")),
             }
         }

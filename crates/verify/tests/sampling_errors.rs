@@ -11,7 +11,7 @@
 use bsched_pipeline::{standard_grid, Experiment, SampleConfig, SimMode};
 use bsched_sim::{MachineSpec, SimEngine, Simulator};
 use bsched_verify::{
-    check_sampling, sampling_rel_err, sampling_violations, SAMPLING_CPI_MEAN_TOL, SAMPLING_CPI_TOL,
+    sampling_rel_err, sampling_violations, SAMPLING_CPI_MEAN_TOL, SAMPLING_CPI_TOL,
 };
 
 /// The sweep kernels: one large, phase-rich kernel and one small one.
@@ -104,22 +104,15 @@ fn sweep_mean_cpi_error_is_under_the_mean_bound() {
 }
 
 #[test]
-fn check_sampling_is_clean_across_the_sweep_and_reports_divergence() {
-    // The one-call entry point agrees with the manual sweep above for a
-    // couple of representative cells…
-    let program = kernel("TRFD");
+fn an_out_of_tolerance_estimate_is_reported_by_metric() {
+    // A fabricated off-estimate is reported with the metric, both
+    // values, and the tolerance, so the failing cell is identifiable
+    // from the message alone.
     let session = Experiment::builder()
-        .program("TRFD", program.clone())
+        .program("TRFD", kernel("TRFD"))
         .build()
         .expect("defaults compile");
     let compiled = session.compile().expect("defaults compile").program;
-    let violations = check_sampling(&compiled, session.options().sim, SampleConfig::default())
-        .expect("simulates");
-    assert!(violations.is_empty(), "{violations:?}");
-
-    // …and a fabricated off-estimate is reported with the metric, both
-    // values, and the tolerance, so the failing cell is identifiable
-    // from the message alone.
     let mut exact = Simulator::for_machine(&compiled, &MachineSpec::custom(session.options().sim))
         .with_engine(SimEngine::BlockCompiled)
         .run()

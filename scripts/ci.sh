@@ -76,18 +76,25 @@ echo "== gate: one compile per kernel x options across machines =="
 # batch that differ only in the simulated machine once and simulates
 # each on its own machine. ARC2D and TRFD x {TS, BS, EX}@LU4 x the 6
 # registry machines must record exactly 6 pipeline.compile spans for 36
-# harness.cell spans, and every cell must equal its own Session::run: a
-# deterministic count, so a slide back to per-cell compiles fails on
+# harness.cell spans, and every cell must equal its own Session::run.
+# Verified, the same 36 cells must still record 6 pipeline.compile spans
+# and exactly 72 sim.run spans (each cell's run plus its proof-free
+# oracle), 36 cells verified and 0 violations: deterministic counts, so
+# a slide back to per-cell compiles or to verifying a rerun fails on
 # any host.
 cargo test -q --release -p bsched-harness --test compile_sharing \
     zoo_cells_compile_once_per_kernel_and_arm
+cargo test -q --release -p bsched-harness --test compile_sharing \
+    verified_zoo_cells_compile_once_and_simulate_twice
 
 echo "== verify gate: conformance suite on 2 kernels + fuzz smoke =="
-# Re-runs the same subset under --verify: every cell's schedule is
-# proven legal, weights cross-checked against the reference
-# implementation, the compiled code replayed through the interpreter,
-# and the simulator metrics checked against the metamorphic
-# invariants. Then a 2,000-iteration seeded fuzz campaign
+# Re-runs the same subset under --verify. The suite judges each cell's
+# own compiled program and run, not a rerun: the schedule of that
+# compile is proven legal from its audit, its weights cross-checked
+# against the reference implementation, its code replayed through the
+# interpreter against a fresh interpretation of the source, and the
+# cell's run compared with the proof-free decode and checked against
+# the metamorphic invariants. Then a 2,000-iteration seeded fuzz campaign
 # (time-budgeted so slow machines stop early rather than time out)
 # drives random kernels through the full pipeline. Any violation or fuzz failure exits nonzero; the
 # verified output must be byte-identical to the unverified run.
